@@ -31,8 +31,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--threads", type=int, help="worker thread cap")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; affects nothing numerical")
         if name == "mesh-refine":
             p.add_argument("--rounds", type=int, default=1,
                            help="uniform refinement rounds")
@@ -47,7 +45,6 @@ def _load(args) -> RunConfig:
         cfg.threads = args.threads
         if cfg.threads < 1:
             raise ConfigError("threads: must be at least 1")
-    cfg.seed = args.seed
     return cfg
 
 

@@ -7,6 +7,8 @@ for the physics problems using a small whitelist of forms:
     const:<float>
     gaussian:amp=<float>,width=<float>,center=<float>[ <float>...]
 
+`coeff.trK` takes const only, and `coeff.robin_c` / `coeff.robin_z` need a
+mesh with flux-flagged (NEUMANN) faces, which only a file: mesh can carry.
 Every validation failure names the offending field.
 """
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import generators, mesh_io, problems
+from .mesh import NEUMANN
 
 
 class ConfigError(Exception):
@@ -55,7 +58,6 @@ class RunConfig:
     ppum_budget: int = 0             # 0 means max_vertices
     out: str = ""
     threads: int = 1
-    seed: int = 0                    # reserved; nothing numerical reads it
     coefficients: dict = field(default_factory=dict)
 
     @property
@@ -170,14 +172,22 @@ def build_mesh(cfg: RunConfig, problem=None):
         factory = getattr(problem, "mesh_factory", None)
         if factory is None:
             raise ConfigError("mesh: 'auto' needs a problem with a default mesh")
-        return factory(cfg.mesh_n)
-    if cfg.mesh.startswith("file:"):
-        return mesh_io.read_mesh(cfg.mesh[len("file:"):])
-    if cfg.mesh == "annulus":
-        return generators.annulus(n_r=cfg.mesh_n, n_t=max(3, 4 * cfg.mesh_n))
-    if cfg.mesh == "sphere_in_box":
-        return generators.sphere_in_box(n=max(3, cfg.mesh_n))
-    return getattr(generators, cfg.mesh)(cfg.mesh_n)
+        mesh = factory(cfg.mesh_n)
+    elif cfg.mesh.startswith("file:"):
+        mesh = mesh_io.read_mesh(cfg.mesh[len("file:"):])
+    elif cfg.mesh == "annulus":
+        mesh = generators.annulus(n_r=cfg.mesh_n, n_t=max(3, 4 * cfg.mesh_n))
+    elif cfg.mesh == "sphere_in_box":
+        mesh = generators.sphere_in_box(n=max(3, cfg.mesh_n))
+    else:
+        mesh = getattr(generators, cfg.mesh)(cfg.mesh_n)
+    # generator meshes flag every boundary face DIRICHLET, where Robin data is never read
+    flux = np.any(mesh.sflags[mesh.live_simplices()] == NEUMANN)
+    for key in ("robin_c", "robin_z"):
+        if key in cfg.coefficients and not flux:
+            raise ConfigError(f"coeff.{key}: the mesh has no flux (NEUMANN) face to "
+                              "apply it on; use a file: mesh with flux-flagged faces")
+    return mesh
 
 
 def _constraint_coefficients(cfg: RunConfig) -> "problems.ConstraintCoefficients":
@@ -187,6 +197,9 @@ def _constraint_coefficients(cfg: RunConfig) -> "problems.ConstraintCoefficients
         if name not in known:
             raise ConfigError(f"coeff.{name}: unknown coefficient "
                               f"(supported: {sorted(known)})")
+        if name == "trK" and spec.partition(":")[0] != "const":
+            # a varying trK also needs its gradient, which no config key gives
+            raise ConfigError("coeff.trK: takes const:<float> only")
         kw[name] = parse_coefficient(name, spec)
     return problems.ConstraintCoefficients(dim=cfg.dim, **kw)
 

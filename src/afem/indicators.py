@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, INTERIOR, DIRICHLET, NEUMANN, MeshError
+from .mesh import Mesh, DIRICHLET, NEUMANN
 from .elements import linear_element, default_rule, fine_rule, face_rule
 from .problem import ProblemDefinition, SolutionField
 from .assembly import _element_data
@@ -44,10 +44,6 @@ class IndicatorField:
 
     def max(self) -> float:
         return max(self.eta.values()) if self.eta else 0.0
-
-    def as_array(self) -> np.ndarray:
-        """Values in live-simplex iteration order (matches VTK cell order)."""
-        return np.array([self.eta[int(s)] for s in self.mesh.live_simplices()])
 
 
 def inscribed_diameter(mesh: Mesh, sid: int) -> float:
@@ -91,21 +87,6 @@ def _face_quadrature(mesh: Mesh, sid: int, local: int):
     # barycentric values of the face vertices at each point
     bary = np.column_stack([1.0 - ref.sum(axis=1), ref])
     return xq, wq, fverts, bary
-
-
-def _local_face_of(mesh: Mesh, sid: int, fverts) -> int:
-    fset = set(fverts)
-    for k, v in enumerate(mesh.sverts[sid][: mesh.dim + 1]):
-        if int(v) not in fset:
-            return k
-    raise MeshError(f"simplex {sid} does not contain face {tuple(fverts)}")
-
-
-def _side_data(mesh, u, sid, element):
-    geom, grads = _element_data(mesh, sid, element)
-    uloc = u.values[mesh.sverts[sid]]
-    gu = uloc.T @ grads
-    return uloc, gu
 
 
 def _require_sft(problem):
@@ -317,15 +298,6 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
     return DualWeights(phi, psi, fine, coarse_live, ncv, prol, same_space)
 
 
-def _coarse_ancestor(mesh: Mesh, sid: int, coarse_live: set) -> int:
-    s = sid
-    while s not in coarse_live:
-        s = int(mesh.sparent[s])
-        if s < 0:
-            raise MeshError(f"simplex {sid} has no ancestor in the primal mesh")
-    return s
-
-
 def dual_indicator(problem: ProblemDefinition, u: SolutionField,
                    weights: DualWeights):
     """Error-representation indicator.
@@ -372,7 +344,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
             c = coeffs.at(x, mesh, s, None, grads)
             r0 = np.asarray(problem.SFt(0, x, None, uq, gu, c), dtype=float)
             term += wq[q] * float(r0 @ wv)
-        contrib[_coarse_ancestor(mesh, s, weights.coarse_live)] += term
+        contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
 
     for s in mesh.live_simplices():
         s = int(s)
@@ -391,7 +363,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
                     c = coeffs.at(xq[q], mesh, s, None, grads_s)
                     r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s, c), dtype=float)
                     term += wq[q] * float(r1 @ wv)
-                contrib[_coarse_ancestor(mesh, s, weights.coarse_live)] += term
+                contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
                 continue
             t = mesh.neighbor(s, i)
             if t < 0 or t < s:
@@ -410,8 +382,8 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
                 flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t, ct), dtype=float)
                 term += wq[q] * float((flux_s - flux_t) @ wv)
             half = 0.5 * term
-            contrib[_coarse_ancestor(mesh, s, weights.coarse_live)] += half
-            contrib[_coarse_ancestor(mesh, t, weights.coarse_live)] += half
+            contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += half
+            contrib[mesh.coarse_ancestor(t, weights.coarse_live)] += half
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution

@@ -5,7 +5,7 @@ demand; each vertex keeps a ring (the set of live simplices touching it), which
 answers every adjacency query bisection and assembly need.  Simplex records are
 append-only: a bisected parent stays as a dead record so refinement genealogy
 (parent/children links, vertex parent edges) survives for transfer operators
-and point location.  compact() drops genealogy and reclaims the dead slots.
+and point location.
 """
 
 from __future__ import annotations
@@ -27,27 +27,6 @@ _EDGES = {
 
 class MeshError(Exception):
     """Raised for structural mesh failures (nonconformity, inversion, bad input)."""
-
-
-@dataclass
-class Vertex:
-    id: int
-    x: np.ndarray
-    bclass: int
-    ring: frozenset
-    parents: tuple
-
-
-@dataclass
-class Simplex:
-    id: int
-    verts: tuple
-    face_flags: tuple
-    alive: bool
-    generation: int
-    parent: int
-    children: tuple
-    marked_edge: int
 
 
 @dataclass
@@ -79,14 +58,6 @@ class RefinementReport:
             out.append(c0)
             out.append(c1)
         return out
-
-
-@dataclass
-class SmoothReport:
-    moves_accepted: int
-    min_shape_before: float
-    min_shape_after: float
-    inverted: list
 
 
 def shape_of_points(pts: np.ndarray) -> float:
@@ -135,7 +106,6 @@ class Mesh:
         self._sverts = np.zeros((cap, dim + 1), dtype=np.int64)
         self._sflags = np.zeros((cap, dim + 1), dtype=np.int8)
         self._salive = np.zeros(cap, dtype=bool)
-        self._sgen = np.zeros(cap, dtype=np.int32)
         self._sparent = np.full(cap, -1, dtype=np.int64)
         self._schildren = np.full((cap, 2), -1, dtype=np.int64)
         # 3D bisection bookkeeping: vertex ids in bisection order plus a type tag
@@ -183,24 +153,12 @@ class Mesh:
         return self._salive[:self._ns]
 
     @property
-    def sgen(self) -> np.ndarray:
-        return self._sgen[:self._ns]
-
-    @property
     def sparent(self) -> np.ndarray:
         return self._sparent[:self._ns]
 
     @property
     def schildren(self) -> np.ndarray:
         return self._schildren[:self._ns]
-
-    @property
-    def sorder(self) -> np.ndarray:
-        return self._sorder[:self._ns]
-
-    @property
-    def stag(self) -> np.ndarray:
-        return self._stag[:self._ns]
 
     # ------------------------------------------------------------------ build
 
@@ -216,12 +174,11 @@ class Mesh:
         self._nv += 1
         return vid
 
-    def _push_simplex(self, verts, flags, gen, parent, order, tag) -> int:
+    def _push_simplex(self, verts, flags, parent, order, tag) -> int:
         sid = self._ns
         self._sverts = self._grow(self._sverts, sid + 1)
         self._sflags = self._grow(self._sflags, sid + 1)
         self._salive = self._grow(self._salive, sid + 1)
-        self._sgen = self._grow(self._sgen, sid + 1)
         self._sparent = self._grow(self._sparent, sid + 1)
         self._schildren = self._grow(self._schildren, sid + 1)
         self._sorder = self._grow(self._sorder, sid + 1)
@@ -229,7 +186,6 @@ class Mesh:
         self._sverts[sid] = verts
         self._sflags[sid] = flags
         self._salive[sid] = True
-        self._sgen[sid] = gen
         self._sparent[sid] = parent
         self._schildren[sid] = (-1, -1)
         self._sorder[sid] = order
@@ -249,7 +205,7 @@ class Mesh:
             raise MeshError(f"simplex {verts} references a missing vertex")
         if flags is None:
             flags = (INTERIOR,) * (self.dim + 1)
-        return self._push_simplex(verts, flags, 0, -1, (-1, -1, -1, -1), 0)
+        return self._push_simplex(verts, flags, -1, (-1, -1, -1, -1), 0)
 
     def finalize(self, boundary=None, fix_orientation: bool = True, validate: bool = True):
         """Close construction: orient simplices, flag boundary faces, derive vertex classes.
@@ -351,17 +307,6 @@ class Mesh:
     def live_simplices(self) -> np.ndarray:
         return np.flatnonzero(self.salive)
 
-    def vertex(self, vid: int) -> Vertex:
-        return Vertex(vid, self._coords[vid].copy(), int(self._vclass[vid]),
-                      frozenset(self.rings[vid]), tuple(int(p) for p in self._vparents[vid]))
-
-    def simplex(self, sid: int) -> Simplex:
-        return Simplex(sid, tuple(int(v) for v in self._sverts[sid]),
-                       tuple(int(f) for f in self._sflags[sid]), bool(self._salive[sid]),
-                       int(self._sgen[sid]), int(self._sparent[sid]),
-                       tuple(int(c) for c in self._schildren[sid]),
-                       self.marked_edge_local(sid))
-
     def signed_volume(self, sid: int) -> float:
         return signed_volume_of_points(self._coords[self._sverts[sid]])
 
@@ -406,14 +351,6 @@ class Mesh:
                 best = (key, (min(a, b), max(a, b)))
         return best[1]
 
-    def marked_edge_local(self, sid: int) -> int:
-        """Local index (into the canonical edge list) of the refinement edge."""
-        a, b = self.refinement_edge(sid)
-        verts = [int(v) for v in self._sverts[sid, :self.dim + 1]]
-        ia, ib = verts.index(a), verts.index(b)
-        pair = (min(ia, ib), max(ia, ib))
-        return _EDGES[self.dim].index(pair)
-
     def barycentric(self, sid: int, x) -> np.ndarray:
         pts = self._coords[self._sverts[sid]]
         t = (pts[1:] - pts[0]).T
@@ -424,6 +361,16 @@ class Mesh:
         s = int(sid)
         while self._sparent[s] >= 0:
             s = int(self._sparent[s])
+        return s
+
+    def coarse_ancestor(self, sid: int, coarse_live) -> int:
+        """The ancestor of sid (or sid itself) that lies in coarse_live, the
+        live simplex ids of an earlier state of this mesh."""
+        s = int(sid)
+        while s not in coarse_live:
+            s = int(self._sparent[s])
+            if s < 0:
+                raise MeshError(f"simplex {sid} has no ancestor in the coarse live set")
         return s
 
     def locate(self, x, root: int) -> int:
@@ -529,18 +476,17 @@ class Mesh:
         verts1 = [z if v == a else v for v in pverts]  # child containing b
         flags0 = self._child_flags(sid, verts0, a, b, z)
         flags1 = self._child_flags(sid, verts1, a, b, z)
-        gen = int(self._sgen[sid]) + 1
         if self.dim == 3:
             m1, m2 = int(self._sorder[sid, 1]), int(self._sorder[sid, 2])
             t = int(self._stag[sid])
             nt = (t + 1) % 3
             order0 = (a, z, m1, m2)
             order1 = (b, z, m2, m1) if t == 0 else (b, z, m1, m2)
-            c0 = self._push_simplex(verts0, flags0, gen, sid, order0, nt)
-            c1 = self._push_simplex(verts1, flags1, gen, sid, order1, nt)
+            c0 = self._push_simplex(verts0, flags0, sid, order0, nt)
+            c1 = self._push_simplex(verts1, flags1, sid, order1, nt)
         else:
-            c0 = self._push_simplex(verts0, flags0, gen, sid, (-1, -1, -1, -1), 0)
-            c1 = self._push_simplex(verts1, flags1, gen, sid, (-1, -1, -1, -1), 0)
+            c0 = self._push_simplex(verts0, flags0, sid, (-1, -1, -1, -1), 0)
+            c1 = self._push_simplex(verts1, flags1, sid, (-1, -1, -1, -1), 0)
         self._salive[sid] = False
         self._schildren[sid] = (c0, c1)
         for v in pverts:
@@ -612,49 +558,6 @@ class Mesh:
             n = -n
         return n, meas
 
-    # ------------------------------------------------------------------ smoothing
-
-    def smooth(self, iterations: int = 1) -> SmoothReport:
-        """Move interior vertices toward their ring barycenter when that strictly
-        improves the worst shape measure in the ring.  Boundary vertices stay put.
-        """
-        before = self.min_shape()
-        moved = 0
-        for _ in range(iterations):
-            for v in range(self._nv):
-                if self._vclass[v] != INTERIOR or not self.rings[v]:
-                    continue
-                ring = sorted(self.rings[v])
-                nb = set()
-                for s in ring:
-                    nb.update(int(u) for u in self._sverts[s, :self.dim + 1])
-                nb.discard(v)
-                target = self._coords[sorted(nb)].mean(axis=0)
-                x0 = self._coords[v].copy()
-                best_q = self._ring_quality(ring, v, x0)
-                best_x = None
-                for frac in (0.25, 0.5, 1.0):
-                    cand = x0 + frac * (target - x0)
-                    q = self._ring_quality(ring, v, cand)
-                    if q > best_q + 1e-14:
-                        best_q, best_x = q, cand
-                if best_x is not None:
-                    self._coords[v] = best_x
-                    moved += 1
-        after = self.min_shape()
-        inverted = [int(s) for s in self.live_simplices() if self.shape_measure(int(s)) <= 0]
-        return SmoothReport(moved, before, after, inverted)
-
-    def _ring_quality(self, ring, v: int, x) -> float:
-        q = math.inf
-        for s in ring:
-            pts = self._coords[self._sverts[s]].copy()
-            for k, u in enumerate(self._sverts[s, :self.dim + 1]):
-                if int(u) == v:
-                    pts[k] = x
-            q = min(q, shape_of_points(pts))
-        return q
-
     # ------------------------------------------------------------------ copies
 
     def copy(self) -> "Mesh":
@@ -668,35 +571,9 @@ class Mesh:
         m._sverts = self._sverts[:self._ns].copy()
         m._sflags = self._sflags[:self._ns].copy()
         m._salive = self._salive[:self._ns].copy()
-        m._sgen = self._sgen[:self._ns].copy()
         m._sparent = self._sparent[:self._ns].copy()
         m._schildren = self._schildren[:self._ns].copy()
         m._sorder = self._sorder[:self._ns].copy()
         m._stag = self._stag[:self._ns].copy()
         m._finalized = self._finalized
         return m
-
-    def compact(self) -> dict:
-        """Drop dead simplex records and genealogy, renumbering live simplices.
-
-        Returns the old->new simplex id map.  Vertex ids are untouched (vertices
-        are never deleted); vertex parent links are cleared because the records
-        they refer to are gone.
-        """
-        live = [int(s) for s in self.live_simplices()]
-        smap = {s: k for k, s in enumerate(live)}
-        self._sverts = self._sverts[live].copy()
-        self._sflags = self._sflags[live].copy()
-        self._salive = np.ones(len(live), dtype=bool)
-        self._sgen = np.zeros(len(live), dtype=np.int32)
-        self._sparent = np.full(len(live), -1, dtype=np.int64)
-        self._schildren = np.full((len(live), 2), -1, dtype=np.int64)
-        self._sorder = self._sorder[live].copy()
-        self._stag = self._stag[live].copy()
-        self._ns = len(live)
-        self._vparents = np.full((self._nv, 2), -1, dtype=np.int64)
-        self.rings = [set() for _ in range(self._nv)]
-        for s in range(self._ns):
-            for v in self._sverts[s, :self.dim + 1]:
-                self.rings[v].add(s)
-        return smap

@@ -11,10 +11,9 @@ systems, a transpose-free QMR loop otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -37,34 +36,14 @@ class SolveReport:
     converged: bool
 
 
+MAX_ITERATIONS = 500            # outer Krylov iteration cap
+SYMMETRY_TOLERANCE = 1e-12      # relative gap |A - A^T| under which CG is chosen
+
+
 @dataclass
 class MultilevelConfig:
-    pre_sweeps: int = 1
-    post_sweeps: int = 1
     direct_threshold: int = 500
-    max_iterations: int = 500
     tolerance: float = 1e-8
-    symmetry_tolerance: float = 1e-12
-
-
-def smoother_sweep(a: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
-                   direction: str = "forward") -> np.ndarray:
-    """One Gauss-Seidel sweep.  Computed as the exact triangular-solve form of
-    the sequential update, so results are bit-reproducible.
-    """
-    diag = a.diagonal()
-    if np.any(diag == 0.0):
-        raise MultilevelError(f"zero diagonal entry at row {int(np.argmin(diag != 0.0))}")
-    if direction == "forward":
-        m = sp.tril(a, 0, format="csr")
-        rest = a - m
-    elif direction == "backward":
-        m = sp.triu(a, 0, format="csr")
-        rest = a - m
-    else:
-        raise ValueError(f"unknown sweep direction {direction!r}")
-    rhs = b - rest @ x
-    return spla.spsolve_triangular(m, rhs, lower=(direction == "forward"))
 
 
 class MultilevelHierarchy:
@@ -93,7 +72,10 @@ class MultilevelHierarchy:
             self._splits[k] = (lower, a - lower, upper, a - upper)
         return self._splits[k]
 
-    def _sweep(self, k, x, b, direction):
+    def sweep(self, k, x, b, direction):
+        """One Gauss-Seidel sweep on level k, "forward" or "backward".  Computed
+        as the exact triangular-solve form of the sequential update, so results
+        are bit-reproducible."""
         lower, ur, upper, lr = self._split(k)
         if direction == "forward":
             return spla.spsolve_triangular(lower, b - ur @ x, lower=True)
@@ -120,31 +102,23 @@ class MultilevelHierarchy:
             return self.coarse_solve(b)
         a = self.matrices[level]
         p = self.prolongations[level]
-        x = np.zeros_like(b)
-        for _ in range(self.config.pre_sweeps):
-            x = self._sweep(level, x, b, "forward")
+        x = self.sweep(level, np.zeros_like(b), b, "forward")
         coarse_b = p.T @ (b - a @ x)
         x = x + p @ self.v_cycle(coarse_b, level + 1)
-        for _ in range(self.config.post_sweeps):
-            x = self._sweep(level, x, b, "backward")
-        return x
+        return self.sweep(level, x, b, "backward")
 
     def is_symmetric(self) -> bool:
         a = self.matrices[0]
         gap = abs(a - a.T).max()
         scale = abs(a).max()
-        return gap <= self.config.symmetry_tolerance * max(scale, 1.0)
+        return gap <= SYMMETRY_TOLERANCE * max(scale, 1.0)
 
-    def solve(self, b: np.ndarray, tol: float = None, method: str = "auto"):
-        cfg = self.config
-        tol = cfg.tolerance if tol is None else tol
-        if method == "auto":
-            method = "cg" if self.is_symmetric() else "tfqmr"
-        if method == "cg":
+    def solve(self, b: np.ndarray, tol: float = None):
+        """V-cycle-preconditioned CG for a symmetric operator, TFQMR otherwise."""
+        tol = self.config.tolerance if tol is None else tol
+        if self.is_symmetric():
             return self._pcg(b, tol)
-        if method == "tfqmr":
-            return self._tfqmr(b, tol)
-        raise ValueError(f"unknown method {method!r}")
+        return self._tfqmr(b, tol)
 
     def _pcg(self, b: np.ndarray, tol: float):
         a = self.matrices[0]
@@ -158,7 +132,7 @@ class MultilevelHierarchy:
         p = z.copy()
         rz = float(r @ z)
         best = (1.0, x.copy(), 0)
-        for it in range(1, self.config.max_iterations + 1):
+        for it in range(1, MAX_ITERATIONS + 1):
             q = a @ p
             pq = float(p @ q)
             if pq <= 0.0:
@@ -179,9 +153,9 @@ class MultilevelHierarchy:
             p = z + (rz_new / rz) * p
             rz = rz_new
         raise MultilevelError(
-            f"cg did not reach {tol:.1e} within {self.config.max_iterations} iterations "
+            f"cg did not reach {tol:.1e} within {MAX_ITERATIONS} iterations "
             f"(best {best[0]:.3e} at iteration {best[2]})",
-            x=best[1], iterations=self.config.max_iterations, residuals=residuals)
+            x=best[1], iterations=MAX_ITERATIONS, residuals=residuals)
 
     def _tfqmr(self, b: np.ndarray, tol: float):
         """Transpose-free QMR on the left V-cycle preconditioned system.
@@ -212,7 +186,7 @@ class MultilevelHierarchy:
         alpha = 0.0
         residuals = [1.0]
         best = (1.0, x.copy(), 0)
-        for m in range(self.config.max_iterations):
+        for m in range(MAX_ITERATIONS):
             if m % 2 == 0:
                 sigma = float(rstar @ v)
                 if sigma == 0.0 or rho == 0.0:
@@ -247,9 +221,9 @@ class MultilevelHierarchy:
                 v = amul(u_next) + beta * (au + beta * v)
             u = u_next
         raise MultilevelError(
-            f"tfqmr did not reach {tol:.1e} within {self.config.max_iterations} iterations "
+            f"tfqmr did not reach {tol:.1e} within {MAX_ITERATIONS} iterations "
             f"(best {best[0]:.3e} at iteration {best[2]})",
-            x=best[1], iterations=self.config.max_iterations, residuals=residuals)
+            x=best[1], iterations=MAX_ITERATIONS, residuals=residuals)
 
 
 def galerkin_product(a: sp.csr_matrix, p: sp.csr_matrix) -> sp.csr_matrix:
@@ -318,12 +292,3 @@ def prolongation_from_refinement(n_coarse_vertices: int, mesh,
     p.sort_indices()
     return p
 
-
-def write_matrix(path, a: sp.spmatrix) -> None:
-    scipy.io.mmwrite(path, a.tocoo(), precision=17)
-
-
-def read_matrix(path) -> sp.csr_matrix:
-    a = scipy.io.mmread(path).tocsr()
-    a.sort_indices()
-    return a

@@ -1,8 +1,8 @@
 """Damped inexact Newton iteration.
 
-Each step solves the linearized system to a forcing tolerance (residual-scaled
-by default, so the outer iteration turns superlinear as it closes in), then
-backtracks by halving the step until the residual norm actually drops.  The
+Each step solves the linearized system to the forcing tolerance
+min(0.5, sqrt(|F|)), so the outer iteration turns superlinear as it closes in,
+then backtracks by halving the step until the residual norm actually drops.  The
 residual norm is the Euclidean norm; constrained entries are zero by
 construction, so they never contribute.
 """
@@ -27,13 +27,13 @@ class NewtonError(Exception):
         self.x = x
 
 
+MAX_HALVINGS = 10   # step halvings tried before a Newton step is given up
+
+
 @dataclass
 class NewtonConfig:
     tolerance: float = 1e-10
     max_iterations: int = 25
-    max_halvings: int = 10
-    forcing: str = "residual"   # "residual": min(0.5, sqrt(|F|)); "fixed": forcing_eta
-    forcing_eta: float = 1e-10
 
 
 @dataclass
@@ -71,15 +71,12 @@ def newton_iterate(residual_fn, jacobian_fn, x0: np.ndarray,
         if rnorm <= config.tolerance:
             report.converged = True
             return x, report
-        if config.forcing == "residual":
-            eta = min(0.5, np.sqrt(rnorm))
-        else:
-            eta = config.forcing_eta
+        eta = min(0.5, np.sqrt(rnorm))
         a = jacobian_fn(x)
         dx, inner = linear_solve(a, -r, eta)
         lam = 1.0
         accepted = False
-        for _ in range(config.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             xt = x + lam * dx
             rt = residual_fn(xt)
             rtnorm = float(np.linalg.norm(rt))
@@ -90,7 +87,7 @@ def newton_iterate(residual_fn, jacobian_fn, x0: np.ndarray,
         if not accepted:
             raise NewtonError(
                 f"no damping step reduced the residual below {rnorm:.3e} "
-                f"after {config.max_halvings} halvings", report=report, x=x)
+                f"after {MAX_HALVINGS} halvings", report=report, x=x)
         x, r, rnorm = xt, rt, rtnorm
         report.residuals.append(rnorm)
         report.step_lengths.append(lam)

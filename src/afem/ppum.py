@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import apply_dirichlet, measure_error  # noqa: F401  (re-export)
+from .assembly import apply_dirichlet
 from .indicators import IndicatorField, mark, residual_indicator
 from .mesh import Mesh, MeshError
 from .multilevel import prolongation_from_refinement
@@ -148,9 +148,6 @@ class PartitionOfUnity:
     def sum_deviation(self) -> float:
         return float(np.max(np.abs(self.weights.sum(axis=1) - 1.0)))
 
-    def supports(self, v: int) -> int:
-        return int(np.count_nonzero(self.weights[v]))
-
 
 def taper_weights(mesh: Mesh, dec: Decomposition) -> np.ndarray:
     """Raw (un-normalized) coarse-vertex taper per subdomain.
@@ -200,15 +197,6 @@ def partition_of_unity(blend_mesh: Mesh, n_coarse_vertices: int,
 
 # ----------------------------------------------------------------- local runs
 
-def _coarse_ancestor(mesh: Mesh, sid: int, coarse_live: set) -> int:
-    s = int(sid)
-    while s not in coarse_live:
-        s = int(mesh.sparent[s])
-        if s < 0:
-            raise PpumError(f"simplex {sid} has no ancestor on the coarse level")
-    return s
-
-
 def local_solve(problem, coarse: Mesh, u_coarse: SolutionField,
                 dec: Decomposition, i: int, budget: int,
                 strategy: str = "hybrid", theta: float = None,
@@ -230,7 +218,7 @@ def local_solve(problem, coarse: Mesh, u_coarse: SolutionField,
                 break
             field = residual_indicator(problem, u)
             local_eta = {s: v for s, v in field.eta.items()
-                         if _coarse_ancestor(mesh, s, coarse_live) in region}
+                         if mesh.coarse_ancestor(s, coarse_live) in region}
             marks = mark(IndicatorField(mesh, local_eta, p=field.p), strategy, theta)
             if not marks:
                 break

@@ -112,10 +112,6 @@ class SolutionField:
         verts = self.mesh.sverts[sid]
         return np.tensordot(bary, self.values[verts], axes=(0, 0))
 
-    def eval_at(self, x, root: int) -> np.ndarray:
-        sid = self.mesh.locate(x, root)
-        return self.eval_in(sid, self.mesh.barycentric(sid, x))
-
 
 @dataclass
 class ProblemDefinition:

@@ -19,8 +19,7 @@ from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual
                            measure_error)
 from afem.indicators import dual_indicator, mark, residual_indicator, solve_dual
 from afem.mesh import Mesh, NEUMANN, DIRICHLET, shape_of_points
-from afem.multilevel import (MultilevelConfig, build_hierarchy,
-                             prolongation_from_refinement, smoother_sweep)
+from afem.multilevel import MultilevelConfig, build_hierarchy, prolongation_from_refinement
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import ProblemDefinition, SolutionField
 from afem.problems import benchmark_poisson
@@ -378,8 +377,8 @@ def test_criterion_10_hand_computed_oracles():
                                      [0.5, math.sqrt(3.0) / 2.0]]))
     shape_gap = max(abs(right - math.sqrt(3.0) / 4.0), abs(equi - 0.5))
 
-    gs = smoother_sweep(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])),
-                        np.zeros(2), np.array([3.0, 3.0]), "forward")
+    one_level = build_hierarchy(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), [])
+    gs = one_level.sweep(0, np.zeros(2), np.array([3.0, 3.0]), "forward")
     gs_exact = bool(gs[0] == 1.5 and gs[1] == 0.75)
 
     ok = stiff_gap < 1e-14 and shape_gap < 1e-12 and gs_exact

@@ -215,6 +215,40 @@ def test_locate_and_root_ancestor():
     assert m.root_ancestor(hit) in roots
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coarse_ancestor_maps_refined_mesh_onto_coarse(dim):
+    m = generators.unit_square(2) if dim == 2 else generators.unit_cube(1)
+    coarse = {int(s) for s in m.live_simplices()}
+    m.refine_marked(sorted(coarse)[:2])
+    m.refine_marked([int(s) for s in m.live_simplices()][::3])
+    covered = dict.fromkeys(coarse, 0.0)
+    for s in m.live_simplices():
+        a = m.coarse_ancestor(int(s), coarse)
+        assert a in coarse
+        centroid = m.coords[m.sverts[s]].mean(axis=0)
+        assert m.barycentric(a, centroid).min() >= -1e-12
+        covered[a] += m.signed_volume(int(s))
+    # the descendants of each coarse simplex tile it exactly
+    for a in coarse:
+        assert abs(covered[a] - m.signed_volume(a)) < 1e-12
+
+
+def test_coarse_ancestor_of_coarse_simplex_is_itself():
+    m = generators.unit_square(2)
+    coarse = {int(s) for s in m.live_simplices()}
+    m.refine_marked([0])
+    assert not m.salive[0]
+    assert all(m.coarse_ancestor(s, coarse) == s for s in coarse)
+
+
+def test_coarse_ancestor_missing_raises_naming_simplex():
+    m = generators.unit_square(1)
+    m.refine_marked([0])
+    child = int(m.schildren[0, 0])
+    with pytest.raises(MeshError, match=f"simplex {child} has no ancestor"):
+        m.coarse_ancestor(child, {1})
+
+
 def test_copy_is_independent():
     m = generators.unit_square(2)
     c = m.copy()

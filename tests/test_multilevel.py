@@ -6,8 +6,7 @@ import scipy.sparse.linalg as spla
 
 from afem.assembly import assemble_jacobian, assemble_residual
 from afem.multilevel import (MultilevelConfig, build_hierarchy, galerkin_product,
-                             prolongation_from_refinement, read_matrix,
-                             smoother_sweep, write_matrix)
+                             prolongation_from_refinement)
 from afem.problem import SolutionField
 from afem.problems import benchmark_poisson
 
@@ -30,17 +29,17 @@ def poisson_chain(levels, n0=2, nc=1):
 def test_gauss_seidel_oracle():
     # one forward sweep on [[2,1],[1,2]] x = (3,3) from x=0:
     # x0 = 3/2, then x1 = (3 - 1*1.5)/2 = 3/4
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    out = smoother_sweep(a, np.zeros(2), np.array([3.0, 3.0]), "forward")
+    hier = build_hierarchy(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), [])
+    out = hier.sweep(0, np.zeros(2), np.array([3.0, 3.0]), "forward")
     assert np.allclose(out, [1.5, 0.75])
-    back = smoother_sweep(a, np.zeros(2), np.array([3.0, 3.0]), "backward")
+    back = hier.sweep(0, np.zeros(2), np.array([3.0, 3.0]), "backward")
     assert np.allclose(back, [0.75, 1.5])
 
 
 def test_gauss_seidel_fixed_point():
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    hier = build_hierarchy(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), [])
     x = np.array([1.0, 1.0])  # exact solution of a x = (3,3)
-    out = smoother_sweep(a, x, np.array([3.0, 3.0]), "forward")
+    out = hier.sweep(0, x, np.array([3.0, 3.0]), "forward")
     assert np.allclose(out, x)
 
 
@@ -142,11 +141,3 @@ def test_single_level_is_exact_preconditioner():
     x, rep = hier.solve(b, tol=1e-12)
     assert rep.converged and rep.iterations <= 2
     assert np.abs(a @ x - b).max() < 1e-10
-
-
-def test_matrix_market_round_trip(tmp_path):
-    _, a, _, _ = poisson_chain(2)
-    path = str(tmp_path / "a.mtx")
-    write_matrix(path, a)
-    back = read_matrix(path)
-    assert np.abs((back - a).toarray()).max() < 1e-15

@@ -107,6 +107,6 @@ def test_forcing_terms_shrink_with_residual():
     prob = benchmark_bratu(2.0)
     mesh = prob.mesh_factory(6)
     _, rep = newton_solve(prob, dirichlet_start(prob, mesh),
-                          NewtonConfig(tolerance=1e-12, forcing="residual"))
+                          NewtonConfig(tolerance=1e-12))
     f = rep.forcing_terms
     assert f[-1] < f[0] <= 0.5

@@ -133,3 +133,50 @@ def test_cli_solver_failure_exit_3(tmp_path, capsys):
 def test_cli_invalid_thread_count_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 4\n")
     assert main(["solve", "--config", cfg, "--threads", "0"]) == 2
+
+
+def test_cli_rejects_seed_flag(tmp_path):
+    cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 2\nmax_vertices = 9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg, "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_cli_varying_trk_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path,
+                    "problem = hamiltonian\ndim = 2\nmesh = unit_square\nmesh_n = 2\n"
+                    "max_vertices = 50\n"
+                    "coeff.trK = gaussian:amp=1,width=0.5,center=0.5 0.5\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "coeff.trK" in err and "const" in err
+
+
+def test_cli_robin_on_generator_mesh_is_a_config_error(tmp_path, capsys):
+    # generator meshes flag every boundary face Dirichlet, so Robin data has no face
+    cfg = write_cfg(tmp_path,
+                    "problem = hamiltonian\ndim = 2\nmesh = annulus\nmesh_n = 2\n"
+                    "max_vertices = 50\ncoeff.robin_z = const:5\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert "coeff.robin_z" in capsys.readouterr().err
+
+
+def test_cli_robin_data_reaches_flux_faces_of_file_mesh(tmp_path):
+    from afem.mesh import DIRICHLET, NEUMANN
+    from afem.mesh_io import write_mesh
+
+    def classify(c):
+        return NEUMANN if np.hypot(c[0], c[1]) > 0.75 else DIRICHLET
+
+    mesh = generators.annulus(2, 8, boundary=classify)
+    write_mesh(mesh, str(tmp_path / "annulus.txt"))
+    csv = {}
+    for z in ("0", "5"):
+        out = tmp_path / f"z{z}"
+        cfg = write_cfg(tmp_path,
+                        f"problem = hamiltonian\ndim = 2\nmesh = file:{tmp_path / 'annulus.txt'}\n"
+                        f"max_vertices = {mesh.n_vertices}\n"
+                        f"coeff.robin_z = const:{z}\n", name=f"z{z}.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        csv[z] = (out / "levels.csv").read_text()
+    assert csv["0"] != csv["5"]
