@@ -1,34 +1,110 @@
 """Residual, Jacobian, and functional assembly over simplex meshes.
 
-Everything here walks elements (and flagged boundary faces), evaluates the
-problem's pointwise integrand callbacks at quadrature points, and scatters
-into global vectors/matrices.  Dofs are interleaved per vertex: the dof of
-component c at vertex v is v * n_components + c.  Dirichlet vertices get
-identity rows and columns in Jacobians and zeroed residual entries; solution
-fields are expected to carry the dirichlet values themselves.
+Assembly, error measurement and both indicators integrate over one of two
+walks:
+
+- `elements(mesh, rule, u)` visits the live simplices in id order.  Each
+  visit gives the simplex's affine geometry, the physical gradients of the
+  linear basis, its vertex ids, the values `uloc` of a field u at them and
+  the constant gradient `gu`, and the points of `rule` mapped into it.
+- `faces(mesh, rule)` visits the faces that carry an integral: flux
+  (NEUMANN) faces, with neighbour -1, and interior faces, each once, from the
+  lower of its two simplex ids.  Dirichlet faces are skipped.  Each visit
+  gives the owner and the face's local index in it, the neighbour, the face
+  vertex ids, the outward unit normal of the owner and the face measure, and
+  the points and weights of `rule` mapped onto the face.
+
+Callers bring their own rule and point loop; residual and Jacobian evaluate
+the problem's pointwise integrand callbacks and scatter into global vectors
+and matrices.  Dofs are interleaved per vertex: the dof of component c at
+vertex v is v * n_components + c.  Dirichlet vertices get identity rows and
+columns in Jacobians and zeroed residual entries; solution fields are
+expected to carry the dirichlet values themselves.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import ElementGeometry, face_rule, fine_rule, linear_element
+from .elements import ElementGeometry, QuadratureRule, face_rule, fine_rule, linear_element
 from .mesh import DIRICHLET, NEUMANN
 from .problem import ProblemDefinition, SolutionField
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
+_GRAD_REF = {d: linear_element(d).grad_ref() for d in (2, 3)}
 
 
-def _test_grads(grads: np.ndarray, nc: int) -> np.ndarray:
-    """(n_basis, nc, nc, d) test gradients matching _test_values."""
-    nb, d = grads.shape
-    out = np.zeros((nb, nc, nc, d))
-    for i in range(nb):
-        for c in range(nc):
-            out[i, c, c] = grads[i]
-    return out
+class Element(NamedTuple):
+    s: int
+    geom: ElementGeometry
+    grads: np.ndarray            # (d+1, d) physical gradients of the linear basis
+    verts: np.ndarray            # (d+1,) vertex ids
+    uloc: Optional[np.ndarray]   # (d+1, nc) field values at verts
+    gu: Optional[np.ndarray]     # (nc, d) field gradient, constant on the simplex
+    xq: Optional[np.ndarray]     # rule points mapped into the simplex
+
+
+class Face(NamedTuple):
+    s: int                       # owner
+    i: int                       # local index in s: the face opposite vertex i
+    t: int                       # neighbour across the face, -1 on a flux face
+    verts: list                  # face vertex ids, in the local order of s
+    normal: np.ndarray           # unit normal pointing out of s
+    measure: float
+    xq: np.ndarray               # rule points mapped onto the face
+    wq: np.ndarray               # rule weights scaled to the face measure
+
+
+def element_at(mesh, s: int, u: SolutionField = None,
+               rule: QuadratureRule = None) -> Element:
+    """Geometry of simplex s, with u's local data and rule's points if given."""
+    verts = mesh.sverts[s]
+    geom = ElementGeometry.of(mesh.coords[verts])
+    grads = _GRAD_REF[mesh.dim] @ geom.inv_t.T
+    uloc = gu = xq = None
+    if u is not None:
+        uloc = u.values[verts]
+        gu = uloc.T @ grads
+    if rule is not None:
+        xq = geom.to_physical(rule.points)
+    return Element(s, geom, grads, verts, uloc, gu, xq)
+
+
+def elements(mesh, rule: QuadratureRule, u: SolutionField = None):
+    """The element walk: one Element per live simplex, in id order."""
+    for s in mesh.live_simplices():
+        yield element_at(mesh, int(s), u, rule)
+
+
+def faces(mesh, rule: QuadratureRule, interior: bool = True):
+    """The face walk: one Face per flux face and, unless interior is False,
+    per interior face, in (owner id, local index) order.  The face normal is
+    computed once per visited face."""
+    d = mesh.dim
+    ref = np.atleast_2d(rule.points)
+    ref_measure = 1.0 if d == 2 else 0.5
+    for s in mesh.live_simplices():
+        s = int(s)
+        flags = mesh.sflags[s]
+        for i in range(d + 1):
+            fl = int(flags[i])
+            if fl == NEUMANN:
+                t = -1
+            elif fl == DIRICHLET or not interior:
+                continue
+            else:
+                t = mesh.neighbor(s, i)
+                if t < s:
+                    continue   # on the boundary after all, or visited from t
+            fverts = [int(v) for k, v in enumerate(mesh.sverts[s]) if k != i]
+            pts = mesh.coords[fverts]
+            n, meas = mesh.face_normal(s, i)
+            yield Face(s, i, t, fverts, n, meas, pts[0] + ref @ (pts[1:] - pts[0]),
+                       rule.weights * (meas / ref_measure))
 
 
 def free_dof_mask(problem: ProblemDefinition, mesh) -> np.ndarray:
@@ -57,143 +133,116 @@ def interpolate(mesh, fn, n_components: int = 1) -> SolutionField:
     return u
 
 
-def _element_data(mesh, sid, element):
-    geom = ElementGeometry.of(mesh.coords[mesh.sverts[sid]])
-    grads = element.grad_ref() @ geom.inv_t.T
-    return geom, grads
+def _face_basis(rule: QuadratureRule, dim: int) -> list:
+    """Element basis values at a face rule's points, one (nq, d+1) array per
+    local face index; the basis of the vertex opposite the face vanishes."""
+    out = []
+    for i in range(dim + 1):
+        bas = np.zeros((len(rule.weights), dim + 1))
+        bas[:, [k for k in range(dim + 1) if k != i]] = rule.barycentric
+        out.append(bas)
+    return out
+
+
+def _test_functions(bas: np.ndarray, grads: np.ndarray, nc: int):
+    """Values (nq, nb, nc, nc) and gradients (nb, nc, nc, d) of the vector
+    test functions: component c of basis i is its scalar basis times e_c."""
+    tv = np.zeros(bas.shape + (nc, nc))
+    tg = np.zeros((grads.shape[0], nc, nc, grads.shape[1]))
+    for c in range(nc):
+        tv[:, :, c, c] = bas
+        tg[:, c, c] = grads
+    return tv, tg
+
+
+def _dofs(verts, nc: int) -> np.ndarray:
+    return (np.asarray(verts)[:, None] * nc + np.arange(nc)).ravel()
+
+
+def _add_residual(r, problem, mesh, e: Element, t, n, xq, wq, bas):
+    """Add the points of one simplex (t = 0, n None) or flux face (t = 1) to r.
+    Per-vertex coefficients get the element's barycentric point; on a face
+    they locate x themselves."""
+    nc = problem.n_components
+    tv, tg = _test_functions(bas, e.grads, nc)
+    for q in range(len(wq)):
+        x = xq[q]
+        uq = bas[q] @ e.uloc
+        c = problem.coefficients.at(x, mesh, e.s, bas[q] if n is None else None, e.grads)
+        for i, v in enumerate(e.verts):
+            for comp in range(nc):
+                r[int(v) * nc + comp] += wq[q] * problem.Ft(
+                    t, x, n, uq, e.gu, tv[q, i, comp], tg[i, comp], c)
 
 
 def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarray:
     mesh = u.mesh
-    nc = problem.n_components
-    el = linear_element(mesh.dim)
-    rule = el.rule
-    bas = el.basis_at(rule.points)
-    bary = rule.barycentric
-    coeffs = problem.coefficients
-    r = np.zeros(mesh.n_vertices * nc)
-
-    for s in mesh.live_simplices():
-        s = int(s)
-        geom, grads = _element_data(mesh, s, el)
-        verts = mesh.sverts[s]
-        uloc = u.values[verts]
-        gu = uloc.T @ grads  # (nc, d), constant on the element
-        xq = geom.to_physical(rule.points)
-        gvals = _test_grads(grads, nc)
-        for q in range(len(rule.weights)):
-            w = rule.weights[q] * abs(geom.det)
-            x = xq[q]
-            uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, bary[q], grads)
-            for i in range(el.n_basis):
-                phi = bas[q, i]
-                for comp in range(nc):
-                    v = np.zeros(nc)
-                    v[comp] = phi
-                    r[int(verts[i]) * nc + comp] += w * problem.Ft(
-                        _INTERIOR_T, x, None, uq, gu, v, gvals[i, comp], c)
-
-    _boundary_residual(problem, u, r)
+    rule = linear_element(mesh.dim).rule
+    bas = rule.barycentric
+    r = np.zeros(mesh.n_vertices * problem.n_components)
+    for e in elements(mesh, rule, u):
+        _add_residual(r, problem, mesh, e, _INTERIOR_T, None, e.xq,
+                      rule.weights * abs(e.geom.det), bas)
+    frule = face_rule(mesh.dim, 3)
+    fbas = _face_basis(frule, mesh.dim)
+    for f in faces(mesh, frule, interior=False):
+        _add_residual(r, problem, mesh, element_at(mesh, f.s, u), _BOUNDARY_T,
+                      f.normal, f.xq, f.wq, fbas[f.i])
     r[~free_dof_mask(problem, mesh)] = 0.0
     return r
 
 
-def _face_frame(mesh, bf, n_points: int = 3):
-    """Quadrature points, weights, and basis values on a boundary face."""
-    rule = face_rule(mesh.dim, n_points)
-    verts = mesh.sverts[bf.simplex]
-    flocal = [k for k in range(mesh.dim + 1) if k != bf.local_index]
-    fpts = mesh.coords[[int(verts[k]) for k in flocal]]
-    ref = rule.points
-    xq = fpts[0] + np.atleast_2d(ref) @ (fpts[1:] - fpts[0])
-    ref_vol = 1.0 if mesh.dim == 2 else 0.5
-    wq = rule.weights * (bf.measure / ref_vol)
-    # face barycentric -> element basis: the opposite vertex's basis vanishes
-    nb = mesh.dim + 1
-    bas = np.zeros((len(wq), nb))
-    mu0 = 1.0 - np.atleast_2d(ref).sum(axis=1)
-    for k, lf in enumerate(flocal):
-        bas[:, lf] = mu0 if k == 0 else ref[:, k - 1]
-    return xq, wq, bas
-
-
-def _boundary_residual(problem, u, r):
-    mesh = u.mesh
+def _jacobian_points(problem, mesh, e: Element, t, n, xq, wq, bas) -> np.ndarray:
+    """(nq, m, m) point contributions to the local matrix of one simplex or
+    flux face, m = (d+1) nc; rows are test, columns trial functions."""
     nc = problem.n_components
-    el = linear_element(mesh.dim)
-    coeffs = problem.coefficients
-    for bf in mesh.boundary_faces():
-        if bf.bclass != NEUMANN:
-            continue
-        s = bf.simplex
-        geom, grads = _element_data(mesh, s, el)
-        verts = mesh.sverts[s]
-        uloc = u.values[verts]
-        gu = uloc.T @ grads
-        xq, wq, bas = _face_frame(mesh, bf)
-        gvals = _test_grads(grads, nc)
-        for q in range(len(wq)):
-            x = xq[q]
-            uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, None, grads)
-            for i in range(el.n_basis):
-                phi = bas[q, i]
-                for comp in range(nc):
-                    v = np.zeros(nc)
-                    v[comp] = phi
-                    r[int(verts[i]) * nc + comp] += wq[q] * problem.Ft(
-                        _BOUNDARY_T, x, bf.normal, uq, gu, v, gvals[i, comp], c)
+    nb = len(e.verts)
+    tv, tg = _test_functions(bas, e.grads, nc)
+    out = np.zeros((len(wq), nb, nc, nb, nc))
+    for q in range(len(wq)):
+        x = xq[q]
+        uq = bas[q] @ e.uloc
+        c = problem.coefficients.at(x, mesh, e.s, bas[q] if n is None else None, e.grads)
+        for i in range(nb):
+            for ci in range(nc):
+                for j in range(nb):
+                    for cj in range(nc):
+                        out[q, i, ci, j, cj] = wq[q] * problem.DFt(
+                            t, x, n, uq, e.gu, tv[q, j, cj], tg[j, cj],
+                            tv[q, i, ci], tg[i, ci], c)
+    return out.reshape(len(wq), nb * nc, nb * nc)
 
 
 def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_matrix:
     mesh = u.mesh
     nc = problem.n_components
-    el = linear_element(mesh.dim)
-    rule = el.rule
-    bas = el.basis_at(rule.points)
-    bary = rule.barycentric
-    coeffs = problem.coefficients
+    rule = linear_element(mesh.dim).rule
+    bas = rule.barycentric
     rows, cols, vals = [], [], []
 
-    for s in mesh.live_simplices():
-        s = int(s)
-        geom, grads = _element_data(mesh, s, el)
-        verts = [int(v) for v in mesh.sverts[s]]
-        uloc = u.values[verts]
-        gu = uloc.T @ grads
-        xq = geom.to_physical(rule.points)
-        gvals = _test_grads(grads, nc)
-        nb = el.n_basis
-        local = np.zeros((nb * nc, nb * nc))
-        for q in range(len(rule.weights)):
-            w = rule.weights[q] * abs(geom.det)
-            x = xq[q]
-            uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, bary[q], grads)
-            for i in range(nb):
-                for ci in range(nc):
-                    v = np.zeros(nc)
-                    v[ci] = bas[q, i]
-                    gv = gvals[i, ci]
-                    for j in range(nb):
-                        for cj in range(nc):
-                            wdir = np.zeros(nc)
-                            wdir[cj] = bas[q, j]
-                            local[i * nc + ci, j * nc + cj] += w * problem.DFt(
-                                _INTERIOR_T, x, None, uq, gu, wdir, gvals[j, cj], v, gv, c)
-        for i in range(nb):
-            for ci in range(nc):
-                for j in range(nb):
-                    for cj in range(nc):
-                        rows.append(verts[i] * nc + ci)
-                        cols.append(verts[j] * nc + cj)
-                        vals.append(local[i * nc + ci, j * nc + cj])
+    def scatter(verts, local, nonzero_only=False):
+        dofs = _dofs(verts, nc)
+        r, c, v = np.repeat(dofs, len(dofs)), np.tile(dofs, len(dofs)), local.ravel()
+        keep = v != 0.0 if nonzero_only else slice(None)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(v[keep])
 
-    _boundary_jacobian(problem, u, rows, cols, vals)
+    # an element enters summed over its points; a flux face point by point
+    for e in elements(mesh, rule, u):
+        scatter(e.verts, _jacobian_points(problem, mesh, e, _INTERIOR_T, None, e.xq,
+                                          rule.weights * abs(e.geom.det), bas).sum(axis=0))
+    frule = face_rule(mesh.dim, 3)
+    fbas = _face_basis(frule, mesh.dim)
+    for f in faces(mesh, frule, interior=False):
+        e = element_at(mesh, f.s, u)
+        for local in _jacobian_points(problem, mesh, e, _BOUNDARY_T, f.normal,
+                                      f.xq, f.wq, fbas[f.i]):
+            scatter(e.verts, local, nonzero_only=True)
 
     n = mesh.n_vertices * nc
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    a = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
     free = free_dof_mask(problem, mesh).astype(float)
     df = sp.diags(free)
     dd = sp.diags(1.0 - free)
@@ -202,45 +251,11 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
     return a
 
 
-def _boundary_jacobian(problem, u, rows, cols, vals):
-    mesh = u.mesh
-    nc = problem.n_components
-    el = linear_element(mesh.dim)
-    coeffs = problem.coefficients
-    for bf in mesh.boundary_faces():
-        if bf.bclass != NEUMANN:
-            continue
-        s = bf.simplex
-        geom, grads = _element_data(mesh, s, el)
-        verts = [int(v) for v in mesh.sverts[s]]
-        uloc = u.values[verts]
-        gu = uloc.T @ grads
-        xq, wq, bas = _face_frame(mesh, bf)
-        gvals = _test_grads(grads, nc)
-        nb = el.n_basis
-        for q in range(len(wq)):
-            x = xq[q]
-            uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, None, grads)
-            for i in range(nb):
-                for ci in range(nc):
-                    v = np.zeros(nc)
-                    v[ci] = bas[q, i]
-                    for j in range(nb):
-                        for cj in range(nc):
-                            wdir = np.zeros(nc)
-                            wdir[cj] = bas[q, j]
-                            contrib = wq[q] * problem.DFt(
-                                _BOUNDARY_T, x, bf.normal, uq, gu,
-                                wdir, gvals[j, cj], v, gvals[i, ci], c)
-                            if contrib != 0.0:
-                                rows.append(verts[i] * nc + ci)
-                                cols.append(verts[j] * nc + cj)
-                                vals.append(contrib)
-
-
 def evaluate_functional(mesh, u, psi, n_components: int = None) -> float:
-    """Integral of u . psi over the mesh; u is a SolutionField or a callable."""
+    """Integral of u . psi over the mesh; u is a SolutionField or a callable.
+
+    It walks the mesh on its own, apart from `elements`: tests take it as the
+    independent reference for the dual estimate."""
     rule = fine_rule(mesh.dim)
     lam = rule.barycentric
     total = 0.0
@@ -266,25 +281,17 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     missing.  The measurement rule is deliberately finer than the assembly
     rule so observed convergence rates are not quadrature artifacts.
     """
-    el = linear_element(mesh.dim)
     rule = fine_rule(mesh.dim)
-    bas = el.basis_at(rule.points)
+    bas = rule.barycentric
     l2sq = 0.0
     h1sq = 0.0
-    for s in mesh.live_simplices():
-        s = int(s)
-        geom = ElementGeometry.of(mesh.coords[mesh.sverts[s]])
-        grads = el.grad_ref() @ geom.inv_t.T
-        verts = mesh.sverts[s]
-        uloc = u.values[verts]
-        gu = uloc.T @ grads
-        xq = geom.to_physical(rule.points)
+    for e in elements(mesh, rule, u):
         for q in range(len(rule.weights)):
-            w = rule.weights[q] * abs(geom.det)
-            diff = bas[q] @ uloc - np.atleast_1d(exact(xq[q]))
+            w = rule.weights[q] * abs(e.geom.det)
+            diff = bas[q] @ e.uloc - np.atleast_1d(exact(e.xq[q]))
             l2sq += w * float(diff @ diff)
             if exact_grad is not None:
-                gdiff = gu - np.atleast_2d(exact_grad(xq[q]))
+                gdiff = e.gu - np.atleast_2d(exact_grad(e.xq[q]))
                 h1sq += w * float((gdiff * gdiff).sum())
     l2 = np.sqrt(l2sq)
     h1 = np.sqrt(l2sq + h1sq) if exact_grad is not None else float("nan")

@@ -2,7 +2,8 @@
 
 The format is one `key = value` pair per line, `#` comments, no sections.
 Keys map onto RunConfig fields; `coeff.<name>` keys carry coefficient specs
-for the physics problems using a small whitelist of forms:
+for the physics problems (hamiltonian, momentum, coupled; any other problem
+rejects them) using a small whitelist of forms:
 
     const:<float>
     gaussian:amp=<float>,width=<float>,center=<float>[ <float>...]
@@ -32,6 +33,8 @@ PROBLEMS = ("square_sine", "cube_sine", "corner_singularity", "bratu",
             "hamiltonian_trivial", "hamiltonian_manufactured",
             "momentum_manufactured", "coupled_trivial",
             "hamiltonian", "momentum", "coupled")
+CONSTRAINT_PROBLEMS = ("hamiltonian", "momentum", "coupled")
+COEFFICIENTS = ("Rhat", "dirichlet_f", "rho", "robin_c", "robin_z", "trK")
 INDICATORS = ("residual", "dual")
 STRATEGIES = ("equidistribution", "maximum", "hybrid")
 LINEAR = ("direct", "multilevel")
@@ -129,6 +132,13 @@ def validate(cfg: RunConfig) -> None:
     need(cfg.ppum_layers >= 1, "ppum_layers", "must be at least 1")
     need(cfg.ppum_budget >= 0, "ppum_budget", "must be nonnegative (0 = max_vertices)")
     need(cfg.threads >= 1, "threads", "must be at least 1")
+    for name, spec in cfg.coefficients.items():
+        key = f"coeff.{name}"
+        need(cfg.problem in CONSTRAINT_PROBLEMS, key,
+             f"problem {cfg.problem!r} takes no coefficients (only {CONSTRAINT_PROBLEMS} do)")
+        need(name in COEFFICIENTS, key, f"unknown coefficient (supported: {list(COEFFICIENTS)})")
+        # a varying trK also needs its gradient, which no config key gives
+        need(name != "trK" or spec.partition(":")[0] == "const", key, "takes const:<float> only")
 
 
 # ----------------------------------------------------------- coefficient spec
@@ -190,20 +200,6 @@ def build_mesh(cfg: RunConfig, problem=None):
     return mesh
 
 
-def _constraint_coefficients(cfg: RunConfig) -> "problems.ConstraintCoefficients":
-    known = {"Rhat", "trK", "rho", "robin_c", "robin_z", "dirichlet_f"}
-    kw = {}
-    for name, spec in cfg.coefficients.items():
-        if name not in known:
-            raise ConfigError(f"coeff.{name}: unknown coefficient "
-                              f"(supported: {sorted(known)})")
-        if name == "trK" and spec.partition(":")[0] != "const":
-            # a varying trK also needs its gradient, which no config key gives
-            raise ConfigError("coeff.trK: takes const:<float> only")
-        kw[name] = parse_coefficient(name, spec)
-    return problems.ConstraintCoefficients(dim=cfg.dim, **kw)
-
-
 def build_problem(cfg: RunConfig):
     """Problem instance for the configured selection, mesh factory attached."""
     name = cfg.problem
@@ -219,7 +215,9 @@ def build_problem(cfg: RunConfig):
         return problems.momentum_manufactured()
     if name == "coupled_trivial":
         return problems.coupled_trivial(dim=cfg.dim)
-    coeffs = _constraint_coefficients(cfg)
+    coeffs = problems.ConstraintCoefficients(
+        dim=cfg.dim, **{name: parse_coefficient(name, spec)
+                        for name, spec in cfg.coefficients.items()})
     if name == "hamiltonian":
         return problems.hamiltonian_forms(coeffs)
     if name == "momentum":

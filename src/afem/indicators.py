@@ -8,6 +8,12 @@ representation over elements; it needs the dual solved in a richer space than
 the primal (a same-space dual is identically zero by Galerkin orthogonality),
 so by default it works on one uniform refinement of the current mesh.
 
+Both integrate the same strong-form pieces, `_residual_terms`, over the
+element and face walks of `assembly`: the residual SFt(0) on each simplex,
+SFt(1) on each flux face, and the jump of the flux SFt(2) on each interior
+face, visited once.  They differ only in how a residual value is weighed at a
+point and where the integral is credited.
+
 Element and face sizes h_s, h_f are inscribed-sphere diameters.  Interior face
 terms carry a factor 1/2 so a face shared by two elements is counted once.
 """
@@ -19,11 +25,13 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, DIRICHLET, NEUMANN
-from .elements import linear_element, default_rule, fine_rule, face_rule
+from .mesh import Mesh
+from .elements import default_rule, fine_rule, face_rule
 from .problem import ProblemDefinition, SolutionField
-from .assembly import _element_data
+from .assembly import elements, faces, free_dof_mask
 from .multilevel import prolongation_from_refinement
+
+_REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
 
 
 class IndicatorError(Exception):
@@ -50,8 +58,8 @@ def inscribed_diameter(mesh: Mesh, sid: int) -> float:
     """Diameter of the inscribed sphere: 2 d |s| / (sum of face measures)."""
     d = mesh.dim
     vol = abs(mesh.signed_volume(sid))
-    faces = sum(mesh.face_normal(sid, i)[1] for i in range(d + 1))
-    return 2.0 * d * vol / faces
+    face_sum = sum(mesh.face_normal(sid, i)[1] for i in range(d + 1))
+    return 2.0 * d * vol / face_sum
 
 
 def _face_diameter(mesh: Mesh, fverts) -> float:
@@ -65,36 +73,64 @@ def _face_diameter(mesh: Mesh, fverts) -> float:
     return 4.0 * area / (a + b + c)
 
 
-def _face_quadrature(mesh: Mesh, sid: int, local: int):
-    """Physical points, weights, and face vertex ids for face `local` of sid.
-
-    2-point Gauss on edges, 3-point (edge midpoint) rule on triangle faces.
-    """
-    verts = mesh.sverts[sid]
-    fverts = [int(v) for k, v in enumerate(verts[: mesh.dim + 1]) if k != local]
-    pts = mesh.coords[fverts]
-    _, meas = mesh.face_normal(sid, local)
-    if mesh.dim == 2:
-        rule = face_rule(2, 2)
-        ref = np.atleast_2d(rule.points)
-        ref_vol = 1.0
-    else:
-        rule = default_rule(2)
-        ref = rule.points
-        ref_vol = 0.5
-    xq = pts[0] + ref @ (pts[1:] - pts[0])
-    wq = rule.weights * (meas / ref_vol)
-    # barycentric values of the face vertices at each point
-    bary = np.column_stack([1.0 - ref.sum(axis=1), ref])
-    return xq, wq, fverts, bary
-
-
 def _require_sft(problem):
     if problem.SFt is None:
         raise IndicatorError(
             "problem has no strong-form callback SFt; indicators need "
             "t=0 (interior residual), t=1 (neumann residual) and "
             "t=2 (flux for interior jumps)")
+
+
+def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair):
+    """Integrals of the strong residual r of u, weighed at each point by
+    pair(r, value of the field w there, or None when w is None).
+
+    Yields (s, None, term) for every simplex s, with r = SFt(0) and `rule`,
+    then (f.s, f, term) for every Face f of the face walk, with r = SFt(1) on
+    a flux face and the jump of SFt(2) across an interior face.  Faces use the
+    2-point Gauss rule on edges, the 3-point edge-midpoint rule on triangles.
+    """
+    mesh = u.mesh
+    coeffs = problem.coefficients
+    bary = rule.barycentric
+    side = {}
+    for e in elements(mesh, rule, u):
+        side[e.s] = (e.gu, e.grads)
+        wq = rule.weights * (abs(e.geom.volume()) / _REF_VOLUME[mesh.dim])
+        wloc = None if w is None else w.values[e.verts]
+        term = 0.0
+        for q in range(len(wq)):
+            x = e.xq[q]
+            uq = bary[q] @ e.uloc
+            wv = None if w is None else bary[q] @ wloc
+            c = coeffs.at(x, mesh, e.s, None, e.grads)
+            r0 = np.asarray(problem.SFt(0, x, None, uq, e.gu, c), dtype=float)
+            term += wq[q] * pair(r0, wv)
+        yield e.s, None, term
+
+    frule = face_rule(2, 2) if mesh.dim == 2 else default_rule(2)
+    fbary = frule.barycentric
+    for f in faces(mesh, frule):
+        gu_s, grads_s = side[f.s]
+        uf = u.values[f.verts]
+        wf = None if w is None else w.values[f.verts]
+        term = 0.0
+        for q in range(len(f.wq)):
+            x = f.xq[q]
+            uq = fbary[q] @ uf
+            wv = None if w is None else fbary[q] @ wf
+            cs = coeffs.at(x, mesh, f.s, None, grads_s)
+            if f.t < 0:
+                r = np.asarray(problem.SFt(1, x, f.normal, uq, gu_s, cs), dtype=float)
+            else:
+                # the normal leaves s: the jump is (flux in s) - (flux in t)
+                gu_t, grads_t = side[f.t]
+                ct = coeffs.at(x, mesh, f.t, None, grads_t)
+                flux_s = np.asarray(problem.SFt(2, x, f.normal, uq, gu_s, cs), dtype=float)
+                flux_t = np.asarray(problem.SFt(2, x, f.normal, uq, gu_t, ct), dtype=float)
+                r = flux_s - flux_t
+            term += f.wq[q] * pair(r, wv)
+        yield f.s, f, term
 
 
 def residual_indicator(problem: ProblemDefinition, u: SolutionField,
@@ -105,66 +141,17 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
 
     _require_sft(problem)
     mesh = u.mesh
-    nc = problem.n_components
-    el = linear_element(mesh.dim)
-    rule = default_rule(mesh.dim)
-    coeffs = problem.coefficients
     acc = {}
-    side_cache = {}
-    for s in mesh.live_simplices():
-        s = int(s)
-        geom, grads = _element_data(mesh, s, el)
-        uloc = u.values[mesh.sverts[s]]
-        gu = uloc.T @ grads
-        side_cache[s] = (uloc, gu, grads)
-        vol = abs(geom.volume())
-        ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
-        xq = geom.to_physical(rule.points)
-        wq = rule.weights * (vol / ref_vol)
-        bary = rule.barycentric
-        term = 0.0
-        for q in range(len(wq)):
-            x = xq[q]
-            uq = bary[q] @ uloc
-            c = coeffs.at(x, mesh, s, None, grads)
-            r0 = np.asarray(problem.SFt(0, x, None, uq, gu, c), dtype=float)
-            term += wq[q] * float(np.sum(np.abs(r0) ** p))
-        acc[s] = inscribed_diameter(mesh, s) ** p * term
-
-    for s in mesh.live_simplices():
-        s = int(s)
-        uloc_s, gu_s, grads_s = side_cache[s]
-        for i in range(mesh.dim + 1):
-            fl = int(mesh.sflags[s, i])
-            if fl == DIRICHLET:
-                continue
-            xq, wq, fverts, bary = _face_quadrature(mesh, s, i)
-            n, _ = mesh.face_normal(s, i)
-            hf = _face_diameter(mesh, fverts)
-            if fl == NEUMANN:
-                term = 0.0
-                for q in range(len(wq)):
-                    uq = bary[q] @ u.values[fverts]
-                    c = coeffs.at(xq[q], mesh, s, None, grads_s)
-                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s, c), dtype=float)
-                    term += wq[q] * float(np.sum(np.abs(r1) ** p))
-                acc[s] += hf * term
-                continue
-            t = mesh.neighbor(s, i)
-            if t < 0 or t < s:
-                continue   # interior face handled from the lower-id side
-            uloc_t, gu_t, grads_t = side_cache[t]
-            term = 0.0
-            for q in range(len(wq)):
-                uq = bary[q] @ u.values[fverts]
-                cs = coeffs.at(xq[q], mesh, s, None, grads_s)
-                ct = coeffs.at(xq[q], mesh, t, None, grads_t)
-                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s, cs), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t, ct), dtype=float)
-                term += wq[q] * float(np.sum(np.abs(flux_s - flux_t) ** p))
-            half = 0.5 * hf * term
+    for s, f, term in _residual_terms(problem, u, None, default_rule(mesh.dim),
+                                      lambda r, _: float(np.sum(np.abs(r) ** p))):
+        if f is None:
+            acc[s] = inscribed_diameter(mesh, s) ** p * term
+        elif f.t < 0:
+            acc[s] += _face_diameter(mesh, f.verts) * term
+        else:
+            half = 0.5 * _face_diameter(mesh, f.verts) * term
             acc[s] += half
-            acc[t] += half
+            acc[f.t] += half
 
     eta = {s: v ** (1.0 / p) for s, v in acc.items()}
     return IndicatorField(mesh, eta, p)
@@ -242,18 +229,12 @@ def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     system exactly)."""
     rule = default_rule(mesh.dim)
     b = np.zeros(mesh.n_vertices * nc)
-    ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
-    el = linear_element(mesh.dim)
     bary = rule.barycentric
-    for s in mesh.live_simplices():
-        s = int(s)
-        geom, _ = _element_data(mesh, s, el)
-        xq = geom.to_physical(rule.points)
-        wq = rule.weights * (abs(geom.volume()) / ref_vol)
-        verts = mesh.sverts[s]
+    for e in elements(mesh, rule):
+        wq = rule.weights * (abs(e.geom.volume()) / _REF_VOLUME[mesh.dim])
         for q in range(len(wq)):
-            pv = np.asarray(psi(xq[q]), dtype=float)
-            for j, vj in enumerate(verts):
+            pv = np.asarray(psi(e.xq[q]), dtype=float)
+            for j, vj in enumerate(e.verts):
                 b[vj * nc:(vj + 1) * nc] += wq[q] * bary[q, j] * pv
     return b
 
@@ -284,8 +265,7 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
         u_fine = SolutionField.from_flat(fine, nc, prol @ u.flat)
     a = assemble_jacobian(problem, u_fine)
     b = _functional_load(fine, psi, nc)
-    free = np.repeat(np.array([k != DIRICHLET for k in fine.vclass]), nc)
-    b[~free] = 0.0
+    b[~free_dof_mask(problem, fine)] = 0.0
     at = a.T.tocsc()
     try:
         phi_flat = spla.spsolve(at, b)
@@ -320,70 +300,15 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
         u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
     w = SolutionField.from_flat(mesh, nc, w_flat)
 
-    el = linear_element(mesh.dim)
-    rule = fine_rule(mesh.dim, 3)
-    ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
-    bary = rule.barycentric
-    coeffs = problem.coefficients
     contrib = {s: 0.0 for s in weights.coarse_live}
-    side_cache = {}
-    for s in mesh.live_simplices():
-        s = int(s)
-        geom, grads = _element_data(mesh, s, el)
-        uloc = u_fine.values[mesh.sverts[s]]
-        gu = uloc.T @ grads
-        side_cache[s] = (uloc, gu, grads)
-        xq = geom.to_physical(rule.points)
-        wq = rule.weights * (abs(geom.volume()) / ref_vol)
-        wloc = w.values[mesh.sverts[s]]
-        term = 0.0
-        for q in range(len(wq)):
-            x = xq[q]
-            uq = bary[q] @ uloc
-            wv = bary[q] @ wloc
-            c = coeffs.at(x, mesh, s, None, grads)
-            r0 = np.asarray(problem.SFt(0, x, None, uq, gu, c), dtype=float)
-            term += wq[q] * float(r0 @ wv)
-        contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
-
-    for s in mesh.live_simplices():
-        s = int(s)
-        uloc_s, gu_s, grads_s = side_cache[s]
-        for i in range(mesh.dim + 1):
-            fl = int(mesh.sflags[s, i])
-            if fl == DIRICHLET:
-                continue
-            if fl == NEUMANN:
-                xq, wq, fverts, fb = _face_quadrature(mesh, s, i)
-                n, _ = mesh.face_normal(s, i)
-                term = 0.0
-                for q in range(len(wq)):
-                    uq = fb[q] @ u_fine.values[fverts]
-                    wv = fb[q] @ w.values[fverts]
-                    c = coeffs.at(xq[q], mesh, s, None, grads_s)
-                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s, c), dtype=float)
-                    term += wq[q] * float(r1 @ wv)
-                contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
-                continue
-            t = mesh.neighbor(s, i)
-            if t < 0 or t < s:
-                continue
-            uloc_t, gu_t, grads_t = side_cache[t]
-            xq, wq, fverts, fb = _face_quadrature(mesh, s, i)
-            # n leaves s; the jump is (value on the side n leaves) - (value it enters)
-            n, _ = mesh.face_normal(s, i)
-            term = 0.0
-            for q in range(len(wq)):
-                uq = fb[q] @ u_fine.values[fverts]
-                wv = fb[q] @ w.values[fverts]
-                cs = coeffs.at(xq[q], mesh, s, None, grads_s)
-                ct = coeffs.at(xq[q], mesh, t, None, grads_t)
-                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s, cs), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t, ct), dtype=float)
-                term += wq[q] * float((flux_s - flux_t) @ wv)
+    for s, f, term in _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3),
+                                      lambda r, wv: float(r @ wv)):
+        if f is None or f.t < 0:
+            contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
+        else:
             half = 0.5 * term
             contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += half
-            contrib[mesh.coarse_ancestor(t, weights.coarse_live)] += half
+            contrib[mesh.coarse_ancestor(f.t, weights.coarse_live)] += half
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution

@@ -30,16 +30,6 @@ class MeshError(Exception):
 
 
 @dataclass
-class BoundaryFace:
-    simplex: int
-    local_index: int
-    verts: tuple
-    bclass: int
-    normal: np.ndarray
-    measure: float
-
-
-@dataclass
 class RefinementReport:
     """What one refine_marked (or bisect) call did to the mesh."""
 
@@ -525,20 +515,6 @@ class Mesh:
                     raise MeshError(f"ring of vertex {v} holds dead simplex {s}")
                 if v not in self._sverts[s, :self.dim + 1]:
                     raise MeshError(f"ring of vertex {v} holds foreign simplex {s}")
-
-    def boundary_faces(self) -> list:
-        out = []
-        for s in self.live_simplices():
-            s = int(s)
-            verts = self._sverts[s]
-            for i in range(self.dim + 1):
-                fl = int(self._sflags[s, i])
-                if fl == INTERIOR:
-                    continue
-                fverts = tuple(int(v) for k, v in enumerate(verts[:self.dim + 1]) if k != i)
-                n, meas = self.face_normal(s, i)
-                out.append(BoundaryFace(s, i, fverts, fl, n, meas))
-        return out
 
     def face_normal(self, sid: int, i: int):
         """Unit outward normal and measure of face i (the face opposite local vertex i)."""

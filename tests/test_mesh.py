@@ -194,10 +194,11 @@ def test_neighbor_and_face_normals():
 
 def test_boundary_faces_cover_square():
     m = generators.unit_square(2)
-    faces = m.boundary_faces()
-    total = sum(f.measure for f in faces)
+    faces = [(int(s), i) for s in m.live_simplices() for i in range(3)
+             if m.sflags[s, i] != INTERIOR]
+    total = sum(m.face_normal(s, i)[1] for s, i in faces)
     assert abs(total - 4.0) < 1e-12
-    assert all(f.bclass == DIRICHLET for f in faces)
+    assert all(m.sflags[s, i] == DIRICHLET and m.neighbor(s, i) < 0 for s, i in faces)
 
 
 def test_locate_and_root_ancestor():

@@ -152,6 +152,22 @@ def test_cli_varying_trk_is_a_config_error(tmp_path, capsys):
     assert "coeff.trK" in err and "const" in err
 
 
+@pytest.mark.parametrize("line", ["coeff.rho = const:50", "coeff.bogus = const:1"],
+                         ids=["rho", "bogus"])
+def test_cli_coefficient_on_problem_without_coefficients_exit_2(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 2\nmax_vertices = 30\n"
+                              f"{line}\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+
+
+def test_cli_unknown_coefficient_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "problem = hamiltonian\ndim = 2\nmesh = unit_square\n"
+                              "mesh_n = 2\nmax_vertices = 30\ncoeff.bogus = const:1\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert "coeff.bogus" in capsys.readouterr().err
+
+
 def test_cli_robin_on_generator_mesh_is_a_config_error(tmp_path, capsys):
     # generator meshes flag every boundary face Dirichlet, so Robin data has no face
     cfg = write_cfg(tmp_path,

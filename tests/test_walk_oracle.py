@@ -1,0 +1,106 @@
+"""Assembly, indicators and error measurement against the per-point oracle.
+
+`pointwise_oracle.py` keeps the loops that walked the mesh on their own.  The
+library now runs every one of them over the element and face walks of
+`afem.assembly`; the arithmetic is meant to be unchanged, so on meshes without
+flux faces the results must be bitwise equal.  On the annulus with a
+flux-flagged outer circle the Robin terms are compared to 1e-12 relative.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import pointwise_oracle as oracle
+from afem import generators
+from afem.assembly import assemble_jacobian, assemble_residual, interpolate, measure_error
+from afem.indicators import (_functional_load, domain_average, dual_indicator,
+                             residual_indicator, solve_dual)
+from afem.mesh import DIRICHLET, NEUMANN
+from afem.problems import (ConstraintCoefficients, benchmark_bratu, benchmark_poisson,
+                           coupled_forms, hamiltonian_manufactured, momentum_manufactured)
+
+
+def _outer_flux(c):
+    return NEUMANN if np.hypot(c[0], c[1]) > 0.75 else DIRICHLET
+
+
+def _coupled_annulus():
+    coeffs = ConstraintCoefficients(dim=2, Rhat=0.3, trK=0.2, rho=0.4,
+                                    robin_c=0.7, robin_z=0.5)
+    return coupled_forms(coeffs), generators.annulus(1, 6, boundary=_outer_flux)
+
+
+CASES = {
+    "square_sine": lambda: (benchmark_poisson("square_sine"), generators.unit_square(2)),
+    "cube_sine": lambda: (benchmark_poisson("cube_sine"), generators.unit_cube(1)),
+    "bratu": lambda: (benchmark_bratu(), generators.unit_square(2)),
+    "hamiltonian_manufactured": lambda: (hamiltonian_manufactured(), generators.unit_square(2)),
+    "momentum_manufactured": lambda: (momentum_manufactured(), generators.unit_cube(1)),
+    "coupled_annulus": _coupled_annulus,
+}
+
+
+def _state(name):
+    """Problem, twice adaptively refined mesh, and a smooth nonpolynomial
+    field with a positive first component (the constraint forms need phi > 0)."""
+    problem, mesh = CASES[name]()
+    for _ in range(2):
+        live = mesh.live_simplices()
+        mesh.refine_marked(live[: max(1, len(live) // 3)])
+    nc = problem.n_components
+
+    def field(x):
+        return np.array([1.2 + 0.3 * math.sin(1.3 * x[0] + 2.1 * x[-1] + c)
+                         for c in range(nc)])
+
+    return problem, mesh, interpolate(mesh, field, nc)
+
+
+def _flux(mesh):
+    return bool(np.any(mesh.sflags[mesh.live_simplices()] == NEUMANN))
+
+
+def _same(new, ref, exact):
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    if exact:
+        np.testing.assert_array_equal(new, ref)
+    else:
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert float(np.max(np.abs(new - ref))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_assembly_matches_pointwise_oracle(name):
+    problem, mesh, u = _state(name)
+    exact = not _flux(mesh)
+    assert exact == (name != "coupled_annulus")
+    _same(assemble_residual(problem, u), oracle.assemble_residual(problem, u), exact)
+    a, b = assemble_jacobian(problem, u), oracle.assemble_jacobian(problem, u)
+    if exact:
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
+    _same(a.toarray(), b.toarray(), exact)
+    if problem.exact is not None:
+        _same(measure_error(mesh, u, problem.exact, problem.exact_grad),
+              oracle.measure_error(mesh, u, problem.exact, problem.exact_grad), True)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_indicators_match_pointwise_oracle(name):
+    problem, mesh, u = _state(name)
+    exact = not _flux(mesh)
+    for p in (1.0, 2.0):
+        new, ref = residual_indicator(problem, u, p), oracle.residual_indicator(problem, u, p)
+        assert sorted(new.eta) == sorted(ref.eta)
+        _same([new.eta[s] for s in ref.eta], list(ref.eta.values()), exact)
+
+    psi = domain_average(mesh, problem.n_components)
+    weights = solve_dual(problem, u, psi)
+    fine = weights.fine_mesh
+    _same(_functional_load(fine, psi, problem.n_components),
+          oracle.functional_load(fine, psi, problem.n_components), True)
+    (new, est), (ref, ref_est) = (dual_indicator(problem, u, weights),
+                                  oracle.dual_indicator(problem, u, weights))
+    assert sorted(new.eta) == sorted(ref.eta)
+    _same([new.eta[s] for s in ref.eta] + [est], list(ref.eta.values()) + [ref_est], exact)
