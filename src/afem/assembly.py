@@ -159,20 +159,17 @@ def _dofs(verts, nc: int) -> np.ndarray:
     return (np.asarray(verts)[:, None] * nc + np.arange(nc)).ravel()
 
 
-def _add_residual(r, problem, mesh, e: Element, t, n, xq, wq, bas):
-    """Add the points of one simplex (t = 0, n None) or flux face (t = 1) to r.
-    Per-vertex coefficients get the element's barycentric point; on a face
-    they locate x themselves."""
+def _add_residual(r, problem, e: Element, t, n, xq, wq, bas):
+    """Add the points of one simplex (t = 0, n None) or flux face (t = 1) to r."""
     nc = problem.n_components
     tv, tg = _test_functions(bas, e.grads, nc)
     for q in range(len(wq)):
         x = xq[q]
         uq = bas[q] @ e.uloc
-        c = problem.coefficients.at(x, mesh, e.s, bas[q] if n is None else None, e.grads)
         for i, v in enumerate(e.verts):
             for comp in range(nc):
                 r[int(v) * nc + comp] += wq[q] * problem.Ft(
-                    t, x, n, uq, e.gu, tv[q, i, comp], tg[i, comp], c)
+                    t, x, n, uq, e.gu, tv[q, i, comp], tg[i, comp])
 
 
 def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarray:
@@ -181,18 +178,18 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
     bas = rule.barycentric
     r = np.zeros(mesh.n_vertices * problem.n_components)
     for e in elements(mesh, rule, u):
-        _add_residual(r, problem, mesh, e, _INTERIOR_T, None, e.xq,
+        _add_residual(r, problem, e, _INTERIOR_T, None, e.xq,
                       rule.weights * abs(e.geom.det), bas)
     frule = face_rule(mesh.dim, 3)
     fbas = _face_basis(frule, mesh.dim)
     for f in faces(mesh, frule, interior=False):
-        _add_residual(r, problem, mesh, element_at(mesh, f.s, u), _BOUNDARY_T,
+        _add_residual(r, problem, element_at(mesh, f.s, u), _BOUNDARY_T,
                       f.normal, f.xq, f.wq, fbas[f.i])
     r[~free_dof_mask(problem, mesh)] = 0.0
     return r
 
 
-def _jacobian_points(problem, mesh, e: Element, t, n, xq, wq, bas) -> np.ndarray:
+def _jacobian_points(problem, e: Element, t, n, xq, wq, bas) -> np.ndarray:
     """(nq, m, m) point contributions to the local matrix of one simplex or
     flux face, m = (d+1) nc; rows are test, columns trial functions."""
     nc = problem.n_components
@@ -202,14 +199,13 @@ def _jacobian_points(problem, mesh, e: Element, t, n, xq, wq, bas) -> np.ndarray
     for q in range(len(wq)):
         x = xq[q]
         uq = bas[q] @ e.uloc
-        c = problem.coefficients.at(x, mesh, e.s, bas[q] if n is None else None, e.grads)
         for i in range(nb):
             for ci in range(nc):
                 for j in range(nb):
                     for cj in range(nc):
                         out[q, i, ci, j, cj] = wq[q] * problem.DFt(
                             t, x, n, uq, e.gu, tv[q, j, cj], tg[j, cj],
-                            tv[q, i, ci], tg[i, ci], c)
+                            tv[q, i, ci], tg[i, ci])
     return out.reshape(len(wq), nb * nc, nb * nc)
 
 
@@ -230,13 +226,13 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
 
     # an element enters summed over its points; a flux face point by point
     for e in elements(mesh, rule, u):
-        scatter(e.verts, _jacobian_points(problem, mesh, e, _INTERIOR_T, None, e.xq,
+        scatter(e.verts, _jacobian_points(problem, e, _INTERIOR_T, None, e.xq,
                                           rule.weights * abs(e.geom.det), bas).sum(axis=0))
     frule = face_rule(mesh.dim, 3)
     fbas = _face_basis(frule, mesh.dim)
     for f in faces(mesh, frule, interior=False):
         e = element_at(mesh, f.s, u)
-        for local in _jacobian_points(problem, mesh, e, _BOUNDARY_T, f.normal,
+        for local in _jacobian_points(problem, e, _BOUNDARY_T, f.normal,
                                       f.xq, f.wq, fbas[f.i]):
             scatter(e.verts, local, nonzero_only=True)
 

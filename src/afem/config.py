@@ -179,10 +179,9 @@ def parse_coefficient(name: str, spec: str):
 
 def build_mesh(cfg: RunConfig, problem=None):
     if cfg.mesh == "auto":
-        factory = getattr(problem, "mesh_factory", None)
-        if factory is None:
+        if problem is None or problem.mesh_factory is None:
             raise ConfigError("mesh: 'auto' needs a problem with a default mesh")
-        mesh = factory(cfg.mesh_n)
+        mesh = problem.mesh_factory(cfg.mesh_n)
     elif cfg.mesh.startswith("file:"):
         mesh = mesh_io.read_mesh(cfg.mesh[len("file:"):])
     elif cfg.mesh == "annulus":

@@ -87,14 +87,13 @@ def _write_outputs(cfg: RunConfig, report: RunReport) -> None:
 
 def _initial_field(problem, mesh) -> SolutionField:
     u = SolutionField.zeros(mesh, problem.n_components)
-    start = getattr(problem, "initial_value", None)
-    if start is not None:
-        u.values[:] = np.asarray(start, dtype=float)
+    if problem.initial_value is not None:
+        u.values[:] = np.asarray(problem.initial_value, dtype=float)
     return apply_dirichlet(problem, u)
 
 
 def _clamp_count(problem) -> int:
-    coeffs = getattr(problem, "constraint_coefficients", None)
+    coeffs = problem.constraint_coefficients
     return coeffs.clamps.count if coeffs is not None else 0
 
 
@@ -135,9 +134,8 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
         raise ConfigError(
             f"max_vertices: {cfg.max_vertices} is smaller than the initial "
             f"mesh ({mesh.n_vertices} vertices)")
-    coeffs = getattr(problem, "constraint_coefficients", None)
-    if coeffs is not None:
-        coeffs.clamps.reset()
+    if problem.constraint_coefficients is not None:
+        problem.constraint_coefficients.clamps.reset()
 
     report = RunReport()
     newton_cfg = NewtonConfig(tolerance=cfg.newton_tolerance,
@@ -154,7 +152,7 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
             for k, v in extras.items():
                 report.extras.setdefault(k, []).append(v)
             l2 = h1 = None
-            if getattr(problem, "exact", None) is not None:
+            if problem.exact is not None:
                 l2, h1 = measure_error(mesh, u, problem.exact, problem.exact_grad)
             rec = LevelRecord(
                 level=level, n_vertices=mesh.n_vertices,
@@ -211,9 +209,8 @@ def run_ppum(cfg: RunConfig) -> RunReport:
         raise ConfigError(
             f"ppum_budget: {budget} is smaller than the initial mesh "
             f"({coarse.n_vertices} vertices)")
-    coeffs = getattr(problem, "constraint_coefficients", None)
-    if coeffs is not None:
-        coeffs.clamps.reset()
+    if problem.constraint_coefficients is not None:
+        problem.constraint_coefficients.clamps.reset()
 
     report = RunReport()
     newton_cfg = NewtonConfig(tolerance=cfg.newton_tolerance,
@@ -223,7 +220,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
     u0, nrep = newton_solve(problem, _initial_field(problem, coarse), newton_cfg)
     fld = residual_indicator(problem, u0, p=cfg.p)
     l2 = h1 = None
-    if getattr(problem, "exact", None) is not None:
+    if problem.exact is not None:
         l2, h1 = measure_error(coarse, u0, problem.exact, problem.exact_grad)
     report.levels.append(LevelRecord(
         level=0, n_vertices=coarse.n_vertices,
@@ -273,7 +270,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
 
     bfld = residual_indicator(problem, upp, p=cfg.p)
     l2 = h1 = None
-    if getattr(problem, "exact", None) is not None:
+    if problem.exact is not None:
         l2, h1 = measure_error(blend_m, upp, problem.exact, problem.exact_grad)
     report.levels.append(LevelRecord(
         level=1, n_vertices=blend_m.n_vertices,

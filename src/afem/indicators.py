@@ -54,23 +54,31 @@ class IndicatorField:
         return max(self.eta.values()) if self.eta else 0.0
 
 
+def _face_measure(pts: np.ndarray) -> float:
+    """Length of an edge or area of a triangle, by the formulas of
+    `Mesh.face_normal` on the same vertex order."""
+    if len(pts) == 2:
+        return float(np.linalg.norm(pts[1] - pts[0]))
+    return 0.5 * float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])))
+
+
 def inscribed_diameter(mesh: Mesh, sid: int) -> float:
     """Diameter of the inscribed sphere: 2 d |s| / (sum of face measures)."""
     d = mesh.dim
     vol = abs(mesh.signed_volume(sid))
-    face_sum = sum(mesh.face_normal(sid, i)[1] for i in range(d + 1))
+    pts = mesh.coords[mesh.sverts[sid]]
+    face_sum = sum(_face_measure(np.delete(pts, i, axis=0)) for i in range(d + 1))
     return 2.0 * d * vol / face_sum
 
 
 def _face_diameter(mesh: Mesh, fverts) -> float:
     pts = mesh.coords[list(fverts)]
     if mesh.dim == 2:
-        return float(np.linalg.norm(pts[1] - pts[0]))
+        return _face_measure(pts)
     a = float(np.linalg.norm(pts[1] - pts[0]))
     b = float(np.linalg.norm(pts[2] - pts[1]))
     c = float(np.linalg.norm(pts[0] - pts[2]))
-    area = 0.5 * float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])))
-    return 4.0 * area / (a + b + c)
+    return 4.0 * _face_measure(pts) / (a + b + c)
 
 
 def _require_sft(problem):
@@ -91,11 +99,10 @@ def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair)
     2-point Gauss rule on edges, the 3-point edge-midpoint rule on triangles.
     """
     mesh = u.mesh
-    coeffs = problem.coefficients
     bary = rule.barycentric
-    side = {}
+    gu_of = {}
     for e in elements(mesh, rule, u):
-        side[e.s] = (e.gu, e.grads)
+        gu_of[e.s] = e.gu
         wq = rule.weights * (abs(e.geom.volume()) / _REF_VOLUME[mesh.dim])
         wloc = None if w is None else w.values[e.verts]
         term = 0.0
@@ -103,15 +110,14 @@ def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair)
             x = e.xq[q]
             uq = bary[q] @ e.uloc
             wv = None if w is None else bary[q] @ wloc
-            c = coeffs.at(x, mesh, e.s, None, e.grads)
-            r0 = np.asarray(problem.SFt(0, x, None, uq, e.gu, c), dtype=float)
+            r0 = np.asarray(problem.SFt(0, x, None, uq, e.gu), dtype=float)
             term += wq[q] * pair(r0, wv)
         yield e.s, None, term
 
     frule = face_rule(2, 2) if mesh.dim == 2 else default_rule(2)
     fbary = frule.barycentric
     for f in faces(mesh, frule):
-        gu_s, grads_s = side[f.s]
+        gu_s = gu_of[f.s]
         uf = u.values[f.verts]
         wf = None if w is None else w.values[f.verts]
         term = 0.0
@@ -119,15 +125,12 @@ def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair)
             x = f.xq[q]
             uq = fbary[q] @ uf
             wv = None if w is None else fbary[q] @ wf
-            cs = coeffs.at(x, mesh, f.s, None, grads_s)
             if f.t < 0:
-                r = np.asarray(problem.SFt(1, x, f.normal, uq, gu_s, cs), dtype=float)
+                r = np.asarray(problem.SFt(1, x, f.normal, uq, gu_s), dtype=float)
             else:
                 # the normal leaves s: the jump is (flux in s) - (flux in t)
-                gu_t, grads_t = side[f.t]
-                ct = coeffs.at(x, mesh, f.t, None, grads_t)
-                flux_s = np.asarray(problem.SFt(2, x, f.normal, uq, gu_s, cs), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, x, f.normal, uq, gu_t, ct), dtype=float)
+                flux_s = np.asarray(problem.SFt(2, x, f.normal, uq, gu_s), dtype=float)
+                flux_t = np.asarray(problem.SFt(2, x, f.normal, uq, gu_of[f.t]), dtype=float)
                 r = flux_s - flux_t
             term += f.wq[q] * pair(r, wv)
         yield f.s, f, term

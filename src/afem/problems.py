@@ -12,34 +12,33 @@ Sign conventions follow the template
 
 whose weak residual is F(u)(v) = int A:grad v + B.v dx + int_bdry C.v ds.
 SFt reports B - div A for t=0, C + A.n for t=1, and the flux A.n for t=2
-(elementwise; div A vanishes for linear elements with constant metric).
+(elementwise; div A vanishes for linear elements).  The constraint system is
+posed in the flat chart: its background metric is the identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import generators
-from .problem import CoefficientField, Coefficients, ProblemDefinition
+from .problem import ProblemDefinition
 
 
 # --------------------------------------------------------------------- scalar
 
 def _poisson_callbacks(f):
-    def Ft(t, x, n, u, gu, v, gv, c):
+    def Ft(t, x, n, u, gu, v, gv):
         if t == 0:
             return float((gu[0] @ gv[0]) - f(x) * v[0])
         return 0.0
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         if t == 0:
             return float(gw[0] @ gv[0])
         return 0.0
 
-    def SFt(t, x, n, u, gu, c):
+    def SFt(t, x, n, u, gu):
         if t == 0:
             return np.array([-f(x)])
         return np.array([float(gu[0] @ n)])
@@ -113,45 +112,41 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
         raise ValueError(f"unknown poisson variant {variant!r}")
 
     Ft, DFt, SFt = _poisson_callbacks(f)
-    prob = ProblemDefinition(
+    return ProblemDefinition(
         name=f"poisson_{variant}",
         n_components=1,
         Ft=Ft, DFt=DFt, SFt=SFt,
         dirichlet=lambda x: exact(x),
-        coefficients=Coefficients(),
         exact=exact, exact_grad=exact_grad,
+        mesh_factory=mesh_factory,
     )
-    prob.mesh_factory = mesh_factory
-    return prob
 
 
 def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
     """Bratu problem -lap(u) - lam exp(u) = 0 with homogeneous dirichlet data."""
 
-    def Ft(t, x, n, u, gu, v, gv, c):
+    def Ft(t, x, n, u, gu, v, gv):
         if t == 0:
             return float(gu[0] @ gv[0]) - lam * math.exp(u[0]) * v[0]
         return 0.0
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         if t == 0:
             return float(gw[0] @ gv[0]) - lam * math.exp(u[0]) * w[0] * v[0]
         return 0.0
 
-    def SFt(t, x, n, u, gu, c):
+    def SFt(t, x, n, u, gu):
         if t == 0:
             return np.array([-lam * math.exp(u[0])])
         return np.array([float(gu[0] @ n)])
 
-    prob = ProblemDefinition(
+    return ProblemDefinition(
         name="bratu",
         n_components=1,
         Ft=Ft, DFt=DFt, SFt=SFt,
         dirichlet=lambda x: np.array([0.0]),
-        coefficients=Coefficients(),
+        mesh_factory=generators.unit_square,
     )
-    prob.mesh_factory = generators.unit_square
-    return prob
 
 
 # ---------------------------------------------------------------- constraints
@@ -164,10 +159,10 @@ def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
 #           - (1/8) (Ahat + LW)^2 phi^-7 - 2 pi rho phi^-3,
 #
 # and the vector part carries the trace-adjusted symmetrized gradient
-# LW^ab = grad^a W^b + grad^b W^a - (2/3) g^ab div W with fixed constants
-# mu = 1, lambda = -2/3.  Covariant derivatives use the flat chart
-# connection; a non-identity background metric enters only as the contraction
-# weight inside integrands (and is restricted to that role on purpose).
+# LW^ab = grad^a W^b + grad^b W^a - (2/3) delta^ab div W with fixed constants
+# mu = 1, lambda = -2/3.  The system is posed in the flat chart: the
+# background metric is the identity, so indices are raised and lowered
+# without weights and covariant derivatives are partial derivatives.
 
 MU = 1.0
 LAM = -2.0 / 3.0
@@ -218,29 +213,18 @@ def _ev_matrix(v, x, d):
     return np.asarray(v, dtype=float)
 
 
-def _check_spd(g, where):
-    if not np.allclose(g, g.T, atol=1e-12):
-        raise ProblemError(f"metric not symmetric at {where}")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise ProblemError(f"metric not positive definite at {where}") from None
-
-
 class ConstraintCoefficients:
     """Problem data for the constraint system.
 
     Scalar, vector, and matrix entries accept constants or callables of x;
     trK additionally needs trK_grad when it varies in space (the vector source
     carries its gradient).  rho must be nonnegative and dirichlet_f positive
-    wherever sampled; both are checked at evaluation time.  metric is None
-    (identity) or an SPD matrix / callable.
+    wherever sampled; both are checked at evaluation time.
     """
 
     def __init__(self, dim=3, Rhat=0.0, trK=0.0, trK_grad=None, Ahat=None,
                  rho=0.0, jhat=None, robin_c=0.0, robin_z=0.0, robin_C=None,
-                 robin_Z=None, dirichlet_f=1.0, dirichlet_F=None, metric=None,
-                 phi_floor=PHI_FLOOR):
+                 robin_Z=None, dirichlet_f=1.0, dirichlet_F=None):
         self.dim = dim
         self.Rhat = Rhat
         self.trK = trK
@@ -254,28 +238,9 @@ class ConstraintCoefficients:
         self.robin_Z = robin_Z
         self.dirichlet_f = dirichlet_f
         self.dirichlet_F = dirichlet_F
-        self.metric = metric
-        self.phi_floor = phi_floor
         self.clamps = ClampCounter()
         if callable(trK) and trK_grad is None:
             raise ProblemError("spatially varying trK needs trK_grad")
-        if metric is not None and not callable(metric):
-            self.metric = np.asarray(metric, dtype=float)
-            _check_spd(self.metric, "construction")
-
-    # fixed physics constants, exposed for introspection
-    mu = MU
-    lam = LAM
-
-    def metric_at(self, x):
-        """(g, ginv) or (None, None) for the identity fast path."""
-        if self.metric is None:
-            return None, None
-        g = np.asarray(self.metric(x), dtype=float) if callable(self.metric) \
-            else self.metric
-        if callable(self.metric):
-            _check_spd(g, tuple(x))
-        return g, np.linalg.inv(g)
 
     def rho_at(self, x):
         r = _ev_scalar(self.rho, x)
@@ -301,21 +266,21 @@ class ConstraintCoefficients:
         return np.concatenate([[f], _ev_vector(self.dirichlet_F, x, self.dim)])
 
 
-def _clamped(phi, floor, clamps):
-    if phi < floor:
+def _clamped(phi, clamps):
+    if phi < PHI_FLOOR:
         if clamps is not None:
             clamps.bump()
-        return floor
+        return PHI_FLOOR
     return float(phi)
 
 
-def hamiltonian_Pprime(phi, at, lw_plus_a_sq, phi_floor=PHI_FLOOR, clamps=None):
+def hamiltonian_Pprime(phi, at, lw_plus_a_sq, clamps=None):
     """Scalar potential derivative; `at` maps Rhat/trK2/rho to point values.
 
     phi below the positivity floor is clamped (and counted) rather than fed to
     the negative powers, so the result is always finite for finite data.
     """
-    p = _clamped(phi, phi_floor, clamps)
+    p = _clamped(phi, clamps)
     out = (0.125 * at["Rhat"] * p + at["trK2"] * p ** 5 / 12.0
            - 0.125 * lw_plus_a_sq * p ** -7 - 2.0 * math.pi * at["rho"] * p ** -3)
     if not math.isfinite(out):
@@ -323,9 +288,9 @@ def hamiltonian_Pprime(phi, at, lw_plus_a_sq, phi_floor=PHI_FLOOR, clamps=None):
     return out
 
 
-def hamiltonian_Pprime_slope(phi, at, lw_plus_a_sq, phi_floor=PHI_FLOOR, clamps=None):
+def hamiltonian_Pprime_slope(phi, at, lw_plus_a_sq, clamps=None):
     """d/dphi of hamiltonian_Pprime at fixed coefficients and LW."""
-    p = _clamped(phi, phi_floor, clamps)
+    p = _clamped(phi, clamps)
     out = (0.125 * at["Rhat"] + (5.0 / 12.0) * at["trK2"] * p ** 4
            + 0.875 * lw_plus_a_sq * p ** -8
            + 6.0 * math.pi * at["rho"] * p ** -4)
@@ -334,247 +299,169 @@ def hamiltonian_Pprime_slope(phi, at, lw_plus_a_sq, phi_floor=PHI_FLOOR, clamps=
     return out
 
 
-# tensor helpers; g None means the identity metric
+# tensor helpers
 
-def _sym_up(grad_rows, ginv):
-    gu = grad_rows if ginv is None else grad_rows @ ginv
-    return 0.5 * (gu + gu.T)
+def _sym_up(grad_rows):
+    return 0.5 * (grad_rows + grad_rows.T)
 
 
-def _lw(grad_rows, ginv, d):
-    e = _sym_up(grad_rows, ginv)
+def _lw(grad_rows, d):
+    e = _sym_up(grad_rows)
     div = np.trace(grad_rows)
-    tracer = np.eye(d) if ginv is None else ginv
-    return 2.0 * e - (2.0 / 3.0) * div * tracer
+    return 2.0 * e - (2.0 / 3.0) * div * np.eye(d)
 
 
-def _dot2(a, b, g):
-    """a^ab b^cd g_ac g_bd."""
-    if g is None:
-        return float(np.sum(a * b))
-    return float(np.einsum("ab,cd,ac,bd->", a, b, g, g))
+def _dot2(a, b):
+    """a^ab b^ab."""
+    return float(np.sum(a * b))
 
 
-def _dot1(a, b, g):
-    if g is None:
-        return float(a @ b)
-    return float(a @ g @ b)
+def _dot1(a, b):
+    return float(a @ b)
 
 
-def _grad_pair(ga, gb, ginv):
-    """D_a u D^a v."""
-    if ginv is None:
-        return float(ga @ gb)
-    return float(ga @ ginv @ gb)
-
-
-def hamiltonian_forms(coeffs: ConstraintCoefficients, W=None, source=None,
-                      dim=None) -> ProblemDefinition:
-    """Scalar problem for the conformal factor with W held fixed.
-
-    W may be None (zero field), a per-vertex (n_vertices, d) array, or a
-    SolutionField; it enters only through the (Ahat + LW)^2 coefficient.
-    source, when given, is a callable subtracted from the interior residual
-    (used by the manufactured benchmark below).
+def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDefinition:
+    """Scalar problem for the conformal factor with W = 0, so (Ahat + LW)^2
+    is Ahat^2.  source, when given, is a callable subtracted from the
+    interior residual (used by the manufactured benchmark below).
     """
-    d = dim or coeffs.dim
-    co = Coefficients()
-    if W is not None:
-        wvals = W.values if hasattr(W, "values") else np.asarray(W, dtype=float)
-        co.add("W", CoefficientField(wvals, want_grad=True))
+    d = coeffs.dim
 
-    def s_tensor(x, c, ginv):
+    def potential(fn, x, u):
         a = _ev_matrix(coeffs.Ahat, x, d)
-        if "W.grad" in c:
-            a = a + _lw(c["W.grad"], ginv, d)
-        return a
+        return fn(u[0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
 
-    def Ft(t, x, n, u, gu, v, gv, c):
-        g, ginv = coeffs.metric_at(x)
+    def Ft(t, x, n, u, gu, v, gv):
         if t == 1:
             cb = _ev_scalar(coeffs.robin_c, x)
             zb = _ev_scalar(coeffs.robin_z, x)
             return (cb * u[0] - zb) * v[0]
-        s = s_tensor(x, c, ginv)
-        pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s, g),
-                                coeffs.phi_floor, coeffs.clamps)
+        pp = potential(hamiltonian_Pprime, x, u)
         if source is not None:
             pp -= source(x)
-        return _grad_pair(gu[0], gv[0], ginv) + pp * v[0]
+        return _dot1(gu[0], gv[0]) + pp * v[0]
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
-        g, ginv = coeffs.metric_at(x)
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         if t == 1:
             return _ev_scalar(coeffs.robin_c, x) * w[0] * v[0]
-        s = s_tensor(x, c, ginv)
-        slope = hamiltonian_Pprime_slope(u[0], coeffs.interior_at(x), _dot2(s, s, g),
-                                         coeffs.phi_floor, coeffs.clamps)
-        return _grad_pair(gw[0], gv[0], ginv) + slope * w[0] * v[0]
+        return _dot1(gw[0], gv[0]) + potential(hamiltonian_Pprime_slope, x, u) * w[0] * v[0]
 
-    def SFt(t, x, n, u, gu, c):
-        g, ginv = coeffs.metric_at(x)
+    def SFt(t, x, n, u, gu):
         if t == 0:
-            s = s_tensor(x, c, ginv)
-            pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s, g),
-                                    coeffs.phi_floor, coeffs.clamps)
+            pp = potential(hamiltonian_Pprime, x, u)
             if source is not None:
                 pp -= source(x)
             return np.array([pp])
-        flux = float(gu[0] @ n) if ginv is None else float(gu[0] @ ginv @ n)
+        flux = float(gu[0] @ n)
         if t == 2:
             return np.array([flux])
         cb = _ev_scalar(coeffs.robin_c, x)
         zb = _ev_scalar(coeffs.robin_z, x)
         return np.array([cb * u[0] - zb + flux])
 
-    def dirichlet(x):
-        f = _ev_scalar(coeffs.dirichlet_f, x)
-        if f <= 0.0:
-            raise ProblemError(f"dirichlet_f must be positive, got {f}")
-        return np.array([f])
-
-    prob = ProblemDefinition(
-        name="hamiltonian", n_components=1,
-        Ft=Ft, DFt=DFt, SFt=SFt, dirichlet=dirichlet, coefficients=co)
-    prob.initial_value = np.array([1.0])
-    prob.constraint_coefficients = coeffs
-    return prob
+    return ProblemDefinition(
+        name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt, SFt=SFt,
+        dirichlet=lambda x: coeffs.dirichlet_vector(x)[:1],
+        initial_value=np.array([1.0]), constraint_coefficients=coeffs)
 
 
-def momentum_forms(coeffs: ConstraintCoefficients, phi=1.0,
-                   dim=None) -> ProblemDefinition:
-    """Linear vector problem for W with the conformal factor frozen.
+def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
+    """Linear vector problem for W with the conformal factor frozen at
+    phi = 1, so the phi^6 weight of the trK source is 1."""
+    d = coeffs.dim
 
-    phi is a constant, a per-vertex array, or a scalar SolutionField; it feeds
-    the phi^6 source weight only.
-    """
-    d = dim or coeffs.dim
-    co = Coefficients()
-    if hasattr(phi, "values"):
-        co.add("phi", CoefficientField(phi.values[:, 0].copy()))
-    elif isinstance(phi, np.ndarray):
-        co.add("phi", CoefficientField(phi))
-    else:
-        co.add("phi", CoefficientField(float(phi)))
+    def source_vec(x):
+        return ((2.0 / 3.0) * coeffs.grad_trK_at(x)
+                + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d))
 
-    def source_vec(x, c, ginv):
-        p = float(np.atleast_1d(c["phi"])[0])
-        gtk = coeffs.grad_trK_at(x)
-        if ginv is not None:
-            gtk = ginv @ gtk
-        return (2.0 / 3.0) * p ** 6 * gtk + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d)
-
-    def Ft(t, x, n, u, gu, v, gv, c):
-        g, ginv = coeffs.metric_at(x)
+    def Ft(t, x, n, u, gu, v, gv):
         if t == 1:
             cm = _ev_matrix(coeffs.robin_C, x, d)
             zv = _ev_vector(coeffs.robin_Z, x, d)
-            return _dot1(cm @ u - zv, v, g)
-        ew, ev = _sym_up(gu, ginv), _sym_up(gv, ginv)
-        elastic = 2.0 * MU * _dot2(ew, ev, g) + LAM * np.trace(gu) * np.trace(gv)
-        return elastic + _dot1(source_vec(x, c, ginv), v, g)
+            return _dot1(cm @ u - zv, v)
+        ew, ev = _sym_up(gu), _sym_up(gv)
+        elastic = 2.0 * MU * _dot2(ew, ev) + LAM * np.trace(gu) * np.trace(gv)
+        return elastic + _dot1(source_vec(x), v)
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
-        g, ginv = coeffs.metric_at(x)
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         if t == 1:
             cm = _ev_matrix(coeffs.robin_C, x, d)
-            return _dot1(cm @ w, v, g)
-        ex, ev = _sym_up(gw, ginv), _sym_up(gv, ginv)
-        return 2.0 * MU * _dot2(ex, ev, g) + LAM * np.trace(gw) * np.trace(gv)
+            return _dot1(cm @ w, v)
+        ex, ev = _sym_up(gw), _sym_up(gv)
+        return 2.0 * MU * _dot2(ex, ev) + LAM * np.trace(gw) * np.trace(gv)
 
-    def SFt(t, x, n, u, gu, c):
-        g, ginv = coeffs.metric_at(x)
+    def SFt(t, x, n, u, gu):
         if t == 0:
-            return source_vec(x, c, ginv)
-        flux = _lw(gu, ginv, d) @ n
+            return source_vec(x)
+        flux = _lw(gu, d) @ n
         if t == 2:
             return flux
         cm = _ev_matrix(coeffs.robin_C, x, d)
         zv = _ev_vector(coeffs.robin_Z, x, d)
         return cm @ u - zv + flux
 
-    def dirichlet(x):
-        return _ev_vector(coeffs.dirichlet_F, x, d)
-
-    prob = ProblemDefinition(
-        name="momentum", n_components=d,
-        Ft=Ft, DFt=DFt, SFt=SFt, dirichlet=dirichlet, coefficients=co)
-    prob.initial_value = np.zeros(d)
-    prob.constraint_coefficients = coeffs
-    return prob
+    return ProblemDefinition(
+        name="momentum", n_components=d, Ft=Ft, DFt=DFt, SFt=SFt,
+        dirichlet=lambda x: _ev_vector(coeffs.dirichlet_F, x, d),
+        initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
 
-def coupled_forms(coeffs: ConstraintCoefficients, dim=None) -> ProblemDefinition:
+def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     """Full (phi, W) system with both linearization cross blocks.
 
     Component 0 is phi; components 1..d are W.  The W->phi block carries
     -(1/4)(Ahat+LW):(LX) phi^-7 and the phi->W block 4 phi^5 grad trK . V.
     """
-    d = dim or coeffs.dim
+    d = coeffs.dim
     nc = d + 1
 
-    def pieces(x, gu):
-        g, ginv = coeffs.metric_at(x)
-        a = _ev_matrix(coeffs.Ahat, x, d)
-        s = a + _lw(gu[1:], ginv, d)
-        return g, ginv, s
+    def s_tensor(x, gu):
+        return _ev_matrix(coeffs.Ahat, x, d) + _lw(gu[1:], d)
 
-    def Ft(t, x, n, u, gu, v, gv, c):
-        g, ginv, s = pieces(x, gu)
+    def source_vec(x, u):
+        p6 = _clamped(u[0], coeffs.clamps) ** 6
+        return ((2.0 / 3.0) * p6 * coeffs.grad_trK_at(x)
+                + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d))
+
+    def Ft(t, x, n, u, gu, v, gv):
         if t == 1:
             cb = _ev_scalar(coeffs.robin_c, x)
             zb = _ev_scalar(coeffs.robin_z, x)
             cm = _ev_matrix(coeffs.robin_C, x, d)
             zv = _ev_vector(coeffs.robin_Z, x, d)
-            return (cb * u[0] - zb) * v[0] + _dot1(cm @ u[1:] - zv, v[1:], g)
-        pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s, g),
-                                coeffs.phi_floor, coeffs.clamps)
-        ham = _grad_pair(gu[0], gv[0], ginv) + pp * v[0]
-        ew, ev = _sym_up(gu[1:], ginv), _sym_up(gv[1:], ginv)
-        mom = 2.0 * MU * _dot2(ew, ev, g) + LAM * np.trace(gu[1:]) * np.trace(gv[1:])
-        p6 = _clamped(u[0], coeffs.phi_floor, coeffs.clamps) ** 6
-        gtk = coeffs.grad_trK_at(x)
-        if ginv is not None:
-            gtk = ginv @ gtk
-        src = (2.0 / 3.0) * p6 * gtk + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d)
-        return ham + mom + _dot1(src, v[1:], g)
+            return (cb * u[0] - zb) * v[0] + _dot1(cm @ u[1:] - zv, v[1:])
+        s = s_tensor(x, gu)
+        pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
+        ham = _dot1(gu[0], gv[0]) + pp * v[0]
+        ew, ev = _sym_up(gu[1:]), _sym_up(gv[1:])
+        mom = 2.0 * MU * _dot2(ew, ev) + LAM * np.trace(gu[1:]) * np.trace(gv[1:])
+        return ham + mom + _dot1(source_vec(x, u), v[1:])
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
-        g, ginv, s = pieces(x, gu)
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         if t == 1:
             cb = _ev_scalar(coeffs.robin_c, x)
             cm = _ev_matrix(coeffs.robin_C, x, d)
-            return cb * w[0] * v[0] + _dot1(cm @ w[1:], v[1:], g)
-        at = coeffs.interior_at(x)
-        p = _clamped(u[0], coeffs.phi_floor, coeffs.clamps)
-        slope = hamiltonian_Pprime_slope(u[0], at, _dot2(s, s, g),
-                                         coeffs.phi_floor, coeffs.clamps)
-        out = _grad_pair(gw[0], gv[0], ginv) + slope * w[0] * v[0]
-        ex, ev = _sym_up(gw[1:], ginv), _sym_up(gv[1:], ginv)
-        out += 2.0 * MU * _dot2(ex, ev, g) + LAM * np.trace(gw[1:]) * np.trace(gv[1:])
-        lx = _lw(gw[1:], ginv, d)
-        out -= 0.25 * _dot2(s, lx, g) * p ** -7 * v[0]
-        gtk = coeffs.grad_trK_at(x)
-        if ginv is not None:
-            gtk = ginv @ gtk
-        out += 4.0 * p ** 5 * _dot1(gtk, v[1:], g) * w[0]
+            return cb * w[0] * v[0] + _dot1(cm @ w[1:], v[1:])
+        s = s_tensor(x, gu)
+        p = _clamped(u[0], coeffs.clamps)
+        slope = hamiltonian_Pprime_slope(u[0], coeffs.interior_at(x), _dot2(s, s),
+                                         coeffs.clamps)
+        out = _dot1(gw[0], gv[0]) + slope * w[0] * v[0]
+        ex, ev = _sym_up(gw[1:]), _sym_up(gv[1:])
+        out += 2.0 * MU * _dot2(ex, ev) + LAM * np.trace(gw[1:]) * np.trace(gv[1:])
+        out -= 0.25 * _dot2(s, _lw(gw[1:], d)) * p ** -7 * v[0]
+        out += 4.0 * p ** 5 * _dot1(coeffs.grad_trK_at(x), v[1:]) * w[0]
         if not math.isfinite(out):
             raise ProblemError(f"linearized integrand not finite at {tuple(x)}")
         return out
 
-    def SFt(t, x, n, u, gu, c):
-        g, ginv, s = pieces(x, gu)
+    def SFt(t, x, n, u, gu):
         if t == 0:
-            pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s, g),
-                                    coeffs.phi_floor, coeffs.clamps)
-            p6 = _clamped(u[0], coeffs.phi_floor, coeffs.clamps) ** 6
-            gtk = coeffs.grad_trK_at(x)
-            if ginv is not None:
-                gtk = ginv @ gtk
-            src = (2.0 / 3.0) * p6 * gtk + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d)
-            return np.concatenate([[pp], src])
-        sflux = float(gu[0] @ n) if ginv is None else float(gu[0] @ ginv @ n)
-        vflux = _lw(gu[1:], ginv, d) @ n
+            s = s_tensor(x, gu)
+            pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
+            return np.concatenate([[pp], source_vec(x, u)])
+        sflux = float(gu[0] @ n)
+        vflux = _lw(gu[1:], d) @ n
         if t == 2:
             return np.concatenate([[sflux], vflux])
         cb = _ev_scalar(coeffs.robin_c, x)
@@ -583,41 +470,11 @@ def coupled_forms(coeffs: ConstraintCoefficients, dim=None) -> ProblemDefinition
         zv = _ev_vector(coeffs.robin_Z, x, d)
         return np.concatenate([[cb * u[0] - zb + sflux], cm @ u[1:] - zv + vflux])
 
-    prob = ProblemDefinition(
-        name="constraints_coupled", n_components=nc,
-        Ft=Ft, DFt=DFt, SFt=SFt,
+    return ProblemDefinition(
+        name="constraints_coupled", n_components=nc, Ft=Ft, DFt=DFt, SFt=SFt,
         dirichlet=coeffs.dirichlet_vector,
-        coefficients=Coefficients())
-    prob.initial_value = np.concatenate([[1.0], np.zeros(d)])
-    prob.constraint_coefficients = coeffs
-    return prob
-
-
-@dataclass
-class ConstraintState:
-    """(phi, W) view over a packed (d+1)-component field."""
-
-    field: "SolutionField"
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.field.values[:, 0]
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.field.values[:, 1:]
-
-    @classmethod
-    def pack(cls, mesh, phi, W) -> "ConstraintState":
-        from .problem import SolutionField
-        d = mesh.dim
-        vals = np.zeros((mesh.n_vertices, d + 1))
-        vals[:, 0] = phi
-        vals[:, 1:] = W
-        return cls(SolutionField(mesh, d + 1, vals))
-
-    def floor_ok(self, phi_floor: float = PHI_FLOOR) -> bool:
-        return bool(np.all(self.phi >= phi_floor))
+        initial_value=np.concatenate([[1.0], np.zeros(d)]),
+        constraint_coefficients=coeffs)
 
 
 def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
@@ -632,7 +489,6 @@ def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
     prob.exact = lambda x: np.array([1.0])
     prob.exact_grad = lambda x: np.zeros((1, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
-    prob.constraint_coefficients = coeffs
     return prob
 
 
@@ -670,7 +526,6 @@ def hamiltonian_manufactured() -> ProblemDefinition:
     prob.exact = exact
     prob.exact_grad = exact_grad
     prob.mesh_factory = generators.unit_square
-    prob.constraint_coefficients = coeffs
     return prob
 
 
@@ -709,12 +564,11 @@ def momentum_manufactured() -> ProblemDefinition:
         return out / (8.0 * pi)
 
     coeffs = ConstraintCoefficients(dim=3, trK=1.0, jhat=jhat)
-    prob = momentum_forms(coeffs, phi=1.0)
+    prob = momentum_forms(coeffs)
     prob.name = "momentum_manufactured"
     prob.exact = lambda x: np.full(3, g_of(x))
     prob.exact_grad = lambda x: np.tile([dg(x, b) for b in range(3)], (3, 1))
     prob.mesh_factory = generators.unit_cube
-    prob.constraint_coefficients = coeffs
     return prob
 
 
@@ -725,7 +579,6 @@ def coupled_trivial(dim: int = 3) -> ProblemDefinition:
     prob.exact = lambda x: np.concatenate([[1.0], np.zeros(dim)])
     prob.exact_grad = lambda x: np.zeros((dim + 1, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
-    prob.constraint_coefficients = coeffs
     return prob
 
 

@@ -19,9 +19,8 @@ def rate(coarse_err: float, fine_err: float) -> float:
 def solve_on(problem, mesh, tol: float = 1e-11, u0: SolutionField = None):
     if u0 is None:
         u0 = dirichlet_start(problem, mesh)
-        start = getattr(problem, "initial_value", None)
-        if start is not None:
-            u0.values[:] = np.asarray(start, dtype=float)
+        if problem.initial_value is not None:
+            u0.values[:] = np.asarray(problem.initial_value, dtype=float)
             u0 = apply_dirichlet(problem, u0)
     u, rep = newton_solve(problem, u0, NewtonConfig(tolerance=tol))
     return u, rep
@@ -33,7 +32,7 @@ def adapt(problem, mesh, max_vertices: int, strategy: str = "hybrid",
     u, _ = solve_on(problem, mesh, tol)
     history = [(mesh.n_vertices, *measure_error(mesh, u, problem.exact,
                                                 problem.exact_grad))] \
-        if getattr(problem, "exact", None) else [(mesh.n_vertices, None, None)]
+        if problem.exact else [(mesh.n_vertices, None, None)]
     while mesh.n_vertices < max_vertices:
         field = residual_indicator(problem, u)
         marks = mark(field, strategy, theta)
@@ -45,7 +44,7 @@ def adapt(problem, mesh, max_vertices: int, strategy: str = "hybrid",
         u = apply_dirichlet(problem, SolutionField.from_flat(
             mesh, problem.n_components, pr @ u.flat))
         u, _ = solve_on(problem, mesh, tol, u0=u)
-        if getattr(problem, "exact", None):
+        if problem.exact:
             history.append((mesh.n_vertices,
                             *measure_error(mesh, u, problem.exact, problem.exact_grad)))
         else:

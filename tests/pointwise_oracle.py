@@ -6,8 +6,11 @@ rewritten over the shared element and face walks of `afem.assembly`.  Each
 routine walks the mesh itself, builds its own face quadrature and evaluates
 the problem callbacks one quadrature point at a time.  They serve only as an
 independent oracle for `test_walk_oracle.py`; nothing in `src/` imports them.
-The one change from the originals: the mesh's former `boundary_faces` list is
-rebuilt here by `_boundary_faces`, since the mesh no longer provides it.
+The changes from the originals: the mesh's former `boundary_faces` list is
+rebuilt here by `_boundary_faces`, since the mesh no longer provides it, and
+the callbacks are called without the per-point coefficient dict they no
+longer take.  `inscribed_diameter` is the library's former version, copied so
+that the oracle computes element sizes on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import scipy.sparse as sp
 
 from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
                            linear_element)
-from afem.indicators import IndicatorField, inscribed_diameter
+from afem.indicators import IndicatorField
 from afem.mesh import DIRICHLET, INTERIOR, NEUMANN
 from afem.problem import ProblemDefinition, SolutionField
 
@@ -81,7 +84,6 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
     rule = el.rule
     bas = el.basis_at(rule.points)
     bary = rule.barycentric
-    coeffs = problem.coefficients
     r = np.zeros(mesh.n_vertices * nc)
 
     for s in mesh.live_simplices():
@@ -96,14 +98,13 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
             w = rule.weights[q] * abs(geom.det)
             x = xq[q]
             uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, bary[q], grads)
             for i in range(el.n_basis):
                 phi = bas[q, i]
                 for comp in range(nc):
                     v = np.zeros(nc)
                     v[comp] = phi
                     r[int(verts[i]) * nc + comp] += w * problem.Ft(
-                        _INTERIOR_T, x, None, uq, gu, v, gvals[i, comp], c)
+                        _INTERIOR_T, x, None, uq, gu, v, gvals[i, comp])
 
     _boundary_residual(problem, u, r)
     r[~free_dof_mask(problem, mesh)] = 0.0
@@ -133,7 +134,6 @@ def _boundary_residual(problem, u, r):
     mesh = u.mesh
     nc = problem.n_components
     el = linear_element(mesh.dim)
-    coeffs = problem.coefficients
     for bf in _boundary_faces(mesh):
         if bf.bclass != NEUMANN:
             continue
@@ -147,14 +147,13 @@ def _boundary_residual(problem, u, r):
         for q in range(len(wq)):
             x = xq[q]
             uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, None, grads)
             for i in range(el.n_basis):
                 phi = bas[q, i]
                 for comp in range(nc):
                     v = np.zeros(nc)
                     v[comp] = phi
                     r[int(verts[i]) * nc + comp] += wq[q] * problem.Ft(
-                        _BOUNDARY_T, x, bf.normal, uq, gu, v, gvals[i, comp], c)
+                        _BOUNDARY_T, x, bf.normal, uq, gu, v, gvals[i, comp])
 
 
 def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_matrix:
@@ -164,7 +163,6 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
     rule = el.rule
     bas = el.basis_at(rule.points)
     bary = rule.barycentric
-    coeffs = problem.coefficients
     rows, cols, vals = [], [], []
 
     for s in mesh.live_simplices():
@@ -181,7 +179,6 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
             w = rule.weights[q] * abs(geom.det)
             x = xq[q]
             uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, bary[q], grads)
             for i in range(nb):
                 for ci in range(nc):
                     v = np.zeros(nc)
@@ -192,7 +189,7 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
                             wdir = np.zeros(nc)
                             wdir[cj] = bas[q, j]
                             local[i * nc + ci, j * nc + cj] += w * problem.DFt(
-                                _INTERIOR_T, x, None, uq, gu, wdir, gvals[j, cj], v, gv, c)
+                                _INTERIOR_T, x, None, uq, gu, wdir, gvals[j, cj], v, gv)
         for i in range(nb):
             for ci in range(nc):
                 for j in range(nb):
@@ -217,7 +214,6 @@ def _boundary_jacobian(problem, u, rows, cols, vals):
     mesh = u.mesh
     nc = problem.n_components
     el = linear_element(mesh.dim)
-    coeffs = problem.coefficients
     for bf in _boundary_faces(mesh):
         if bf.bclass != NEUMANN:
             continue
@@ -232,7 +228,6 @@ def _boundary_jacobian(problem, u, rows, cols, vals):
         for q in range(len(wq)):
             x = xq[q]
             uq = bas[q] @ uloc
-            c = coeffs.at(x, mesh, s, None, grads)
             for i in range(nb):
                 for ci in range(nc):
                     v = np.zeros(nc)
@@ -243,7 +238,7 @@ def _boundary_jacobian(problem, u, rows, cols, vals):
                             wdir[cj] = bas[q, j]
                             contrib = wq[q] * problem.DFt(
                                 _BOUNDARY_T, x, bf.normal, uq, gu,
-                                wdir, gvals[j, cj], v, gvals[i, ci], c)
+                                wdir, gvals[j, cj], v, gvals[i, ci])
                             if contrib != 0.0:
                                 rows.append(verts[i] * nc + ci)
                                 cols.append(verts[j] * nc + cj)
@@ -280,6 +275,14 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     l2 = np.sqrt(l2sq)
     h1 = np.sqrt(l2sq + h1sq) if exact_grad is not None else float("nan")
     return l2, h1
+
+
+def inscribed_diameter(mesh, sid: int) -> float:
+    """Diameter of the inscribed sphere: 2 d |s| / (sum of face measures)."""
+    d = mesh.dim
+    vol = abs(mesh.signed_volume(sid))
+    face_sum = sum(mesh.face_normal(sid, i)[1] for i in range(d + 1))
+    return 2.0 * d * vol / face_sum
 
 
 def _face_diameter(mesh, fverts) -> float:
@@ -326,7 +329,6 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
     mesh = u.mesh
     el = linear_element(mesh.dim)
     rule = default_rule(mesh.dim)
-    coeffs = problem.coefficients
     acc = {}
     side_cache = {}
     for s in mesh.live_simplices():
@@ -344,8 +346,7 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
         for q in range(len(wq)):
             x = xq[q]
             uq = bary[q] @ uloc
-            c = coeffs.at(x, mesh, s, None, grads)
-            r0 = np.asarray(problem.SFt(0, x, None, uq, gu, c), dtype=float)
+            r0 = np.asarray(problem.SFt(0, x, None, uq, gu), dtype=float)
             term += wq[q] * float(np.sum(np.abs(r0) ** p))
         acc[s] = inscribed_diameter(mesh, s) ** p * term
 
@@ -363,8 +364,7 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
                 term = 0.0
                 for q in range(len(wq)):
                     uq = bary[q] @ u.values[fverts]
-                    c = coeffs.at(xq[q], mesh, s, None, grads_s)
-                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s, c), dtype=float)
+                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s), dtype=float)
                     term += wq[q] * float(np.sum(np.abs(r1) ** p))
                 acc[s] += hf * term
                 continue
@@ -375,10 +375,8 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
             term = 0.0
             for q in range(len(wq)):
                 uq = bary[q] @ u.values[fverts]
-                cs = coeffs.at(xq[q], mesh, s, None, grads_s)
-                ct = coeffs.at(xq[q], mesh, t, None, grads_t)
-                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s, cs), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t, ct), dtype=float)
+                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s), dtype=float)
+                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t), dtype=float)
                 term += wq[q] * float(np.sum(np.abs(flux_s - flux_t) ** p))
             half = 0.5 * hf * term
             acc[s] += half
@@ -434,7 +432,6 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
     rule = fine_rule(mesh.dim, 3)
     ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
     bary = rule.barycentric
-    coeffs = problem.coefficients
     contrib = {s: 0.0 for s in weights.coarse_live}
     side_cache = {}
     for s in mesh.live_simplices():
@@ -451,8 +448,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
             x = xq[q]
             uq = bary[q] @ uloc
             wv = bary[q] @ wloc
-            c = coeffs.at(x, mesh, s, None, grads)
-            r0 = np.asarray(problem.SFt(0, x, None, uq, gu, c), dtype=float)
+            r0 = np.asarray(problem.SFt(0, x, None, uq, gu), dtype=float)
             term += wq[q] * float(r0 @ wv)
         contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
 
@@ -470,8 +466,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
                 for q in range(len(wq)):
                     uq = fb[q] @ u_fine.values[fverts]
                     wv = fb[q] @ w.values[fverts]
-                    c = coeffs.at(xq[q], mesh, s, None, grads_s)
-                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s, c), dtype=float)
+                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s), dtype=float)
                     term += wq[q] * float(r1 @ wv)
                 contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
                 continue
@@ -486,10 +481,8 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
             for q in range(len(wq)):
                 uq = fb[q] @ u_fine.values[fverts]
                 wv = fb[q] @ w.values[fverts]
-                cs = coeffs.at(xq[q], mesh, s, None, grads_s)
-                ct = coeffs.at(xq[q], mesh, t, None, grads_t)
-                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s, cs), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t, ct), dtype=float)
+                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s), dtype=float)
+                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t), dtype=float)
                 term += wq[q] * float((flux_s - flux_t) @ wv)
             half = 0.5 * term
             contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += half

@@ -303,7 +303,7 @@ def test_criterion_08_constraint_system():
             errs.append(np.linalg.norm((fd - jd)[free]) / np.linalg.norm(jd))
         fd_ok &= all(b < 0.75 * a or b < 1e-7 for a, b in zip(errs, errs[1:]))
 
-    momentum = P.momentum_forms(P.ConstraintCoefficients(dim=3), phi=1.0)
+    momentum = P.momentum_forms(P.ConstraintCoefficients(dim=3))
     cube = generators.unit_cube(2)
     a = assemble_jacobian(momentum, dirichlet_start(momentum, cube)).toarray()
     spd_ok = np.abs(a - a.T).max() < 1e-12
@@ -357,13 +357,13 @@ def test_criterion_10_hand_computed_oracles():
     tri.add_simplex((0, 1, 2))
     tri.finalize(boundary=NEUMANN)
 
-    def Ft(t, x, n, u, gu, v, gv, c):
+    def Ft(t, x, n, u, gu, v, gv):
         return float(gu[0] @ gv[0]) if t == 0 else 0.0
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         return float(gw[0] @ gv[0]) if t == 0 else 0.0
 
-    def SFt(t, x, n, u, gu, c):
+    def SFt(t, x, n, u, gu):
         return np.zeros(1) if t == 0 else np.array([float(gu[0] @ n)])
 
     lap = ProblemDefinition("stiffness", 1, Ft, DFt, SFt,

@@ -27,13 +27,13 @@ def one_triangle(boundary):
 
 
 def poisson_unit_load():
-    def Ft(t, x, n, u, gu, v, gv, c):
+    def Ft(t, x, n, u, gu, v, gv):
         return float(gu[0] @ gv[0] - v[0]) if t == 0 else 0.0
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         return float(gw[0] @ gv[0]) if t == 0 else 0.0
 
-    def SFt(t, x, n, u, gu, c):
+    def SFt(t, x, n, u, gu):
         return np.array([-1.0]) if t == 0 else np.array([float(gu[0] @ n)])
 
     return ProblemDefinition(name="unit_load", n_components=1,
@@ -59,17 +59,17 @@ def test_unit_load_vector():
 def test_robin_boundary_block():
     # flux + u - 1 = 0 on the whole boundary: the jacobian gains a boundary
     # mass matrix (entry sum = perimeter), the residual at u=0 gains -int_bdry v
-    def Ft(t, x, n, u, gu, v, gv, c):
+    def Ft(t, x, n, u, gu, v, gv):
         if t == 0:
             return float(gu[0] @ gv[0])
         return float((u[0] - 1.0) * v[0])
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         if t == 0:
             return float(gw[0] @ gv[0])
         return float(w[0] * v[0])
 
-    def SFt(t, x, n, u, gu, c):
+    def SFt(t, x, n, u, gu):
         return np.zeros(1) if t == 0 else np.array([u[0] - 1.0 + float(gu[0] @ n)])
 
     prob = ProblemDefinition(name="robin", n_components=1,

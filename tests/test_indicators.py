@@ -17,13 +17,13 @@ from afem.problems import benchmark_poisson
 
 
 def poisson(fval, dirichlet=None):
-    def Ft(t, x, n, u, gu, v, gv, c):
+    def Ft(t, x, n, u, gu, v, gv):
         return float(gu[0] @ gv[0] - fval * v[0]) if t == 0 else 0.0
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv, c):
+    def DFt(t, x, n, u, gu, w, gw, v, gv):
         return float(gw[0] @ gv[0]) if t == 0 else 0.0
 
-    def SFt(t, x, n, u, gu, c):
+    def SFt(t, x, n, u, gu):
         return np.array([-fval]) if t == 0 else np.array([float(gu[0] @ n)])
 
     return ProblemDefinition("poisson", 1, Ft, DFt, SFt,

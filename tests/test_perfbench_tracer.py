@@ -1,12 +1,18 @@
-"""The benchmark's tracer patches library names by attribute; a rename in
-`src/afem` must fail here rather than in a traced benchmark run."""
+"""The benchmark's tracer patches library names by attribute and wraps the
+problem callbacks; a rename in `src/afem` or a change of the callback
+signatures must fail here rather than in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import afem.assembly as assembly
 import afem.indicators as indicators
 import afem.newton as newton
+from afem import generators
+from afem.config import PROBLEMS, RunConfig, build_problem
 from afem.mesh import Mesh
+from afem.problem import SolutionField
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,3 +37,25 @@ def test_tracer_installs_and_restores_every_site():
     finally:
         tracer.unpatch()
     assert all(getattr(owner, attr) is orig for (owner, attr), orig in zip(sites, before))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_instrumented_callbacks_are_counted(name):
+    mod = _tracer_module()
+    tracer = mod.Tracer()
+    problem = tracer.instrument_problem(build_problem(RunConfig(problem=name, dim=2)))
+    mesh = (problem.mesh_factory or generators.unit_square)(2)
+    u = SolutionField.zeros(mesh, problem.n_components)
+    if problem.initial_value is not None:
+        u.values[:] = problem.initial_value
+    u = assembly.apply_dirichlet(problem, u)
+
+    def calls(cb):
+        return mod._peek(tracer.leaf_calls.get(f"problems.{cb}"))
+
+    for step, cb in ((assembly.assemble_residual, "Ft"),
+                     (assembly.assemble_jacobian, "DFt"),
+                     (indicators.residual_indicator, "SFt")):
+        before = calls(cb)
+        step(problem, u)
+        assert calls(cb) > before, f"{name}: {step.__name__} made no counted {cb} call"

@@ -42,9 +42,9 @@ def test_vector_operator_oracles():
     # divergence third, giving diag(4/3, -2/3, -2/3); strain (EW)^11 = 1
     gw = np.zeros((3, 3))
     gw[0, 0] = 1.0
-    assert np.allclose(P._lw(gw, None, 3), np.diag([4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0]),
+    assert np.allclose(P._lw(gw, 3), np.diag([4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0]),
                        atol=1e-15)
-    assert abs(P._sym_up(gw, None)[0, 0] - 1.0) < 1e-15
+    assert abs(P._sym_up(gw)[0, 0] - 1.0) < 1e-15
 
 
 def test_divergence_free_field_has_zero_lw():
@@ -52,7 +52,7 @@ def test_divergence_free_field_has_zero_lw():
     gw = np.zeros((3, 3))
     gw[0, 1] = -1.0
     gw[1, 0] = 1.0
-    assert np.abs(P._lw(gw, None, 3)).max() < 1e-15
+    assert np.abs(P._lw(gw, 3)).max() < 1e-15
 
 
 # ------------------------------------------------------- scalar constraint
@@ -96,7 +96,7 @@ def test_hamiltonian_manufactured_superlinear_tail():
 
 def test_momentum_operator_spd():
     coeffs = P.ConstraintCoefficients(dim=3)
-    prob = P.momentum_forms(coeffs, phi=1.0)
+    prob = P.momentum_forms(coeffs)
     mesh = generators.unit_cube(2)
     a = assemble_jacobian(prob, dirichlet_start(prob, mesh)).toarray()
     assert np.abs(a - a.T).max() < 1e-12
@@ -105,7 +105,7 @@ def test_momentum_operator_spd():
 
 def test_momentum_zero_data_gives_zero_field():
     coeffs = P.ConstraintCoefficients(dim=3)
-    prob = P.momentum_forms(coeffs, phi=1.0)
+    prob = P.momentum_forms(coeffs)
     mesh = generators.unit_cube(2)
     w, _ = newton_solve(prob, dirichlet_start(prob, mesh), NewtonConfig(tolerance=1e-12))
     assert np.abs(w.values).max() < 1e-12
@@ -201,13 +201,3 @@ def test_coupled_solution_matches_decoupled_scalar():
     assert np.abs(uc.values[:, 0] - uh.values[:, 0]).max() < 1e-8
     assert np.abs(uc.values[:, 1:]).max() < 1e-8
 
-
-def test_constraint_state_views():
-    mesh = generators.unit_square(2)
-    nv = mesh.n_vertices
-    state = P.ConstraintState.pack(mesh, np.full(nv, 2.0), np.zeros((nv, 2)))
-    assert state.field.n_components == 3
-    assert np.all(state.phi == 2.0) and np.abs(state.W).max() == 0.0
-    assert state.floor_ok(1e-6)
-    state.field.values[0, 0] = -1.0
-    assert not state.floor_ok(1e-6)

@@ -4,7 +4,8 @@
 library now runs every one of them over the element and face walks of
 `afem.assembly`; the arithmetic is meant to be unchanged, so on meshes without
 flux faces the results must be bitwise equal.  On the annulus with a
-flux-flagged outer circle the Robin terms are compared to 1e-12 relative.
+flux-flagged outer circle the Robin terms are compared to 1e-12 relative;
+there each constraint form runs with its Robin and source data set.
 """
 import math
 
@@ -18,17 +19,18 @@ from afem.indicators import (_functional_load, domain_average, dual_indicator,
                              residual_indicator, solve_dual)
 from afem.mesh import DIRICHLET, NEUMANN
 from afem.problems import (ConstraintCoefficients, benchmark_bratu, benchmark_poisson,
-                           coupled_forms, hamiltonian_manufactured, momentum_manufactured)
+                           coupled_forms, hamiltonian_forms, hamiltonian_manufactured,
+                           momentum_forms, momentum_manufactured)
 
 
 def _outer_flux(c):
     return NEUMANN if np.hypot(c[0], c[1]) > 0.75 else DIRICHLET
 
 
-def _coupled_annulus():
-    coeffs = ConstraintCoefficients(dim=2, Rhat=0.3, trK=0.2, rho=0.4,
-                                    robin_c=0.7, robin_z=0.5)
-    return coupled_forms(coeffs), generators.annulus(1, 6, boundary=_outer_flux)
+def _annulus(forms, **data):
+    """A constraint form on the annulus with a flux-flagged outer circle."""
+    return (forms(ConstraintCoefficients(dim=2, **data)),
+            generators.annulus(1, 6, boundary=_outer_flux))
 
 
 CASES = {
@@ -37,7 +39,18 @@ CASES = {
     "bratu": lambda: (benchmark_bratu(), generators.unit_square(2)),
     "hamiltonian_manufactured": lambda: (hamiltonian_manufactured(), generators.unit_square(2)),
     "momentum_manufactured": lambda: (momentum_manufactured(), generators.unit_cube(1)),
-    "coupled_annulus": _coupled_annulus,
+    "coupled_annulus": lambda: _annulus(coupled_forms, Rhat=0.3, trK=0.2, rho=0.4,
+                                        robin_c=0.7, robin_z=0.5),
+    "hamiltonian_annulus": lambda: _annulus(
+        hamiltonian_forms, Rhat=0.3, rho=0.4, Ahat=np.array([[0.3, 0.1], [0.1, -0.3]]),
+        trK=lambda x: 0.2 + 0.1 * x[0], trK_grad=lambda x: np.array([0.1, 0.0]),
+        robin_c=0.7, robin_z=lambda x: 0.5 + 0.1 * x[1]),
+    "momentum_annulus": lambda: _annulus(
+        momentum_forms, trK=lambda x: 0.2 + 0.1 * x[0] * x[1],
+        trK_grad=lambda x: np.array([0.1 * x[1], 0.1 * x[0]]),
+        jhat=lambda x: np.array([0.01 * x[1], -0.02]),
+        robin_C=np.array([[0.7, 0.1], [0.1, 0.5]]),
+        robin_Z=lambda x: np.array([0.2, -0.1 * x[0]])),
 }
 
 
@@ -74,7 +87,7 @@ def _same(new, ref, exact):
 def test_assembly_matches_pointwise_oracle(name):
     problem, mesh, u = _state(name)
     exact = not _flux(mesh)
-    assert exact == (name != "coupled_annulus")
+    assert exact == (not name.endswith("_annulus"))
     _same(assemble_residual(problem, u), oracle.assemble_residual(problem, u), exact)
     a, b = assemble_jacobian(problem, u), oracle.assemble_jacobian(problem, u)
     if exact:
