@@ -15,7 +15,8 @@ walks:
   the points and weights of `rule` mapped onto the face.
 
 Callers bring their own rule and point loop; residual and Jacobian evaluate
-the problem's pointwise integrand callbacks and scatter into global vectors
+the problem's callbacks once per point, pair them with all test (and trial)
+functions through the local basis matrix, and scatter into global vectors
 and matrices.  Dofs are interleaved per vertex: the dof of component c at
 vertex v is v * n_components + c.  Dirichlet vertices get identity rows and
 columns in Jacobians and zeroed residual entries; solution fields are
@@ -82,25 +83,32 @@ def elements(mesh, rule: QuadratureRule, u: SolutionField = None):
 
 def faces(mesh, rule: QuadratureRule, interior: bool = True):
     """The face walk: one Face per flux face and, unless interior is False,
-    per interior face, in (owner id, local index) order.  The face normal is
-    computed once per visited face."""
+    per interior face, in (owner id, local index) order.  The neighbour and
+    the face normal are looked up once per visited face; the second side of
+    an interior face is recognised by its vertex set."""
     d = mesh.dim
     ref = np.atleast_2d(rule.points)
     ref_measure = 1.0 if d == 2 else 0.5
+    yielded = set()
     for s in mesh.live_simplices():
         s = int(s)
         flags = mesh.sflags[s]
         for i in range(d + 1):
             fl = int(flags[i])
+            if fl == DIRICHLET or (fl != NEUMANN and not interior):
+                continue
+            fverts = [int(v) for k, v in enumerate(mesh.sverts[s]) if k != i]
             if fl == NEUMANN:
                 t = -1
-            elif fl == DIRICHLET or not interior:
-                continue
             else:
+                key = tuple(sorted(fverts))
+                if key in yielded:
+                    yielded.remove(key)   # visited from the lower id
+                    continue
                 t = mesh.neighbor(s, i)
                 if t < s:
                     continue   # on the boundary after all, or visited from t
-            fverts = [int(v) for k, v in enumerate(mesh.sverts[s]) if k != i]
+                yielded.add(key)
             pts = mesh.coords[fverts]
             n, meas = mesh.face_normal(s, i)
             yield Face(s, i, t, fverts, n, meas, pts[0] + ref @ (pts[1:] - pts[0]),
@@ -144,32 +152,34 @@ def _face_basis(rule: QuadratureRule, dim: int) -> list:
     return out
 
 
-def _test_functions(bas: np.ndarray, grads: np.ndarray, nc: int):
-    """Values (nq, nb, nc, nc) and gradients (nb, nc, nc, d) of the vector
-    test functions: component c of basis i is its scalar basis times e_c."""
-    tv = np.zeros(bas.shape + (nc, nc))
-    tg = np.zeros((grads.shape[0], nc, nc, grads.shape[1]))
-    for c in range(nc):
-        tv[:, :, c, c] = bas
-        tg[:, c, c] = grads
-    return tv, tg
-
-
 def _dofs(verts, nc: int) -> np.ndarray:
     return (np.asarray(verts)[:, None] * nc + np.arange(nc)).ravel()
 
 
+def _basis_matrix(bas: np.ndarray, grads: np.ndarray, nc: int) -> np.ndarray:
+    """The local basis matrix Phi at each point, (nq, nb nc, nc (d+1)): row
+    (i, c) is [gv.ravel(), v] of the test function basis i times e_c, with
+    grads[i] in the gradient slots of component c and bas[q, i] in its value
+    slot."""
+    (nq, nb), eye = bas.shape, np.eye(nc)
+    grad = np.einsum("ik,ce->icek", grads, eye).reshape(nb * nc, -1)
+    value = np.einsum("qi,ce->qice", bas, eye).reshape(nq, nb * nc, nc)
+    return np.concatenate((np.broadcast_to(grad, (nq,) + grad.shape), value), axis=2)
+
+
 def _add_residual(r, problem, e: Element, t, n, xq, wq, bas):
-    """Add the points of one simplex (t = 0, n None) or flux face (t = 1) to r."""
+    """Add the points of one simplex (t = 0, n None) or flux face (t = 1) to
+    r, point by point: w Phi F, whose row for the test function basis i times
+    e_c is the flux part A[c] . grads[i] plus the source part B[c] bas[i]."""
     nc = problem.n_components
-    tv, tg = _test_functions(bas, e.grads, nc)
-    for q in range(len(wq)):
-        x = xq[q]
-        uq = bas[q] @ e.uloc
-        for i, v in enumerate(e.verts):
-            for comp in range(nc):
-                r[int(v) * nc + comp] += wq[q] * problem.Ft(
-                    t, x, n, uq, e.gu, tv[q, i, comp], tg[i, comp])
+    f = np.array([problem.Ft(t, xq[q], n, bas[q] @ e.uloc, e.gu) for q in range(len(wq))])
+    (nq, width), (nb, d) = f.shape, e.grads.shape
+    m = width - nc
+    flux = (f[:, :m].reshape(nq * nc, d) @ e.grads.T).reshape(nq, nc, nb).transpose(0, 2, 1)
+    point = wq[:, None, None] * (flux + bas[:, :, None] * f[:, None, m:])
+    dofs = _dofs(e.verts, nc)
+    for q in range(nq):
+        r[dofs] += point[q].ravel()
 
 
 def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarray:
@@ -190,23 +200,12 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
 
 
 def _jacobian_points(problem, e: Element, t, n, xq, wq, bas) -> np.ndarray:
-    """(nq, m, m) point contributions to the local matrix of one simplex or
-    flux face, m = (d+1) nc; rows are test, columns trial functions."""
-    nc = problem.n_components
-    nb = len(e.verts)
-    tv, tg = _test_functions(bas, e.grads, nc)
-    out = np.zeros((len(wq), nb, nc, nb, nc))
-    for q in range(len(wq)):
-        x = xq[q]
-        uq = bas[q] @ e.uloc
-        for i in range(nb):
-            for ci in range(nc):
-                for j in range(nb):
-                    for cj in range(nc):
-                        out[q, i, ci, j, cj] = wq[q] * problem.DFt(
-                            t, x, n, uq, e.gu, tv[q, j, cj], tg[j, cj],
-                            tv[q, i, ci], tg[i, ci])
-    return out.reshape(len(wq), nb * nc, nb * nc)
+    """(nq, m, m) point contributions w Phi K Phi^T to the local matrix of one
+    simplex or flux face, m = (d+1) nc; rows are test, columns trial
+    functions."""
+    k = np.array([problem.DFt(t, xq[q], n, bas[q] @ e.uloc, e.gu) for q in range(len(wq))])
+    phi = _basis_matrix(bas, e.grads, problem.n_components)
+    return wq[:, None, None] * (phi @ (k @ phi.transpose(0, 2, 1)))
 
 
 def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_matrix:

@@ -11,8 +11,10 @@ so by default it works on one uniform refinement of the current mesh.
 Both integrate the same strong-form pieces, `_residual_terms`, over the
 element and face walks of `assembly`: the residual SFt(0) on each simplex,
 SFt(1) on each flux face, and the jump of the flux SFt(2) on each interior
-face, visited once.  They differ only in how a residual value is weighed at a
-point and where the integral is credited.
+face, visited once.  SFt is derived from the problem's Ft (see
+`ProblemDefinition.SFt`): the source B, the flux residual C + A.n and the
+flux A.n.  The indicators differ only in how a residual value is weighed at
+a point and where the integral is credited.
 
 Element and face sizes h_s, h_f are inscribed-sphere diameters.  Interior face
 terms carry a factor 1/2 so a face shared by two elements is counted once.
@@ -81,14 +83,6 @@ def _face_diameter(mesh: Mesh, fverts) -> float:
     return 4.0 * _face_measure(pts) / (a + b + c)
 
 
-def _require_sft(problem):
-    if problem.SFt is None:
-        raise IndicatorError(
-            "problem has no strong-form callback SFt; indicators need "
-            "t=0 (interior residual), t=1 (neumann residual) and "
-            "t=2 (flux for interior jumps)")
-
-
 def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair):
     """Integrals of the strong residual r of u, weighed at each point by
     pair(r, value of the field w there, or None when w is None).
@@ -142,7 +136,6 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
     weight h_s^p, half the flux-jump terms of interior faces with weight h_f,
     and neumann-face residuals with weight h_f."""
 
-    _require_sft(problem)
     mesh = u.mesh
     acc = {}
     for s, f, term in _residual_terms(problem, u, None, default_rule(mesh.dim),
@@ -290,7 +283,6 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
     to the primal ancestor element (interior-face terms split half/half).
     Returns (IndicatorField on u's mesh, signed estimate of <error, psi>).
     """
-    _require_sft(problem)
     mesh = weights.fine_mesh
     nc = problem.n_components
     ncv = weights.n_coarse_vertices

@@ -1,19 +1,21 @@
-"""Problem definitions: pointwise integrand callbacks and fields.
+"""Problem definitions: the pointwise template and fields.
 
-A problem is posed through three integrand callbacks evaluated one quadrature
-point at a time, plus dirichlet data:
+A problem poses -div A(u) + B(u) = 0 in the domain with the flux condition
+A(u).n + C(u) = 0 on flagged boundary faces, through two callbacks evaluated
+one quadrature point at a time, plus dirichlet data:
 
-    Ft(t, x, n, u, gu, v, gv)           weak residual integrand
-    DFt(t, x, n, u, gu, w, gw, v, gv)   its linearization in direction w
-    SFt(t, x, n, u, gu)                 strong-form pieces for error indication
+    Ft(t, x, n, u, gu)    F = [A.ravel(), B], length nc (d+1)
+    DFt(t, x, n, u, gu)   K = dF/dz, (nc (d+1), nc (d+1)), z = [gu.ravel(), u]
 
-t selects the term: 0 integrates over elements (n is None), 1 over flagged
-boundary faces (n is the outward unit normal).  SFt additionally accepts t=2,
-the interior flux whose jumps feed the face indicator.  u, w, v are component
-vectors; gu, gw, gv their gradients (rows = components).  Problem data
-enters through the callbacks' closures.  SFt returns one value per solution
-component.  Dot products are Euclidean: the constraint system of
-`problems.py` is posed in the flat chart.
+t selects the term: at t=0 (elements, n is None) A is the (nc, d) flux and B
+the source; at t=1 (flagged boundary faces, n the outward unit normal) the A
+slots are zero and B holds C.  u is the component vector, gu its gradient
+(rows = components).  The weak residual against a test function v is
+F . [gv.ravel(), v], its linearization in direction w is
+[gv.ravel(), v] . K . [gw.ravel(), w].  Problem data enters through the
+callbacks' closures.  `ProblemDefinition.SFt` derives the strong-form pieces
+the indicators integrate.  Dot products are Euclidean: the constraint system
+of `problems.py` is posed in the flat chart.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class ProblemDefinition:
     n_components: int
     Ft: callable
     DFt: callable
-    SFt: callable
     dirichlet: callable
     exact: callable = None
     exact_grad: callable = None
@@ -71,3 +72,17 @@ class ProblemDefinition:
 
     def dirichlet_vec(self, x) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.dirichlet(x), dtype=float))
+
+    def SFt(self, t, x, n, u, gu) -> np.ndarray:
+        """Strong-form pieces, one value per component: the source B at t=0,
+        the flux residual C + A.n at t=1 and the flux A.n at t=2 (interior
+        faces, whose jumps feed the indicator).  div A vanishes elementwise
+        for linear elements."""
+        f = self.Ft(0, x, n, u, gu)
+        m = gu.size
+        if t == 0:
+            return f[m:]
+        flux = f[:m].reshape(self.n_components, -1) @ n
+        if t == 2:
+            return flux
+        return self.Ft(1, x, n, u, gu)[m:] + flux

@@ -11,9 +11,11 @@ Sign conventions follow the template
     u = g                     on dirichlet boundary,
 
 whose weak residual is F(u)(v) = int A:grad v + B.v dx + int_bdry C.v ds.
-SFt reports B - div A for t=0, C + A.n for t=1, and the flux A.n for t=2
-(elementwise; div A vanishes for linear elements).  The constraint system is
-posed in the flat chart: its background metric is the identity.
+Each problem states the template once, pointwise: Ft returns [A.ravel(), B]
+on elements and [0, C] on flux faces, DFt their derivative with respect to
+[grad u .ravel(), u] (see `problem.py`).  The strong-form pieces the
+indicators use, ProblemDefinition.SFt, are derived from Ft.  The constraint
+system is posed in the flat chart: its background metric is the identity.
 """
 
 from __future__ import annotations
@@ -27,23 +29,24 @@ from .problem import ProblemDefinition
 
 # --------------------------------------------------------------------- scalar
 
+def _scalar_jacobian(d, a_gu, b_u):
+    """dF/dz of a scalar problem with flux A = a_gu grad u and a source (or
+    boundary term) of slope b_u in u."""
+    k = a_gu * np.eye(d + 1)
+    k[d, d] = b_u
+    return k
+
+
 def _poisson_callbacks(f):
-    def Ft(t, x, n, u, gu, v, gv):
+    def Ft(t, x, n, u, gu):
         if t == 0:
-            return float((gu[0] @ gv[0]) - f(x) * v[0])
-        return 0.0
+            return np.concatenate((gu[0], (-f(x),)))
+        return np.zeros(gu.size + 1)
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
-        if t == 0:
-            return float(gw[0] @ gv[0])
-        return 0.0
+    def DFt(t, x, n, u, gu):
+        return _scalar_jacobian(gu.size, 1.0 if t == 0 else 0.0, 0.0)
 
-    def SFt(t, x, n, u, gu):
-        if t == 0:
-            return np.array([-f(x)])
-        return np.array([float(gu[0] @ n)])
-
-    return Ft, DFt, SFt
+    return Ft, DFt
 
 
 def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
@@ -111,11 +114,11 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
     else:
         raise ValueError(f"unknown poisson variant {variant!r}")
 
-    Ft, DFt, SFt = _poisson_callbacks(f)
+    Ft, DFt = _poisson_callbacks(f)
     return ProblemDefinition(
         name=f"poisson_{variant}",
         n_components=1,
-        Ft=Ft, DFt=DFt, SFt=SFt,
+        Ft=Ft, DFt=DFt,
         dirichlet=lambda x: exact(x),
         exact=exact, exact_grad=exact_grad,
         mesh_factory=mesh_factory,
@@ -125,25 +128,20 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
 def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
     """Bratu problem -lap(u) - lam exp(u) = 0 with homogeneous dirichlet data."""
 
-    def Ft(t, x, n, u, gu, v, gv):
+    def Ft(t, x, n, u, gu):
         if t == 0:
-            return float(gu[0] @ gv[0]) - lam * math.exp(u[0]) * v[0]
-        return 0.0
+            return np.concatenate((gu[0], (-lam * math.exp(u[0]),)))
+        return np.zeros(gu.size + 1)
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
+    def DFt(t, x, n, u, gu):
         if t == 0:
-            return float(gw[0] @ gv[0]) - lam * math.exp(u[0]) * w[0] * v[0]
-        return 0.0
-
-    def SFt(t, x, n, u, gu):
-        if t == 0:
-            return np.array([-lam * math.exp(u[0])])
-        return np.array([float(gu[0] @ n)])
+            return _scalar_jacobian(gu.size, 1.0, -lam * math.exp(u[0]))
+        return _scalar_jacobian(gu.size, 0.0, 0.0)
 
     return ProblemDefinition(
         name="bratu",
         n_components=1,
-        Ft=Ft, DFt=DFt, SFt=SFt,
+        Ft=Ft, DFt=DFt,
         dirichlet=lambda x: np.array([0.0]),
         mesh_factory=generators.unit_square,
     )
@@ -159,13 +157,11 @@ def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
 #           - (1/8) (Ahat + LW)^2 phi^-7 - 2 pi rho phi^-3,
 #
 # and the vector part carries the trace-adjusted symmetrized gradient
-# LW^ab = grad^a W^b + grad^b W^a - (2/3) delta^ab div W with fixed constants
-# mu = 1, lambda = -2/3.  The system is posed in the flat chart: the
-# background metric is the identity, so indices are raised and lowered
-# without weights and covariant derivatives are partial derivatives.
+# LW^ab = grad^a W^b + grad^b W^a - (2/3) delta^ab div W as its flux.  The
+# system is posed in the flat chart: the background metric is the identity,
+# so indices are raised and lowered without weights and covariant
+# derivatives are partial derivatives.
 
-MU = 1.0
-LAM = -2.0 / 3.0
 PHI_FLOOR = 1e-6
 
 
@@ -311,13 +307,15 @@ def _lw(grad_rows, d):
     return 2.0 * e - (2.0 / 3.0) * div * np.eye(d)
 
 
+def _lw_matrix(d):
+    """Matrix of the linear map grad W -> LW on raveled (d, d) arrays: its
+    columns are the images of the unit matrices."""
+    return np.column_stack([_lw(e.reshape(d, d), d).ravel() for e in np.eye(d * d)])
+
+
 def _dot2(a, b):
     """a^ab b^ab."""
     return float(np.sum(a * b))
-
-
-def _dot1(a, b):
-    return float(a @ b)
 
 
 def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDefinition:
@@ -331,36 +329,23 @@ def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDef
         a = _ev_matrix(coeffs.Ahat, x, d)
         return fn(u[0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
 
-    def Ft(t, x, n, u, gu, v, gv):
+    def Ft(t, x, n, u, gu):
         if t == 1:
             cb = _ev_scalar(coeffs.robin_c, x)
             zb = _ev_scalar(coeffs.robin_z, x)
-            return (cb * u[0] - zb) * v[0]
+            return np.concatenate((np.zeros(d), (cb * u[0] - zb,)))
         pp = potential(hamiltonian_Pprime, x, u)
         if source is not None:
             pp -= source(x)
-        return _dot1(gu[0], gv[0]) + pp * v[0]
+        return np.concatenate((gu[0], (pp,)))
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
+    def DFt(t, x, n, u, gu):
         if t == 1:
-            return _ev_scalar(coeffs.robin_c, x) * w[0] * v[0]
-        return _dot1(gw[0], gv[0]) + potential(hamiltonian_Pprime_slope, x, u) * w[0] * v[0]
-
-    def SFt(t, x, n, u, gu):
-        if t == 0:
-            pp = potential(hamiltonian_Pprime, x, u)
-            if source is not None:
-                pp -= source(x)
-            return np.array([pp])
-        flux = float(gu[0] @ n)
-        if t == 2:
-            return np.array([flux])
-        cb = _ev_scalar(coeffs.robin_c, x)
-        zb = _ev_scalar(coeffs.robin_z, x)
-        return np.array([cb * u[0] - zb + flux])
+            return _scalar_jacobian(d, 0.0, _ev_scalar(coeffs.robin_c, x))
+        return _scalar_jacobian(d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
 
     return ProblemDefinition(
-        name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt, SFt=SFt,
+        name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt,
         dirichlet=lambda x: coeffs.dirichlet_vector(x)[:1],
         initial_value=np.array([1.0]), constraint_coefficients=coeffs)
 
@@ -374,34 +359,26 @@ def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         return ((2.0 / 3.0) * coeffs.grad_trK_at(x)
                 + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d))
 
-    def Ft(t, x, n, u, gu, v, gv):
+    m = d * d
+    lw_map = _lw_matrix(d)
+
+    def Ft(t, x, n, u, gu):
         if t == 1:
             cm = _ev_matrix(coeffs.robin_C, x, d)
             zv = _ev_vector(coeffs.robin_Z, x, d)
-            return _dot1(cm @ u - zv, v)
-        ew, ev = _sym_up(gu), _sym_up(gv)
-        elastic = 2.0 * MU * _dot2(ew, ev) + LAM * np.trace(gu) * np.trace(gv)
-        return elastic + _dot1(source_vec(x), v)
+            return np.concatenate((np.zeros(m), cm @ u - zv))
+        return np.concatenate((_lw(gu, d).ravel(), source_vec(x)))
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
+    def DFt(t, x, n, u, gu):
+        k = np.zeros((m + d, m + d))
         if t == 1:
-            cm = _ev_matrix(coeffs.robin_C, x, d)
-            return _dot1(cm @ w, v)
-        ex, ev = _sym_up(gw), _sym_up(gv)
-        return 2.0 * MU * _dot2(ex, ev) + LAM * np.trace(gw) * np.trace(gv)
-
-    def SFt(t, x, n, u, gu):
-        if t == 0:
-            return source_vec(x)
-        flux = _lw(gu, d) @ n
-        if t == 2:
-            return flux
-        cm = _ev_matrix(coeffs.robin_C, x, d)
-        zv = _ev_vector(coeffs.robin_Z, x, d)
-        return cm @ u - zv + flux
+            k[m:, m:] = _ev_matrix(coeffs.robin_C, x, d)
+        else:
+            k[:m, :m] = lw_map
+        return k
 
     return ProblemDefinition(
-        name="momentum", n_components=d, Ft=Ft, DFt=DFt, SFt=SFt,
+        name="momentum", n_components=d, Ft=Ft, DFt=DFt,
         dirichlet=lambda x: _ev_vector(coeffs.dirichlet_F, x, d),
         initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
@@ -414,64 +391,47 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     """
     d = coeffs.dim
     nc = d + 1
-
-    def s_tensor(x, gu):
-        return _ev_matrix(coeffs.Ahat, x, d) + _lw(gu[1:], d)
+    m = nc * d
+    lw_map = _lw_matrix(d)
 
     def source_vec(x, u):
         p6 = _clamped(u[0], coeffs.clamps) ** 6
         return ((2.0 / 3.0) * p6 * coeffs.grad_trK_at(x)
                 + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d))
 
-    def Ft(t, x, n, u, gu, v, gv):
+    def Ft(t, x, n, u, gu):
         if t == 1:
             cb = _ev_scalar(coeffs.robin_c, x)
             zb = _ev_scalar(coeffs.robin_z, x)
             cm = _ev_matrix(coeffs.robin_C, x, d)
             zv = _ev_vector(coeffs.robin_Z, x, d)
-            return (cb * u[0] - zb) * v[0] + _dot1(cm @ u[1:] - zv, v[1:])
-        s = s_tensor(x, gu)
+            return np.concatenate((np.zeros(m), (cb * u[0] - zb,), cm @ u[1:] - zv))
+        lw = _lw(gu[1:], d)
+        s = _ev_matrix(coeffs.Ahat, x, d) + lw
         pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
-        ham = _dot1(gu[0], gv[0]) + pp * v[0]
-        ew, ev = _sym_up(gu[1:]), _sym_up(gv[1:])
-        mom = 2.0 * MU * _dot2(ew, ev) + LAM * np.trace(gu[1:]) * np.trace(gv[1:])
-        return ham + mom + _dot1(source_vec(x, u), v[1:])
+        return np.concatenate((gu[0], lw.ravel(), (pp,), source_vec(x, u)))
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
+    def DFt(t, x, n, u, gu):
+        k = np.zeros((m + nc, m + nc))
         if t == 1:
-            cb = _ev_scalar(coeffs.robin_c, x)
-            cm = _ev_matrix(coeffs.robin_C, x, d)
-            return cb * w[0] * v[0] + _dot1(cm @ w[1:], v[1:])
-        s = s_tensor(x, gu)
+            k[m, m] = _ev_scalar(coeffs.robin_c, x)
+            k[m + 1:, m + 1:] = _ev_matrix(coeffs.robin_C, x, d)
+            return k
+        s = _ev_matrix(coeffs.Ahat, x, d) + _lw(gu[1:], d)
         p = _clamped(u[0], coeffs.clamps)
-        slope = hamiltonian_Pprime_slope(u[0], coeffs.interior_at(x), _dot2(s, s),
-                                         coeffs.clamps)
-        out = _dot1(gw[0], gv[0]) + slope * w[0] * v[0]
-        ex, ev = _sym_up(gw[1:]), _sym_up(gv[1:])
-        out += 2.0 * MU * _dot2(ex, ev) + LAM * np.trace(gw[1:]) * np.trace(gv[1:])
-        out -= 0.25 * _dot2(s, _lw(gw[1:], d)) * p ** -7 * v[0]
-        out += 4.0 * p ** 5 * _dot1(coeffs.grad_trK_at(x), v[1:]) * w[0]
-        if not math.isfinite(out):
+        k[:d, :d] = np.eye(d)
+        k[d:m, d:m] = lw_map
+        # the W -> phi and phi -> W cross blocks
+        k[m, d:m] = -0.25 * p ** -7 * (s.ravel() @ lw_map)
+        k[m + 1:, m] = 4.0 * p ** 5 * coeffs.grad_trK_at(x)
+        k[m, m] = hamiltonian_Pprime_slope(u[0], coeffs.interior_at(x), _dot2(s, s),
+                                           coeffs.clamps)
+        if not np.all(np.isfinite(k)):
             raise ProblemError(f"linearized integrand not finite at {tuple(x)}")
-        return out
-
-    def SFt(t, x, n, u, gu):
-        if t == 0:
-            s = s_tensor(x, gu)
-            pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
-            return np.concatenate([[pp], source_vec(x, u)])
-        sflux = float(gu[0] @ n)
-        vflux = _lw(gu[1:], d) @ n
-        if t == 2:
-            return np.concatenate([[sflux], vflux])
-        cb = _ev_scalar(coeffs.robin_c, x)
-        zb = _ev_scalar(coeffs.robin_z, x)
-        cm = _ev_matrix(coeffs.robin_C, x, d)
-        zv = _ev_vector(coeffs.robin_Z, x, d)
-        return np.concatenate([[cb * u[0] - zb + sflux], cm @ u[1:] - zv + vflux])
+        return k
 
     return ProblemDefinition(
-        name="constraints_coupled", n_components=nc, Ft=Ft, DFt=DFt, SFt=SFt,
+        name="constraints_coupled", n_components=nc, Ft=Ft, DFt=DFt,
         dirichlet=coeffs.dirichlet_vector,
         initial_value=np.concatenate([[1.0], np.zeros(d)]),
         constraint_coefficients=coeffs)

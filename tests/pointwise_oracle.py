@@ -7,10 +7,13 @@ routine walks the mesh itself, builds its own face quadrature and evaluates
 the problem callbacks one quadrature point at a time.  They serve only as an
 independent oracle for `test_walk_oracle.py`; nothing in `src/` imports them.
 The changes from the originals: the mesh's former `boundary_faces` list is
-rebuilt here by `_boundary_faces`, since the mesh no longer provides it, and
-the callbacks are called without the per-point coefficient dict they no
-longer take.  `inscribed_diameter` is the library's former version, copied so
-that the oracle computes element sizes on its own.
+rebuilt here by `_boundary_faces`, since the mesh no longer provides it; the
+callbacks are called without the per-point coefficient dict they no longer
+take; and the loops reach the packed callbacks of `afem.problem` through
+`Ft_old` and `DFt_old`, which pair them with one test function (and one trial
+function) as the callbacks once did themselves.  `inscribed_diameter` is the
+library's former version, copied so that the oracle computes element sizes on
+its own.
 """
 
 from __future__ import annotations
@@ -38,6 +41,25 @@ class BoundaryFace:
     bclass: int
     normal: np.ndarray
     measure: float
+
+
+def _z(g, v):
+    return np.concatenate([g.ravel(), v])
+
+
+def Ft_old(problem, t, x, n, u, gu, v, gv):
+    """F . [gv.ravel(), v]: the flux part, then the source part."""
+    f = problem.Ft(t, x, n, u, gu)
+    m = gv.size
+    return f[:m] @ gv.ravel() + f[m:] @ v
+
+
+def DFt_old(problem, t, x, n, u, gu, w, gw, v, gv):
+    """[gv.ravel(), v] . K . [gw.ravel(), w]: the derivative of F in the
+    direction w, one row of K at a time, tested with v."""
+    k = problem.DFt(t, x, n, u, gu)
+    zw = _z(gw, w)
+    return _z(gv, v) @ np.array([row @ zw for row in k])
 
 
 def _boundary_faces(mesh) -> list:
@@ -103,7 +125,7 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
                 for comp in range(nc):
                     v = np.zeros(nc)
                     v[comp] = phi
-                    r[int(verts[i]) * nc + comp] += w * problem.Ft(
+                    r[int(verts[i]) * nc + comp] += w * Ft_old(problem,
                         _INTERIOR_T, x, None, uq, gu, v, gvals[i, comp])
 
     _boundary_residual(problem, u, r)
@@ -152,7 +174,7 @@ def _boundary_residual(problem, u, r):
                 for comp in range(nc):
                     v = np.zeros(nc)
                     v[comp] = phi
-                    r[int(verts[i]) * nc + comp] += wq[q] * problem.Ft(
+                    r[int(verts[i]) * nc + comp] += wq[q] * Ft_old(problem,
                         _BOUNDARY_T, x, bf.normal, uq, gu, v, gvals[i, comp])
 
 
@@ -188,7 +210,7 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
                         for cj in range(nc):
                             wdir = np.zeros(nc)
                             wdir[cj] = bas[q, j]
-                            local[i * nc + ci, j * nc + cj] += w * problem.DFt(
+                            local[i * nc + ci, j * nc + cj] += w * DFt_old(problem,
                                 _INTERIOR_T, x, None, uq, gu, wdir, gvals[j, cj], v, gv)
         for i in range(nb):
             for ci in range(nc):
@@ -236,7 +258,7 @@ def _boundary_jacobian(problem, u, rows, cols, vals):
                         for cj in range(nc):
                             wdir = np.zeros(nc)
                             wdir[cj] = bas[q, j]
-                            contrib = wq[q] * problem.DFt(
+                            contrib = wq[q] * DFt_old(problem,
                                 _BOUNDARY_T, x, bf.normal, uq, gu,
                                 wdir, gvals[j, cj], v, gvals[i, ci])
                             if contrib != 0.0:

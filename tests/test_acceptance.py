@@ -357,17 +357,13 @@ def test_criterion_10_hand_computed_oracles():
     tri.add_simplex((0, 1, 2))
     tri.finalize(boundary=NEUMANN)
 
-    def Ft(t, x, n, u, gu, v, gv):
-        return float(gu[0] @ gv[0]) if t == 0 else 0.0
+    def Ft(t, x, n, u, gu):
+        return np.append(gu[0], 0.0) if t == 0 else np.zeros(3)
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
-        return float(gw[0] @ gv[0]) if t == 0 else 0.0
+    def DFt(t, x, n, u, gu):
+        return np.diag([1.0, 1.0, 0.0]) if t == 0 else np.zeros((3, 3))
 
-    def SFt(t, x, n, u, gu):
-        return np.zeros(1) if t == 0 else np.array([float(gu[0] @ n)])
-
-    lap = ProblemDefinition("stiffness", 1, Ft, DFt, SFt,
-                            dirichlet=lambda x: np.zeros(1))
+    lap = ProblemDefinition("stiffness", 1, Ft, DFt, dirichlet=lambda x: np.zeros(1))
     a = assemble_jacobian(lap, SolutionField.zeros(tri)).toarray()
     oracle = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     stiff_gap = float(np.abs(a - oracle).max())

@@ -8,8 +8,11 @@ from afem import generators, problems
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, evaluate_functional, free_dof_mask,
                            interpolate, measure_error)
+from afem.elements import face_rule, linear_element
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
 from afem.problem import ProblemDefinition, SolutionField
+
+from test_walk_oracle import CASES
 
 # frozen oracle: stiffness of the linear basis on the unit right triangle,
 # gradients (-1,-1), (1,0), (0,1) over area 1/2
@@ -27,17 +30,14 @@ def one_triangle(boundary):
 
 
 def poisson_unit_load():
-    def Ft(t, x, n, u, gu, v, gv):
-        return float(gu[0] @ gv[0] - v[0]) if t == 0 else 0.0
+    # F = [A, B] = [grad u, -1] on elements, nothing on flux faces
+    def Ft(t, x, n, u, gu):
+        return np.append(gu[0], -1.0) if t == 0 else np.zeros(3)
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
-        return float(gw[0] @ gv[0]) if t == 0 else 0.0
+    def DFt(t, x, n, u, gu):
+        return np.diag([1.0, 1.0, 0.0]) if t == 0 else np.zeros((3, 3))
 
-    def SFt(t, x, n, u, gu):
-        return np.array([-1.0]) if t == 0 else np.array([float(gu[0] @ n)])
-
-    return ProblemDefinition(name="unit_load", n_components=1,
-                             Ft=Ft, DFt=DFt, SFt=SFt,
+    return ProblemDefinition(name="unit_load", n_components=1, Ft=Ft, DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
 
 
@@ -59,21 +59,15 @@ def test_unit_load_vector():
 def test_robin_boundary_block():
     # flux + u - 1 = 0 on the whole boundary: the jacobian gains a boundary
     # mass matrix (entry sum = perimeter), the residual at u=0 gains -int_bdry v
-    def Ft(t, x, n, u, gu, v, gv):
+    def Ft(t, x, n, u, gu):
         if t == 0:
-            return float(gu[0] @ gv[0])
-        return float((u[0] - 1.0) * v[0])
+            return np.append(gu[0], 0.0)
+        return np.array([0.0, 0.0, u[0] - 1.0])
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
-        if t == 0:
-            return float(gw[0] @ gv[0])
-        return float(w[0] * v[0])
+    def DFt(t, x, n, u, gu):
+        return np.diag([1.0, 1.0, 0.0]) if t == 0 else np.diag([0.0, 0.0, 1.0])
 
-    def SFt(t, x, n, u, gu):
-        return np.zeros(1) if t == 0 else np.array([u[0] - 1.0 + float(gu[0] @ n)])
-
-    prob = ProblemDefinition(name="robin", n_components=1,
-                             Ft=Ft, DFt=DFt, SFt=SFt,
+    prob = ProblemDefinition(name="robin", n_components=1, Ft=Ft, DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
     m = one_triangle(NEUMANN)
     perim = 2.0 + math.sqrt(2.0)
@@ -81,6 +75,32 @@ def test_robin_boundary_block():
     assert abs(a.sum() - perim) < 1e-12  # stiffness rows sum to zero
     r = assemble_residual(prob, SolutionField.zeros(m))
     assert abs(r.sum() + perim) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["square_sine", "cube_sine", "coupled_annulus",
+                                  "momentum_annulus"])
+def test_one_callback_call_per_quadrature_point(name):
+    problem, mesh = CASES[name]()
+    calls = {"Ft": 0, "DFt": 0}
+
+    def counted(cb, fn):
+        def wrapper(*args):
+            calls[cb] += 1
+            return fn(*args)
+        return wrapper
+
+    for cb in calls:
+        setattr(problem, cb, counted(cb, getattr(problem, cb)))
+    live = mesh.live_simplices()
+    flux_faces = int(np.sum(mesh.sflags[live] == NEUMANN))
+    assert (flux_faces > 0) == name.endswith("_annulus")
+    points = (len(live) * len(linear_element(mesh.dim).rule.weights)
+              + flux_faces * len(face_rule(mesh.dim, 3).weights))
+    u = SolutionField.zeros(mesh, problem.n_components)
+    u.values[:, 0] = 1.0
+    assemble_residual(problem, u)
+    assemble_jacobian(problem, u)
+    assert calls == {"Ft": points, "DFt": points}
 
 
 def test_dirichlet_rows_are_identity():

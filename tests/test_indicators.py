@@ -17,16 +17,14 @@ from afem.problems import benchmark_poisson
 
 
 def poisson(fval, dirichlet=None):
-    def Ft(t, x, n, u, gu, v, gv):
-        return float(gu[0] @ gv[0] - fval * v[0]) if t == 0 else 0.0
+    def Ft(t, x, n, u, gu):
+        return np.append(gu[0], -fval) if t == 0 else np.zeros(gu.size + 1)
 
-    def DFt(t, x, n, u, gu, w, gw, v, gv):
-        return float(gw[0] @ gv[0]) if t == 0 else 0.0
+    def DFt(t, x, n, u, gu):
+        d = gu.size
+        return np.diag([1.0] * d + [0.0]) if t == 0 else np.zeros((d + 1, d + 1))
 
-    def SFt(t, x, n, u, gu):
-        return np.array([-fval]) if t == 0 else np.array([float(gu[0] @ n)])
-
-    return ProblemDefinition("poisson", 1, Ft, DFt, SFt,
+    return ProblemDefinition("poisson", 1, Ft, DFt,
                              dirichlet=dirichlet or (lambda x: np.zeros(1)))
 
 

@@ -8,10 +8,12 @@ from afem import generators
 from afem import problems as P
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, free_dof_mask, measure_error)
+from afem.config import PROBLEMS, RunConfig, build_problem
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import SolutionField
 
 from conftest import rate
+from test_walk_oracle import CASES
 
 
 # -------------------------------------------------------- pointwise oracles
@@ -53,6 +55,46 @@ def test_divergence_free_field_has_zero_lw():
     gw[0, 1] = -1.0
     gw[1, 0] = 1.0
     assert np.abs(P._lw(gw, 3)).max() < 1e-15
+
+
+# ------------------------------------------------ packed pointwise template
+
+POINTWISE = {name: (lambda name=name: build_problem(RunConfig(problem=name, dim=2)))
+             for name in PROBLEMS}
+POINTWISE.update({name: (lambda name=name: CASES[name]()[0])
+                  for name in CASES if name.endswith("_annulus")})
+# every block of the coupled K nonzero: varying trK, Ahat, current, Robin data
+POINTWISE["coupled_varying"] = lambda: P.coupled_forms(P.ConstraintCoefficients(
+    dim=2, Rhat=2.0, trK=lambda x: 1.0 + 0.5 * x[0], trK_grad=lambda x: np.array([0.5, 0.0]),
+    Ahat=np.array([[0.3, 0.1], [0.1, -0.3]]), rho=0.02, jhat=np.array([0.01, -0.02]),
+    robin_c=0.7, robin_z=0.5, robin_C=np.array([[0.7, 0.1], [0.1, 0.5]]),
+    robin_Z=np.array([0.2, -0.1])))
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE))
+def test_dft_is_the_derivative_of_ft(name, rng):
+    # K = dF/dz with z = [gu.ravel(), u], against central differences of F
+    # in every slot of z, on elements (t = 0) and flux faces (t = 1)
+    problem = POINTWISE[name]()
+    nc = problem.n_components
+    dim = problem.mesh_factory(1).dim if problem.mesh_factory else 2
+    m = nc * dim
+    h = 1e-6
+    for _ in range(3):
+        x = rng.uniform(0.1, 0.9, dim)
+        normal = rng.standard_normal(dim)
+        normal /= np.linalg.norm(normal)
+        z = np.concatenate([rng.uniform(-1.0, 1.0, m), rng.uniform(1.0, 1.5, nc)])
+        for t in (0, 1):
+            def f(z):
+                return problem.Ft(t, x, normal, z[m:], z[:m].reshape(nc, dim))
+
+            k = problem.DFt(t, x, normal, z[m:], z[:m].reshape(nc, dim))
+            assert k.shape == (m + nc, m + nc)
+            fd = np.column_stack([(f(z + h * e) - f(z - h * e)) / (2.0 * h)
+                                  for e in np.eye(m + nc)])
+            scale = max(1.0, float(np.abs(k).max()))
+            assert float(np.abs(fd - k).max()) <= 1e-7 * scale, (t, fd - k)
 
 
 # ------------------------------------------------------- scalar constraint
