@@ -1,21 +1,13 @@
 """Residual, Jacobian, and functional assembly over simplex meshes.
 
-Assembly, error measurement and both indicators integrate over one of two
-walks:
-
-- `elements(mesh, rule, u)` visits the live simplices in id order.  Each
-  visit gives the simplex's affine geometry, the physical gradients of the
-  linear basis, its vertex ids, the values `uloc` of a field u at them and
-  the constant gradient `gu`, and the points of `rule` mapped into it.
-- `faces(mesh, rule)` visits the faces that carry an integral: flux
-  (NEUMANN) faces, with neighbour -1, and interior faces, each once, from the
-  lower of its two simplex ids.  Dirichlet faces are skipped.  Each visit
-  gives the owner and the face's local index in it, the neighbour, the face
-  vertex ids, the outward unit normal of the owner and the face measure, and
-  the points and weights of `rule` mapped onto the face.
-
-Callers bring their own rule and point loop; residual and Jacobian evaluate
-the problem's callbacks once per point, pair them with all test (and trial)
+Assembly, error measurement and both indicators integrate over the element
+and face rows of the mesh's `MeshTables` (`Mesh.tables()`, built once per
+mesh state): the live simplices in id order, then each flux face and each
+interior face once; Dirichlet faces carry no integral.  A caller gathers a
+field's vertex values `uloc` and constant gradients `gu` on every simplex and
+maps its rule onto every simplex or face, one array operation each, then
+loops over the rows and their points.  Residual and Jacobian evaluate the
+problem's callbacks once per point, pair them with all test (and trial)
 functions through the local basis matrix, and scatter into global vectors
 and matrices.  Dofs are interleaved per vertex: the dof of component c at
 vertex v is v * n_components + c.  Dirichlet vertices get identity rows and
@@ -25,94 +17,15 @@ expected to carry the dirichlet values themselves.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 import numpy as np
 import scipy.sparse as sp
 
 from .elements import ElementGeometry, QuadratureRule, face_rule, fine_rule, linear_element
-from .mesh import DIRICHLET, NEUMANN
+from .mesh import DIRICHLET, LOCAL_FACES, NEUMANN
 from .problem import ProblemDefinition, SolutionField
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
-_GRAD_REF = {d: linear_element(d).grad_ref() for d in (2, 3)}
-
-
-class Element(NamedTuple):
-    s: int
-    geom: ElementGeometry
-    grads: np.ndarray            # (d+1, d) physical gradients of the linear basis
-    verts: np.ndarray            # (d+1,) vertex ids
-    uloc: Optional[np.ndarray]   # (d+1, nc) field values at verts
-    gu: Optional[np.ndarray]     # (nc, d) field gradient, constant on the simplex
-    xq: Optional[np.ndarray]     # rule points mapped into the simplex
-
-
-class Face(NamedTuple):
-    s: int                       # owner
-    i: int                       # local index in s: the face opposite vertex i
-    t: int                       # neighbour across the face, -1 on a flux face
-    verts: list                  # face vertex ids, in the local order of s
-    normal: np.ndarray           # unit normal pointing out of s
-    measure: float
-    xq: np.ndarray               # rule points mapped onto the face
-    wq: np.ndarray               # rule weights scaled to the face measure
-
-
-def element_at(mesh, s: int, u: SolutionField = None,
-               rule: QuadratureRule = None) -> Element:
-    """Geometry of simplex s, with u's local data and rule's points if given."""
-    verts = mesh.sverts[s]
-    geom = ElementGeometry.of(mesh.coords[verts])
-    grads = _GRAD_REF[mesh.dim] @ geom.inv_t.T
-    uloc = gu = xq = None
-    if u is not None:
-        uloc = u.values[verts]
-        gu = uloc.T @ grads
-    if rule is not None:
-        xq = geom.to_physical(rule.points)
-    return Element(s, geom, grads, verts, uloc, gu, xq)
-
-
-def elements(mesh, rule: QuadratureRule, u: SolutionField = None):
-    """The element walk: one Element per live simplex, in id order."""
-    for s in mesh.live_simplices():
-        yield element_at(mesh, int(s), u, rule)
-
-
-def faces(mesh, rule: QuadratureRule, interior: bool = True):
-    """The face walk: one Face per flux face and, unless interior is False,
-    per interior face, in (owner id, local index) order.  The neighbour and
-    the face normal are looked up once per visited face; the second side of
-    an interior face is recognised by its vertex set."""
-    d = mesh.dim
-    ref = np.atleast_2d(rule.points)
-    ref_measure = 1.0 if d == 2 else 0.5
-    yielded = set()
-    for s in mesh.live_simplices():
-        s = int(s)
-        flags = mesh.sflags[s]
-        for i in range(d + 1):
-            fl = int(flags[i])
-            if fl == DIRICHLET or (fl != NEUMANN and not interior):
-                continue
-            fverts = [int(v) for k, v in enumerate(mesh.sverts[s]) if k != i]
-            if fl == NEUMANN:
-                t = -1
-            else:
-                key = tuple(sorted(fverts))
-                if key in yielded:
-                    yielded.remove(key)   # visited from the lower id
-                    continue
-                t = mesh.neighbor(s, i)
-                if t < s:
-                    continue   # on the boundary after all, or visited from t
-                yielded.add(key)
-            pts = mesh.coords[fverts]
-            n, meas = mesh.face_normal(s, i)
-            yield Face(s, i, t, fverts, n, meas, pts[0] + ref @ (pts[1:] - pts[0]),
-                       rule.weights * (meas / ref_measure))
 
 
 def free_dof_mask(problem: ProblemDefinition, mesh) -> np.ndarray:
@@ -141,19 +54,18 @@ def interpolate(mesh, fn, n_components: int = 1) -> SolutionField:
     return u
 
 
-def _face_basis(rule: QuadratureRule, dim: int) -> list:
-    """Element basis values at a face rule's points, one (nq, d+1) array per
-    local face index; the basis of the vertex opposite the face vanishes."""
-    out = []
-    for i in range(dim + 1):
-        bas = np.zeros((len(rule.weights), dim + 1))
-        bas[:, [k for k in range(dim + 1) if k != i]] = rule.barycentric
-        out.append(bas)
-    return out
+def _face_basis(rule: QuadratureRule, dim: int) -> np.ndarray:
+    """Element basis values at a face rule's points, (d+1, nq, d+1) by local
+    face index; the basis of the vertex opposite the face vanishes."""
+    bas = np.zeros((dim + 1, len(rule.weights), dim + 1))
+    for i, face in enumerate(LOCAL_FACES[dim]):
+        bas[i][:, face] = rule.barycentric
+    return bas
 
 
-def _dofs(verts, nc: int) -> np.ndarray:
-    return (np.asarray(verts)[:, None] * nc + np.arange(nc)).ravel()
+def _dofs(verts: np.ndarray, nc: int) -> np.ndarray:
+    """Dof ids (..., nb nc) of the vertex ids verts (..., nb)."""
+    return (verts[..., None] * nc + np.arange(nc)).reshape(verts.shape[:-1] + (-1,))
 
 
 def _basis_matrix(bas: np.ndarray, grads: np.ndarray, nc: int) -> np.ndarray:
@@ -167,77 +79,77 @@ def _basis_matrix(bas: np.ndarray, grads: np.ndarray, nc: int) -> np.ndarray:
     return np.concatenate((np.broadcast_to(grad, (nq,) + grad.shape), value), axis=2)
 
 
-def _add_residual(r, problem, e: Element, t, n, xq, wq, bas):
-    """Add the points of one simplex (t = 0, n None) or flux face (t = 1) to
-    r, point by point: w Phi F, whose row for the test function basis i times
-    e_c is the flux part A[c] . grads[i] plus the source part B[c] bas[i]."""
-    nc = problem.n_components
-    f = np.array([problem.Ft(t, xq[q], n, bas[q] @ e.uloc, e.gu) for q in range(len(wq))])
-    (nq, width), (nb, d) = f.shape, e.grads.shape
-    m = width - nc
-    flux = (f[:, :m].reshape(nq * nc, d) @ e.grads.T).reshape(nq, nc, nb).transpose(0, 2, 1)
-    point = wq[:, None, None] * (flux + bas[:, :, None] * f[:, None, m:])
-    dofs = _dofs(e.verts, nc)
-    for q in range(nq):
-        r[dofs] += point[q].ravel()
+def _integrals(tab, dim: int):
+    """The assembly quadrature: (element row, t, normal, points, weights, basis
+    values) on every simplex (t = 0), then on every flux face (t = 1)."""
+    rule = linear_element(dim).rule
+    bas = rule.barycentric
+    wq = rule.weights * np.abs(tab.det)[:, None]
+    for k, xq in enumerate(tab.element_points(rule.points)):
+        yield k, _INTERIOR_T, None, xq, wq[k], bas
+    frule = face_rule(dim, 3)
+    fbas = _face_basis(frule, dim)
+    fxq, fwq = tab.face_quadrature(frule)
+    for j in np.flatnonzero(tab.flag == NEUMANN):
+        yield tab.owner[j], _BOUNDARY_T, tab.normal[j], fxq[j], fwq[j], fbas[tab.local[j]]
 
 
 def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarray:
+    """The residual vector of u, summed point by point as w Phi F: its entry
+    for the test function basis i times e_c is the flux part A[c] . grads[i]
+    plus the source part B[c] bas[i]."""
     mesh = u.mesh
-    rule = linear_element(mesh.dim).rule
-    bas = rule.barycentric
-    r = np.zeros(mesh.n_vertices * problem.n_components)
-    for e in elements(mesh, rule, u):
-        _add_residual(r, problem, e, _INTERIOR_T, None, e.xq,
-                      rule.weights * abs(e.geom.det), bas)
-    frule = face_rule(mesh.dim, 3)
-    fbas = _face_basis(frule, mesh.dim)
-    for f in faces(mesh, frule, interior=False):
-        _add_residual(r, problem, element_at(mesh, f.s, u), _BOUNDARY_T,
-                      f.normal, f.xq, f.wq, fbas[f.i])
+    nc = problem.n_components
+    tab = mesh.tables()
+    dofs = _dofs(tab.verts, nc)
+    uloc, gu = tab.gather(u.values)
+    r = np.zeros(mesh.n_vertices * nc)
+    for k, t, n, xq, wq, bas in _integrals(tab, mesh.dim):
+        grads = tab.grads[k]
+        f = np.array([problem.Ft(t, xq[q], n, bas[q] @ uloc[k], gu[k])
+                      for q in range(len(wq))])
+        (nq, width), (nb, d) = f.shape, grads.shape
+        m = width - nc
+        flux = (f[:, :m].reshape(nq * nc, d) @ grads.T).reshape(nq, nc, nb).transpose(0, 2, 1)
+        point = wq[:, None, None] * (flux + bas[:, :, None] * f[:, None, m:])
+        for q in range(nq):
+            r[dofs[k]] += point[q].ravel()
     r[~free_dof_mask(problem, mesh)] = 0.0
     return r
 
 
-def _jacobian_points(problem, e: Element, t, n, xq, wq, bas) -> np.ndarray:
-    """(nq, m, m) point contributions w Phi K Phi^T to the local matrix of one
-    simplex or flux face, m = (d+1) nc; rows are test, columns trial
-    functions."""
-    k = np.array([problem.DFt(t, xq[q], n, bas[q] @ e.uloc, e.gu) for q in range(len(wq))])
-    phi = _basis_matrix(bas, e.grads, problem.n_components)
-    return wq[:, None, None] * (phi @ (k @ phi.transpose(0, 2, 1)))
-
-
 def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_matrix:
+    """The Jacobian of the residual at u, summed point by point as
+    w Phi K Phi^T; rows are test, columns trial functions."""
     mesh = u.mesh
     nc = problem.n_components
-    rule = linear_element(mesh.dim).rule
-    bas = rule.barycentric
+    tab = mesh.tables()
+    dofs = _dofs(tab.verts, nc)
+    uloc, gu = tab.gather(u.values)
     rows, cols, vals = [], [], []
 
-    def scatter(verts, local, nonzero_only=False):
-        dofs = _dofs(verts, nc)
-        r, c, v = np.repeat(dofs, len(dofs)), np.tile(dofs, len(dofs)), local.ravel()
+    def scatter(ids, local, nonzero_only=False):
+        r, c, v = np.repeat(ids, len(ids)), np.tile(ids, len(ids)), local.ravel()
         keep = v != 0.0 if nonzero_only else slice(None)
         rows.append(r[keep])
         cols.append(c[keep])
         vals.append(v[keep])
 
-    # an element enters summed over its points; a flux face point by point
-    for e in elements(mesh, rule, u):
-        scatter(e.verts, _jacobian_points(problem, e, _INTERIOR_T, None, e.xq,
-                                          rule.weights * abs(e.geom.det), bas).sum(axis=0))
-    frule = face_rule(mesh.dim, 3)
-    fbas = _face_basis(frule, mesh.dim)
-    for f in faces(mesh, frule, interior=False):
-        e = element_at(mesh, f.s, u)
-        for local in _jacobian_points(problem, e, _BOUNDARY_T, f.normal,
-                                      f.xq, f.wq, fbas[f.i]):
-            scatter(e.verts, local, nonzero_only=True)
+    for k, t, n, xq, wq, bas in _integrals(tab, mesh.dim):
+        kq = np.array([problem.DFt(t, xq[q], n, bas[q] @ uloc[k], gu[k])
+                       for q in range(len(wq))])
+        phi = _basis_matrix(bas, tab.grads[k], nc)
+        local = wq[:, None, None] * (phi @ (kq @ phi.transpose(0, 2, 1)))
+        # an element enters summed over its points; a flux face point by point
+        if t == _INTERIOR_T:
+            scatter(dofs[k], local.sum(axis=0))
+        else:
+            for point in local:
+                scatter(dofs[k], point, nonzero_only=True)
 
-    n = mesh.n_vertices * nc
+    ndof = mesh.n_vertices * nc
     a = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+                      shape=(ndof, ndof)).tocsr()
     free = free_dof_mask(problem, mesh).astype(float)
     df = sp.diags(free)
     dd = sp.diags(1.0 - free)
@@ -249,8 +161,8 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
 def evaluate_functional(mesh, u, psi, n_components: int = None) -> float:
     """Integral of u . psi over the mesh; u is a SolutionField or a callable.
 
-    It walks the mesh on its own, apart from `elements`: tests take it as the
-    independent reference for the dual estimate."""
+    It walks the mesh on its own, apart from the mesh's tables: tests take it
+    as the independent reference for the dual estimate."""
     rule = fine_rule(mesh.dim)
     lam = rule.barycentric
     total = 0.0
@@ -278,15 +190,17 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     """
     rule = fine_rule(mesh.dim)
     bas = rule.barycentric
+    tab = mesh.tables()
+    uloc, gu = tab.gather(u.values)
     l2sq = 0.0
     h1sq = 0.0
-    for e in elements(mesh, rule, u):
+    for k, xq in enumerate(tab.element_points(rule.points)):
         for q in range(len(rule.weights)):
-            w = rule.weights[q] * abs(e.geom.det)
-            diff = bas[q] @ e.uloc - np.atleast_1d(exact(e.xq[q]))
+            w = rule.weights[q] * abs(tab.det[k])
+            diff = bas[q] @ uloc[k] - np.atleast_1d(exact(xq[q]))
             l2sq += w * float(diff @ diff)
             if exact_grad is not None:
-                gdiff = e.gu - np.atleast_2d(exact_grad(e.xq[q]))
+                gdiff = gu[k] - np.atleast_2d(exact_grad(xq[q]))
                 h1sq += w * float((gdiff * gdiff).sum())
     l2 = np.sqrt(l2sq)
     h1 = np.sqrt(l2sq + h1sq) if exact_grad is not None else float("nan")

@@ -9,15 +9,16 @@ the primal (a same-space dual is identically zero by Galerkin orthogonality),
 so by default it works on one uniform refinement of the current mesh.
 
 Both integrate the same strong-form pieces, `_residual_terms`, over the
-element and face walks of `assembly`: the residual SFt(0) on each simplex,
-SFt(1) on each flux face, and the jump of the flux SFt(2) on each interior
-face, visited once.  SFt is derived from the problem's Ft (see
+element and face rows of the mesh's `MeshTables`: the residual SFt(0) on each
+simplex, SFt(1) on each flux face, and the jump of the flux SFt(2) on each
+interior face, visited once.  SFt is derived from the problem's Ft (see
 `ProblemDefinition.SFt`): the source B, the flux residual C + A.n and the
 flux A.n.  The indicators differ only in how a residual value is weighed at
 a point and where the integral is credited.
 
-Element and face sizes h_s, h_f are inscribed-sphere diameters.  Interior face
-terms carry a factor 1/2 so a face shared by two elements is counted once.
+Element and face sizes h_s, h_f are inscribed-sphere diameters, read from the
+tables' `h` and `hf` columns.  Interior face terms carry a factor 1/2 so a
+face shared by two elements is counted once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .elements import default_rule, fine_rule, face_rule
 from .problem import ProblemDefinition, SolutionField
-from .assembly import elements, faces, free_dof_mask
+from .assembly import free_dof_mask
 from .multilevel import prolongation_from_refinement
 
 _REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
@@ -56,78 +57,61 @@ class IndicatorField:
         return max(self.eta.values()) if self.eta else 0.0
 
 
-def _face_measure(pts: np.ndarray) -> float:
-    """Length of an edge or area of a triangle, by the formulas of
-    `Mesh.face_normal` on the same vertex order."""
-    if len(pts) == 2:
-        return float(np.linalg.norm(pts[1] - pts[0]))
-    return 0.5 * float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])))
-
-
-def inscribed_diameter(mesh: Mesh, sid: int) -> float:
-    """Diameter of the inscribed sphere: 2 d |s| / (sum of face measures)."""
-    d = mesh.dim
-    vol = abs(mesh.signed_volume(sid))
-    pts = mesh.coords[mesh.sverts[sid]]
-    face_sum = sum(_face_measure(np.delete(pts, i, axis=0)) for i in range(d + 1))
-    return 2.0 * d * vol / face_sum
-
-
-def _face_diameter(mesh: Mesh, fverts) -> float:
-    pts = mesh.coords[list(fverts)]
-    if mesh.dim == 2:
-        return _face_measure(pts)
-    a = float(np.linalg.norm(pts[1] - pts[0]))
-    b = float(np.linalg.norm(pts[2] - pts[1]))
-    c = float(np.linalg.norm(pts[0] - pts[2]))
-    return 4.0 * _face_measure(pts) / (a + b + c)
+def _volume_weights(tab, rule):
+    """Rule weights scaled to every simplex, by |volume| / reference volume."""
+    d = tab.coords.shape[1]
+    volume = tab.det / (2.0 if d == 2 else 6.0)
+    return rule.weights * (np.abs(volume) / _REF_VOLUME[d])[:, None]
 
 
 def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair):
     """Integrals of the strong residual r of u, weighed at each point by
     pair(r, value of the field w there, or None when w is None).
 
-    Yields (s, None, term) for every simplex s, with r = SFt(0) and `rule`,
-    then (f.s, f, term) for every Face f of the face walk, with r = SFt(1) on
-    a flux face and the jump of SFt(2) across an interior face.  Faces use the
+    Returns the terms of the element rows of the mesh's tables, with
+    r = SFt(0) and `rule`, and of its face rows, with r = SFt(1) on a flux
+    face and the jump of SFt(2) across an interior face.  Faces use the
     2-point Gauss rule on edges, the 3-point edge-midpoint rule on triangles.
     """
     mesh = u.mesh
+    tab = mesh.tables()
+    uloc, gu = tab.gather(u.values)
+    wloc = None if w is None else w.values[tab.verts]
     bary = rule.barycentric
-    gu_of = {}
-    for e in elements(mesh, rule, u):
-        gu_of[e.s] = e.gu
-        wq = rule.weights * (abs(e.geom.volume()) / _REF_VOLUME[mesh.dim])
-        wloc = None if w is None else w.values[e.verts]
+    xq = tab.element_points(rule.points)
+    wq = _volume_weights(tab, rule)
+    terms = np.zeros(len(tab.ids))
+    for k in range(len(terms)):
         term = 0.0
-        for q in range(len(wq)):
-            x = e.xq[q]
-            uq = bary[q] @ e.uloc
-            wv = None if w is None else bary[q] @ wloc
-            r0 = np.asarray(problem.SFt(0, x, None, uq, e.gu), dtype=float)
-            term += wq[q] * pair(r0, wv)
-        yield e.s, None, term
+        for q in range(len(bary)):
+            wv = None if w is None else bary[q] @ wloc[k]
+            r0 = np.asarray(problem.SFt(0, xq[k, q], None, bary[q] @ uloc[k], gu[k]),
+                            dtype=float)
+            term += wq[k, q] * pair(r0, wv)
+        terms[k] = term
 
     frule = face_rule(2, 2) if mesh.dim == 2 else default_rule(2)
     fbary = frule.barycentric
-    for f in faces(mesh, frule):
-        gu_s = gu_of[f.s]
-        uf = u.values[f.verts]
-        wf = None if w is None else w.values[f.verts]
+    fxq, fwq = tab.face_quadrature(frule)
+    uf = u.values[tab.fverts]
+    wf = None if w is None else w.values[tab.fverts]
+    face_terms = np.zeros(len(tab.owner))
+    for j, (s, t, n) in enumerate(zip(tab.owner, tab.neighbor, tab.normal)):
         term = 0.0
-        for q in range(len(f.wq)):
-            x = f.xq[q]
-            uq = fbary[q] @ uf
-            wv = None if w is None else fbary[q] @ wf
-            if f.t < 0:
-                r = np.asarray(problem.SFt(1, x, f.normal, uq, gu_s), dtype=float)
+        for q in range(len(fbary)):
+            x = fxq[j, q]
+            uq = fbary[q] @ uf[j]
+            wv = None if w is None else fbary[q] @ wf[j]
+            if t < 0:
+                r = np.asarray(problem.SFt(1, x, n, uq, gu[s]), dtype=float)
             else:
                 # the normal leaves s: the jump is (flux in s) - (flux in t)
-                flux_s = np.asarray(problem.SFt(2, x, f.normal, uq, gu_s), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, x, f.normal, uq, gu_of[f.t]), dtype=float)
+                flux_s = np.asarray(problem.SFt(2, x, n, uq, gu[s]), dtype=float)
+                flux_t = np.asarray(problem.SFt(2, x, n, uq, gu[t]), dtype=float)
                 r = flux_s - flux_t
-            term += f.wq[q] * pair(r, wv)
-        yield f.s, f, term
+            term += fwq[j, q] * pair(r, wv)
+        face_terms[j] = term
+    return terms, face_terms
 
 
 def residual_indicator(problem: ProblemDefinition, u: SolutionField,
@@ -137,19 +121,19 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
     and neumann-face residuals with weight h_f."""
 
     mesh = u.mesh
-    acc = {}
-    for s, f, term in _residual_terms(problem, u, None, default_rule(mesh.dim),
-                                      lambda r, _: float(np.sum(np.abs(r) ** p))):
-        if f is None:
-            acc[s] = inscribed_diameter(mesh, s) ** p * term
-        elif f.t < 0:
-            acc[s] += _face_diameter(mesh, f.verts) * term
+    tab = mesh.tables()
+    terms, face_terms = _residual_terms(problem, u, None, default_rule(mesh.dim),
+                                        lambda r, _: float(np.sum(np.abs(r) ** p)))
+    acc = [float(h) ** p * term for h, term in zip(tab.h, terms)]
+    for s, t, hf, term in zip(tab.owner, tab.neighbor, tab.hf, face_terms):
+        if t < 0:
+            acc[s] += hf * term
         else:
-            half = 0.5 * _face_diameter(mesh, f.verts) * term
+            half = 0.5 * hf * term
             acc[s] += half
-            acc[f.t] += half
+            acc[t] += half
 
-    eta = {s: v ** (1.0 / p) for s, v in acc.items()}
+    eta = {int(s): v ** (1.0 / p) for s, v in zip(tab.ids, acc)}
     return IndicatorField(mesh, eta, p)
 
 
@@ -224,14 +208,15 @@ def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     (so a self-adjoint problem with psi = its own load reproduces the primal
     system exactly)."""
     rule = default_rule(mesh.dim)
+    tab = mesh.tables()
     b = np.zeros(mesh.n_vertices * nc)
     bary = rule.barycentric
-    for e in elements(mesh, rule):
-        wq = rule.weights * (abs(e.geom.volume()) / _REF_VOLUME[mesh.dim])
-        for q in range(len(wq)):
-            pv = np.asarray(psi(e.xq[q]), dtype=float)
-            for j, vj in enumerate(e.verts):
-                b[vj * nc:(vj + 1) * nc] += wq[q] * bary[q, j] * pv
+    wq = _volume_weights(tab, rule)
+    for k, xq in enumerate(tab.element_points(rule.points)):
+        for q in range(len(bary)):
+            pv = np.asarray(psi(xq[q]), dtype=float)
+            for j, vj in enumerate(tab.verts[k]):
+                b[vj * nc:(vj + 1) * nc] += wq[k, q] * bary[q, j] * pv
     return b
 
 
@@ -295,15 +280,20 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
         u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
     w = SolutionField.from_flat(mesh, nc, w_flat)
 
+    tab = mesh.tables()
+    terms, face_terms = _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3),
+                                        lambda r, wv: float(r @ wv))
+    coarse = [mesh.coarse_ancestor(int(s), weights.coarse_live) for s in tab.ids]
     contrib = {s: 0.0 for s in weights.coarse_live}
-    for s, f, term in _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3),
-                                      lambda r, wv: float(r @ wv)):
-        if f is None or f.t < 0:
-            contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
+    for c, term in zip(coarse, terms):
+        contrib[c] += term
+    for s, t, term in zip(tab.owner, tab.neighbor, face_terms):
+        if t < 0:
+            contrib[coarse[s]] += term
         else:
             half = 0.5 * term
-            contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += half
-            contrib[mesh.coarse_ancestor(f.t, weights.coarse_live)] += half
+            contrib[coarse[s]] += half
+            contrib[coarse[t]] += half
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution

@@ -1,11 +1,13 @@
 """Simplicial meshes with vertex rings, bisection refinement, and conformity closure.
 
-The mesh stores vertices and d-simplices only.  Edges and faces are derived on
-demand; each vertex keeps a ring (the set of live simplices touching it), which
-answers every adjacency query bisection and assembly need.  Simplex records are
-append-only: a bisected parent stays as a dead record so refinement genealogy
-(parent/children links, vertex parent edges) survives for transfer operators
-and point location.
+The mesh stores vertices and d-simplices only.  Each vertex keeps a ring (the
+set of live simplices touching it), which answers the adjacency queries of
+bisection.  Everything assembly and the indicators integrate over comes from
+`Mesh.tables()`: a `MeshTables` value of element geometry and face incidence
+as arrays, built with a few numpy operations on first use and kept until the
+mesh's simplices change.  Simplex records are append-only: a bisected parent
+stays as a dead record so refinement genealogy (parent/children links, vertex
+parent edges) survives for transfer operators and point location.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elements import linear_element
+
 INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
@@ -23,6 +27,10 @@ _EDGES = {
     2: ((0, 1), (0, 2), (1, 2)),
     3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
 }
+# local vertex indices of face i, the face opposite vertex i
+LOCAL_FACES = {d: np.array([[k for k in range(d + 1) if k != i] for i in range(d + 1)])
+          for d in (2, 3)}
+MAX_CLOSURE_PASSES = 100
 
 
 class MeshError(Exception):
@@ -79,6 +87,108 @@ def signed_volume_of_points(pts: np.ndarray) -> float:
     return float(np.linalg.det(m)) / 6.0
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    # the dot product np.linalg.norm takes, so lengths agree with face_normal's
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _across(verts: np.ndarray, d: int) -> np.ndarray:
+    """(n, d+1): for face i of each simplex (row) of verts, the row of the
+    other simplex sharing it, or -1."""
+    keys = np.sort(verts[:, LOCAL_FACES[d]], axis=2).reshape(-1, d)
+    order = np.lexsort(keys.T)
+    twin = np.all(keys[order[1:]] == keys[order[:-1]], axis=1)
+    if np.any(twin[1:] & twin[:-1]):
+        raise MeshError("a face is shared by more than two simplices")
+    a, b = order[:-1][twin], order[1:][twin]
+    across = np.full(len(keys), -1)
+    across[a], across[b] = b // (d + 1), a // (d + 1)
+    return across.reshape(-1, d + 1)
+
+
+class MeshTables:
+    """Element geometry and face incidence of one mesh state, as arrays (the
+    element and edge arrays of Funken, Praetorius & Wissgott, CMAM 11, 2011).
+
+    Element rows are the live simplices in id order: `ids`, vertex ids `verts`
+    (n, d+1), the determinant `det` of the map x = p0 + J xi, the gradients
+    `grads` (n, d+1, d) of the linear basis and the inscribed diameter `h`.
+    Face rows are the faces that carry an integral, in (owner id, local index)
+    order: flux (NEUMANN) faces, and interior faces once, from the lower id.
+    `owner` and `neighbor` are element rows (-1: flux face), `local` the index
+    of the owner's vertex opposite the face, `flag` its class, `fverts` (m, d)
+    its vertex ids in the owner's order, `normal` the unit normal out of the
+    owner, `measure` its length or area and `hf` its inscribed diameter.  The
+    arithmetic is that of `ElementGeometry.of`, `Mesh.face_normal` and
+    `signed_volume_of_points`, so each value is bitwise theirs.
+    """
+
+    def __init__(self, mesh: "Mesh"):
+        d = mesh.dim
+        self.coords = mesh.coords
+        self.ids = mesh.live_simplices()
+        self.verts = verts = mesh.sverts[self.ids]
+        pts = self.coords[verts]
+        edges = pts[:, 1:] - pts[:, :1]
+        jac = edges.transpose(0, 2, 1)
+        self.det = np.linalg.det(jac)
+        self.grads = linear_element(d).grad_ref() @ np.linalg.inv(jac)
+
+        # the d+1 faces of every simplex, face i opposite vertex i
+        fpts = pts[:, LOCAL_FACES[d]]
+        t = fpts[..., 1, :] - fpts[..., 0, :]
+        if d == 2:
+            measure = _norm(t)
+            normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / measure[..., None]
+            vol = 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
+        else:
+            c = np.cross(t, fpts[..., 2, :] - fpts[..., 0, :])
+            area2 = _norm(c)
+            measure = 0.5 * area2
+            normal = c / area2[..., None]
+            vol = np.linalg.det(edges) / 6.0
+        inward = np.vecdot(normal, fpts.mean(axis=-2) - pts) < 0
+        normal = np.where(inward[..., None], -normal, normal)
+        self.h = 2.0 * d * np.abs(vol) / measure.sum(axis=1)
+
+        flags = mesh.sflags[self.ids]
+        across = _across(verts, d)
+        rows = np.arange(len(verts))[:, None]
+        face = np.nonzero((flags == NEUMANN) | ((flags == INTERIOR) & (across > rows)))
+        self.owner, self.local = face
+        self.flag = flags[face]
+        self.neighbor = np.where(self.flag == NEUMANN, -1, across[face])
+        self.fverts = verts[self.owner[:, None], LOCAL_FACES[d][self.local]]
+        self.normal, self.measure, self.hf = normal[face], measure[face], measure[face]
+        if d == 3:
+            p = fpts[face]
+            perimeter = (_norm(p[:, 1] - p[:, 0]) + _norm(p[:, 2] - p[:, 1])
+                         + _norm(p[:, 0] - p[:, 2]))
+            self.hf = 4.0 * self.measure / perimeter
+
+    def gather(self, values: np.ndarray):
+        """A vertex field's values (n, d+1, nc) at each simplex's vertices and
+        its constant gradient (n, nc, d) on each simplex."""
+        uloc = values[self.verts]
+        return uloc, uloc.transpose(0, 2, 1) @ self.grads
+
+    def element_points(self, ref: np.ndarray) -> np.ndarray:
+        """Reference points (nq, d) mapped into every simplex: (n, nq, d)."""
+        return _affine(self.coords[self.verts], ref)
+
+    def face_quadrature(self, rule):
+        """Points (m, nq, d) and weights (m, nq) of a rule on the reference
+        face, its weights summing to the face's measure, on every face row."""
+        ref_measure = 1.0 if self.coords.shape[1] == 2 else 0.5
+        return (_affine(self.coords[self.fverts], rule.points),
+                rule.weights * (self.measure / ref_measure)[:, None])
+
+
+def _affine(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    # x = p0 + ref @ (p_k - p0) for each vertex set pts (n, k + 1, d)
+    return pts[:, None, 0] + np.atleast_2d(ref) @ (pts[:, 1:] - pts[:, :1])
+
+
 class Mesh:
     """Conforming simplex mesh of dimension 2 or 3 with bisection refinement."""
 
@@ -102,6 +212,7 @@ class Mesh:
         self._sorder = np.full((cap, 4), -1, dtype=np.int64)
         self._stag = np.zeros(cap, dtype=np.int8)
         self._finalized = False
+        self._tables = None
 
     # ------------------------------------------------------------------ storage
 
@@ -181,6 +292,7 @@ class Mesh:
         self._sorder[sid] = order
         self._stag[sid] = tag
         self._ns += 1
+        self._tables = None
         for v in verts:
             self.rings[v].add(sid)
         return sid
@@ -197,7 +309,7 @@ class Mesh:
             flags = (INTERIOR,) * (self.dim + 1)
         return self._push_simplex(verts, flags, -1, (-1, -1, -1, -1), 0)
 
-    def finalize(self, boundary=None, fix_orientation: bool = True, validate: bool = True):
+    def finalize(self, boundary=None, fix_orientation: bool = True):
         """Close construction: orient simplices, flag boundary faces, derive vertex classes.
 
         boundary: None keeps the flags handed to add_simplex; an int flags every
@@ -218,51 +330,33 @@ class Mesh:
             elif vol == 0:
                 raise MeshError(f"simplex {s} is degenerate")
         if boundary is not None:
-            counts: dict = {}
-            for s in range(self._ns):
-                for i in range(self.dim + 1):
-                    key = self._face_key(s, i)
-                    counts[key] = counts.get(key, 0) + 1
-            for s in range(self._ns):
-                for i in range(self.dim + 1):
-                    if counts[self._face_key(s, i)] == 1:
-                        if callable(boundary):
-                            fverts = [int(v) for k, v in enumerate(self._sverts[s]) if k != i]
-                            c = boundary(self.coords[fverts].mean(axis=0))
-                        else:
-                            c = boundary
-                        self._sflags[s, i] = c
-                    else:
-                        self._sflags[s, i] = INTERIOR
+            across = _across(self.sverts, self.dim)
+            self.sflags[across >= 0] = INTERIOR
+            for s, i in zip(*np.nonzero(across < 0)):
+                if callable(boundary):
+                    fverts = self._sverts[s, LOCAL_FACES[self.dim][i]]
+                    c = boundary(self.coords[fverts].mean(axis=0))
+                else:
+                    c = boundary
+                self._sflags[s, i] = c
         self._derive_vertex_classes()
         if self.dim == 3:
             for s in range(self._ns):
                 if self._sorder[s, 0] < 0:
                     self._assign_initial_mark(s)
         self._finalized = True
-        if validate:
-            self.check_conformity()
+        self._tables = None
+        self.check_conformity()
         return self
 
     def _derive_vertex_classes(self):
-        vclass = self.vclass
-        vclass[:] = INTERIOR
-        dir_touch = np.zeros(self._nv, dtype=bool)
-        neu_touch = np.zeros(self._nv, dtype=bool)
-        for s in range(self._ns):
-            if not self._salive[s]:
-                continue
-            for i in range(self.dim + 1):
-                fl = self._sflags[s, i]
-                if fl == INTERIOR:
-                    continue
-                touch = dir_touch if fl == DIRICHLET else neu_touch
-                for k, v in enumerate(self._sverts[s, :self.dim + 1]):
-                    if k != i:
-                        touch[v] = True
+        live = self.live_simplices()
+        fverts = self.sverts[live][:, LOCAL_FACES[self.dim]]
+        flags = self.sflags[live]
+        self.vclass[:] = INTERIOR
+        self.vclass[fverts[(flags != INTERIOR) & (flags != DIRICHLET)]] = NEUMANN
         # dirichlet wins where both kinds of face meet at a vertex
-        vclass[neu_touch] = NEUMANN
-        vclass[dir_touch] = DIRICHLET
+        self.vclass[fverts[flags == DIRICHLET]] = DIRICHLET
 
     def _assign_initial_mark(self, s: int):
         # refinement edge = longest edge, ties broken on the (min id, max id) pair
@@ -309,9 +403,11 @@ class Mesh:
     def bbox(self):
         return self.coords.min(axis=0), self.coords.max(axis=0)
 
-    def _face_key(self, sid: int, i: int):
-        verts = self._sverts[sid]
-        return tuple(sorted(int(v) for k, v in enumerate(verts[:self.dim + 1]) if k != i))
+    def tables(self) -> MeshTables:
+        """The tables of the current state; a new simplex or finalize drops them."""
+        if self._tables is None:
+            self._tables = MeshTables(self)
+        return self._tables
 
     def neighbor(self, sid: int, i: int) -> int:
         """Live simplex across face i of sid, or -1 on the boundary."""
@@ -380,11 +476,11 @@ class Mesh:
 
     # ------------------------------------------------------------------ refinement
 
-    def bisect(self, sid: int, max_passes: int = 100) -> RefinementReport:
+    def bisect(self, sid: int) -> RefinementReport:
         """Bisect one simplex at its refinement edge midpoint, then restore conformity."""
-        return self.refine_marked([sid], max_passes=max_passes)
+        return self.refine_marked([sid])
 
-    def refine_marked(self, marked, max_passes: int = 100) -> RefinementReport:
+    def refine_marked(self, marked) -> RefinementReport:
         """Bisect every marked simplex, then close until the mesh conforms again.
 
         Midpoints are deduplicated through a per-call (min vid, max vid) hash, so
@@ -401,9 +497,9 @@ class Mesh:
         passes = 0
         while queue:
             passes += 1
-            if passes > max_passes:
+            if passes > MAX_CLOSURE_PASSES:
                 raise MeshError(
-                    f"conformity closure exceeded {max_passes} passes; "
+                    f"conformity closure exceeded {MAX_CLOSURE_PASSES} passes; "
                     f"simplex {queue[0]} still hangs (inconsistent marking?)")
             for s in queue:
                 if self._salive[s]:
@@ -490,25 +586,17 @@ class Mesh:
         simplices flagged interior, every boundary face owned by one simplex with
         a boundary flag, rings consistent, volumes positive.
         """
-        faces: dict = {}
-        for s in self.live_simplices():
-            s = int(s)
-            if self.signed_volume(s) <= 0:
+        live = self.live_simplices()
+        for s in live:
+            if self.signed_volume(int(s)) <= 0:
                 raise MeshError(f"simplex {s} has non-positive volume")
-            for i in range(self.dim + 1):
-                faces.setdefault(self._face_key(s, i), []).append((s, i))
-        for key, owners in faces.items():
-            if len(owners) > 2:
-                raise MeshError(f"face {key} is shared by {len(owners)} simplices")
-            if len(owners) == 2:
-                for s, i in owners:
-                    if self._sflags[s, i] != INTERIOR:
-                        raise MeshError(f"interior face {key} of simplex {s} carries a boundary flag")
-            else:
-                s, i = owners[0]
-                if self._sflags[s, i] == INTERIOR:
-                    raise MeshError(f"boundary face {key} of simplex {s} is unflagged "
-                                    "(hanging node or missing boundary data)")
+        across = _across(self.sverts[live], self.dim)
+        for r, i in zip(*np.nonzero((across >= 0) == (self.sflags[live] != INTERIOR))):
+            s = int(live[r])
+            if across[r, i] >= 0:
+                raise MeshError(f"interior face {i} of simplex {s} carries a boundary flag")
+            raise MeshError(f"boundary face {i} of simplex {s} is unflagged "
+                            "(hanging node or missing boundary data)")
         for v in range(self._nv):
             for s in self.rings[v]:
                 if not self._salive[s]:

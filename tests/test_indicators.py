@@ -7,9 +7,8 @@ import pytest
 from afem.assembly import (dirichlet_start, evaluate_functional, interpolate,
                            measure_error)
 from afem.generators import unit_cube, unit_square
-from afem.indicators import (IndicatorField, domain_average, dual_indicator,
-                             inscribed_diameter, mark, residual_indicator,
-                             solve_dual)
+from afem.indicators import (IndicatorField, domain_average, dual_indicator, mark,
+                             residual_indicator, solve_dual)
 from afem.mesh import DIRICHLET, INTERIOR, Mesh
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import ProblemDefinition, SolutionField
@@ -42,7 +41,7 @@ def test_single_triangle_oracle():
     # inscribed diameter h_s = 2 - sqrt(2) of the unit right triangle
     m = reference_triangle()
     ind = residual_indicator(poisson(1.0), SolutionField.zeros(m), p=2.0)
-    hs = inscribed_diameter(m, 0)
+    hs = m.tables().h[0]
     assert abs(hs - (2.0 - math.sqrt(2.0))) < 1e-14
     eta = ind.eta[0]
     assert abs(eta - (math.sqrt(2.0) - 1.0)) < 1e-14

@@ -1,8 +1,8 @@
 """Assembly, indicators and error measurement against the per-point oracle.
 
 `pointwise_oracle.py` keeps the loops that walked the mesh on their own.  The
-library now runs every one of them over the element and face walks of
-`afem.assembly`; the arithmetic is meant to be unchanged, so on meshes without
+library now runs every one of them over the element and face rows of
+`Mesh.tables()`; the arithmetic is meant to be unchanged, so on meshes without
 flux faces the results must be bitwise equal.  On the annulus with a
 flux-flagged outer circle the Robin terms are compared to 1e-12 relative;
 there each constraint form runs with its Robin and source data set.
