@@ -591,6 +591,7 @@ class Mesh:
             if self.signed_volume(int(s)) <= 0:
                 raise MeshError(f"simplex {s} has non-positive volume")
         across = _across(self.sverts[live], self.dim)
+        # a face with a neighbour must be flagged interior, one without must not
         for r, i in zip(*np.nonzero((across >= 0) == (self.sflags[live] != INTERIOR))):
             s = int(live[r])
             if across[r, i] >= 0:
