@@ -101,24 +101,15 @@ def face_rule(dim: int, n: int = 3) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class ElementDef:
-    """Nodal simplex element: basis values/gradients in reference coordinates."""
+    """Linear nodal simplex element: its rule, whose barycentric coordinates
+    are the basis values at the rule points, and the basis gradients in
+    reference coordinates."""
 
     dim: int
-    degree: int
     rule: QuadratureRule
 
-    @property
-    def n_basis(self) -> int:
-        return self.dim + 1
-
-    def basis_at(self, ref_points: np.ndarray) -> np.ndarray:
-        """(npoints, n_basis) array of basis values; basis i is 1 at vertex i."""
-        ref_points = np.atleast_2d(ref_points)
-        lam0 = 1.0 - ref_points.sum(axis=1, keepdims=True)
-        return np.hstack([lam0, ref_points])
-
     def grad_ref(self) -> np.ndarray:
-        """(n_basis, dim) constant reference gradients of the linear basis."""
+        """(d+1, dim) constant reference gradients of the linear basis."""
         g = np.zeros((self.dim + 1, self.dim))
         g[0, :] = -1.0
         g[1:, :] = np.eye(self.dim)
@@ -129,7 +120,7 @@ def linear_element(dim: int) -> ElementDef:
     """The default element: linear nodal basis with the degree-2 rule."""
     if dim not in (2, 3):
         raise ValueError(f"no element for dimension {dim}")
-    return ElementDef(dim, 1, default_rule(dim))
+    return ElementDef(dim, default_rule(dim))
 
 
 @dataclass

@@ -11,10 +11,13 @@ so by default it works on one uniform refinement of the current mesh.
 Both integrate the same strong-form pieces, `_residual_terms`, over the
 element and face rows of the mesh's `MeshTables`: the residual SFt(0) on each
 simplex, SFt(1) on each flux face, and the jump of the flux SFt(2) on each
-interior face, visited once.  SFt is derived from the problem's Ft (see
-`ProblemDefinition.SFt`): the source B, the flux residual C + A.n and the
-flux A.n.  The indicators differ only in how a residual value is weighed at
-a point and where the integral is credited.
+interior face, visited once.  SFt is derived from the problem's batched Ft
+(see `ProblemDefinition.SFt`): the source B, the flux residual C + A.n and
+the flux A.n.  Each is one call over all points of its block: simplices,
+flux faces, and both sides of the interior faces at once.  The indicators
+differ only in how a residual value is weighed at a point and where the
+integral is credited; `_credit` books the face terms for both.  The dual's
+functional density psi is a function of one point, read through `sample`.
 
 Element and face sizes h_s, h_f are inscribed-sphere diameters, read from the
 tables' `h` and `hf` columns.  Interior face terms carry a factor 1/2 so a
@@ -30,8 +33,8 @@ import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
 from .elements import default_rule, fine_rule, face_rule
-from .problem import ProblemDefinition, SolutionField
-from .assembly import free_dof_mask
+from .problem import ProblemDefinition, SolutionField, sample
+from .assembly import _dofs, _dot, _point_values, _row_sums, free_dof_mask
 from .multilevel import prolongation_from_refinement
 
 _REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
@@ -66,52 +69,58 @@ def _volume_weights(tab, rule):
 
 def _residual_terms(problem: ProblemDefinition, u: SolutionField, w, rule, pair):
     """Integrals of the strong residual r of u, weighed at each point by
-    pair(r, value of the field w there, or None when w is None).
+    pair(r, value of the field w there, or None when w is None), both (P, nc)
+    over P points.
 
     Returns the terms of the element rows of the mesh's tables, with
     r = SFt(0) and `rule`, and of its face rows, with r = SFt(1) on a flux
     face and the jump of SFt(2) across an interior face.  Faces use the
     2-point Gauss rule on edges, the 3-point edge-midpoint rule on triangles.
+    Each term adds its points one after another, and each block of points is
+    one SFt call; an empty block is skipped.
     """
     mesh = u.mesh
     tab = mesh.tables()
     uloc, gu = tab.gather(u.values)
-    wloc = None if w is None else w.values[tab.verts]
     bary = rule.barycentric
-    xq = tab.element_points(rule.points)
-    wq = _volume_weights(tab, rule)
-    terms = np.zeros(len(tab.ids))
-    for k in range(len(terms)):
-        term = 0.0
-        for q in range(len(bary)):
-            wv = None if w is None else bary[q] @ wloc[k]
-            r0 = np.asarray(problem.SFt(0, xq[k, q], None, bary[q] @ uloc[k], gu[k]),
-                            dtype=float)
-            term += wq[k, q] * pair(r0, wv)
-        terms[k] = term
+    nq = len(bary)
+    wv = None if w is None else _point_values(bary, w.values[tab.verts])
+    r0 = problem.SFt(0, tab.element_points(rule.points).reshape(-1, mesh.dim), None,
+                     _point_values(bary, uloc), np.repeat(gu, nq, axis=0))
+    terms = _row_sums(_volume_weights(tab, rule) * pair(r0, wv).reshape(-1, nq))
 
     frule = face_rule(2, 2) if mesh.dim == 2 else default_rule(2)
     fbary = frule.barycentric
     fxq, fwq = tab.face_quadrature(frule)
-    uf = u.values[tab.fverts]
-    wf = None if w is None else w.values[tab.fverts]
-    face_terms = np.zeros(len(tab.owner))
-    for j, (s, t, n) in enumerate(zip(tab.owner, tab.neighbor, tab.normal)):
-        term = 0.0
-        for q in range(len(fbary)):
-            x = fxq[j, q]
-            uq = fbary[q] @ uf[j]
-            wv = None if w is None else fbary[q] @ wf[j]
-            if t < 0:
-                r = np.asarray(problem.SFt(1, x, n, uq, gu[s]), dtype=float)
-            else:
-                # the normal leaves s: the jump is (flux in s) - (flux in t)
-                flux_s = np.asarray(problem.SFt(2, x, n, uq, gu[s]), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, x, n, uq, gu[t]), dtype=float)
-                r = flux_s - flux_t
-            term += fwq[j, q] * pair(r, wv)
-        face_terms[j] = term
-    return terms, face_terms
+    fq = len(fbary)
+    x = fxq.reshape(-1, mesh.dim)
+    n = np.repeat(tab.normal, fq, axis=0)
+    uq = _point_values(fbary, u.values[tab.fverts])
+    wv = None if w is None else _point_values(fbary, w.values[tab.fverts])
+    owner, neighbor = np.repeat(tab.owner, fq), np.repeat(tab.neighbor, fq)
+    r = np.empty_like(uq)
+    flux, inner = np.flatnonzero(neighbor < 0), np.flatnonzero(neighbor >= 0)
+    if flux.size:
+        r[flux] = problem.SFt(1, x[flux], n[flux], uq[flux], gu[owner[flux]])
+    if inner.size:
+        # the normal leaves the owner: the jump is (flux in owner) - (flux in
+        # neighbour), both sides in one call
+        both = np.concatenate((inner, inner))
+        sides = problem.SFt(2, x[both], n[both], uq[both],
+                            gu[np.concatenate((owner[inner], neighbor[inner]))])
+        r[inner] = sides[:inner.size] - sides[inner.size:]
+    return terms, _row_sums(fwq * pair(r, wv).reshape(-1, fq))
+
+
+def _credit(acc, pos, tab, terms):
+    """Add each face's term to acc[pos[owner]], or half of it to
+    acc[pos[owner]] and half to acc[pos[neighbor]] across an interior face,
+    one face after another."""
+    inner = tab.neighbor >= 0
+    val = np.where(inner, 0.5 * terms, terms)
+    keep = np.column_stack((np.ones_like(inner), inner))
+    np.add.at(acc, np.column_stack((pos[tab.owner], pos[tab.neighbor]))[keep],
+              np.column_stack((val, val))[keep])
 
 
 def residual_indicator(problem: ProblemDefinition, u: SolutionField,
@@ -123,18 +132,10 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
     mesh = u.mesh
     tab = mesh.tables()
     terms, face_terms = _residual_terms(problem, u, None, default_rule(mesh.dim),
-                                        lambda r, _: float(np.sum(np.abs(r) ** p)))
-    acc = [float(h) ** p * term for h, term in zip(tab.h, terms)]
-    for s, t, hf, term in zip(tab.owner, tab.neighbor, tab.hf, face_terms):
-        if t < 0:
-            acc[s] += hf * term
-        else:
-            half = 0.5 * hf * term
-            acc[s] += half
-            acc[t] += half
-
-    eta = {int(s): v ** (1.0 / p) for s, v in zip(tab.ids, acc)}
-    return IndicatorField(mesh, eta, p)
+                                        lambda r, _: (np.abs(r) ** p).sum(axis=1))
+    acc = tab.h ** p * terms
+    _credit(acc, np.arange(len(acc)), tab, tab.hf * face_terms)
+    return IndicatorField(mesh, dict(zip(tab.ids.tolist(), (acc ** (1.0 / p)).tolist())), p)
 
 
 def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
@@ -184,7 +185,6 @@ class DualWeights:
     """Discrete dual solution and the bookkeeping to use it as error weights."""
 
     phi: SolutionField          # dual solution on the (usually refined) mesh
-    psi: object                 # functional density, callable x -> (nc,)
     fine_mesh: Mesh
     coarse_live: set            # live simplex ids of the primal mesh
     n_coarse_vertices: int
@@ -192,31 +192,20 @@ class DualWeights:
     same_space: bool = False
 
 
-def domain_average(mesh: Mesh, n_components: int = 1):
-    """psi for the mean-error functional: constant 1/|domain| per component."""
-    vol = sum(abs(mesh.signed_volume(int(s))) for s in mesh.live_simplices())
-    w = 1.0 / vol
-
-    def psi(x):
-        return np.full(n_components, w)
-
-    return psi
-
-
 def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     """Vector of <psi, basis_i> integrals, with the assembly quadrature rule
     (so a self-adjoint problem with psi = its own load reproduces the primal
-    system exactly)."""
+    system exactly).  psi is a function of one point, read through `sample`."""
     rule = default_rule(mesh.dim)
     tab = mesh.tables()
-    b = np.zeros(mesh.n_vertices * nc)
     bary = rule.barycentric
-    wq = _volume_weights(tab, rule)
-    for k, xq in enumerate(tab.element_points(rule.points)):
-        for q in range(len(bary)):
-            pv = np.asarray(psi(xq[q]), dtype=float)
-            for j, vj in enumerate(tab.verts[k]):
-                b[vj * nc:(vj + 1) * nc] += wq[k, q] * bary[q, j] * pv
+    (n, nb), nq = tab.verts.shape, len(bary)
+    pv = sample(psi, tab.element_points(rule.points).reshape(-1, mesh.dim), (nc,))
+    vals = (_volume_weights(tab, rule)[:, :, None, None] * bary[:, :, None]
+            * pv.reshape(n, nq, 1, nc))
+    b = np.zeros(mesh.n_vertices * nc)
+    dofs = np.broadcast_to(_dofs(tab.verts, nc)[:, None], (n, nq, nb * nc))
+    np.add.at(b, dofs, vals.reshape(n, nq, nb * nc))
     return b
 
 
@@ -233,7 +222,7 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
         raise IndicatorError("dual solve needs the linearization callback DFt")
     mesh = u.mesh
     nc = problem.n_components
-    coarse_live = {int(s) for s in mesh.live_simplices()}
+    coarse_live = set(mesh.live_simplices().tolist())
     ncv = mesh.n_vertices
     if same_space:
         fine = mesh
@@ -256,7 +245,7 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
         raise IndicatorError("adjoint system is singular; the functional is "
                              "not estimable at this state")
     phi = SolutionField.from_flat(fine, nc, phi_flat)
-    return DualWeights(phi, psi, fine, coarse_live, ncv, prol, same_space)
+    return DualWeights(phi, fine, coarse_live, ncv, prol, same_space)
 
 
 def dual_indicator(problem: ProblemDefinition, u: SolutionField,
@@ -281,22 +270,18 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
     w = SolutionField.from_flat(mesh, nc, w_flat)
 
     tab = mesh.tables()
-    terms, face_terms = _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3),
-                                        lambda r, wv: float(r @ wv))
-    coarse = [mesh.coarse_ancestor(int(s), weights.coarse_live) for s in tab.ids]
-    contrib = {s: 0.0 for s in weights.coarse_live}
-    for c, term in zip(coarse, terms):
-        contrib[c] += term
-    for s, t, term in zip(tab.owner, tab.neighbor, face_terms):
-        if t < 0:
-            contrib[coarse[s]] += term
-        else:
-            half = 0.5 * term
-            contrib[coarse[s]] += half
-            contrib[coarse[t]] += half
+    terms, face_terms = _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3), _dot)
+    coarse = np.fromiter(weights.coarse_live, dtype=np.int64)
+    pos = np.zeros(len(mesh.sparent), dtype=np.int64)
+    pos[coarse] = np.arange(len(coarse))
+    rows = pos[mesh.coarse_ancestors(tab.ids, coarse)]
+    contrib = np.zeros(len(coarse))
+    np.add.at(contrib, rows, terms)
+    _credit(contrib, rows, tab, face_terms)
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
-    # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution
-    estimate = -float(sum(contrib.values()))
-    eta = {s: abs(v) for s, v in contrib.items()}
-    return IndicatorField(u.mesh, eta, 2.0), estimate
+    # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution; the terms
+    # are summed in coarse_live's order, one after another
+    estimate = -float(_row_sums(contrib[None])[0])
+    return IndicatorField(u.mesh, dict(zip(coarse.tolist(), np.abs(contrib).tolist())),
+                          2.0), estimate

@@ -449,15 +449,17 @@ class Mesh:
             s = int(self._sparent[s])
         return s
 
-    def coarse_ancestor(self, sid: int, coarse_live) -> int:
-        """The ancestor of sid (or sid itself) that lies in coarse_live, the
-        live simplex ids of an earlier state of this mesh."""
-        s = int(sid)
-        while s not in coarse_live:
-            s = int(self._sparent[s])
-            if s < 0:
+    def coarse_ancestors(self, ids, coarse) -> np.ndarray:
+        """The ancestor of each simplex in ids (or the simplex itself) that lies
+        in coarse, the live simplex ids of an earlier state of this mesh."""
+        anc = np.array(ids, dtype=np.int64)
+        coarse = np.fromiter(coarse, dtype=np.int64)
+        while (up := ~np.isin(anc, coarse)).any():
+            anc[up] = self._sparent[anc[up]]
+            if (anc < 0).any():
+                sid = np.asarray(ids)[np.argmax(anc < 0)]
                 raise MeshError(f"simplex {sid} has no ancestor in the coarse live set")
-        return s
+        return anc
 
     def locate(self, x, root: int) -> int:
         """Live descendant of root containing point x, found by genealogy descent."""

@@ -217,8 +217,8 @@ def local_solve(problem, coarse: Mesh, u_coarse: SolutionField,
             if mesh.n_vertices >= budget:
                 break
             field = residual_indicator(problem, u)
-            local_eta = {s: v for s, v in field.eta.items()
-                         if mesh.coarse_ancestor(s, coarse_live) in region}
+            ancestors = mesh.coarse_ancestors(list(field.eta), coarse_live).tolist()
+            local_eta = {s: v for (s, v), a in zip(field.eta.items(), ancestors) if a in region}
             marks = mark(IndicatorField(mesh, local_eta, p=field.p), strategy, theta)
             if not marks:
                 break

@@ -1,21 +1,26 @@
-"""Problem definitions: the pointwise template and fields.
+"""Problem definitions: the batched template, pointwise data, and fields.
 
 A problem poses -div A(u) + B(u) = 0 in the domain with the flux condition
 A(u).n + C(u) = 0 on flagged boundary faces, through two callbacks evaluated
-one quadrature point at a time, plus dirichlet data:
+at all quadrature points of a block at once, plus dirichlet data:
 
-    Ft(t, x, n, u, gu)    F = [A.ravel(), B], length nc (d+1)
-    DFt(t, x, n, u, gu)   K = dF/dz, (nc (d+1), nc (d+1)), z = [gu.ravel(), u]
+    Ft(t, x, n, u, gu)    F = [A.ravel(), B], (N, nc (d+1))
+    DFt(t, x, n, u, gu)   K = dF/dz, (N, nc (d+1), nc (d+1)), z = [gu.ravel(), u]
 
-t selects the term: at t=0 (elements, n is None) A is the (nc, d) flux and B
-the source; at t=1 (flagged boundary faces, n the outward unit normal) the A
-slots are zero and B holds C.  u is the component vector, gu its gradient
-(rows = components).  The weak residual against a test function v is
-F . [gv.ravel(), v], its linearization in direction w is
-[gv.ravel(), v] . K . [gw.ravel(), w].  Problem data enters through the
-callbacks' closures.  `ProblemDefinition.SFt` derives the strong-form pieces
-the indicators integrate.  Dot products are Euclidean: the constraint system
-of `problems.py` is posed in the flat chart.
+The arguments carry a leading point axis: x (N, d) the points, n (N, d) the
+outward unit normals or None, u (N, nc) the component values and gu
+(N, nc, d) their gradients (rows = components).  t selects the term: at t=0
+(elements, n is None) A is the (nc, d) flux and B the source; at t=1 (flagged
+boundary faces) the A slots are zero and B holds C.  The weak residual
+against a test function v is F . [gv.ravel(), v], its linearization in
+direction w is [gv.ravel(), v] . K . [gw.ravel(), w].  Problem data enters
+through the callbacks' closures.  `ProblemDefinition.SFt` derives the
+strong-form pieces the indicators integrate.  Dot products are Euclidean:
+the constraint system of `problems.py` is posed in the flat chart.
+
+Data callables stay pointwise: dirichlet data, exact solutions, functional
+densities and coefficients take one point x (d,) and are read through
+`sample`, which calls them once per point.
 """
 
 from __future__ import annotations
@@ -23,6 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def sample(v, x, shape=()):
+    """Values (N,) + shape of the data v at the points x (N, d): zero when v
+    is None, a constant broadcast to every point, or a callable of one point,
+    called once per point.  Values broadcast to shape."""
+    n = len(x)
+    if v is None:
+        return np.zeros((n,) + shape)
+    if not callable(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), (n,) + shape)
+    out = np.empty((n,) + shape)
+    for i, p in enumerate(x):
+        out[i] = v(p)
+    return out
 
 
 @dataclass
@@ -45,13 +65,6 @@ class SolutionField:
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def copy(self) -> "SolutionField":
-        return SolutionField(self.mesh, self.n_components, self.values.copy())
-
-    def eval_in(self, sid: int, bary: np.ndarray) -> np.ndarray:
-        verts = self.mesh.sverts[sid]
-        return np.tensordot(bary, self.values[verts], axes=(0, 0))
-
 
 @dataclass
 class ProblemDefinition:
@@ -70,19 +83,16 @@ class ProblemDefinition:
     initial_value: np.ndarray = None
     constraint_coefficients: object = None
 
-    def dirichlet_vec(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.dirichlet(x), dtype=float))
-
     def SFt(self, t, x, n, u, gu) -> np.ndarray:
-        """Strong-form pieces, one value per component: the source B at t=0,
-        the flux residual C + A.n at t=1 and the flux A.n at t=2 (interior
-        faces, whose jumps feed the indicator).  div A vanishes elementwise
-        for linear elements."""
+        """Strong-form pieces (N, nc), one value per component and point: the
+        source B at t=0, the flux residual C + A.n at t=1 and the flux A.n at
+        t=2 (interior faces, whose jumps feed the indicator).  div A vanishes
+        elementwise for linear elements."""
         f = self.Ft(0, x, n, u, gu)
-        m = gu.size
+        m = f.shape[1] - u.shape[1]
         if t == 0:
-            return f[m:]
-        flux = f[:m].reshape(self.n_components, -1) @ n
+            return f[:, m:]
+        flux = (f[:, :m].reshape(gu.shape) @ n[:, :, None])[..., 0]
         if t == 2:
             return flux
-        return self.Ft(1, x, n, u, gu)[m:] + flux
+        return self.Ft(1, x, n, u, gu)[:, m:] + flux

@@ -11,11 +11,14 @@ Sign conventions follow the template
     u = g                     on dirichlet boundary,
 
 whose weak residual is F(u)(v) = int A:grad v + B.v dx + int_bdry C.v ds.
-Each problem states the template once, pointwise: Ft returns [A.ravel(), B]
-on elements and [0, C] on flux faces, DFt their derivative with respect to
-[grad u .ravel(), u] (see `problem.py`).  The strong-form pieces the
-indicators use, ProblemDefinition.SFt, are derived from Ft.  The constraint
-system is posed in the flat chart: its background metric is the identity.
+Each problem states the template once, for a whole block of points: Ft
+returns rows [A.ravel(), B] on elements and [0, C] on flux faces, DFt their
+derivative with respect to [grad u .ravel(), u] (see `problem.py`), both as
+numpy expressions over the points.  Exact solutions, dirichlet data and the
+`ConstraintCoefficients` entries stay functions of one point, read through
+`problem.sample`.  The strong-form pieces the indicators use,
+ProblemDefinition.SFt, are derived from Ft.  The constraint system is posed
+in the flat chart: its background metric is the identity.
 """
 
 from __future__ import annotations
@@ -24,27 +27,27 @@ import math
 import numpy as np
 
 from . import generators
-from .problem import ProblemDefinition
+from .problem import ProblemDefinition, sample
 
 
 # --------------------------------------------------------------------- scalar
 
-def _scalar_jacobian(d, a_gu, b_u):
-    """dF/dz of a scalar problem with flux A = a_gu grad u and a source (or
-    boundary term) of slope b_u in u."""
-    k = a_gu * np.eye(d + 1)
-    k[d, d] = b_u
+def _scalar_jacobian(n, d, a_gu, b_u):
+    """dF/dz (n, d+1, d+1) at n points of a scalar problem with flux
+    A = a_gu grad u and a source (or boundary term) of slope b_u in u."""
+    k = np.repeat((a_gu * np.eye(d + 1))[None], n, axis=0)
+    k[:, d, d] = b_u
     return k
 
 
 def _poisson_callbacks(f):
     def Ft(t, x, n, u, gu):
         if t == 0:
-            return np.concatenate((gu[0], (-f(x),)))
-        return np.zeros(gu.size + 1)
+            return np.column_stack((gu[:, 0], -f(x)))
+        return np.zeros((len(x), x.shape[1] + 1))
 
     def DFt(t, x, n, u, gu):
-        return _scalar_jacobian(gu.size, 1.0 if t == 0 else 0.0, 0.0)
+        return _scalar_jacobian(len(x), x.shape[1], 1.0 if t == 0 else 0.0, 0.0)
 
     return Ft, DFt
 
@@ -67,7 +70,7 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
             return np.array([[math.pi * cx * sy, math.pi * sx * cy]])
 
         def f(x):
-            return 2.0 * math.pi ** 2 * math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
+            return 2.0 * math.pi ** 2 * np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
 
         mesh_factory = generators.unit_square
     elif variant == "cube_sine":
@@ -82,8 +85,8 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
             return np.array([cgrad])
 
         def f(x):
-            return 3.0 * math.pi ** 2 * (math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-                                         * math.sin(math.pi * x[2]))
+            return 3.0 * math.pi ** 2 * (np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
+                                         * np.sin(math.pi * x[:, 2]))
 
         mesh_factory = generators.unit_cube
     elif variant == "corner_singularity":
@@ -108,7 +111,7 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
             return np.array([[dr * ct - dt * st, dr * st + dt * ct]])
 
         def f(x):
-            return 0.0
+            return np.zeros(len(x))
 
         mesh_factory = generators.l_shape
     else:
@@ -130,13 +133,13 @@ def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
 
     def Ft(t, x, n, u, gu):
         if t == 0:
-            return np.concatenate((gu[0], (-lam * math.exp(u[0]),)))
-        return np.zeros(gu.size + 1)
+            return np.column_stack((gu[:, 0], -lam * np.exp(u[:, 0])))
+        return np.zeros((len(x), x.shape[1] + 1))
 
     def DFt(t, x, n, u, gu):
         if t == 0:
-            return _scalar_jacobian(gu.size, 1.0, -lam * math.exp(u[0]))
-        return _scalar_jacobian(gu.size, 0.0, 0.0)
+            return _scalar_jacobian(len(x), x.shape[1], 1.0, -lam * np.exp(u[:, 0]))
+        return _scalar_jacobian(len(x), x.shape[1], 0.0, 0.0)
 
     return ProblemDefinition(
         name="bratu",
@@ -180,42 +183,23 @@ class ClampCounter:
         self.count = 0
         self._lock = threading.Lock()
 
-    def bump(self):
+    def bump(self, n):
         with self._lock:
-            self.count += 1
+            self.count += int(n)
 
     def reset(self):
         with self._lock:
             self.count = 0
 
 
-def _ev_scalar(v, x):
-    return float(v(x)) if callable(v) else float(v)
-
-
-def _ev_vector(v, x, d):
-    if v is None:
-        return np.zeros(d)
-    if callable(v):
-        return np.asarray(v(x), dtype=float)
-    return np.asarray(v, dtype=float)
-
-
-def _ev_matrix(v, x, d):
-    if v is None:
-        return np.zeros((d, d))
-    if callable(v):
-        return np.asarray(v(x), dtype=float)
-    return np.asarray(v, dtype=float)
-
-
 class ConstraintCoefficients:
     """Problem data for the constraint system.
 
-    Scalar, vector, and matrix entries accept constants or callables of x;
-    trK additionally needs trK_grad when it varies in space (the vector source
-    carries its gradient).  rho must be nonnegative and dirichlet_f positive
-    wherever sampled; both are checked at evaluation time.
+    Scalar, vector, and matrix entries accept constants or callables of one
+    point x, read through `sample`; trK additionally needs trK_grad when it
+    varies in space (the vector source carries its gradient).  rho must be
+    nonnegative and dirichlet_f positive wherever sampled; both are checked
+    at evaluation time.
     """
 
     def __init__(self, dim=3, Rhat=0.0, trK=0.0, trK_grad=None, Ahat=None,
@@ -238,40 +222,46 @@ class ConstraintCoefficients:
         if callable(trK) and trK_grad is None:
             raise ProblemError("spatially varying trK needs trK_grad")
 
-    def rho_at(self, x):
-        r = _ev_scalar(self.rho, x)
-        if r < 0.0:
-            raise ProblemError(f"rho sampled negative ({r}) at {tuple(x)}")
-        return r
-
     def interior_at(self, x):
-        """Point values the scalar-equation terms need."""
-        trk = _ev_scalar(self.trK, x)
-        return {"Rhat": _ev_scalar(self.Rhat, x), "trK2": trk * trk,
-                "rho": self.rho_at(x)}
-
-    def grad_trK_at(self, x):
-        if self.trK_grad is not None:
-            return np.asarray(self.trK_grad(x), dtype=float)
-        return np.zeros(self.dim)
+        """Values (N,) at the points x (N, d) that the scalar-equation terms
+        need."""
+        trk = sample(self.trK, x)
+        rho = sample(self.rho, x)
+        bad = np.flatnonzero(rho < 0.0)
+        if bad.size:
+            i = bad[0]
+            raise ProblemError(f"rho sampled negative ({rho[i]}) at {tuple(x[i].tolist())}")
+        return {"Rhat": sample(self.Rhat, x), "trK2": trk * trk, "rho": rho}
 
     def dirichlet_vector(self, x):
-        f = _ev_scalar(self.dirichlet_f, x)
+        """The dirichlet data (f, F^1..F^d) at one point x."""
+        f = float(sample(self.dirichlet_f, [x])[0])
         if f <= 0.0:
             raise ProblemError(f"dirichlet_f must be positive, got {f} at {tuple(x)}")
-        return np.concatenate([[f], _ev_vector(self.dirichlet_F, x, self.dim)])
+        return np.concatenate([[f], sample(self.dirichlet_F, [x], (self.dim,))[0]])
 
 
 def _clamped(phi, clamps):
-    if phi < PHI_FLOOR:
-        if clamps is not None:
-            clamps.bump()
-        return PHI_FLOOR
-    return float(phi)
+    """phi with every value below the positivity floor raised to it, each
+    such value counted once."""
+    low = phi < PHI_FLOOR
+    if clamps is not None:
+        clamps.bump(np.count_nonzero(low))
+    return np.where(low, PHI_FLOOR, phi)
+
+
+def _finite(out, what, name, at):
+    """Raise ProblemError naming the first point, by its value `name` in at,
+    where out is not finite."""
+    at = np.atleast_1d(at)
+    bad = ~np.isfinite(np.reshape(out, (len(at), -1))).all(axis=1)
+    if bad.any():
+        raise ProblemError(f"{what} not finite ({name}={at[np.argmax(bad)].tolist()})")
 
 
 def hamiltonian_Pprime(phi, at, lw_plus_a_sq, clamps=None):
-    """Scalar potential derivative; `at` maps Rhat/trK2/rho to point values.
+    """Scalar potential derivative at N points: phi and lw_plus_a_sq hold
+    (N,) point values, and `at` maps Rhat/trK2/rho to them.
 
     phi below the positivity floor is clamped (and counted) rather than fed to
     the negative powers, so the result is always finite for finite data.
@@ -279,8 +269,7 @@ def hamiltonian_Pprime(phi, at, lw_plus_a_sq, clamps=None):
     p = _clamped(phi, clamps)
     out = (0.125 * at["Rhat"] * p + at["trK2"] * p ** 5 / 12.0
            - 0.125 * lw_plus_a_sq * p ** -7 - 2.0 * math.pi * at["rho"] * p ** -3)
-    if not math.isfinite(out):
-        raise ProblemError(f"potential derivative not finite (phi={phi})")
+    _finite(out, "potential derivative", "phi", phi)
     return out
 
 
@@ -290,21 +279,20 @@ def hamiltonian_Pprime_slope(phi, at, lw_plus_a_sq, clamps=None):
     out = (0.125 * at["Rhat"] + (5.0 / 12.0) * at["trK2"] * p ** 4
            + 0.875 * lw_plus_a_sq * p ** -8
            + 6.0 * math.pi * at["rho"] * p ** -4)
-    if not math.isfinite(out):
-        raise ProblemError(f"potential second derivative not finite (phi={phi})")
+    _finite(out, "potential second derivative", "phi", phi)
     return out
 
 
-# tensor helpers
+# tensor helpers, on (..., d, d) stacks
 
 def _sym_up(grad_rows):
-    return 0.5 * (grad_rows + grad_rows.T)
+    return 0.5 * (grad_rows + np.swapaxes(grad_rows, -1, -2))
 
 
 def _lw(grad_rows, d):
     e = _sym_up(grad_rows)
-    div = np.trace(grad_rows)
-    return 2.0 * e - (2.0 / 3.0) * div * np.eye(d)
+    div = np.trace(grad_rows, axis1=-2, axis2=-1)
+    return 2.0 * e - (2.0 / 3.0) * div[..., None, None] * np.eye(d)
 
 
 def _lw_matrix(d):
@@ -314,35 +302,54 @@ def _lw_matrix(d):
 
 
 def _dot2(a, b):
-    """a^ab b^ab."""
-    return float(np.sum(a * b))
+    """a^ab b^ab at each point of (N, d, d) stacks."""
+    return (a * b).reshape(len(a), -1).sum(axis=1)
+
+
+def _robin(coeffs, x, m, phi=None, w=None):
+    """F on flux faces: m zero flux slots, then the Robin terms c phi - z
+    (when phi is given) and C W - Z (when W is) at the points x."""
+    d = coeffs.dim
+    cols = [np.zeros((len(x), m))]
+    if phi is not None:
+        cols.append(sample(coeffs.robin_c, x) * phi - sample(coeffs.robin_z, x))
+    if w is not None:
+        c = sample(coeffs.robin_C, x, (d, d))
+        cols.append((c @ w[:, :, None])[:, :, 0] - sample(coeffs.robin_Z, x, (d,)))
+    return np.column_stack(cols)
+
+
+def _momentum_source(coeffs, x, p6):
+    """The momentum source (2/3) phi^6 grad trK + 8 pi jhat at the points x."""
+    d = coeffs.dim
+    return ((2.0 / 3.0) * p6 * sample(coeffs.trK_grad, x, (d,))
+            + 8.0 * math.pi * sample(coeffs.jhat, x, (d,)))
 
 
 def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDefinition:
     """Scalar problem for the conformal factor with W = 0, so (Ahat + LW)^2
-    is Ahat^2.  source, when given, is a callable subtracted from the
-    interior residual (used by the manufactured benchmark below).
+    is Ahat^2.  source, when given, is a function of the points x (N, d)
+    subtracted from the interior residual (used by the manufactured benchmark
+    below).
     """
     d = coeffs.dim
 
     def potential(fn, x, u):
-        a = _ev_matrix(coeffs.Ahat, x, d)
-        return fn(u[0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
+        a = sample(coeffs.Ahat, x, (d, d))
+        return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
 
     def Ft(t, x, n, u, gu):
         if t == 1:
-            cb = _ev_scalar(coeffs.robin_c, x)
-            zb = _ev_scalar(coeffs.robin_z, x)
-            return np.concatenate((np.zeros(d), (cb * u[0] - zb,)))
+            return _robin(coeffs, x, d, phi=u[:, 0])
         pp = potential(hamiltonian_Pprime, x, u)
         if source is not None:
-            pp -= source(x)
-        return np.concatenate((gu[0], (pp,)))
+            pp = pp - source(x)
+        return np.column_stack((gu[:, 0], pp))
 
     def DFt(t, x, n, u, gu):
         if t == 1:
-            return _scalar_jacobian(d, 0.0, _ev_scalar(coeffs.robin_c, x))
-        return _scalar_jacobian(d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
+            return _scalar_jacobian(len(x), d, 0.0, sample(coeffs.robin_c, x))
+        return _scalar_jacobian(len(x), d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
 
     return ProblemDefinition(
         name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt,
@@ -354,32 +361,25 @@ def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     """Linear vector problem for W with the conformal factor frozen at
     phi = 1, so the phi^6 weight of the trK source is 1."""
     d = coeffs.dim
-
-    def source_vec(x):
-        return ((2.0 / 3.0) * coeffs.grad_trK_at(x)
-                + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d))
-
     m = d * d
     lw_map = _lw_matrix(d)
 
     def Ft(t, x, n, u, gu):
         if t == 1:
-            cm = _ev_matrix(coeffs.robin_C, x, d)
-            zv = _ev_vector(coeffs.robin_Z, x, d)
-            return np.concatenate((np.zeros(m), cm @ u - zv))
-        return np.concatenate((_lw(gu, d).ravel(), source_vec(x)))
+            return _robin(coeffs, x, m, w=u)
+        return np.column_stack((_lw(gu, d).reshape(len(x), m), _momentum_source(coeffs, x, 1.0)))
 
     def DFt(t, x, n, u, gu):
-        k = np.zeros((m + d, m + d))
+        k = np.zeros((len(x), m + d, m + d))
         if t == 1:
-            k[m:, m:] = _ev_matrix(coeffs.robin_C, x, d)
+            k[:, m:, m:] = sample(coeffs.robin_C, x, (d, d))
         else:
-            k[:m, :m] = lw_map
+            k[:, :m, :m] = lw_map
         return k
 
     return ProblemDefinition(
         name="momentum", n_components=d, Ft=Ft, DFt=DFt,
-        dirichlet=lambda x: _ev_vector(coeffs.dirichlet_F, x, d),
+        dirichlet=lambda x: sample(coeffs.dirichlet_F, [x], (d,))[0],
         initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
 
@@ -394,40 +394,32 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     m = nc * d
     lw_map = _lw_matrix(d)
 
-    def source_vec(x, u):
-        p6 = _clamped(u[0], coeffs.clamps) ** 6
-        return ((2.0 / 3.0) * p6 * coeffs.grad_trK_at(x)
-                + 8.0 * math.pi * _ev_vector(coeffs.jhat, x, d))
-
     def Ft(t, x, n, u, gu):
         if t == 1:
-            cb = _ev_scalar(coeffs.robin_c, x)
-            zb = _ev_scalar(coeffs.robin_z, x)
-            cm = _ev_matrix(coeffs.robin_C, x, d)
-            zv = _ev_vector(coeffs.robin_Z, x, d)
-            return np.concatenate((np.zeros(m), (cb * u[0] - zb,), cm @ u[1:] - zv))
-        lw = _lw(gu[1:], d)
-        s = _ev_matrix(coeffs.Ahat, x, d) + lw
-        pp = hamiltonian_Pprime(u[0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
-        return np.concatenate((gu[0], lw.ravel(), (pp,), source_vec(x, u)))
+            return _robin(coeffs, x, m, phi=u[:, 0], w=u[:, 1:])
+        lw = _lw(gu[:, 1:], d)
+        s = sample(coeffs.Ahat, x, (d, d)) + lw
+        pp = hamiltonian_Pprime(u[:, 0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
+        p6 = _clamped(u[:, 0], coeffs.clamps)[:, None] ** 6
+        return np.column_stack((gu[:, 0], lw.reshape(len(x), -1), pp,
+                                _momentum_source(coeffs, x, p6)))
 
     def DFt(t, x, n, u, gu):
-        k = np.zeros((m + nc, m + nc))
+        k = np.zeros((len(x), m + nc, m + nc))
         if t == 1:
-            k[m, m] = _ev_scalar(coeffs.robin_c, x)
-            k[m + 1:, m + 1:] = _ev_matrix(coeffs.robin_C, x, d)
+            k[:, m, m] = sample(coeffs.robin_c, x)
+            k[:, m + 1:, m + 1:] = sample(coeffs.robin_C, x, (d, d))
             return k
-        s = _ev_matrix(coeffs.Ahat, x, d) + _lw(gu[1:], d)
-        p = _clamped(u[0], coeffs.clamps)
-        k[:d, :d] = np.eye(d)
-        k[d:m, d:m] = lw_map
+        s = sample(coeffs.Ahat, x, (d, d)) + _lw(gu[:, 1:], d)
+        p = _clamped(u[:, 0], coeffs.clamps)[:, None]
+        k[:, :d, :d] = np.eye(d)
+        k[:, d:m, d:m] = lw_map
         # the W -> phi and phi -> W cross blocks
-        k[m, d:m] = -0.25 * p ** -7 * (s.ravel() @ lw_map)
-        k[m + 1:, m] = 4.0 * p ** 5 * coeffs.grad_trK_at(x)
-        k[m, m] = hamiltonian_Pprime_slope(u[0], coeffs.interior_at(x), _dot2(s, s),
-                                           coeffs.clamps)
-        if not np.all(np.isfinite(k)):
-            raise ProblemError(f"linearized integrand not finite at {tuple(x)}")
+        k[:, m, d:m] = -0.25 * p ** -7 * (s.reshape(len(x), -1) @ lw_map)
+        k[:, m + 1:, m] = 4.0 * p ** 5 * sample(coeffs.trK_grad, x, (d,))
+        k[:, m, m] = hamiltonian_Pprime_slope(u[:, 0], coeffs.interior_at(x), _dot2(s, s),
+                                              coeffs.clamps)
+        _finite(k, "linearized integrand", "x", x)
         return k
 
     return ProblemDefinition(
@@ -466,7 +458,8 @@ def hamiltonian_manufactured() -> ProblemDefinition:
         dirichlet_f=1.0)
 
     def s_of(x):
-        return math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
+        # x is one point (d,) for exact, the points (N, d) for source
+        return np.sin(math.pi * x[..., 0]) * np.sin(math.pi * x[..., 1])
 
     def exact(x):
         return np.array([1.0 + 0.25 * s_of(x)])

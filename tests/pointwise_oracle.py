@@ -9,11 +9,17 @@ independent oracle for `test_walk_oracle.py`; nothing in `src/` imports them.
 The changes from the originals: the mesh's former `boundary_faces` list is
 rebuilt here by `_boundary_faces`, since the mesh no longer provides it; the
 callbacks are called without the per-point coefficient dict they no longer
-take; and the loops reach the packed callbacks of `afem.problem` through
+take; the loops reach the packed callbacks of `afem.problem` through
 `Ft_old` and `DFt_old`, which pair them with one test function (and one trial
-function) as the callbacks once did themselves.  `inscribed_diameter` is the
-library's former version, copied so that the oracle computes element sizes on
-its own.
+function) as the callbacks once did themselves; and every callback, batched
+over a leading point axis now, is reached through the one-point adapter
+`at_point`.  `inscribed_diameter` is the library's former version, copied so
+that the oracle computes element sizes on its own, and `coarse_ancestor`
+walks the genealogy one simplex at a time.
+
+`interpolate`, `domain_average` and `evaluate_functional` are the library's
+former pointwise helpers; only tests use them.  `evaluate_functional` walks
+the mesh on its own and is the independent reference for the dual estimate.
 """
 
 from __future__ import annotations
@@ -47,9 +53,14 @@ def _z(g, v):
     return np.concatenate([g.ravel(), v])
 
 
+def at_point(cb, t, x, n, u, gu):
+    """The batched callback cb (Ft, DFt or SFt) at the single point x."""
+    return cb(t, x[None], None if n is None else n[None], u[None], gu[None])[0]
+
+
 def Ft_old(problem, t, x, n, u, gu, v, gv):
     """F . [gv.ravel(), v]: the flux part, then the source part."""
-    f = problem.Ft(t, x, n, u, gu)
+    f = at_point(problem.Ft, t, x, n, u, gu)
     m = gv.size
     return f[:m] @ gv.ravel() + f[m:] @ v
 
@@ -57,7 +68,7 @@ def Ft_old(problem, t, x, n, u, gu, v, gv):
 def DFt_old(problem, t, x, n, u, gu, w, gw, v, gv):
     """[gv.ravel(), v] . K . [gw.ravel(), w]: the derivative of F in the
     direction w, one row of K at a time, tested with v."""
-    k = problem.DFt(t, x, n, u, gu)
+    k = at_point(problem.DFt, t, x, n, u, gu)
     zw = _z(gw, w)
     return _z(gv, v) @ np.array([row @ zw for row in k])
 
@@ -104,7 +115,7 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
     nc = problem.n_components
     el = linear_element(mesh.dim)
     rule = el.rule
-    bas = el.basis_at(rule.points)
+    bas = rule.barycentric
     bary = rule.barycentric
     r = np.zeros(mesh.n_vertices * nc)
 
@@ -120,7 +131,7 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
             w = rule.weights[q] * abs(geom.det)
             x = xq[q]
             uq = bas[q] @ uloc
-            for i in range(el.n_basis):
+            for i in range(mesh.dim + 1):
                 phi = bas[q, i]
                 for comp in range(nc):
                     v = np.zeros(nc)
@@ -169,7 +180,7 @@ def _boundary_residual(problem, u, r):
         for q in range(len(wq)):
             x = xq[q]
             uq = bas[q] @ uloc
-            for i in range(el.n_basis):
+            for i in range(mesh.dim + 1):
                 phi = bas[q, i]
                 for comp in range(nc):
                     v = np.zeros(nc)
@@ -183,7 +194,7 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
     nc = problem.n_components
     el = linear_element(mesh.dim)
     rule = el.rule
-    bas = el.basis_at(rule.points)
+    bas = rule.barycentric
     bary = rule.barycentric
     rows, cols, vals = [], [], []
 
@@ -195,7 +206,7 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
         gu = uloc.T @ grads
         xq = geom.to_physical(rule.points)
         gvals = _test_grads(grads, nc)
-        nb = el.n_basis
+        nb = mesh.dim + 1
         local = np.zeros((nb * nc, nb * nc))
         for q in range(len(rule.weights)):
             w = rule.weights[q] * abs(geom.det)
@@ -246,7 +257,7 @@ def _boundary_jacobian(problem, u, rows, cols, vals):
         gu = uloc.T @ grads
         xq, wq, bas = _face_frame(mesh, bf)
         gvals = _test_grads(grads, nc)
-        nb = el.n_basis
+        nb = mesh.dim + 1
         for q in range(len(wq)):
             x = xq[q]
             uq = bas[q] @ uloc
@@ -276,7 +287,7 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     """
     el = linear_element(mesh.dim)
     rule = fine_rule(mesh.dim)
-    bas = el.basis_at(rule.points)
+    bas = rule.barycentric
     l2sq = 0.0
     h1sq = 0.0
     for s in mesh.live_simplices():
@@ -297,6 +308,14 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     l2 = np.sqrt(l2sq)
     h1 = np.sqrt(l2sq + h1sq) if exact_grad is not None else float("nan")
     return l2, h1
+
+
+def coarse_ancestor(mesh, sid: int, coarse_live) -> int:
+    """The ancestor of sid (or sid itself) in coarse_live."""
+    s = int(sid)
+    while s not in coarse_live:
+        s = int(mesh.sparent[s])
+    return s
 
 
 def inscribed_diameter(mesh, sid: int) -> float:
@@ -368,7 +387,7 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
         for q in range(len(wq)):
             x = xq[q]
             uq = bary[q] @ uloc
-            r0 = np.asarray(problem.SFt(0, x, None, uq, gu), dtype=float)
+            r0 = np.asarray(at_point(problem.SFt, 0, x, None, uq, gu), dtype=float)
             term += wq[q] * float(np.sum(np.abs(r0) ** p))
         acc[s] = inscribed_diameter(mesh, s) ** p * term
 
@@ -386,7 +405,7 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
                 term = 0.0
                 for q in range(len(wq)):
                     uq = bary[q] @ u.values[fverts]
-                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s), dtype=float)
+                    r1 = np.asarray(at_point(problem.SFt, 1, xq[q], n, uq, gu_s), dtype=float)
                     term += wq[q] * float(np.sum(np.abs(r1) ** p))
                 acc[s] += hf * term
                 continue
@@ -397,8 +416,8 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
             term = 0.0
             for q in range(len(wq)):
                 uq = bary[q] @ u.values[fverts]
-                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t), dtype=float)
+                flux_s = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_s), dtype=float)
+                flux_t = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_t), dtype=float)
                 term += wq[q] * float(np.sum(np.abs(flux_s - flux_t) ** p))
             half = 0.5 * hf * term
             acc[s] += half
@@ -470,9 +489,9 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
             x = xq[q]
             uq = bary[q] @ uloc
             wv = bary[q] @ wloc
-            r0 = np.asarray(problem.SFt(0, x, None, uq, gu), dtype=float)
+            r0 = np.asarray(at_point(problem.SFt, 0, x, None, uq, gu), dtype=float)
             term += wq[q] * float(r0 @ wv)
-        contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
+        contrib[coarse_ancestor(mesh, s, weights.coarse_live)] += term
 
     for s in mesh.live_simplices():
         s = int(s)
@@ -488,9 +507,9 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
                 for q in range(len(wq)):
                     uq = fb[q] @ u_fine.values[fverts]
                     wv = fb[q] @ w.values[fverts]
-                    r1 = np.asarray(problem.SFt(1, xq[q], n, uq, gu_s), dtype=float)
+                    r1 = np.asarray(at_point(problem.SFt, 1, xq[q], n, uq, gu_s), dtype=float)
                     term += wq[q] * float(r1 @ wv)
-                contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += term
+                contrib[coarse_ancestor(mesh, s, weights.coarse_live)] += term
                 continue
             t = mesh.neighbor(s, i)
             if t < 0 or t < s:
@@ -503,15 +522,53 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
             for q in range(len(wq)):
                 uq = fb[q] @ u_fine.values[fverts]
                 wv = fb[q] @ w.values[fverts]
-                flux_s = np.asarray(problem.SFt(2, xq[q], n, uq, gu_s), dtype=float)
-                flux_t = np.asarray(problem.SFt(2, xq[q], n, uq, gu_t), dtype=float)
+                flux_s = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_s), dtype=float)
+                flux_t = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_t), dtype=float)
                 term += wq[q] * float((flux_s - flux_t) @ wv)
             half = 0.5 * term
-            contrib[mesh.coarse_ancestor(s, weights.coarse_live)] += half
-            contrib[mesh.coarse_ancestor(t, weights.coarse_live)] += half
+            contrib[coarse_ancestor(mesh, s, weights.coarse_live)] += half
+            contrib[coarse_ancestor(mesh, t, weights.coarse_live)] += half
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution
     estimate = -float(sum(contrib.values()))
     eta = {s: abs(v) for s, v in contrib.items()}
     return IndicatorField(u.mesh, eta, 2.0), estimate
+
+
+def interpolate(mesh, fn, n_components: int = 1) -> SolutionField:
+    u = SolutionField.zeros(mesh, n_components)
+    for v in range(mesh.n_vertices):
+        u.values[v] = np.atleast_1d(fn(mesh.coords[v]))
+    return u
+
+
+def domain_average(mesh, n_components: int = 1):
+    """psi for the mean-error functional: constant 1/|domain| per component."""
+    vol = sum(abs(mesh.signed_volume(int(s))) for s in mesh.live_simplices())
+    w = 1.0 / vol
+
+    def psi(x):
+        return np.full(n_components, w)
+
+    return psi
+
+
+def evaluate_functional(mesh, u, psi, n_components: int = None) -> float:
+    """Integral of u . psi over the mesh; u is a SolutionField or a callable."""
+    rule = fine_rule(mesh.dim)
+    lam = rule.barycentric
+    total = 0.0
+    for s in mesh.live_simplices():
+        s = int(s)
+        geom = ElementGeometry.of(mesh.coords[mesh.sverts[s]])
+        xq = geom.to_physical(rule.points)
+        for q in range(len(rule.weights)):
+            w = rule.weights[q] * abs(geom.det)
+            if isinstance(u, SolutionField):
+                uq = np.tensordot(lam[q], u.values[mesh.sverts[s]], axes=(0, 0))
+            else:
+                uq = np.atleast_1d(u(xq[q]))
+            pq = np.atleast_1d(psi(xq[q]))
+            total += w * float(uq @ pq)
+    return total

@@ -6,12 +6,12 @@ import pytest
 
 from afem import generators, problems
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
-                           dirichlet_start, evaluate_functional, free_dof_mask,
-                           interpolate, measure_error)
+                           dirichlet_start, free_dof_mask, measure_error)
 from afem.elements import face_rule, linear_element
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
 from afem.problem import ProblemDefinition, SolutionField
 
+from pointwise_oracle import evaluate_functional, interpolate
 from test_walk_oracle import CASES
 
 # frozen oracle: stiffness of the linear basis on the unit right triangle,
@@ -32,10 +32,10 @@ def one_triangle(boundary):
 def poisson_unit_load():
     # F = [A, B] = [grad u, -1] on elements, nothing on flux faces
     def Ft(t, x, n, u, gu):
-        return np.append(gu[0], -1.0) if t == 0 else np.zeros(3)
+        return np.column_stack((gu[:, 0], -np.ones(len(x)))) if t == 0 else np.zeros((len(x), 3))
 
     def DFt(t, x, n, u, gu):
-        return np.diag([1.0, 1.0, 0.0]) if t == 0 else np.zeros((3, 3))
+        return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0] * 3), (len(x), 1, 1))
 
     return ProblemDefinition(name="unit_load", n_components=1, Ft=Ft, DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
@@ -61,11 +61,11 @@ def test_robin_boundary_block():
     # mass matrix (entry sum = perimeter), the residual at u=0 gains -int_bdry v
     def Ft(t, x, n, u, gu):
         if t == 0:
-            return np.append(gu[0], 0.0)
-        return np.array([0.0, 0.0, u[0] - 1.0])
+            return np.column_stack((gu[:, 0], np.zeros(len(x))))
+        return np.column_stack((np.zeros((len(x), 2)), u[:, 0] - 1.0))
 
     def DFt(t, x, n, u, gu):
-        return np.diag([1.0, 1.0, 0.0]) if t == 0 else np.diag([0.0, 0.0, 1.0])
+        return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0, 0.0, 1.0]), (len(x), 1, 1))
 
     prob = ProblemDefinition(name="robin", n_components=1, Ft=Ft, DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
@@ -80,27 +80,34 @@ def test_robin_boundary_block():
 @pytest.mark.parametrize("name", ["square_sine", "cube_sine", "coupled_annulus",
                                   "momentum_annulus"])
 def test_one_callback_call_per_quadrature_point(name):
+    # one Ft and one DFt call per non-empty block (simplices, then flux
+    # faces), which together visit every quadrature point exactly once
     problem, mesh = CASES[name]()
-    calls = {"Ft": 0, "DFt": 0}
+    calls = {"Ft": [], "DFt": []}
 
     def counted(cb, fn):
         def wrapper(*args):
-            calls[cb] += 1
+            calls[cb].append((args[0], args[1].copy()))
             return fn(*args)
         return wrapper
 
     for cb in calls:
         setattr(problem, cb, counted(cb, getattr(problem, cb)))
-    live = mesh.live_simplices()
-    flux_faces = int(np.sum(mesh.sflags[live] == NEUMANN))
-    assert (flux_faces > 0) == name.endswith("_annulus")
-    points = (len(live) * len(linear_element(mesh.dim).rule.weights)
-              + flux_faces * len(face_rule(mesh.dim, 3).weights))
+    tab = mesh.tables()
+    flux = tab.flag == NEUMANN
+    assert flux.any() == name.endswith("_annulus")
+    blocks = [(0, tab.element_points(linear_element(mesh.dim).rule.points))]
+    if flux.any():
+        blocks.append((1, tab.face_quadrature(face_rule(mesh.dim, 3))[0][flux]))
     u = SolutionField.zeros(mesh, problem.n_components)
     u.values[:, 0] = 1.0
     assemble_residual(problem, u)
     assemble_jacobian(problem, u)
-    assert calls == {"Ft": points, "DFt": points}
+    for cb in calls:
+        assert len(calls[cb]) == len(blocks)
+        for (t, x), (t_ref, x_ref) in zip(calls[cb], blocks):
+            assert t == t_ref
+            np.testing.assert_array_equal(x, x_ref.reshape(-1, mesh.dim))
 
 
 def test_dirichlet_rows_are_identity():
@@ -126,7 +133,7 @@ def test_interpolate_and_dirichlet_start():
     g = dirichlet_start(prob, mesh)
     onb = mesh.vclass == DIRICHLET
     for v in np.flatnonzero(onb):
-        assert g.values[v] == pytest.approx(prob.dirichlet_vec(mesh.coords[v]).tolist())
+        assert g.values[v] == pytest.approx(prob.dirichlet(mesh.coords[v]).tolist())
     assert np.all(g.values[~onb] == 0.0)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
+from afem.elements import (ElementGeometry, QuadratureRule, default_rule, face_rule, fine_rule,
                            linear_element)
 
 REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
@@ -78,10 +78,10 @@ def test_linear_element_basis_partition():
     for dim in (2, 3):
         el = linear_element(dim)
         pts = np.vstack([np.zeros(dim), np.eye(dim)])
-        vals = el.basis_at(el.rule.points)
+        vals = el.rule.barycentric
         assert np.allclose(vals.sum(axis=1), 1.0)
-        nodal = el.basis_at(pts[1:])  # rows of identity at vertices 1..dim
-        assert np.allclose(nodal[:, 1:], np.eye(dim))
+        nodal = QuadratureRule(pts, np.ones(dim + 1)).barycentric
+        assert np.allclose(nodal, np.eye(dim + 1))  # basis i is 1 at vertex i
         assert el.grad_ref().sum(axis=0) == pytest.approx(np.zeros(dim).tolist())
 
 

@@ -4,24 +4,27 @@ import math
 import numpy as np
 import pytest
 
-from afem.assembly import (dirichlet_start, evaluate_functional, interpolate,
-                           measure_error)
+from afem.assembly import dirichlet_start, measure_error
 from afem.generators import unit_cube, unit_square
-from afem.indicators import (IndicatorField, domain_average, dual_indicator, mark,
+from afem.indicators import (IndicatorField, dual_indicator, mark,
                              residual_indicator, solve_dual)
 from afem.mesh import DIRICHLET, INTERIOR, Mesh
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import ProblemDefinition, SolutionField
 from afem.problems import benchmark_poisson
 
+from pointwise_oracle import domain_average, evaluate_functional, interpolate
+
 
 def poisson(fval, dirichlet=None):
     def Ft(t, x, n, u, gu):
-        return np.append(gu[0], -fval) if t == 0 else np.zeros(gu.size + 1)
+        if t == 0:
+            return np.column_stack((gu[:, 0], np.full(len(x), -fval)))
+        return np.zeros((len(x), x.shape[1] + 1))
 
     def DFt(t, x, n, u, gu):
-        d = gu.size
-        return np.diag([1.0] * d + [0.0]) if t == 0 else np.zeros((d + 1, d + 1))
+        d = x.shape[1]
+        return np.tile(np.diag([1.0 if t == 0 else 0.0] * d + [0.0]), (len(x), 1, 1))
 
     return ProblemDefinition("poisson", 1, Ft, DFt,
                              dirichlet=dirichlet or (lambda x: np.zeros(1)))

@@ -223,8 +223,9 @@ def test_coarse_ancestor_maps_refined_mesh_onto_coarse(dim):
     m.refine_marked(sorted(coarse)[:2])
     m.refine_marked([int(s) for s in m.live_simplices()][::3])
     covered = dict.fromkeys(coarse, 0.0)
-    for s in m.live_simplices():
-        a = m.coarse_ancestor(int(s), coarse)
+    live = m.live_simplices()
+    for s, a in zip(live, m.coarse_ancestors(live, coarse)):
+        a = int(a)
         assert a in coarse
         centroid = m.coords[m.sverts[s]].mean(axis=0)
         assert m.barycentric(a, centroid).min() >= -1e-12
@@ -239,7 +240,8 @@ def test_coarse_ancestor_of_coarse_simplex_is_itself():
     coarse = {int(s) for s in m.live_simplices()}
     m.refine_marked([0])
     assert not m.salive[0]
-    assert all(m.coarse_ancestor(s, coarse) == s for s in coarse)
+    ids = sorted(coarse)
+    assert m.coarse_ancestors(ids, coarse).tolist() == ids
 
 
 def test_coarse_ancestor_missing_raises_naming_simplex():
@@ -247,7 +249,7 @@ def test_coarse_ancestor_missing_raises_naming_simplex():
     m.refine_marked([0])
     child = int(m.schildren[0, 0])
     with pytest.raises(MeshError, match=f"simplex {child} has no ancestor"):
-        m.coarse_ancestor(child, {1})
+        m.coarse_ancestors([1, child], {1})
 
 
 def test_copy_is_independent():

@@ -1,14 +1,19 @@
 """Constraint-system problems: scalar slopes, operator blocks, Newton behavior."""
 import math
+import re
 
 import numpy as np
 import pytest
 
+import pointwise_oracle as oracle
 from afem import generators
 from afem import problems as P
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, free_dof_mask, measure_error)
 from afem.config import PROBLEMS, RunConfig, build_problem
+from afem.elements import linear_element
+from afem.indicators import residual_indicator
+from afem.mesh import DIRICHLET, NEUMANN, Mesh
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import SolutionField
 
@@ -74,27 +79,105 @@ POINTWISE["coupled_varying"] = lambda: P.coupled_forms(P.ConstraintCoefficients(
 @pytest.mark.parametrize("name", sorted(POINTWISE))
 def test_dft_is_the_derivative_of_ft(name, rng):
     # K = dF/dz with z = [gu.ravel(), u], against central differences of F
-    # in every slot of z, on elements (t = 0) and flux faces (t = 1)
+    # in every slot of z, on elements (t = 0) and flux faces (t = 1), at three
+    # points evaluated in one batched call
     problem = POINTWISE[name]()
     nc = problem.n_components
     dim = problem.mesh_factory(1).dim if problem.mesh_factory else 2
     m = nc * dim
     h = 1e-6
-    for _ in range(3):
-        x = rng.uniform(0.1, 0.9, dim)
-        normal = rng.standard_normal(dim)
-        normal /= np.linalg.norm(normal)
-        z = np.concatenate([rng.uniform(-1.0, 1.0, m), rng.uniform(1.0, 1.5, nc)])
-        for t in (0, 1):
-            def f(z):
-                return problem.Ft(t, x, normal, z[m:], z[:m].reshape(nc, dim))
+    npts = 3
+    x = rng.uniform(0.1, 0.9, (npts, dim))
+    normal = rng.standard_normal((npts, dim))
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    z = np.column_stack([rng.uniform(-1.0, 1.0, (npts, m)), rng.uniform(1.0, 1.5, (npts, nc))])
+    for t in (0, 1):
+        def f(z):
+            return problem.Ft(t, x, normal, z[:, m:], z[:, :m].reshape(npts, nc, dim))
 
-            k = problem.DFt(t, x, normal, z[m:], z[:m].reshape(nc, dim))
-            assert k.shape == (m + nc, m + nc)
-            fd = np.column_stack([(f(z + h * e) - f(z - h * e)) / (2.0 * h)
-                                  for e in np.eye(m + nc)])
-            scale = max(1.0, float(np.abs(k).max()))
-            assert float(np.abs(fd - k).max()) <= 1e-7 * scale, (t, fd - k)
+        k = problem.DFt(t, x, normal, z[:, m:], z[:, :m].reshape(npts, nc, dim))
+        assert k.shape == (npts, m + nc, m + nc)
+        fd = np.stack([(f(z + h * e) - f(z - h * e)) / (2.0 * h) for e in np.eye(m + nc)],
+                      axis=2)
+        for q in range(npts):
+            scale = max(1.0, float(np.abs(k[q]).max()))
+            assert float(np.abs(fd[q] - k[q]).max()) <= 1e-7 * scale, (t, fd[q] - k[q])
+
+
+# ------------------------------------------------- batched evaluation edges
+
+def _pointwise_clamps(problem, u):
+    """Clamps counted by one Ft and one DFt call per assembly point, each
+    evaluated alone through the oracle's one-point adapter."""
+    mesh = u.mesh
+    clamps = problem.constraint_coefficients.clamps
+    clamps.reset()
+    el = linear_element(mesh.dim)
+    for s in mesh.live_simplices():
+        geom, grads = oracle._element_data(mesh, int(s), el)
+        uloc = u.values[mesh.sverts[s]]
+        for x, b in zip(geom.to_physical(el.rule.points), el.rule.barycentric):
+            for cb in (problem.Ft, problem.DFt):
+                oracle.at_point(cb, 0, x, None, b @ uloc, uloc.T @ grads)
+    for bf in oracle._boundary_faces(mesh):
+        if bf.bclass == NEUMANN:
+            _, grads = oracle._element_data(mesh, bf.simplex, el)
+            uloc = u.values[mesh.sverts[bf.simplex]]
+            xq, _, bas = oracle._face_frame(mesh, bf)
+            for x, b in zip(xq, bas):
+                for cb in (problem.Ft, problem.DFt):
+                    oracle.at_point(cb, 1, x, bf.normal, b @ uloc, uloc.T @ grads)
+    return clamps.count
+
+
+def test_batched_clamp_count_matches_pointwise():
+    # phi below the floor at every third vertex: some points clamp, some not
+    problem, mesh = CASES["coupled_annulus"]()
+    u = SolutionField.zeros(mesh, problem.n_components)
+    u.values[:, 0] = np.where(np.arange(mesh.n_vertices) % 3 == 0, -0.5, 1.0)
+    expected = _pointwise_clamps(problem, u)
+    clamps = problem.constraint_coefficients.clamps
+    clamps.reset()
+    assemble_residual(problem, u)
+    assemble_jacobian(problem, u)
+    assert clamps.count == expected > 0
+
+
+def test_negative_rho_at_one_point_names_it():
+    mesh = generators.unit_square(2)
+    bad = mesh.tables().element_points(linear_element(2).rule.points)[3, 1]
+    coeffs = P.ConstraintCoefficients(
+        dim=2, rho=lambda x: -1.0 if np.array_equal(x, bad) else 0.1)
+    prob = P.hamiltonian_forms(coeffs)
+    u = SolutionField(mesh, 1, np.ones((mesh.n_vertices, 1)))
+    with pytest.raises(P.ProblemError, match=re.escape(f"at {tuple(bad.tolist())}")):
+        assemble_residual(prob, u)
+
+
+def _one_simplex(dim):
+    m = Mesh(dim)
+    for x in np.vstack([np.zeros(dim), np.eye(dim)]):
+        m.add_vertex(x)
+    m.add_simplex(tuple(range(dim + 1)))
+    return m.finalize(boundary=DIRICHLET)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_every_problem_assembles_on_one_simplex(name):
+    # a single all-Dirichlet simplex has no face rows: the face blocks of
+    # assembly and the residual indicator are empty and skipped
+    problem = build_problem(RunConfig(problem=name, dim=2))
+    mesh = _one_simplex(problem.mesh_factory(1).dim if problem.mesh_factory else 2)
+    assert len(mesh.tables().owner) == 0
+    u = dirichlet_start(problem, mesh)
+    r = assemble_residual(problem, u)
+    a = assemble_jacobian(problem, u).toarray()
+    assert r.shape == (mesh.n_vertices * problem.n_components,) and np.all(r == 0.0)
+    np.testing.assert_array_equal(a, np.eye(len(r)))
+    eta = residual_indicator(problem, u).eta
+    assert list(eta) == [0] and np.isfinite(eta[0])
+    if problem.exact is not None:
+        assert np.all(np.isfinite(measure_error(mesh, u, problem.exact, problem.exact_grad)))
 
 
 # ------------------------------------------------------- scalar constraint
