@@ -15,7 +15,8 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, build_mesh, build_problem, load_config
+from .config import (ConfigError, RunConfig, build_mesh, build_problem, load_config,
+                     validate)
 from .mesh_io import write_mesh
 from .vtk import export_vtk
 
@@ -30,7 +31,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, help="worker thread cap")
+        if name == "ppum":
+            p.add_argument("--threads", type=int, help="worker thread cap")
         if name == "mesh-refine":
             p.add_argument("--rounds", type=int, default=1,
                            help="uniform refinement rounds")
@@ -41,10 +43,9 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.out:
         cfg.out = args.out
-    if args.threads is not None:
+    if getattr(args, "threads", None) is not None:
         cfg.threads = args.threads
-        if cfg.threads < 1:
-            raise ConfigError("threads: must be at least 1")
+    validate(cfg)
     return cfg
 
 

@@ -22,11 +22,16 @@ functional density psi is a function of one point, read through `sample`.
 Element and face sizes h_s, h_f are inscribed-sphere diameters, read from the
 tables' `h` and `hf` columns.  Interior face terms carry a factor 1/2 so a
 face shared by two elements is counted once.
+
+An indicator is one value per live simplex, kept as arrays over the element
+rows of the mesh's `MeshTables`: `IndicatorField.ids` (ascending) and the
+matching `eta`; the dual indicator credits each term to the row of its coarse
+ancestor.  `mark` chooses simplices with array expressions over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -46,18 +51,17 @@ class IndicatorError(Exception):
 
 @dataclass
 class IndicatorField:
-    """Per-simplex nonnegative error indicator values."""
+    """Per-simplex nonnegative error indicator values: eta[k] >= 0 belongs to
+    the live simplex ids[k], ids ascending (the element rows of the mesh's
+    tables)."""
 
     mesh: Mesh
-    eta: dict          # live simplex id -> eta_s >= 0
+    ids: np.ndarray
+    eta: np.ndarray
     p: float = 2.0
-    marked: set = dfield(default_factory=set)
 
     def total(self) -> float:
-        return float(sum(v ** self.p for v in self.eta.values()) ** (1.0 / self.p))
-
-    def max(self) -> float:
-        return max(self.eta.values()) if self.eta else 0.0
+        return float(_row_sums(self.eta[None] ** self.p)[0]) ** (1.0 / self.p)
 
 
 def _volume_weights(tab, rule):
@@ -135,49 +139,43 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
                                         lambda r, _: (np.abs(r) ** p).sum(axis=1))
     acc = tab.h ** p * terms
     _credit(acc, np.arange(len(acc)), tab, tab.hf * face_terms)
-    return IndicatorField(mesh, dict(zip(tab.ids.tolist(), (acc ** (1.0 / p)).tolist())), p)
+    return IndicatorField(mesh, tab.ids, acc ** (1.0 / p), p)
+
+
+_DEFAULT_THETA = {"equidistribution": 1.0, "maximum": 0.5, "hybrid": 0.5}
 
 
 def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
-    """Choose simplices to refine; returns a sorted id list and records it on
-    the field.
+    """Choose simplices to refine; returns their ids as an ascending list.
 
     equidistribution: eta_s^p > theta^p * total^p / N   (strict)
     maximum:          eta_s  >= theta * max eta
-    hybrid:           largest values until they carry >= theta of total^p
+    hybrid:           largest values (ties: lower id first) until they carry
+                      >= theta of total^p
     """
-    p = field.p
-    items = sorted(field.eta.items(), key=lambda kv: (-kv[1], kv[0]))
-    out = []
-    if strategy == "equidistribution":
-        theta = 1.0 if theta is None else theta
-        n = len(field.eta)
-        if n:
-            mean = sum(v ** p for v in field.eta.values()) / n
-            cut = theta ** p * mean
-            out = [s for s, v in items if v ** p > cut]
-    elif strategy == "maximum":
-        theta = 0.5 if theta is None else theta
-        top = field.max()
-        if top > 0.0:
-            out = [s for s, v in items if v >= theta * top]
-    elif strategy == "hybrid":
-        theta = 0.5 if theta is None else theta
-        total_p = sum(v ** p for v in field.eta.values())
-        if total_p > 0.0:
-            run = 0.0
-            for s, v in items:
-                if run >= theta * total_p:
-                    break
-                out.append(s)
-                run += v ** p
-    else:
+    if strategy not in _DEFAULT_THETA:
         raise ValueError(f"unknown marking strategy {strategy!r}")
+    theta = _DEFAULT_THETA[strategy] if theta is None else theta
     if not (theta > 0.0 and theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    out = sorted(out)
-    field.marked = set(out)
-    return out
+    ids, eta, p = field.ids, field.eta, field.p
+    if not len(ids):
+        return []
+    if strategy == "maximum":
+        top = eta.max()
+        keep = (eta >= theta * top) & (top > 0.0)
+    else:
+        mass = eta ** p
+        total_p = _row_sums(mass[None])[0]
+        if strategy == "equidistribution":
+            keep = mass > theta ** p * (total_p / len(ids))
+        else:
+            # the mass marked before each entry, summed in marking order
+            order = np.lexsort((ids, -eta))
+            before = np.cumsum(np.concatenate(([0.0], mass[order][:-1])))
+            keep = np.zeros(len(ids), dtype=bool)
+            keep[order] = (before < theta * total_p) & (total_p > 0.0)
+    return ids[keep].tolist()
 
 
 @dataclass
@@ -186,7 +184,7 @@ class DualWeights:
 
     phi: SolutionField          # dual solution on the (usually refined) mesh
     fine_mesh: Mesh
-    coarse_live: set            # live simplex ids of the primal mesh
+    coarse_live: np.ndarray     # live simplex ids of the primal mesh, ascending
     n_coarse_vertices: int
     prolongation: object        # maps primal dofs into the dual mesh space
     same_space: bool = False
@@ -222,7 +220,7 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
         raise IndicatorError("dual solve needs the linearization callback DFt")
     mesh = u.mesh
     nc = problem.n_components
-    coarse_live = set(mesh.live_simplices().tolist())
+    coarse_live = mesh.live_simplices()
     ncv = mesh.n_vertices
     if same_space:
         fine = mesh
@@ -271,7 +269,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
 
     tab = mesh.tables()
     terms, face_terms = _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3), _dot)
-    coarse = np.fromiter(weights.coarse_live, dtype=np.int64)
+    coarse = weights.coarse_live
     pos = np.zeros(len(mesh.sparent), dtype=np.int64)
     pos[coarse] = np.arange(len(coarse))
     rows = pos[mesh.coarse_ancestors(tab.ids, coarse)]
@@ -281,7 +279,6 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution; the terms
-    # are summed in coarse_live's order, one after another
+    # are summed in id order, one after another
     estimate = -float(_row_sums(contrib[None])[0])
-    return IndicatorField(u.mesh, dict(zip(coarse.tolist(), np.abs(contrib).tolist())),
-                          2.0), estimate
+    return IndicatorField(u.mesh, coarse, np.abs(contrib), 2.0), estimate

@@ -41,7 +41,6 @@ class MeshError(Exception):
 class RefinementReport:
     """What one refine_marked (or bisect) call did to the mesh."""
 
-    created_vertices: list = field(default_factory=list)
     bisections: list = field(default_factory=list)  # (parent, child0, child1, midpoint)
     passes: int = 0
 
@@ -558,7 +557,6 @@ class Mesh:
             mid = 0.5 * (self._coords[a] + self._coords[b])
             z = self.add_vertex(mid, bclass=self._midpoint_class(a, b), parents=key)
             edge_map[key] = z
-            report.created_vertices.append(z)
         pverts = [int(v) for v in self._sverts[sid, :self.dim + 1]]
         verts0 = [z if v == b else v for v in pverts]  # child containing a
         verts1 = [z if v == a else v for v in pverts]  # child containing b

@@ -5,6 +5,13 @@ completely independent adaptive solve per subdomain (refinement restricted to
 that subdomain's overlap region), and blends the local solutions with a
 Lipschitz partition of unity on a union-refinement mesh.
 
+The decomposition is kept as arrays over the element rows of the coarse
+mesh's `MeshTables`: an owner per row and, per subdomain, each row's overlap
+ring, grown once in `decompose` through a sparse vertex-simplex incidence
+matrix.  The taper reads its vertex distances from those rings, and the
+partition of unity carries the taper onto the blend mesh with the
+refinement's prolongation.
+
 Subdomain runs share only immutable inputs; each owns a private mesh copy.
 The blend step is single threaded, so results are bit-identical regardless
 of how the local runs were scheduled.
@@ -12,14 +19,15 @@ of how the local runs were scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import apply_dirichlet
 from .indicators import IndicatorField, mark, residual_indicator
 from .mesh import Mesh, MeshError
-from .multilevel import prolongation_from_refinement
+from .multilevel import MultilevelError, prolongation_from_refinement
 from .newton import NewtonConfig, newton_solve
 from .problem import SolutionField
 
@@ -32,42 +40,32 @@ class PpumError(Exception):
 
 @dataclass
 class Decomposition:
-    """Owner labels and overlap regions over the coarse mesh's live simplices.
+    """Owner labels and overlap rings over the coarse mesh's element rows.
 
-    owner maps every live simplex to exactly one subdomain; overlap[i] is the
-    owned set grown by `layers` rings of vertex-adjacent simplices.  max_cover
-    is the largest number of overlap regions any one simplex belongs to.
+    ids are the live simplex ids, ascending (the rows of `Mesh.tables()`);
+    owner[k] is the one subdomain that owns row k.  ring[i, k] is row k's
+    ring index for subdomain i: 0 when owned, j <= layers when the owned
+    region grown j times by vertex-adjacent simplices first reaches it,
+    layers + 1 outside subdomain i's overlap region.
     """
 
-    n_subdomains: int
-    owner: dict
-    overlap: list
+    ids: np.ndarray
+    owner: np.ndarray
+    ring: np.ndarray
     layers: int
-    max_cover: int
 
-    def owned(self, i: int) -> set:
-        return {s for s, o in self.owner.items() if o == i}
+    @property
+    def n_subdomains(self) -> int:
+        return len(self.ring)
 
+    @property
+    def max_cover(self) -> int:
+        """The largest number of overlap regions any one simplex belongs to."""
+        return int((self.ring <= self.layers).sum(axis=0).max())
 
-def _vertex_incidence(mesh: Mesh, live) -> dict:
-    inc = {}
-    for s in live:
-        for v in mesh.sverts[s]:
-            inc.setdefault(int(v), []).append(int(s))
-    return inc
-
-
-def _grow_rings(mesh: Mesh, seed: set, live: set, layers: int, inc: dict):
-    """Region rings 0..layers: ring 0 is the seed, ring k adds every live
-    simplex sharing a vertex with the region so far."""
-    rings = [set(seed)]
-    region = set(seed)
-    for _ in range(layers):
-        verts = {int(v) for s in region for v in mesh.sverts[s]}
-        ring = {s for v in verts for s in inc.get(v, ()) if s in live} - region
-        rings.append(ring)
-        region |= ring
-    return rings
+    def overlap(self, i: int) -> np.ndarray:
+        """Ids of subdomain i's overlap region, ascending."""
+        return self.ids[self.ring[i] <= self.layers]
 
 
 def decompose(mesh: Mesh, indicators: IndicatorField, n_parts: int,
@@ -80,56 +78,55 @@ def decompose(mesh: Mesh, indicators: IndicatorField, n_parts: int,
     field falls back to counting simplices.  Deterministic: ties break on
     simplex id.
     """
-    live = [int(s) for s in mesh.live_simplices()]
+    tab = mesh.tables()
+    n = len(tab.ids)
     if n_parts < 1:
         raise PpumError("subdomain count must be at least 1")
-    if n_parts > len(live):
-        raise PpumError(
-            f"cannot split {len(live)} simplices into {n_parts} subdomains")
+    if n_parts > n:
+        raise PpumError(f"cannot split {n} simplices into {n_parts} subdomains")
     if layers < 1:
         raise PpumError("overlap must be at least one simplex layer")
+    if not np.array_equal(indicators.ids, tab.ids):
+        raise PpumError("indicator field does not cover the mesh's live simplices")
 
-    p = indicators.p
-    weight = {s: indicators.eta.get(s, 0.0) ** p for s in live}
-    if sum(weight.values()) <= 0.0:
-        weight = {s: 1.0 for s in live}
-    bary = {s: mesh.coords[mesh.sverts[s]].mean(axis=0) for s in live}
+    weight = indicators.eta ** indicators.p
+    if weight.sum() <= 0.0:
+        weight = np.ones(n)
+    bary = tab.coords[tab.verts].mean(axis=1)
+    owner = np.empty(n, dtype=np.int64)
 
-    owner = {}
-
-    def split(ids, parts, label):
+    def split(rows, parts, label):
         if parts == 1:
-            for s in ids:
-                owner[s] = label
+            owner[rows] = label
             return
         lo = parts // 2
-        pts = np.array([bary[s] for s in ids])
+        pts = bary[rows]
         axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-        order = sorted(ids, key=lambda s: (bary[s][axis], s))
-        total = sum(weight[s] for s in order)
-        target = total * lo / parts
-        run, cut, best = 0.0, 1, None
-        for k, s in enumerate(order[:-1], start=1):
-            run += weight[s]
-            gap = abs(run - target)
-            if best is None or gap < best:
-                best, cut = gap, k
+        rows = rows[np.lexsort((rows, pts[:, axis]))]
+        run = np.cumsum(weight[rows])
+        target = run[-1] * lo / parts
+        cut = int(np.argmin(np.abs(run[:-1] - target))) + 1
         # both sides must stay splittable
-        cut = max(lo, min(cut, len(order) - (parts - lo)))
-        split(order[:cut], lo, label)
-        split(order[cut:], parts - lo, label + lo)
+        cut = max(lo, min(cut, len(rows) - (parts - lo)))
+        split(rows[:cut], lo, label)
+        split(rows[cut:], parts - lo, label + lo)
 
-    split(sorted(live), n_parts, 0)
+    split(np.arange(n), n_parts, 0)
 
-    live_set = set(live)
-    inc = _vertex_incidence(mesh, live)
-    overlap = []
+    # vertex-simplex incidence; each step adds the simplices that share a
+    # vertex with the region so far
+    inc = sp.csr_matrix((np.ones(tab.verts.size), tab.verts.ravel(),
+                         np.arange(0, tab.verts.size + 1, tab.verts.shape[1])),
+                        shape=(n, mesh.n_vertices))
+    ring = np.full((n_parts, n), layers + 1)
     for i in range(n_parts):
-        seed = {s for s, o in owner.items() if o == i}
-        rings = _grow_rings(mesh, seed, live_set, layers, inc)
-        overlap.append(frozenset().union(*rings))
-    cover = {s: sum(1 for reg in overlap if s in reg) for s in live}
-    return Decomposition(n_parts, owner, overlap, layers, max(cover.values()))
+        region = owner == i
+        ring[i, region] = 0
+        for k in range(1, layers + 1):
+            grown = inc @ (inc.T @ region) > 0
+            ring[i, grown & ~region] = k
+            region = grown
+    return Decomposition(tab.ids, owner, ring, layers)
 
 
 # --------------------------------------------------------- partition of unity
@@ -157,38 +154,26 @@ def taper_weights(mesh: Mesh, dec: Decomposition) -> np.ndarray:
     touching a vertex with positive weight lies inside the overlap region, so
     the interpolated weight is supported there.
     """
-    live = {int(s) for s in mesh.live_simplices()}
-    inc = _vertex_incidence(mesh, sorted(live))
-    nv = mesh.n_vertices
-    w = np.zeros((nv, dec.n_subdomains))
-    for i in range(dec.n_subdomains):
-        seed = dec.owned(i)
-        rings = _grow_rings(mesh, seed, live, dec.layers, inc)
-        dist = {}
-        for k, ring in enumerate(rings):
-            for s in ring:
-                for v in mesh.sverts[s]:
-                    dist.setdefault(int(v), k)
-        for v, d in dist.items():
-            w[v, i] = max(0.0, (dec.layers - d) / dec.layers)
-    if np.any(w.sum(axis=1)[list({v for s in live for v in mesh.sverts[s]})] <= 0.0):
+    verts = mesh.tables().verts
+    # the lowest ring index among the simplices around each vertex
+    dist = np.full((mesh.n_vertices, dec.n_subdomains), dec.layers + 1)
+    np.minimum.at(dist, (verts[None], np.arange(dec.n_subdomains)[:, None, None]),
+                  dec.ring[:, :, None])
+    w = np.maximum(0.0, (dec.layers - dist) / dec.layers)
+    if np.any(w.sum(axis=1)[verts] <= 0.0):
         raise PpumError("taper left a vertex with no supporting subdomain")
     return w
 
 
 def partition_of_unity(blend_mesh: Mesh, n_coarse_vertices: int,
                        coarse_weights: np.ndarray) -> PartitionOfUnity:
-    """Propagate coarse taper weights through the vertex genealogy (midpoint
-    averaging keeps them piecewise linear), then normalize rows to sum to 1."""
-    nv = blend_mesh.n_vertices
-    w = np.zeros((nv, coarse_weights.shape[1]))
-    w[:n_coarse_vertices] = coarse_weights
-    vp = blend_mesh.vparents
-    for v in range(n_coarse_vertices, nv):
-        a, b = int(vp[v, 0]), int(vp[v, 1])
-        if a < 0 or b < 0:
-            raise PpumError(f"blend vertex {v} has no genealogy parents")
-        w[v] = 0.5 * (w[a] + w[b])
+    """Interpolate coarse taper weights onto the blend mesh through the vertex
+    genealogy (midpoint averaging keeps them piecewise linear), then normalize
+    rows to sum to 1."""
+    try:
+        w = prolongation_from_refinement(n_coarse_vertices, blend_mesh) @ coarse_weights
+    except MultilevelError as exc:
+        raise PpumError(f"blend mesh: {exc}") from exc
     total = w.sum(axis=1)
     if np.any(total <= 0.0):
         raise PpumError("partition of unity is zero at some vertex")
@@ -197,29 +182,32 @@ def partition_of_unity(blend_mesh: Mesh, n_coarse_vertices: int,
 
 # ----------------------------------------------------------------- local runs
 
+MAX_LOCAL_ROUNDS = 100   # refinement rounds of one subdomain run
+
+
 def local_solve(problem, coarse: Mesh, u_coarse: SolutionField,
                 dec: Decomposition, i: int, budget: int,
                 strategy: str = "hybrid", theta: float = None,
-                newton_config: NewtonConfig = None, max_rounds: int = 100):
+                newton_config: NewtonConfig = None):
     """Independent adaptive run for subdomain i on a private copy of the full
     mesh.  Marking is restricted to simplices whose coarse ancestor lies in
     the subdomain's overlap region; the loop stops at the vertex budget or
     when nothing in the region is marked.  Returns the global field.
     """
-    region = dec.overlap[i]
-    coarse_live = {int(s) for s in coarse.live_simplices()}
+    inside = dec.ring[i] <= dec.layers
     mesh = coarse.copy()
     u = SolutionField(mesh, u_coarse.n_components, u_coarse.values.copy())
     nc = u.n_components
 
     try:
-        for _ in range(max_rounds):
+        for _ in range(MAX_LOCAL_ROUNDS):
             if mesh.n_vertices >= budget:
                 break
             field = residual_indicator(problem, u)
-            ancestors = mesh.coarse_ancestors(list(field.eta), coarse_live).tolist()
-            local_eta = {s: v for (s, v), a in zip(field.eta.items(), ancestors) if a in region}
-            marks = mark(IndicatorField(mesh, local_eta, p=field.p), strategy, theta)
+            ancestors = mesh.coarse_ancestors(field.ids, dec.ids)
+            keep = inside[np.searchsorted(dec.ids, ancestors)]
+            marks = mark(IndicatorField(mesh, field.ids[keep], field.eta[keep], field.p),
+                         strategy, theta)
             if not marks:
                 break
             old_nv = mesh.n_vertices
@@ -277,7 +265,7 @@ def build_blend_mesh(coarse: Mesh, dec: Decomposition, local_meshes) -> Mesh:
         marks = []
         for s in bm.live_simplices():
             root, path = _child_path(bm, int(s), coarse_live)
-            if (root, path) in refined[dec.owner[root]]:
+            if (root, path) in refined[dec.owner[np.searchsorted(dec.ids, root)]]:
                 marks.append(int(s))
         if not marks:
             return bm

@@ -2,7 +2,8 @@
 
 Triangles are written as cell type 5, tetrahedra as type 10.  Solution
 fields become one POINT_DATA scalar array per component; an indicator field
-becomes the CELL_DATA array "eta" over live simplices in id order.
+becomes the CELL_DATA array "eta" over live simplices in id order, the
+order of its rows.
 """
 
 from __future__ import annotations
@@ -11,26 +12,29 @@ import numpy as np
 
 VTK_TRIANGLE = 5
 VTK_TETRA = 10
+TITLE = "afem output"
 
 
 def _g(v: float) -> str:
     return repr(float(v))
 
 
-def export_vtk(mesh, fields=None, indicators=None, path=None, title="afem output"):
+def export_vtk(mesh, fields=None, indicators=None, path=None):
     """Write mesh geometry plus optional point/cell data to a .vtk text file.
 
     fields: dict of name -> SolutionField, (nv,) array, or (nv, nc) array.
-    indicators: IndicatorField or dict simplex id -> value.
+    indicators: IndicatorField over the mesh's live simplices.
     """
     if path is None:
         raise ValueError("export_vtk needs an output path")
-    live = [int(s) for s in mesh.live_simplices()]
+    live = mesh.live_simplices()
+    if indicators is not None and not np.array_equal(indicators.ids, live):
+        raise ValueError("indicator field does not cover the mesh's live simplices")
     npts = mesh.n_vertices
     d = mesh.dim
     ctype = VTK_TRIANGLE if d == 2 else VTK_TETRA
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", TITLE, "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {npts} double"]
     for v in range(npts):
         x = mesh.coords[v]
@@ -61,11 +65,10 @@ def export_vtk(mesh, fields=None, indicators=None, path=None, title="afem output
             lines.extend(_g(v) for v in col)
 
     if indicators is not None:
-        eta = getattr(indicators, "eta", indicators)
         lines.append(f"CELL_DATA {len(live)}")
         lines.append("SCALARS eta double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_g(eta.get(s, 0.0)) for s in live)
+        lines.extend(_g(v) for v in indicators.eta)
 
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -20,19 +20,26 @@ walks the genealogy one simplex at a time.
 `interpolate`, `domain_average` and `evaluate_functional` are the library's
 former pointwise helpers; only tests use them.  `evaluate_functional` walks
 the mesh on its own and is the independent reference for the dual estimate.
+
+`IndicatorField`, `mark`, `Decomposition`, `decompose`, `taper_weights` and
+`partition_of_unity` (with `_vertex_incidence` and `_grow_rings`) are the
+library's former dict- and set-keyed versions, copied unchanged: the
+indicators above return this `IndicatorField`, whose `eta` maps simplex id to
+value, and they are the reference for the array versions of `afem.indicators`
+and `afem.ppum` in `test_ppum_oracle.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 import scipy.sparse as sp
 
 from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
                            linear_element)
-from afem.indicators import IndicatorField
-from afem.mesh import DIRICHLET, INTERIOR, NEUMANN
+from afem.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
+from afem.ppum import PartitionOfUnity, PpumError
 from afem.problem import ProblemDefinition, SolutionField
 
 _INTERIOR_T = 0
@@ -473,7 +480,8 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
     rule = fine_rule(mesh.dim, 3)
     ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
     bary = rule.barycentric
-    contrib = {s: 0.0 for s in weights.coarse_live}
+    contrib = {int(s): 0.0 for s in weights.coarse_live}
+    coarse_live = set(contrib)
     side_cache = {}
     for s in mesh.live_simplices():
         s = int(s)
@@ -491,7 +499,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
             wv = bary[q] @ wloc
             r0 = np.asarray(at_point(problem.SFt, 0, x, None, uq, gu), dtype=float)
             term += wq[q] * float(r0 @ wv)
-        contrib[coarse_ancestor(mesh, s, weights.coarse_live)] += term
+        contrib[coarse_ancestor(mesh, s, coarse_live)] += term
 
     for s in mesh.live_simplices():
         s = int(s)
@@ -509,7 +517,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
                     wv = fb[q] @ w.values[fverts]
                     r1 = np.asarray(at_point(problem.SFt, 1, xq[q], n, uq, gu_s), dtype=float)
                     term += wq[q] * float(r1 @ wv)
-                contrib[coarse_ancestor(mesh, s, weights.coarse_live)] += term
+                contrib[coarse_ancestor(mesh, s, coarse_live)] += term
                 continue
             t = mesh.neighbor(s, i)
             if t < 0 or t < s:
@@ -526,8 +534,8 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
                 flux_t = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_t), dtype=float)
                 term += wq[q] * float((flux_s - flux_t) @ wv)
             half = 0.5 * term
-            contrib[coarse_ancestor(mesh, s, weights.coarse_live)] += half
-            contrib[coarse_ancestor(mesh, t, weights.coarse_live)] += half
+            contrib[coarse_ancestor(mesh, s, coarse_live)] += half
+            contrib[coarse_ancestor(mesh, t, coarse_live)] += half
 
     # <e, psi> = -<F(u_h), phi - P_h phi>: the linearization satisfies
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution
@@ -572,3 +580,211 @@ def evaluate_functional(mesh, u, psi, n_components: int = None) -> float:
             pq = np.atleast_1d(psi(xq[q]))
             total += w * float(uq @ pq)
     return total
+
+
+# ------------------------------------------- marking and decomposition, by id
+
+@dataclass
+class IndicatorField:
+    """Per-simplex nonnegative error indicator values."""
+
+    mesh: Mesh
+    eta: dict          # live simplex id -> eta_s >= 0
+    p: float = 2.0
+    marked: set = dfield(default_factory=set)
+
+    def total(self) -> float:
+        return float(sum(v ** self.p for v in self.eta.values()) ** (1.0 / self.p))
+
+    def max(self) -> float:
+        return max(self.eta.values()) if self.eta else 0.0
+
+
+def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
+    """Choose simplices to refine; returns a sorted id list and records it on
+    the field.
+
+    equidistribution: eta_s^p > theta^p * total^p / N   (strict)
+    maximum:          eta_s  >= theta * max eta
+    hybrid:           largest values until they carry >= theta of total^p
+    """
+    p = field.p
+    items = sorted(field.eta.items(), key=lambda kv: (-kv[1], kv[0]))
+    out = []
+    if strategy == "equidistribution":
+        theta = 1.0 if theta is None else theta
+        n = len(field.eta)
+        if n:
+            mean = sum(v ** p for v in field.eta.values()) / n
+            cut = theta ** p * mean
+            out = [s for s, v in items if v ** p > cut]
+    elif strategy == "maximum":
+        theta = 0.5 if theta is None else theta
+        top = field.max()
+        if top > 0.0:
+            out = [s for s, v in items if v >= theta * top]
+    elif strategy == "hybrid":
+        theta = 0.5 if theta is None else theta
+        total_p = sum(v ** p for v in field.eta.values())
+        if total_p > 0.0:
+            run = 0.0
+            for s, v in items:
+                if run >= theta * total_p:
+                    break
+                out.append(s)
+                run += v ** p
+    else:
+        raise ValueError(f"unknown marking strategy {strategy!r}")
+    if not (theta > 0.0 and theta <= 1.0):
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    out = sorted(out)
+    field.marked = set(out)
+    return out
+
+
+@dataclass
+class Decomposition:
+    """Owner labels and overlap regions over the coarse mesh's live simplices.
+
+    owner maps every live simplex to exactly one subdomain; overlap[i] is the
+    owned set grown by `layers` rings of vertex-adjacent simplices.  max_cover
+    is the largest number of overlap regions any one simplex belongs to.
+    """
+
+    n_subdomains: int
+    owner: dict
+    overlap: list
+    layers: int
+    max_cover: int
+
+    def owned(self, i: int) -> set:
+        return {s for s, o in self.owner.items() if o == i}
+
+
+def _vertex_incidence(mesh: Mesh, live) -> dict:
+    inc = {}
+    for s in live:
+        for v in mesh.sverts[s]:
+            inc.setdefault(int(v), []).append(int(s))
+    return inc
+
+
+def _grow_rings(mesh: Mesh, seed: set, live: set, layers: int, inc: dict):
+    """Region rings 0..layers: ring 0 is the seed, ring k adds every live
+    simplex sharing a vertex with the region so far."""
+    rings = [set(seed)]
+    region = set(seed)
+    for _ in range(layers):
+        verts = {int(v) for s in region for v in mesh.sverts[s]}
+        ring = {s for v in verts for s in inc.get(v, ()) if s in live} - region
+        rings.append(ring)
+        region |= ring
+    return rings
+
+
+def decompose(mesh: Mesh, indicators: IndicatorField, n_parts: int,
+              layers: int = 2) -> Decomposition:
+    """Error-weighted recursive coordinate bisection of the live simplices.
+
+    Each cut splits the current set at the weighted median of the barycenter
+    coordinate with the largest extent, so both sides carry (as nearly as one
+    simplex allows) proportional shares of the total indicator mass.  A zero
+    field falls back to counting simplices.  Deterministic: ties break on
+    simplex id.
+    """
+    live = [int(s) for s in mesh.live_simplices()]
+    if n_parts < 1:
+        raise PpumError("subdomain count must be at least 1")
+    if n_parts > len(live):
+        raise PpumError(
+            f"cannot split {len(live)} simplices into {n_parts} subdomains")
+    if layers < 1:
+        raise PpumError("overlap must be at least one simplex layer")
+
+    p = indicators.p
+    weight = {s: indicators.eta.get(s, 0.0) ** p for s in live}
+    if sum(weight.values()) <= 0.0:
+        weight = {s: 1.0 for s in live}
+    bary = {s: mesh.coords[mesh.sverts[s]].mean(axis=0) for s in live}
+
+    owner = {}
+
+    def split(ids, parts, label):
+        if parts == 1:
+            for s in ids:
+                owner[s] = label
+            return
+        lo = parts // 2
+        pts = np.array([bary[s] for s in ids])
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        order = sorted(ids, key=lambda s: (bary[s][axis], s))
+        total = sum(weight[s] for s in order)
+        target = total * lo / parts
+        run, cut, best = 0.0, 1, None
+        for k, s in enumerate(order[:-1], start=1):
+            run += weight[s]
+            gap = abs(run - target)
+            if best is None or gap < best:
+                best, cut = gap, k
+        # both sides must stay splittable
+        cut = max(lo, min(cut, len(order) - (parts - lo)))
+        split(order[:cut], lo, label)
+        split(order[cut:], parts - lo, label + lo)
+
+    split(sorted(live), n_parts, 0)
+
+    live_set = set(live)
+    inc = _vertex_incidence(mesh, live)
+    overlap = []
+    for i in range(n_parts):
+        seed = {s for s, o in owner.items() if o == i}
+        rings = _grow_rings(mesh, seed, live_set, layers, inc)
+        overlap.append(frozenset().union(*rings))
+    cover = {s: sum(1 for reg in overlap if s in reg) for s in live}
+    return Decomposition(n_parts, owner, overlap, layers, max(cover.values()))
+
+
+def taper_weights(mesh: Mesh, dec: Decomposition) -> np.ndarray:
+    """Raw (un-normalized) coarse-vertex taper per subdomain.
+
+    Weight 1 on vertices of owned simplices, decreasing linearly per overlap
+    ring, exactly 0 on the outermost ring's new vertices; every simplex
+    touching a vertex with positive weight lies inside the overlap region, so
+    the interpolated weight is supported there.
+    """
+    live = {int(s) for s in mesh.live_simplices()}
+    inc = _vertex_incidence(mesh, sorted(live))
+    nv = mesh.n_vertices
+    w = np.zeros((nv, dec.n_subdomains))
+    for i in range(dec.n_subdomains):
+        seed = dec.owned(i)
+        rings = _grow_rings(mesh, seed, live, dec.layers, inc)
+        dist = {}
+        for k, ring in enumerate(rings):
+            for s in ring:
+                for v in mesh.sverts[s]:
+                    dist.setdefault(int(v), k)
+        for v, d in dist.items():
+            w[v, i] = max(0.0, (dec.layers - d) / dec.layers)
+    if np.any(w.sum(axis=1)[list({v for s in live for v in mesh.sverts[s]})] <= 0.0):
+        raise PpumError("taper left a vertex with no supporting subdomain")
+    return w
+
+
+def partition_of_unity(blend_mesh: Mesh, n_coarse_vertices: int,
+                       coarse_weights: np.ndarray) -> PartitionOfUnity:
+    """Propagate coarse taper weights through the vertex genealogy (midpoint
+    averaging keeps them piecewise linear), then normalize rows to sum to 1."""
+    nv = blend_mesh.n_vertices
+    w = np.zeros((nv, coarse_weights.shape[1]))
+    w[:n_coarse_vertices] = coarse_weights
+    vp = blend_mesh.vparents
+    for v in range(n_coarse_vertices, nv):
+        a, b = int(vp[v, 0]), int(vp[v, 1])
+        if a < 0 or b < 0:
+            raise PpumError(f"blend vertex {v} has no genealogy parents")
+        w[v] = 0.5 * (w[a] + w[b])
+    total = w.sum(axis=1)
+    if np.any(total <= 0.0):
+        raise PpumError("partition of unity is zero at some vertex")
+    return PartitionOfUnity(blend_mesh, w / total[:, None])

@@ -13,7 +13,8 @@ from afem.problem import SolutionField
 
 
 def uniform_field(mesh):
-    return IndicatorField(mesh, {int(s): 1.0 for s in mesh.live_simplices()})
+    live = mesh.live_simplices()
+    return IndicatorField(mesh, live, np.ones(len(live)))
 
 
 # ------------------------------------------------------------- decomposition
@@ -21,30 +22,32 @@ def uniform_field(mesh):
 def test_uniform_split_is_balanced():
     mesh = generators.unit_square(4)
     dec = ppum.decompose(mesh, uniform_field(mesh), 2)
-    sizes = [len(dec.owned(0)), len(dec.owned(1))]
+    sizes = [np.count_nonzero(dec.owner == i) for i in range(2)]
     assert abs(sizes[0] - sizes[1]) <= 1
-    live = {int(s) for s in mesh.live_simplices()}
-    assert set(dec.owner) == live  # every live simplex has exactly one owner
-    assert all(dec.owned(i) <= dec.overlap[i] for i in range(2))
+    # every live simplex has exactly one owner
+    np.testing.assert_array_equal(dec.ids, mesh.live_simplices())
+    assert dec.owner.shape == dec.ids.shape and set(dec.owner.tolist()) == {0, 1}
+    assert all(np.isin(dec.ids[dec.owner == i], dec.overlap(i)).all() for i in range(2))
 
 
 def test_weighted_split_balances_error_mass():
     # indicators concentrated in one corner: the squared-error mass is split
     # evenly, so the hot subdomain owns far fewer simplices
     mesh = generators.unit_square(4)
-    live = [int(s) for s in mesh.live_simplices()]
+    live = mesh.live_simplices()
 
     def hot(s):
         c = mesh.coords[mesh.sverts[s]].mean(axis=0)
         return c[0] < 0.25 and c[1] < 0.25
 
-    conc = IndicatorField(mesh, {s: (10.0 if hot(s) else 0.01) for s in live})
+    conc = IndicatorField(mesh, live, np.array([10.0 if hot(s) else 0.01 for s in live]))
     dec = ppum.decompose(mesh, conc, 2)
-    wsums = [sum(conc.eta[s] ** 2 for s in dec.owned(i)) for i in range(2)]
-    wmax = max(conc.eta[s] ** 2 for s in live)
+    wsums = [float(np.sum(conc.eta[dec.owner == i] ** 2)) for i in range(2)]
+    wmax = float(np.max(conc.eta ** 2))
     assert abs(wsums[0] - sum(wsums) / 2.0) <= wmax  # within one simplex's mass
-    small = min(range(2), key=lambda i: len(dec.owned(i)))
-    assert len(dec.owned(small)) < len(dec.owned(1 - small))
+    sizes = [np.count_nonzero(dec.owner == i) for i in range(2)]
+    small = min(range(2), key=lambda i: sizes[i])
+    assert sizes[small] < sizes[1 - small]
 
 
 def test_single_subdomain_covers_everything():
@@ -66,11 +69,21 @@ def test_decompose_validates_inputs():
         ppum.decompose(mesh, uniform_field(mesh), 2, layers=0)
 
 
+def test_decompose_rejects_a_field_of_another_mesh_state():
+    # a field of the mesh before a refinement misses the new simplices; they
+    # must not silently weigh 0
+    mesh = generators.unit_square(4)
+    old = uniform_field(mesh)
+    mesh.refine_marked([int(mesh.live_simplices()[0])])
+    with pytest.raises(ppum.PpumError, match="does not cover"):
+        ppum.decompose(mesh, old, 2)
+
+
 def test_decomposition_deterministic():
     mesh = generators.unit_square(4)
     a = ppum.decompose(mesh, uniform_field(mesh), 4)
     b = ppum.decompose(mesh, uniform_field(mesh), 4)
-    assert a.owner == b.owner and a.overlap == b.overlap
+    assert np.array_equal(a.owner, b.owner) and np.array_equal(a.ring, b.ring)
 
 
 # ------------------------------------------------------- partition of unity
@@ -108,7 +121,7 @@ def test_pou_vanishes_outside_overlap():
     for s in bm.live_simplices():
         root, _ = ppum._child_path(bm, int(s), coarse_live)
         for i in range(dec.n_subdomains):
-            if root not in dec.overlap[i]:
+            if root not in dec.overlap(i):
                 assert np.all(pou.weights[bm.sverts[s], i] == 0.0)
 
 
@@ -142,7 +155,7 @@ def test_local_solve_budget_floor():
 def test_local_solve_refines_inside_its_region():
     prob, coarse, u0 = corner_problem()
     dec = ppum.decompose(coarse, residual_indicator(prob, u0), 2)
-    corner_sub = next(i for i in range(2) for s in dec.owned(i)
+    corner_sub = next(i for i in range(2) for s in dec.ids[dec.owner == i]
                       if np.any(np.all(np.abs(coarse.coords[coarse.sverts[s]]) < 1e-12,
                                        axis=1)))
     ul = ppum.local_solve(prob, coarse, u0, dec, corner_sub, coarse.n_vertices + 120)
@@ -155,7 +168,7 @@ def test_local_solve_refines_inside_its_region():
         for s in ul.mesh.live_simplices():
             if v in ul.mesh.sverts[s]:
                 root, _ = ppum._child_path(ul.mesh, int(s), coarse_live)
-                if root in dec.overlap[corner_sub]:
+                if root in dec.overlap(corner_sub):
                     hit = True
                     break
         inside += hit

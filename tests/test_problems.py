@@ -174,8 +174,8 @@ def test_every_problem_assembles_on_one_simplex(name):
     a = assemble_jacobian(problem, u).toarray()
     assert r.shape == (mesh.n_vertices * problem.n_components,) and np.all(r == 0.0)
     np.testing.assert_array_equal(a, np.eye(len(r)))
-    eta = residual_indicator(problem, u).eta
-    assert list(eta) == [0] and np.isfinite(eta[0])
+    ind = residual_indicator(problem, u)
+    assert list(ind.ids) == [0] and ind.eta.shape == (1,) and np.isfinite(ind.eta[0])
     if problem.exact is not None:
         assert np.all(np.isfinite(measure_error(mesh, u, problem.exact, problem.exact_grad)))
 

@@ -54,13 +54,25 @@ def test_vtk_vector_fields_and_indicators(tmp_path):
     mesh = generators.unit_square(2)
     vals = np.column_stack([np.arange(mesh.n_vertices, dtype=float),
                             np.ones(mesh.n_vertices)])
-    live = [int(s) for s in mesh.live_simplices()]
-    ind = IndicatorField(mesh, {s: float(s) for s in live})
+    live = mesh.live_simplices()
+    ind = IndicatorField(mesh, live, live.astype(float))
     path = tmp_path / "vec.vtk"
     export_vtk(mesh, {"w": vals}, ind, str(path))
     txt = path.read_text()
     assert "SCALARS w_0 double 1" in txt and "SCALARS w_1 double 1" in txt
     assert f"CELL_DATA {len(live)}" in txt and "SCALARS eta double 1" in txt
+
+
+def test_vtk_rejects_indicators_of_another_mesh_state(tmp_path):
+    # a field of the mesh before a refinement has no value for the new
+    # simplices; they must not be written as 0.0
+    mesh = generators.unit_square(2)
+    live = mesh.live_simplices()
+    old = IndicatorField(mesh, live, np.ones(len(live)))
+    mesh.refine_marked([int(live[0])])
+    with pytest.raises(ValueError, match="does not cover"):
+        export_vtk(mesh, None, old, str(tmp_path / "stale.vtk"))
+    assert not (tmp_path / "stale.vtk").exists()
 
 
 # ---------------------------------------------------------------------- cli
@@ -132,7 +144,15 @@ def test_cli_solver_failure_exit_3(tmp_path, capsys):
 
 def test_cli_invalid_thread_count_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 4\n")
-    assert main(["solve", "--config", cfg, "--threads", "0"]) == 2
+    assert main(["ppum", "--config", cfg, "--threads", "0"]) == 2
+
+
+def test_cli_threads_only_on_ppum(tmp_path):
+    # only the partition-of-unity run has worker threads to cap
+    cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 2\nmax_vertices = 9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_rejects_seed_flag(tmp_path):
