@@ -232,9 +232,15 @@ def run_ppum(cfg: RunConfig) -> RunReport:
 
     dec = ppum_mod.decompose(coarse, fld, cfg.ppum_subdomains, cfg.ppum_layers)
 
+    wall = [0.0] * dec.n_subdomains
+
     def one(i):
-        return ppum_mod.local_solve(problem, coarse, u0, dec, i, budget,
-                                    cfg.strategy, cfg.theta_or_none, newton_cfg)
+        t = time.perf_counter()
+        try:
+            return ppum_mod.local_solve(problem, coarse, u0, dec, i, budget,
+                                        cfg.strategy, cfg.theta_or_none, newton_cfg)
+        finally:
+            wall[i] = time.perf_counter() - t
 
     t1 = time.perf_counter()
     locals_out, errors = [None] * dec.n_subdomains, {}
@@ -254,6 +260,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
             "budget": budget,
             "local_vertices": [f.mesh.n_vertices if f is not None else None
                                for f in locals_out],
+            "local_wall_s": wall,
         }})
     if errors:
         report.extras["subdomain_errors"] = errors

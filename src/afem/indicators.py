@@ -148,7 +148,7 @@ _DEFAULT_THETA = {"equidistribution": 1.0, "maximum": 0.5, "hybrid": 0.5}
 def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
     """Choose simplices to refine; returns their ids as an ascending list.
 
-    equidistribution: eta_s^p > theta^p * total^p / N   (strict)
+    equidistribution: eta_s^p > theta^p * total^p / N, beyond rounding
     maximum:          eta_s  >= theta * max eta
     hybrid:           largest values (ties: lower id first) until they carry
                       >= theta of total^p
@@ -168,7 +168,10 @@ def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
         mass = eta ** p
         total_p = _row_sums(mass[None])[0]
         if strategy == "equidistribution":
-            keep = mass > theta ** p * (total_p / len(ids))
+            # the cut carries the rounding bound of the summed mean, so a
+            # field of equal values marks nothing
+            n = len(ids)
+            keep = mass > theta ** p * (total_p / n) * (1.0 + (n + 1) * np.finfo(float).eps)
         else:
             # the mass marked before each entry, summed in marking order
             order = np.lexsort((ids, -eta))

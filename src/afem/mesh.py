@@ -436,18 +436,6 @@ class Mesh:
                 best = (key, (min(a, b), max(a, b)))
         return best[1]
 
-    def barycentric(self, sid: int, x) -> np.ndarray:
-        pts = self._coords[self._sverts[sid]]
-        t = (pts[1:] - pts[0]).T
-        lam = np.linalg.solve(t, np.asarray(x, dtype=float) - pts[0])
-        return np.concatenate([[1.0 - lam.sum()], lam])
-
-    def root_ancestor(self, sid: int) -> int:
-        s = int(sid)
-        while self._sparent[s] >= 0:
-            s = int(self._sparent[s])
-        return s
-
     def coarse_ancestors(self, ids, coarse) -> np.ndarray:
         """The ancestor of each simplex in ids (or the simplex itself) that lies
         in coarse, the live simplex ids of an earlier state of this mesh."""
@@ -460,20 +448,33 @@ class Mesh:
                 raise MeshError(f"simplex {sid} has no ancestor in the coarse live set")
         return anc
 
-    def locate(self, x, root: int) -> int:
-        """Live descendant of root containing point x, found by genealogy descent."""
-        s = int(root)
-        while not self._salive[s]:
-            c0, c1 = (int(c) for c in self._schildren[s])
-            if c0 < 0:
-                raise MeshError(f"simplex {s} is dead but has no children")
-            b0 = self.barycentric(c0, x).min()
-            b1 = self.barycentric(c1, x).min()
-            # descend into the child holding x most interiorly; ties take child0
-            s = c0 if b0 >= b1 else c1
-        if self.barycentric(s, x).min() < -1e-9:
-            raise MeshError(f"point {np.asarray(x)} escaped genealogy descent at simplex {s}")
-        return s
+    def _barycentric(self, sids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # barycentric coordinates (..., d+1) of points x (..., d) in simplices sids
+        pts = self._coords[self._sverts[sids]]
+        t = np.swapaxes(pts[..., 1:, :] - pts[..., :1, :], -1, -2)
+        lam = np.linalg.solve(t, (x - pts[..., 0, :])[..., None])[..., 0]
+        return np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+
+    def locate(self, x, start):
+        """Live descendant of start[k] holding point x[k], for points x (n, d),
+        found by genealogy descent, and x's barycentric coordinates in it.
+
+        Each step solves the barycentric systems of both children of every
+        point's dead simplex at once and enters the child holding the point
+        most interiorly (ties take child 0).  A point more than 1e-9 outside
+        the live simplex it ends in gets -1.
+        """
+        x = np.asarray(x, dtype=float)
+        s = np.array(start, dtype=np.int64)
+        while (dead := np.flatnonzero(~self._salive[s])).size:
+            kids = self._schildren[s[dead]]
+            if (kids[:, 0] < 0).any():
+                raise MeshError(f"simplex {s[dead][np.argmax(kids[:, 0] < 0)]} "
+                                "is dead but has no children")
+            low = self._barycentric(kids, x[dead, None]).min(axis=-1)
+            s[dead] = np.where(low[:, 0] >= low[:, 1], kids[:, 0], kids[:, 1])
+        bar = self._barycentric(s, x)
+        return np.where(bar.min(axis=1) < -1e-9, -1, s), bar
 
     # ------------------------------------------------------------------ refinement
 

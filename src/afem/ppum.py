@@ -13,8 +13,11 @@ partition of unity carries the taper onto the blend mesh with the
 refinement's prolongation.
 
 Subdomain runs share only immutable inputs; each owns a private mesh copy.
-The blend step is single threaded, so results are bit-identical regardless
-of how the local runs were scheduled.
+The blend stage is single threaded, so results are bit-identical regardless
+of how the local runs were scheduled, and made of array passes: the blend
+mesh replays each owner's refinement through a map from blend simplices to
+their twins in the local meshes, and `blend` locates all blend vertices of
+one subdomain in one batched genealogy descent (`Mesh.locate`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import scipy.sparse as sp
 
 from .assembly import apply_dirichlet
 from .indicators import IndicatorField, mark, residual_indicator
-from .mesh import Mesh, MeshError
+from .mesh import Mesh
 from .multilevel import MultilevelError, prolongation_from_refinement
 from .newton import NewtonConfig, newton_solve
 from .problem import SolutionField
@@ -223,82 +226,67 @@ def local_solve(problem, coarse: Mesh, u_coarse: SolutionField,
 
 # ---------------------------------------------------------------- blend stage
 
-def _child_path(mesh: Mesh, sid: int, coarse_live: set):
-    """(coarse ancestor, tuple of 0/1 child picks) identifying sid's position
-    in the refinement tree under the coarse level."""
-    s = int(sid)
-    path = []
-    while s not in coarse_live:
-        parent = int(mesh.sparent[s])
-        if parent < 0:
-            raise PpumError(f"simplex {sid} has no ancestor on the coarse level")
-        path.append(0 if int(mesh.schildren[parent, 0]) == s else 1)
-        s = parent
-    return s, tuple(reversed(path))
-
-
-def _refined_paths(mesh: Mesh, coarse_live: set) -> set:
-    """All (root, path) keys whose simplex was bisected in this mesh."""
-    out = set()
-    for r in sorted(coarse_live):
-        stack = [(int(r), ())]
-        while stack:
-            s, path = stack.pop()
-            c0 = int(mesh.schildren[s, 0])
-            if c0 >= 0:
-                out.add((r, path))
-                stack.append((c0, path + (0,)))
-                stack.append((int(mesh.schildren[s, 1]), path + (1,)))
-    return out
-
-
 def build_blend_mesh(coarse: Mesh, dec: Decomposition, local_meshes) -> Mesh:
     """Union-refinement output mesh: replay, inside each owned region, the
     owning subdomain's refinement pattern, then let conformity closure stitch
     region boundaries.  Bisection is deterministic, so identical tree paths
-    produce identical simplices.
+    produce identical simplices.  A blend simplex's twin is the simplex at its
+    tree path in its owner's mesh (an id into the local meshes' stacked slots)
+    or -1: coarse simplices are their own twins, child k inherits child k of
+    its parent's twin, and a pass bisects the live simplices whose twin was.
     """
-    coarse_live = {int(s) for s in coarse.live_simplices()}
-    refined = [_refined_paths(m, coarse_live) for m in local_meshes]
+    offset = np.cumsum([0] + [m.n_slots for m in local_meshes])
+    children = np.concatenate([np.where(m.schildren >= 0, m.schildren + off, -1)
+                               for m, off in zip(local_meshes, offset)])
     bm = coarse.copy()
+    twin = np.full(bm.n_slots, -1)
+    twin[dec.ids] = dec.ids + offset[dec.owner]
     while True:
-        marks = []
-        for s in bm.live_simplices():
-            root, path = _child_path(bm, int(s), coarse_live)
-            if (root, path) in refined[dec.owner[np.searchsorted(dec.ids, root)]]:
-                marks.append(int(s))
-        if not marks:
+        live = bm.live_simplices()
+        t = twin[live]
+        marks = live[(t >= 0) & (children[t, 0] >= 0)]
+        if not marks.size:
             return bm
+        start = bm.n_slots
         bm.refine_marked(marks)
+        new = np.arange(start, bm.n_slots)
+        parent = bm.sparent[new]
+        k = (bm.schildren[parent, 1] == new).astype(np.int64)
+        twin = np.concatenate([twin, np.full(len(new), -1)])
+        # closure may bisect a new child again; repeat until every generation
+        # has read its parent's twin
+        while True:
+            tp = twin[parent]
+            inherit = np.where(tp >= 0, children[tp, k], -1)
+            if np.array_equal(inherit, twin[new]):
+                break
+            twin[new] = inherit
 
 
 def blend(dec: Decomposition, pou: PartitionOfUnity, local_fields) -> SolutionField:
     """Weighted combination u(v) = sum_i phi_i(v) u_i(v) at blend-mesh
-    vertices, each u_i evaluated by genealogy descent on its own mesh."""
+    vertices, summed over subdomains in ascending order.  Each u_i is read at
+    the vertices where phi_i is nonzero, located in one batched genealogy
+    descent on subdomain i's mesh."""
     bm = pou.mesh
     nc = local_fields[0].n_components
-    # a containing initial simplex per vertex, taken from the blend mesh's own
-    # live incidence (any one works; locate tolerates faces)
-    root_of = np.full(bm.n_vertices, -1, dtype=np.int64)
-    for s in bm.live_simplices():
-        r0 = bm.root_ancestor(int(s))
-        for v in bm.sverts[s]:
-            if root_of[v] < 0:
-                root_of[v] = r0
+    # descents start at the root ancestor of the first live simplex, by id,
+    # that holds the vertex
+    live = bm.live_simplices()
+    roots = bm.coarse_ancestors(live, np.flatnonzero(bm.sparent < 0))
+    verts, first = np.unique(bm.sverts[live], return_index=True)
+    start = np.full(bm.n_vertices, -1)
+    start[verts] = roots[first // (bm.dim + 1)]
     out = np.zeros((bm.n_vertices, nc))
-    for v in range(bm.n_vertices):
-        x = bm.coords[v]
-        row = pou.weights[v]
-        acc = np.zeros(nc)
-        for i in np.flatnonzero(row):
-            fld = local_fields[i]
-            try:
-                s = fld.mesh.locate(x, int(root_of[v]))
-            except MeshError as exc:
-                raise PpumError(f"point location failed at blend vertex {v} "
-                                f"on subdomain {i}: {exc}") from exc
-            bar = np.clip(fld.mesh.barycentric(s, x), 0.0, None)
-            bar /= bar.sum()
-            acc += row[i] * (bar @ fld.values[fld.mesh.sverts[s]])
-        out[v] = acc
+    for i, fld in enumerate(local_fields):
+        at = np.flatnonzero(pou.weights[:, i])
+        s, bar = fld.mesh.locate(bm.coords[at], start[at])
+        if (s < 0).any():
+            v = at[np.argmax(s < 0)]
+            raise PpumError(f"point location failed at blend vertex {v} on subdomain "
+                            f"{i}: {bm.coords[v]} lies outside its local mesh")
+        bar = np.clip(bar, 0.0, None)
+        bar /= bar.sum(axis=1, keepdims=True)
+        vals = (bar[:, None] @ fld.values[fld.mesh.sverts[s]])[:, 0]
+        out[at] += pou.weights[at, i, None] * vals
     return SolutionField(bm, nc, out)

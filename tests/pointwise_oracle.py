@@ -26,7 +26,16 @@ the mesh on its own and is the independent reference for the dual estimate.
 library's former dict- and set-keyed versions, copied unchanged: the
 indicators above return this `IndicatorField`, whose `eta` maps simplex id to
 value, and they are the reference for the array versions of `afem.indicators`
-and `afem.ppum` in `test_ppum_oracle.py`.
+and `afem.ppum` in `test_ppum_oracle.py`.  The one change since: `mark`'s
+equidistribution cut carries the same rounding margin as the library's, so a
+field of equal values marks nothing in both.
+
+`build_blend_mesh` and `blend` are the library's former blend stage, copied
+with the one-point `barycentric`, `root_ancestor` and `locate` the mesh used
+to provide (now functions of the mesh): the blend mesh replays each owner's
+refinement by matching (coarse ancestor, child-index path) keys, and `blend`
+locates one vertex in one local mesh at a time.  They are the reference for
+the array versions in `test_ppum_oracle.py`.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import scipy.sparse as sp
 
 from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
                            linear_element)
-from afem.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
+from afem.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.problem import ProblemDefinition, SolutionField
 
@@ -616,7 +625,8 @@ def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
         n = len(field.eta)
         if n:
             mean = sum(v ** p for v in field.eta.values()) / n
-            cut = theta ** p * mean
+            # the rounding bound of the summed mean, so equal values mark nothing
+            cut = theta ** p * mean * (1.0 + (n + 1) * np.finfo(float).eps)
             out = [s for s, v in items if v ** p > cut]
     elif strategy == "maximum":
         theta = 0.5 if theta is None else theta
@@ -788,3 +798,116 @@ def partition_of_unity(blend_mesh: Mesh, n_coarse_vertices: int,
     if np.any(total <= 0.0):
         raise PpumError("partition of unity is zero at some vertex")
     return PartitionOfUnity(blend_mesh, w / total[:, None])
+
+
+# ---------------------------------------------------------------- blend stage
+
+def barycentric(mesh: Mesh, sid: int, x) -> np.ndarray:
+    pts = mesh.coords[mesh.sverts[sid]]
+    t = (pts[1:] - pts[0]).T
+    lam = np.linalg.solve(t, np.asarray(x, dtype=float) - pts[0])
+    return np.concatenate([[1.0 - lam.sum()], lam])
+
+
+def root_ancestor(mesh: Mesh, sid: int) -> int:
+    s = int(sid)
+    while mesh.sparent[s] >= 0:
+        s = int(mesh.sparent[s])
+    return s
+
+
+def locate(mesh: Mesh, x, root: int) -> int:
+    """Live descendant of root containing point x, found by genealogy descent."""
+    s = int(root)
+    while not mesh.salive[s]:
+        c0, c1 = (int(c) for c in mesh.schildren[s])
+        if c0 < 0:
+            raise MeshError(f"simplex {s} is dead but has no children")
+        b0 = barycentric(mesh, c0, x).min()
+        b1 = barycentric(mesh, c1, x).min()
+        # descend into the child holding x most interiorly; ties take child0
+        s = c0 if b0 >= b1 else c1
+    if barycentric(mesh, s, x).min() < -1e-9:
+        raise MeshError(f"point {np.asarray(x)} escaped genealogy descent at simplex {s}")
+    return s
+
+
+def _child_path(mesh: Mesh, sid: int, coarse_live: set):
+    """(coarse ancestor, tuple of 0/1 child picks) identifying sid's position
+    in the refinement tree under the coarse level."""
+    s = int(sid)
+    path = []
+    while s not in coarse_live:
+        parent = int(mesh.sparent[s])
+        if parent < 0:
+            raise PpumError(f"simplex {sid} has no ancestor on the coarse level")
+        path.append(0 if int(mesh.schildren[parent, 0]) == s else 1)
+        s = parent
+    return s, tuple(reversed(path))
+
+
+def _refined_paths(mesh: Mesh, coarse_live: set) -> set:
+    """All (root, path) keys whose simplex was bisected in this mesh."""
+    out = set()
+    for r in sorted(coarse_live):
+        stack = [(int(r), ())]
+        while stack:
+            s, path = stack.pop()
+            c0 = int(mesh.schildren[s, 0])
+            if c0 >= 0:
+                out.add((r, path))
+                stack.append((c0, path + (0,)))
+                stack.append((int(mesh.schildren[s, 1]), path + (1,)))
+    return out
+
+
+def build_blend_mesh(coarse: Mesh, dec, local_meshes) -> Mesh:
+    """Union-refinement output mesh: replay, inside each owned region, the
+    owning subdomain's refinement pattern, then let conformity closure stitch
+    region boundaries.  Bisection is deterministic, so identical tree paths
+    produce identical simplices.  dec is an `afem.ppum.Decomposition`.
+    """
+    coarse_live = {int(s) for s in coarse.live_simplices()}
+    refined = [_refined_paths(m, coarse_live) for m in local_meshes]
+    bm = coarse.copy()
+    while True:
+        marks = []
+        for s in bm.live_simplices():
+            root, path = _child_path(bm, int(s), coarse_live)
+            if (root, path) in refined[dec.owner[np.searchsorted(dec.ids, root)]]:
+                marks.append(int(s))
+        if not marks:
+            return bm
+        bm.refine_marked(marks)
+
+
+def blend(dec, pou: PartitionOfUnity, local_fields) -> SolutionField:
+    """Weighted combination u(v) = sum_i phi_i(v) u_i(v) at blend-mesh
+    vertices, each u_i evaluated by genealogy descent on its own mesh."""
+    bm = pou.mesh
+    nc = local_fields[0].n_components
+    # a containing initial simplex per vertex, taken from the blend mesh's own
+    # live incidence (any one works; locate tolerates faces)
+    root_of = np.full(bm.n_vertices, -1, dtype=np.int64)
+    for s in bm.live_simplices():
+        r0 = root_ancestor(bm, int(s))
+        for v in bm.sverts[s]:
+            if root_of[v] < 0:
+                root_of[v] = r0
+    out = np.zeros((bm.n_vertices, nc))
+    for v in range(bm.n_vertices):
+        x = bm.coords[v]
+        row = pou.weights[v]
+        acc = np.zeros(nc)
+        for i in np.flatnonzero(row):
+            fld = local_fields[i]
+            try:
+                s = locate(fld.mesh, x, int(root_of[v]))
+            except MeshError as exc:
+                raise PpumError(f"point location failed at blend vertex {v} "
+                                f"on subdomain {i}: {exc}") from exc
+            bar = np.clip(barycentric(fld.mesh, s, x), 0.0, None)
+            bar /= bar.sum()
+            acc += row[i] * (bar @ fld.values[fld.mesh.sverts[s]])
+        out[v] = acc
+    return SolutionField(bm, nc, out)

@@ -1,4 +1,6 @@
 """Run configuration parsing and the adaptive driver."""
+import json
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,27 @@ def test_run_ppum_thread_count_invisible_in_output(tmp_path):
                            ppum_subdomains=4, threads=threads, out=str(out)))
         csvs.append((out / "levels.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_run_ppum_reports_local_wall_times(tmp_path):
+    # one wall time per subdomain run in report.json; levels.csv keeps its
+    # schema and its numbers (the four-subdomain run's, 25 -> 131 vertices)
+    rows = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, threads=threads,
+                           max_vertices=110, out=str(out)))
+        wall = json.loads((out / "report.json").read_text())["ppum"]["local_wall_s"]
+        assert len(wall) == 4
+        assert all(isinstance(w, float) and w >= 0.0 for w in wall)
+        rows.append((out / "levels.csv").read_text())
+    assert rows[0] == rows[1]
+    header, *levels = rows[0].splitlines()
+    assert header == ("level,n_vertices,n_simplices,eta_total,l2_error,h1_error,"
+                      "newton_iterations,linear_iterations")
+    got = np.array([[float(v) for v in r.split(",")] for r in levels])
+    want = np.array([[0, 25, 32, 3.180616603881648, 0.07986212344359442,
+                      0.8423540489026474, 1, 0],
+                     [1, 131, 230, 1.0659639465203536, 0.00961329584737991,
+                      0.2786659845876246, 0, 0]])
+    np.testing.assert_allclose(got, want, rtol=1e-12)

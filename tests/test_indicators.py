@@ -13,6 +13,7 @@ from afem.newton import NewtonConfig, newton_solve
 from afem.problem import ProblemDefinition, SolutionField
 from afem.problems import benchmark_poisson
 
+import pointwise_oracle as oracle
 from pointwise_oracle import domain_average, evaluate_functional, interpolate
 
 
@@ -118,6 +119,22 @@ def test_equidistribution_strategy():
     f = field(mesh, [2.0, 1.0, 1.0, 0.5])
     got = mark(f, "equidistribution", 1.0)
     assert 0 in got and 3 not in got
+
+
+def test_equidistribution_of_equal_values_marks_nothing():
+    # the mean of n equal masses, summed one after another, can round below
+    # the mass itself; the cut must not mark such a field whole
+    mesh = unit_square(4)
+    live = mesh.live_simplices()
+    n = len(live)
+    for value in np.linspace(0.1, 1.0, 1000):
+        f = IndicatorField(mesh, live, np.full(n, value))
+        assert mark(f, "equidistribution") == []
+        ref = oracle.IndicatorField(mesh, dict.fromkeys(live.tolist(), float(value)))
+        assert oracle.mark(ref, "equidistribution") == []
+    eta = np.full(n, 0.37)
+    eta[5] *= 1.01
+    assert mark(IndicatorField(mesh, live, eta), "equidistribution") == [int(live[5])]
 
 
 def test_hybrid_strategy_mass_fraction():

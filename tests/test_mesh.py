@@ -7,6 +7,8 @@ import pytest
 from afem import generators
 from afem.mesh import DIRICHLET, INTERIOR, Mesh, MeshError, shape_of_points
 
+import pointwise_oracle as oracle
+
 KUHN_SHAPE = 0.22894284851066632  # frozen: standard cube-corner tetrahedron
 
 
@@ -205,15 +207,16 @@ def test_locate_and_root_ancestor():
     m = generators.unit_square(2)
     m.refine_marked([0, 1, 2])
     x = np.array([0.1, 0.2])
-    roots = [int(s) for s in range(m.n_simplices) if m.sparent[s] < 0]
-    hit = None
-    for r in roots:
-        if m.barycentric(r, x).min() >= -1e-12:
-            hit = m.locate(x, r)
-            break
-    assert hit is not None and m.salive[hit]
-    assert m.barycentric(hit, x).min() >= -1e-9
-    assert m.root_ancestor(hit) in roots
+    roots = np.flatnonzero(m.sparent < 0)
+    # descend from every root: the one holding x finds it, the others miss
+    hit, bar = m.locate(np.tile(x, (len(roots), 1)), roots)
+    holds = np.array([oracle.barycentric(m, r, x).min() >= -1e-12 for r in roots])
+    assert holds.any()
+    np.testing.assert_array_equal(hit >= 0, holds)
+    hit, bar = hit[holds], bar[holds]
+    assert m.salive[hit].all() and (bar.min(axis=1) >= -1e-9).all()
+    assert np.allclose(np.einsum("kj,kjd->kd", bar, m.coords[m.sverts[hit]]), x)
+    np.testing.assert_array_equal(m.coarse_ancestors(hit, roots), roots[holds])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -228,7 +231,7 @@ def test_coarse_ancestor_maps_refined_mesh_onto_coarse(dim):
         a = int(a)
         assert a in coarse
         centroid = m.coords[m.sverts[s]].mean(axis=0)
-        assert m.barycentric(a, centroid).min() >= -1e-12
+        assert oracle.barycentric(m, a, centroid).min() >= -1e-12
         covered[a] += m.signed_volume(int(s))
     # the descendants of each coarse simplex tile it exactly
     for a in coarse:

@@ -11,6 +11,8 @@ from afem.multilevel import prolongation_from_refinement
 from afem.newton import newton_solve
 from afem.problem import SolutionField
 
+import pointwise_oracle as oracle
+
 
 def uniform_field(mesh):
     live = mesh.live_simplices()
@@ -117,9 +119,8 @@ def test_pou_vanishes_outside_overlap():
     w = ppum.taper_weights(mesh, dec)
     bm = refined_copy(mesh)
     pou = ppum.partition_of_unity(bm, mesh.n_vertices, w)
-    coarse_live = {int(s) for s in mesh.live_simplices()}
-    for s in bm.live_simplices():
-        root, _ = ppum._child_path(bm, int(s), coarse_live)
+    live = bm.live_simplices()
+    for s, root in zip(live, bm.coarse_ancestors(live, mesh.live_simplices())):
         for i in range(dec.n_subdomains):
             if root not in dec.overlap(i):
                 assert np.all(pou.weights[bm.sverts[s], i] == 0.0)
@@ -160,14 +161,14 @@ def test_local_solve_refines_inside_its_region():
                                        axis=1)))
     ul = ppum.local_solve(prob, coarse, u0, dec, corner_sub, coarse.n_vertices + 120)
     assert ul.mesh.n_vertices > coarse.n_vertices
-    coarse_live = {int(s) for s in coarse.live_simplices()}
+    live = ul.mesh.live_simplices()
+    roots = ul.mesh.coarse_ancestors(live, coarse.live_simplices())
     inside = 0
     new_verts = range(coarse.n_vertices, ul.mesh.n_vertices)
     for v in new_verts:
         hit = False
-        for s in ul.mesh.live_simplices():
+        for s, root in zip(live, roots):
             if v in ul.mesh.sverts[s]:
-                root, _ = ppum._child_path(ul.mesh, int(s), coarse_live)
                 if root in dec.overlap(corner_sub):
                     hit = True
                     break
@@ -210,6 +211,23 @@ def test_blend_of_identical_fields_is_exact():
     a = ppum.blend(dec, pou, [loc, twin])
     b = ppum.blend(dec, pou, [loc, loc])
     assert np.array_equal(a.values, b.values)
+
+
+def test_blend_point_outside_local_mesh_names_vertex_and_subdomain():
+    coarse = generators.unit_square(4)
+    dec = ppum.decompose(coarse, uniform_field(coarse), 2)
+    meshes = [refined_copy(coarse, seed=i) for i in range(2)]
+    pou = ppum.partition_of_unity(ppum.build_blend_mesh(coarse, dec, meshes),
+                                  coarse.n_vertices, ppum.taper_weights(coarse, dec))
+    fields = [SolutionField(m, 1, np.zeros((m.n_vertices, 1))) for m in meshes]
+    # move subdomain 1's mesh off the unit square: its first blend vertex
+    # with a nonzero weight lies outside it
+    meshes[1].coords[:, 0] += 2.0
+    v = np.flatnonzero(pou.weights[:, 1])[0]
+    with pytest.raises(ppum.PpumError, match=rf"blend vertex {v} on subdomain 1\b"):
+        ppum.blend(dec, pou, fields)
+    with pytest.raises(ppum.PpumError, match=rf"blend vertex {v} on subdomain 1\b"):
+        oracle.blend(dec, pou, fields)
 
 
 def global_adaptive(prob, mesh, budget):

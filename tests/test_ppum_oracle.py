@@ -18,6 +18,12 @@ differently in the last bit on 0.1% (p = 2) to 5% (p = 3) of general inputs,
 and at an exact tie of masses (say, every eta equal, against their mean) one
 bit decides a strict comparison; on exact powers both sides compare the same
 numbers.
+
+The blend stage is checked the same way against the former per-vertex blend
+and path-keyed blend mesh: after random refinements of the coarse mesh and
+of every subdomain's local mesh, the blend meshes must agree bitwise
+(coordinates, simplex vertices, live set), and so must the blended values of
+random local fields.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import pointwise_oracle as oracle
 from afem import generators, ppum
 from afem.indicators import IndicatorField, mark
+from afem.problem import SolutionField
 
 MESHES = {
     "unit_square": lambda: generators.unit_square(2),
@@ -34,6 +41,9 @@ MESHES = {
 
 MARKINGS = st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
                     min_size=1, max_size=3)
+# deeper refinement for the local meshes of the blend stage
+LOCAL_MARKINGS = st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+                          min_size=1, max_size=5)
 
 
 def _refine(mesh, marking):
@@ -82,3 +92,32 @@ def test_marking_and_decomposition_match_oracle(name, marking, blend_marking, da
     for i in range(n_parts):
         outside = blive[~np.isin(roots, dec.overlap(i))]
         assert np.all(pou.weights[bm.sverts[outside], i] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)),
+       coarse_marking=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+                               max_size=2),
+       data=st.data())
+def test_blend_stage_matches_oracle(name, coarse_marking, data):
+    coarse = _refine(MESHES[name](), coarse_marking)
+    live = coarse.live_simplices()
+    eta = np.array(data.draw(st.lists(st.integers(0, 16), min_size=len(live),
+                                      max_size=len(live)))) / 16.0
+    n_parts = data.draw(st.integers(1, min(4, len(live))))
+    dec = ppum.decompose(coarse, IndicatorField(coarse, live, eta), n_parts,
+                         data.draw(st.integers(1, 2)))
+    meshes = [_refine(coarse.copy(), data.draw(LOCAL_MARKINGS)) for _ in range(n_parts)]
+
+    bm = ppum.build_blend_mesh(coarse, dec, meshes)
+    ref = oracle.build_blend_mesh(coarse, dec, meshes)
+    assert bm.coords.tobytes() == ref.coords.tobytes()
+    np.testing.assert_array_equal(bm.sverts, ref.sverts)
+    np.testing.assert_array_equal(bm.live_simplices(), ref.live_simplices())
+
+    nc = data.draw(st.integers(1, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fields = [SolutionField(m, nc, rng.standard_normal((m.n_vertices, nc))) for m in meshes]
+    pou = ppum.partition_of_unity(bm, coarse.n_vertices, ppum.taper_weights(coarse, dec))
+    got = ppum.blend(dec, pou, fields).values
+    assert got.tobytes() == oracle.blend(dec, pou, fields).values.tobytes()
