@@ -139,16 +139,14 @@ def sphere_in_box(n: int = 4, radius: float = 0.4, half_width: float = 1.0,
 
 
 def _drop_isolated(mesh: Mesh):
-    # grid builders allocate the full vertex lattice; cut-out domains leave
-    # orphans behind, which would trip ring validation downstream
-    used = sorted({int(v) for s in range(mesh.n_slots) for v in mesh.sverts[s]})
+    # grid builders allocate the full vertex lattice; a cut-out domain leaves
+    # vertices no simplex holds, which would become dofs that no basis
+    # function's support covers
+    used = np.unique(mesh.sverts)
     if len(used) == mesh.n_vertices:
         return
-    remap = {old: new for new, old in enumerate(used)}
-    mesh._coords = mesh._coords[used].copy()
-    mesh._vclass = mesh._vclass[used].copy()
-    mesh._vparents = mesh._vparents[used].copy()
-    mesh.rings = [set(mesh.rings[old]) for old in used]
+    mesh._coords = mesh._coords[used]
+    mesh._vclass = mesh._vclass[used]
+    mesh._vparents = mesh._vparents[used]
     mesh._nv = len(used)
-    for s in range(mesh.n_slots):
-        mesh._sverts[s] = [remap[int(v)] for v in mesh._sverts[s]]
+    mesh.sverts[:] = np.searchsorted(used, mesh.sverts)

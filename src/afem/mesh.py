@@ -1,8 +1,10 @@
-"""Simplicial meshes with vertex rings, bisection refinement, and conformity closure.
+"""Simplicial meshes with bisection refinement and conformity closure.
 
-The mesh stores vertices and d-simplices only.  Each vertex keeps a ring (the
-set of live simplices touching it), which answers the adjacency queries of
-bisection.  Everything assembly and the indicators integrate over comes from
+The mesh stores vertices and d-simplices only, each as rows of a few arrays.
+Refinement bisects a whole closure pass's queue at once over those rows (the
+array form of newest-vertex bisection of Funken, Praetorius & Wissgott, CMAM
+11, 2011, and in 3D the tagged bisection of Arnold, Mukherjee & Pouly, SISC
+22, 2000).  Everything assembly and the indicators integrate over comes from
 `Mesh.tables()`: a `MeshTables` value of element geometry and face incidence
 as arrays, built with a few numpy operations on first use and kept until the
 mesh's simplices change.  Simplex records are append-only: a bisected parent
@@ -13,7 +15,7 @@ parent edges) survives for transfer operators and point location.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +25,6 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-_EDGES = {
-    2: ((0, 1), (0, 2), (1, 2)),
-    3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
 # local vertex indices of face i, the face opposite vertex i
 LOCAL_FACES = {d: np.array([[k for k in range(d + 1) if k != i] for i in range(d + 1)])
           for d in (2, 3)}
@@ -39,22 +37,11 @@ class MeshError(Exception):
 
 @dataclass
 class RefinementReport:
-    """What one refine_marked (or bisect) call did to the mesh."""
+    """What one refine_marked call did to the mesh: one (parent, child0,
+    child1, midpoint) row per bisection, and the closure passes it took."""
 
-    bisections: list = field(default_factory=list)  # (parent, child0, child1, midpoint)
-    passes: int = 0
-
-    @property
-    def destroyed_simplices(self):
-        return [b[0] for b in self.bisections]
-
-    @property
-    def created_simplices(self):
-        out = []
-        for _, c0, c1, _ in self.bisections:
-            out.append(c0)
-            out.append(c1)
-        return out
+    bisections: np.ndarray
+    passes: int
 
 
 def shape_of_points(pts: np.ndarray) -> float:
@@ -67,7 +54,7 @@ def shape_of_points(pts: np.ndarray) -> float:
     d = pts.shape[1]
     vol = signed_volume_of_points(pts)
     ss = 0.0
-    for i, j in _EDGES[d]:
+    for i, j in zip(*np.triu_indices(d + 1, 1)):
         e = pts[j] - pts[i]
         ss += float(e @ e)
     if ss == 0.0 or vol == 0.0:
@@ -89,6 +76,13 @@ def signed_volume_of_points(pts: np.ndarray) -> float:
 def _norm(v: np.ndarray) -> np.ndarray:
     # the dot product np.linalg.norm takes, so lengths agree with face_normal's
     return np.sqrt(np.vecdot(v, v))
+
+
+def _edge_ends(verts: np.ndarray):
+    """Vertex ids (lo, hi), lo < hi, of every edge of each row of verts (n, k),
+    as two (n, k (k-1) / 2) arrays."""
+    i, j = np.triu_indices(verts.shape[1], 1)
+    return np.minimum(verts[:, i], verts[:, j]), np.maximum(verts[:, i], verts[:, j])
 
 
 def _across(verts: np.ndarray, d: int) -> np.ndarray:
@@ -201,7 +195,6 @@ class Mesh:
         self._coords = np.zeros((cap, dim), dtype=float)
         self._vclass = np.zeros(cap, dtype=np.int8)
         self._vparents = np.full((cap, 2), -1, dtype=np.int64)
-        self.rings: list[set] = []
         self._sverts = np.zeros((cap, dim + 1), dtype=np.int64)
         self._sflags = np.zeros((cap, dim + 1), dtype=np.int8)
         self._salive = np.zeros(cap, dtype=bool)
@@ -210,7 +203,6 @@ class Mesh:
         # 3D bisection bookkeeping: vertex ids in bisection order plus a type tag
         self._sorder = np.full((cap, 4), -1, dtype=np.int64)
         self._stag = np.zeros(cap, dtype=np.int8)
-        self._finalized = False
         self._tables = None
 
     # ------------------------------------------------------------------ storage
@@ -262,39 +254,22 @@ class Mesh:
 
     # ------------------------------------------------------------------ build
 
-    def add_vertex(self, x, bclass: int = INTERIOR, parents=(-1, -1)) -> int:
-        vid = self._nv
-        self._coords = self._grow(self._coords, vid + 1)
-        self._vclass = self._grow(self._vclass, vid + 1)
-        self._vparents = self._grow(self._vparents, vid + 1)
-        self._coords[vid] = x
-        self._vclass[vid] = bclass
-        self._vparents[vid] = parents
-        self.rings.append(set())
-        self._nv += 1
-        return vid
-
-    def _push_simplex(self, verts, flags, parent, order, tag) -> int:
-        sid = self._ns
-        self._sverts = self._grow(self._sverts, sid + 1)
-        self._sflags = self._grow(self._sflags, sid + 1)
-        self._salive = self._grow(self._salive, sid + 1)
-        self._sparent = self._grow(self._sparent, sid + 1)
-        self._schildren = self._grow(self._schildren, sid + 1)
-        self._sorder = self._grow(self._sorder, sid + 1)
-        self._stag = self._grow(self._stag, sid + 1)
-        self._sverts[sid] = verts
-        self._sflags[sid] = flags
-        self._salive[sid] = True
-        self._sparent[sid] = parent
-        self._schildren[sid] = (-1, -1)
-        self._sorder[sid] = order
-        self._stag[sid] = tag
-        self._ns += 1
+    def _append(self, count: str, **columns) -> np.ndarray:
+        """Append rows to the vertex (count "_nv") or simplex ("_ns") columns
+        and return their ids.  The first column holds one value per new row;
+        the others broadcast against it."""
+        start = getattr(self, count)
+        stop = start + len(next(iter(columns.values())))
+        for name, rows in columns.items():
+            arr = self._grow(getattr(self, name), stop)
+            arr[start:stop] = rows
+            setattr(self, name, arr)
+        setattr(self, count, stop)
         self._tables = None
-        for v in verts:
-            self.rings[v].add(sid)
-        return sid
+        return np.arange(start, stop)
+
+    def add_vertex(self, x, bclass: int = INTERIOR, parents=(-1, -1)) -> int:
+        return int(self._append("_nv", _coords=[x], _vclass=bclass, _vparents=parents)[0])
 
     def add_simplex(self, verts, flags=None) -> int:
         verts = tuple(int(v) for v in verts)
@@ -306,9 +281,10 @@ class Mesh:
             raise MeshError(f"simplex {verts} references a missing vertex")
         if flags is None:
             flags = (INTERIOR,) * (self.dim + 1)
-        return self._push_simplex(verts, flags, -1, (-1, -1, -1, -1), 0)
+        return int(self._append("_ns", _sverts=[verts], _sflags=flags, _salive=True,
+                                _sparent=-1, _schildren=-1, _sorder=-1, _stag=0)[0])
 
-    def finalize(self, boundary=None, fix_orientation: bool = True):
+    def finalize(self, boundary=None):
         """Close construction: orient simplices, flag boundary faces, derive vertex classes.
 
         boundary: None keeps the flags handed to add_simplex; an int flags every
@@ -318,8 +294,6 @@ class Mesh:
         for s in range(self._ns):
             vol = self.signed_volume(s)
             if vol < 0:
-                if not fix_orientation:
-                    raise MeshError(f"simplex {s} has negative volume {vol}")
                 row = self._sverts[s].copy()
                 row[-1], row[-2] = row[-2], row[-1]
                 self._sverts[s] = row
@@ -340,10 +314,15 @@ class Mesh:
                 self._sflags[s, i] = c
         self._derive_vertex_classes()
         if self.dim == 3:
-            for s in range(self._ns):
-                if self._sorder[s, 0] < 0:
-                    self._assign_initial_mark(s)
-        self._finalized = True
+            # a new tetrahedron's order is (a, the other two ascending, b) for
+            # its longest edge (a, b), a < b, and its tag 0
+            fresh = np.flatnonzero(self._sorder[:self._ns, 0] < 0)
+            verts = self._sverts[fresh]
+            a, b = self._longest_edges(verts)
+            keep = (verts != a[:, None]) & (verts != b[:, None])
+            rest = np.sort(verts[keep].reshape(-1, 2), axis=1)
+            self._sorder[fresh] = np.column_stack([a, rest, b])
+            self._stag[fresh] = 0
         self._tables = None
         self.check_conformity()
         return self
@@ -357,21 +336,16 @@ class Mesh:
         # dirichlet wins where both kinds of face meet at a vertex
         self.vclass[fverts[flags == DIRICHLET]] = DIRICHLET
 
-    def _assign_initial_mark(self, s: int):
-        # refinement edge = longest edge, ties broken on the (min id, max id) pair
-        verts = self._sverts[s]
-        best = None
-        for i, j in _EDGES[3]:
-            a, b = int(verts[i]), int(verts[j])
-            e = self._coords[b] - self._coords[a]
-            l2 = float(e @ e)
-            key = (-l2, min(a, b), max(a, b))
-            if best is None or key < best[0]:
-                best = (key, (min(a, b), max(a, b)))
-        a, b = best[1]
-        mids = sorted(int(v) for v in verts[:4] if v not in (a, b))
-        self._sorder[s] = (a, mids[0], mids[1], b)
-        self._stag[s] = 0
+    def _longest_edges(self, verts: np.ndarray):
+        """Vertex ids (a, b), a < b, of the longest edge of each row of verts,
+        ties broken on the smallest (a, b)."""
+        lo, hi = _edge_ends(verts)
+        n, ne = lo.shape
+        lo, hi = lo.ravel(), hi.ravel()
+        e = self._coords[hi] - self._coords[lo]
+        # rows in blocks of ne, each block longest edge first
+        first = np.lexsort((hi, lo, -np.vecdot(e, e), np.repeat(np.arange(n), ne)))[::ne]
+        return lo[first], hi[first]
 
     # ------------------------------------------------------------------ queries
 
@@ -407,34 +381,6 @@ class Mesh:
         if self._tables is None:
             self._tables = MeshTables(self)
         return self._tables
-
-    def neighbor(self, sid: int, i: int) -> int:
-        """Live simplex across face i of sid, or -1 on the boundary."""
-        verts = [int(v) for k, v in enumerate(self._sverts[sid, :self.dim + 1]) if k != i]
-        shared = set(self.rings[verts[0]])
-        for v in verts[1:]:
-            shared &= self.rings[v]
-        shared.discard(sid)
-        if not shared:
-            return -1
-        if len(shared) > 1:
-            raise MeshError(f"face {i} of simplex {sid} is shared by {len(shared) + 1} simplices")
-        return shared.pop()
-
-    def refinement_edge(self, sid: int):
-        """Vertex id pair of the edge the next bisection of sid will split."""
-        if self.dim == 3:
-            return int(self._sorder[sid, 0]), int(self._sorder[sid, 3])
-        verts = self._sverts[sid]
-        best = None
-        for i, j in _EDGES[2]:
-            a, b = int(verts[i]), int(verts[j])
-            e = self._coords[b] - self._coords[a]
-            l2 = float(e @ e)
-            key = (-l2, min(a, b), max(a, b))
-            if best is None or key < best[0]:
-                best = (key, (min(a, b), max(a, b)))
-        return best[1]
 
     def coarse_ancestors(self, ids, coarse) -> np.ndarray:
         """The ancestor of each simplex in ids (or the simplex itself) that lies
@@ -478,114 +424,108 @@ class Mesh:
 
     # ------------------------------------------------------------------ refinement
 
-    def bisect(self, sid: int) -> RefinementReport:
-        """Bisect one simplex at its refinement edge midpoint, then restore conformity."""
-        return self.refine_marked([sid])
-
     def refine_marked(self, marked) -> RefinementReport:
         """Bisect every marked simplex, then close until the mesh conforms again.
 
-        Midpoints are deduplicated through a per-call (min vid, max vid) hash, so
-        neighbors splitting the same edge share the new vertex.  The queue-swap
-        loop bisects the current queue, then collects every live simplex still
-        spanning a split edge into the next queue.
+        Each closure pass bisects its whole queue at once (`_bisect`); the next
+        queue is every live simplex, ascending, that spans an edge split in
+        this call.  Neighbours splitting the same edge share its midpoint.
         """
-        report = RefinementReport()
-        edge_map: dict = {}
-        queue = sorted(set(int(s) for s in marked))
-        for s in queue:
-            if s < 0 or s >= self._ns or not self._salive[s]:
-                raise MeshError(f"cannot refine simplex {s}: not a live simplex")
-        passes = 0
-        while queue:
-            passes += 1
-            if passes > MAX_CLOSURE_PASSES:
+        queue = np.unique(np.fromiter(marked, dtype=np.int64))
+        bad = (queue < 0) | (queue >= self._ns)
+        bad[~bad] = ~self._salive[queue[~bad]]
+        if bad.any():
+            raise MeshError(f"cannot refine simplex {queue[bad][0]}: not a live simplex")
+        nv0 = self._nv
+        rows = []
+        while queue.size:
+            if len(rows) == MAX_CLOSURE_PASSES:
                 raise MeshError(
                     f"conformity closure exceeded {MAX_CLOSURE_PASSES} passes; "
                     f"simplex {queue[0]} still hangs (inconsistent marking?)")
-            for s in queue:
-                if self._salive[s]:
-                    self._bisect_one(s, edge_map, report)
-            nxt = set()
-            for (va, vb) in edge_map:
-                nxt.update(self.rings[va] & self.rings[vb])
-            queue = sorted(nxt)
-        report.passes = passes
-        return report
+            rows.append(self._bisect(queue, nv0))
+            n = self._nv
+            split = self._vparents[nv0:n]
+            live = self.live_simplices()
+            lo, hi = _edge_ends(self._sverts[live])
+            queue = live[np.isin(lo * n + hi, split[:, 0] * n + split[:, 1]).any(axis=1)]
+        return RefinementReport(np.concatenate(rows or [np.empty((0, 4), np.int64)]), len(rows))
 
     def uniform_refine(self) -> RefinementReport:
         return self.refine_marked(self.live_simplices())
 
-    def _midpoint_class(self, a: int, b: int) -> int:
-        # the midpoint is on the boundary iff edge (a,b) lies inside a flagged face
-        cls = INTERIOR
-        for s in sorted(self.rings[a] & self.rings[b]):
-            verts = self._sverts[s]
-            for i in range(self.dim + 1):
-                fl = int(self._sflags[s, i])
-                if fl == INTERIOR:
-                    continue
-                fv = set(int(v) for k, v in enumerate(verts[:self.dim + 1]) if k != i)
-                if a in fv and b in fv:
-                    if fl == DIRICHLET:
-                        return DIRICHLET
-                    cls = NEUMANN
-        return cls
+    def _bisect(self, queue: np.ndarray, nv0: int) -> np.ndarray:
+        """Bisect the live simplices queue (ascending) at their refinement edges
+        (a, b) and return one (parent, child0, child1, midpoint) row each.
 
-    def _child_flags(self, parent: int, child_verts, a: int, b: int, z: int):
-        pverts = [int(v) for v in self._sverts[parent, :self.dim + 1]]
-        pset = set(pverts)
-        flags = []
-        for i in range(self.dim + 1):
-            fset = set(child_verts) - {child_verts[i]}
-            if z not in fset:
-                j = pverts.index((pset - fset).pop())
-                flags.append(int(self._sflags[parent, j]))
-                continue
-            fp = (fset - {z}) | {a, b}
-            if len(fp) == self.dim + 1:
-                flags.append(INTERIOR)  # the cut face is always interior
-            else:
-                j = pverts.index((pset - fp).pop())
-                flags.append(int(self._sflags[parent, j]))
-        return flags
-
-    def _bisect_one(self, sid: int, edge_map: dict, report: RefinementReport):
-        a, b = self.refinement_edge(sid)
-        key = (min(a, b), max(a, b))
-        z = edge_map.get(key)
-        if z is None:
-            mid = 0.5 * (self._coords[a] + self._coords[b])
-            z = self.add_vertex(mid, bclass=self._midpoint_class(a, b), parents=key)
-            edge_map[key] = z
-        pverts = [int(v) for v in self._sverts[sid, :self.dim + 1]]
-        verts0 = [z if v == b else v for v in pverts]  # child containing a
-        verts1 = [z if v == a else v for v in pverts]  # child containing b
-        flags0 = self._child_flags(sid, verts0, a, b, z)
-        flags1 = self._child_flags(sid, verts1, a, b, z)
-        if self.dim == 3:
-            m1, m2 = int(self._sorder[sid, 1]), int(self._sorder[sid, 2])
-            t = int(self._stag[sid])
-            nt = (t + 1) % 3
-            order0 = (a, z, m1, m2)
-            order1 = (b, z, m2, m1) if t == 0 else (b, z, m1, m2)
-            c0 = self._push_simplex(verts0, flags0, sid, order0, nt)
-            c1 = self._push_simplex(verts1, flags1, sid, order1, nt)
+        An edge split earlier in this call (its midpoint is a vertex from nv0
+        on) keeps its midpoint; the other edges get new vertices in the order
+        the queue first needs them.  Child 0 of queue[k] is slot n_slots + 2k
+        and keeps a, child 1 keeps b; each copies its parent's face flags but
+        for the cut face, opposite the end it keeps, which is interior.
+        """
+        d, n = self.dim, self._nv
+        pv = self._sverts[queue]
+        if d == 2:
+            a, b = self._longest_edges(pv)
         else:
-            c0 = self._push_simplex(verts0, flags0, sid, (-1, -1, -1, -1), 0)
-            c1 = self._push_simplex(verts1, flags1, sid, (-1, -1, -1, -1), 0)
-        self._salive[sid] = False
-        self._schildren[sid] = (c0, c1)
-        for v in pverts:
-            self.rings[v].discard(sid)
-        report.bisections.append((sid, c0, c1, z))
+            a, b = self._sorder[queue, 0], self._sorder[queue, 3]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        old = self._vparents[nv0:n]
+        keys, first, inv = np.unique(np.concatenate([old[:, 0] * n + old[:, 1], lo * n + hi]),
+                                     return_index=True, return_inverse=True)
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[np.argsort(first)] = nv0 + np.arange(len(keys))
+        z = ids[inv[len(old):]]
+        new = np.sort(first[first >= len(old)]) - len(old)
+        self._append("_nv", _coords=0.5 * (self._coords[a[new]] + self._coords[b[new]]),
+                     _vclass=self._edge_classes(lo[new], hi[new]),
+                     _vparents=np.column_stack([lo[new], hi[new]]))
+
+        is_a, is_b = pv == a[:, None], pv == b[:, None]
+        pf = self._sflags[queue]
+        zc = z[:, None]
+        verts = np.stack([np.where(is_b, zc, pv), np.where(is_a, zc, pv)], axis=1)
+        flags = np.stack([np.where(is_a, INTERIOR, pf), np.where(is_b, INTERIOR, pf)], axis=1)
+        order, tag = -1, 0
+        if d == 3:
+            t = self._stag[queue]
+            m1, m2 = self._sorder[queue, 1], self._sorder[queue, 2]
+            # child 0 is (a, z, m1, m2); child 1 (b, z, m2, m1) after tag 0
+            m1b, m2b = np.where(t == 0, m2, m1), np.where(t == 0, m1, m2)
+            order = np.stack([a, z, m1, m2, b, z, m1b, m2b], axis=1).reshape(-1, 4)
+            tag = np.repeat((t + 1) % 3, 2)
+        kids = self._append("_ns", _sverts=verts.reshape(-1, d + 1),
+                            _sflags=flags.reshape(-1, d + 1), _salive=True,
+                            _sparent=np.repeat(queue, 2), _schildren=-1, _sorder=order,
+                            _stag=tag).reshape(-1, 2)
+        self._salive[queue] = False
+        self._schildren[queue] = kids
+        return np.column_stack([queue, kids, z])
+
+    def _edge_classes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Class of the midpoint of each edge (lo, hi) of the live simplices:
+        DIRICHLET if a Dirichlet face of a live simplex holds the edge, else
+        NEUMANN if another flagged face does, else INTERIOR."""
+        live = self.live_simplices()
+        s, i = np.nonzero(self._sflags[live] != INTERIOR)
+        s = live[s]
+        flo, fhi = _edge_ends(self._sverts[s[:, None], LOCAL_FACES[self.dim][i]])
+        # rank 2 for a Dirichlet face, 1 for another flagged face
+        face_rank = np.where(self._sflags[s, i] == DIRICHLET, 2, 1)
+        n = self._nv
+        keys, inv = np.unique(np.concatenate([lo * n + hi, (flo * n + fhi).ravel()]),
+                              return_inverse=True)
+        rank = np.zeros(len(keys), dtype=np.int8)
+        np.maximum.at(rank, inv[len(lo):], np.repeat(face_rank, flo.shape[1]))
+        return np.array([INTERIOR, NEUMANN, DIRICHLET], dtype=np.int8)[rank[inv[:len(lo)]]]
 
     # ------------------------------------------------------------------ integrity
 
     def check_conformity(self):
         """Exhaustive face audit: every interior face shared by exactly two live
         simplices flagged interior, every boundary face owned by one simplex with
-        a boundary flag, rings consistent, volumes positive.
+        a boundary flag, volumes positive.
         """
         live = self.live_simplices()
         for s in live:
@@ -599,12 +539,6 @@ class Mesh:
                 raise MeshError(f"interior face {i} of simplex {s} carries a boundary flag")
             raise MeshError(f"boundary face {i} of simplex {s} is unflagged "
                             "(hanging node or missing boundary data)")
-        for v in range(self._nv):
-            for s in self.rings[v]:
-                if not self._salive[s]:
-                    raise MeshError(f"ring of vertex {v} holds dead simplex {s}")
-                if v not in self._sverts[s, :self.dim + 1]:
-                    raise MeshError(f"ring of vertex {v} holds foreign simplex {s}")
 
     def face_normal(self, sid: int, i: int):
         """Unit outward normal and measure of face i (the face opposite local vertex i)."""
@@ -633,7 +567,6 @@ class Mesh:
         m._coords = self._coords[:self._nv].copy()
         m._vclass = self._vclass[:self._nv].copy()
         m._vparents = self._vparents[:self._nv].copy()
-        m.rings = [set(r) for r in self.rings]
         m._sverts = self._sverts[:self._ns].copy()
         m._sflags = self._sflags[:self._ns].copy()
         m._salive = self._salive[:self._ns].copy()
@@ -641,5 +574,4 @@ class Mesh:
         m._schildren = self._schildren[:self._ns].copy()
         m._sorder = self._sorder[:self._ns].copy()
         m._stag = self._stag[:self._ns].copy()
-        m._finalized = self._finalized
         return m

@@ -170,7 +170,7 @@ def _parse(lines) -> Mesh:
         if mesh.signed_volume(mesh.n_slots - 1) <= 0:
             _fail(ln, f"simplex {sid} has non-positive volume")
     try:
-        mesh.finalize(boundary=None, fix_orientation=False)
+        mesh.finalize(boundary=None)
     except MeshError as e:
         raise MeshError(f"mesh fails validation: {e}") from e
     for v in range(mesh.n_vertices):

@@ -8,7 +8,7 @@ Lipschitz partition of unity on a union-refinement mesh.
 The decomposition is kept as arrays over the element rows of the coarse
 mesh's `MeshTables`: an owner per row and, per subdomain, each row's overlap
 ring, grown once in `decompose` through a sparse vertex-simplex incidence
-matrix.  The taper reads its vertex distances from those rings, and the
+matrix.  The taper reads its vertex distances from those ring indices, and the
 partition of unity carries the taper onto the blend mesh with the
 refinement's prolongation.
 
@@ -43,7 +43,7 @@ class PpumError(Exception):
 
 @dataclass
 class Decomposition:
-    """Owner labels and overlap rings over the coarse mesh's element rows.
+    """Owner labels and overlap ring indices over the coarse mesh's element rows.
 
     ids are the live simplex ids, ascending (the rows of `Mesh.tables()`);
     owner[k] is the one subdomain that owns row k.  ring[i, k] is row k's

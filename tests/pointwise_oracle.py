@@ -36,6 +36,14 @@ to provide (now functions of the mesh): the blend mesh replays each owner's
 refinement by matching (coarse ancestor, child-index path) keys, and `blend`
 locates one vertex in one local mesh at a time.  They are the reference for
 the array versions in `test_ppum_oracle.py`.
+
+`refine_marked` is the library's former bisection, one simplex at a time,
+with `_bisect_one`, `_child_flags`, `_midpoint_class`, `refinement_edge` and
+the 3D `initial_order`, copied as functions of the mesh: the vertex rings the
+mesh used to keep are built from the live simplices on entry and kept by the
+oracle alone.  `neighbor` finds the simplex across a face by a search of the
+live simplices, apart from the mesh's face tables.  They are the reference
+for the array passes of `Mesh.refine_marked` in `test_mesh_tables.py`.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import scipy.sparse as sp
 
 from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
                            linear_element)
-from afem.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError
+from afem.mesh import DIRICHLET, INTERIOR, MAX_CLOSURE_PASSES, NEUMANN, Mesh, MeshError
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.problem import ProblemDefinition, SolutionField
 
@@ -425,7 +433,7 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
                     term += wq[q] * float(np.sum(np.abs(r1) ** p))
                 acc[s] += hf * term
                 continue
-            t = mesh.neighbor(s, i)
+            t = neighbor(mesh, s, i)
             if t < 0 or t < s:
                 continue   # interior face handled from the lower-id side
             uloc_t, gu_t, grads_t = side_cache[t]
@@ -528,7 +536,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
                     term += wq[q] * float(r1 @ wv)
                 contrib[coarse_ancestor(mesh, s, coarse_live)] += term
                 continue
-            t = mesh.neighbor(s, i)
+            t = neighbor(mesh, s, i)
             if t < 0 or t < s:
                 continue
             uloc_t, gu_t, grads_t = side_cache[t]
@@ -911,3 +919,168 @@ def blend(dec, pou: PartitionOfUnity, local_fields) -> SolutionField:
             acc += row[i] * (bar @ fld.values[fld.mesh.sverts[s]])
         out[v] = acc
     return SolutionField(bm, nc, out)
+
+
+# ---------------------------------------------------------------- refinement
+
+def neighbor(mesh: Mesh, sid: int, i: int) -> int:
+    """Live simplex across face i of sid, or -1 on the boundary, found by a
+    search of every live simplex for the face's vertices."""
+    face = np.delete(mesh.sverts[sid], i)
+    live = mesh.live_simplices()
+    shared = live[(np.isin(mesh.sverts[live], face).sum(axis=1) == mesh.dim) & (live != sid)]
+    if len(shared) > 1:
+        raise MeshError(f"face {i} of simplex {sid} is shared by {len(shared) + 1} simplices")
+    return int(shared[0]) if len(shared) else -1
+
+
+def _longest_edge(mesh: Mesh, verts):
+    # longest edge, ties broken on the (min id, max id) pair
+    best = None
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            a, b = int(verts[i]), int(verts[j])
+            e = mesh.coords[b] - mesh.coords[a]
+            key = (-float(e @ e), min(a, b), max(a, b))
+            if best is None or key < best[0]:
+                best = (key, (min(a, b), max(a, b)))
+    return best[1]
+
+
+def initial_order(mesh: Mesh, sid: int):
+    """The 3D bisection order of a new tetrahedron: its longest edge (a, b)
+    with the other two vertices, ascending, between them."""
+    a, b = _longest_edge(mesh, mesh.sverts[sid])
+    mids = sorted(int(v) for v in mesh.sverts[sid] if v not in (a, b))
+    return (a, mids[0], mids[1], b)
+
+
+def refinement_edge(mesh: Mesh, sid: int):
+    """Vertex id pair of the edge the next bisection of sid will split."""
+    if mesh.dim == 3:
+        return int(mesh._sorder[sid, 0]), int(mesh._sorder[sid, 3])
+    return _longest_edge(mesh, mesh.sverts[sid])
+
+
+def refine_marked(mesh: Mesh, marked):
+    """Bisect every marked simplex one at a time, then close until the mesh
+    conforms again; returns the (parent, child0, child1, midpoint) list and
+    the number of passes.
+
+    Each vertex's ring (the set of live simplices touching it), built from
+    the live simplices on entry and kept up to date, answers the adjacency
+    queries.  Midpoints are deduplicated through a per-call (min vid, max vid)
+    map.  Each pass bisects the current queue in ascending order, then
+    collects every live simplex still spanning a split edge into the next.
+    """
+    rings = [set() for _ in range(mesh.n_vertices)]
+    for s in mesh.live_simplices():
+        for v in mesh.sverts[s]:
+            rings[int(v)].add(int(s))
+    bisections = []
+    edge_map: dict = {}
+    queue = sorted(set(int(s) for s in marked))
+    for s in queue:
+        if s < 0 or s >= mesh.n_slots or not mesh.salive[s]:
+            raise MeshError(f"cannot refine simplex {s}: not a live simplex")
+    passes = 0
+    while queue:
+        passes += 1
+        if passes > MAX_CLOSURE_PASSES:
+            raise MeshError(
+                f"conformity closure exceeded {MAX_CLOSURE_PASSES} passes; "
+                f"simplex {queue[0]} still hangs (inconsistent marking?)")
+        for s in queue:
+            if mesh.salive[s]:
+                _bisect_one(mesh, rings, s, edge_map, bisections)
+        nxt = set()
+        for (va, vb) in edge_map:
+            nxt.update(rings[va] & rings[vb])
+        queue = sorted(nxt)
+    return bisections, passes
+
+
+def _midpoint_class(mesh: Mesh, rings, a: int, b: int) -> int:
+    # the midpoint is on the boundary iff edge (a,b) lies inside a flagged face
+    cls = INTERIOR
+    for s in sorted(rings[a] & rings[b]):
+        verts = mesh.sverts[s]
+        for i in range(mesh.dim + 1):
+            fl = int(mesh.sflags[s, i])
+            if fl == INTERIOR:
+                continue
+            fv = set(int(v) for k, v in enumerate(verts) if k != i)
+            if a in fv and b in fv:
+                if fl == DIRICHLET:
+                    return DIRICHLET
+                cls = NEUMANN
+    return cls
+
+
+def _child_flags(mesh: Mesh, parent: int, child_verts, a: int, b: int, z: int):
+    pverts = [int(v) for v in mesh.sverts[parent]]
+    pset = set(pverts)
+    flags = []
+    for i in range(mesh.dim + 1):
+        fset = set(child_verts) - {child_verts[i]}
+        if z not in fset:
+            j = pverts.index((pset - fset).pop())
+            flags.append(int(mesh.sflags[parent, j]))
+            continue
+        fp = (fset - {z}) | {a, b}
+        if len(fp) == mesh.dim + 1:
+            flags.append(INTERIOR)  # the cut face is always interior
+        else:
+            j = pverts.index((pset - fp).pop())
+            flags.append(int(mesh.sflags[parent, j]))
+    return flags
+
+
+def _push_simplex(mesh: Mesh, rings, verts, flags, parent, order, tag) -> int:
+    sid = mesh.n_slots
+    for name in ("_sverts", "_sflags", "_salive", "_sparent", "_schildren", "_sorder", "_stag"):
+        setattr(mesh, name, Mesh._grow(getattr(mesh, name), sid + 1))
+    mesh._sverts[sid] = verts
+    mesh._sflags[sid] = flags
+    mesh._salive[sid] = True
+    mesh._sparent[sid] = parent
+    mesh._schildren[sid] = (-1, -1)
+    mesh._sorder[sid] = order
+    mesh._stag[sid] = tag
+    mesh._ns += 1
+    mesh._tables = None
+    for v in verts:
+        rings[v].add(sid)
+    return sid
+
+
+def _bisect_one(mesh: Mesh, rings, sid: int, edge_map: dict, bisections: list):
+    a, b = refinement_edge(mesh, sid)
+    key = (min(a, b), max(a, b))
+    z = edge_map.get(key)
+    if z is None:
+        mid = 0.5 * (mesh.coords[a] + mesh.coords[b])
+        z = mesh.add_vertex(mid, bclass=_midpoint_class(mesh, rings, a, b), parents=key)
+        rings.append(set())
+        edge_map[key] = z
+    pverts = [int(v) for v in mesh.sverts[sid]]
+    verts0 = [z if v == b else v for v in pverts]  # child containing a
+    verts1 = [z if v == a else v for v in pverts]  # child containing b
+    flags0 = _child_flags(mesh, sid, verts0, a, b, z)
+    flags1 = _child_flags(mesh, sid, verts1, a, b, z)
+    if mesh.dim == 3:
+        m1, m2 = int(mesh._sorder[sid, 1]), int(mesh._sorder[sid, 2])
+        t = int(mesh._stag[sid])
+        nt = (t + 1) % 3
+        order0 = (a, z, m1, m2)
+        order1 = (b, z, m2, m1) if t == 0 else (b, z, m1, m2)
+        c0 = _push_simplex(mesh, rings, verts0, flags0, sid, order0, nt)
+        c1 = _push_simplex(mesh, rings, verts1, flags1, sid, order1, nt)
+    else:
+        c0 = _push_simplex(mesh, rings, verts0, flags0, sid, (-1, -1, -1, -1), 0)
+        c1 = _push_simplex(mesh, rings, verts1, flags1, sid, (-1, -1, -1, -1), 0)
+    mesh._salive[sid] = False
+    mesh._schildren[sid] = (c0, c1)
+    for v in pverts:
+        rings[v].discard(sid)
+    bisections.append((sid, c0, c1, z))

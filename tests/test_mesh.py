@@ -96,12 +96,48 @@ def test_nonconforming_input_rejected():
 
 def test_bisect_single_triangle():
     m = unit_triangle()
-    rep = m.bisect(0)
+    rep = m.refine_marked([0])
     m.check_conformity()
     assert len(m.live_simplices()) == 2
-    assert rep.created_simplices and 0 in rep.destroyed_simplices
+    # one pass bisects simplex 0 into slots 1 and 2 through the new vertex 3
+    np.testing.assert_array_equal(rep.bisections, [[0, 1, 2, 3]])
+    assert rep.passes == 1
+    parent, c0, c1, z = rep.bisections[0]
+    assert not m.salive[parent] and m.salive[[c0, c1]].all()
     # children split the longest (hypotenuse) edge at its midpoint
-    assert any(np.allclose(m.coords[v], [0.5, 0.5]) for v in range(m.n_vertices))
+    np.testing.assert_array_equal(m.coords[z], [0.5, 0.5])
+
+
+def _state(m):
+    return [a.copy() for a in (m.coords, m.vclass, m.vparents, m.sverts, m.sflags,
+                               m.salive, m.sparent, m.schildren)]
+
+
+@pytest.mark.parametrize("marks, named", [
+    ([3, 1, 5], 1),          # 0 and 1 are dead
+    ([13, 12, 4], 12),       # n_slots is 12
+    ([2, -1, -3], -3),
+    ([12, 0, -1, 5], -1),
+])
+def test_refine_rejects_bad_ids_naming_the_smallest(marks, named):
+    m = generators.unit_square(2)
+    m.refine_marked([0])
+    assert m.n_slots == 12 and not m.salive[[0, 1]].any()
+    before = _state(m)
+    with pytest.raises(MeshError, match=f"cannot refine simplex {named}: not a live simplex"):
+        m.refine_marked(marks)
+    for a, b in zip(before, _state(m)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("marks", [[], np.array([], dtype=np.int64)])
+def test_refine_nothing_marked(marks):
+    m = generators.unit_square(2)
+    before = _state(m)
+    rep = m.refine_marked(marks)
+    assert rep.bisections.shape == (0, 4) and rep.passes == 0
+    for a, b in zip(before, _state(m)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_child_volumes_sum_to_parent():
@@ -170,6 +206,18 @@ def test_refinement_is_deterministic():
     assert np.array_equal(a.sverts, b.sverts)
 
 
+def test_initial_tet_order_breaks_ties_on_the_smaller_pair():
+    # the opposite edges (0, 3) and (1, 2) tie as longest; (0, 3) is the
+    # smaller (min id, max id) pair, so it is the first refinement edge
+    m = Mesh(3)
+    for x in [(0.0, 0.0, 0.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 0.0, 0.0)]:
+        m.add_vertex(x)
+    m.add_simplex((0, 1, 2, 3))
+    m.finalize(boundary=DIRICHLET)
+    assert tuple(m._sorder[0]) == (0, 1, 2, 3) == oracle.initial_order(m, 0)
+    assert m._stag[0] == 0
+
+
 def test_uniform_refine_quadruples_2d():
     m = generators.unit_square(2)
     n0 = len(m.live_simplices())
@@ -184,7 +232,7 @@ def test_uniform_refine_quadruples_2d():
 def test_neighbor_and_face_normals():
     m = generators.unit_square(1)
     live = [int(s) for s in m.live_simplices()]
-    shared = [(s, i) for s in live for i in range(3) if m.neighbor(s, i) >= 0]
+    shared = [(s, i) for s in live for i in range(3) if oracle.neighbor(m, s, i) >= 0]
     assert len(shared) == 2  # one interior edge seen from both sides
     (s0, i0), (s1, i1) = shared
     n0, l0 = m.face_normal(s0, i0)
@@ -200,7 +248,7 @@ def test_boundary_faces_cover_square():
              if m.sflags[s, i] != INTERIOR]
     total = sum(m.face_normal(s, i)[1] for s, i in faces)
     assert abs(total - 4.0) < 1e-12
-    assert all(m.sflags[s, i] == DIRICHLET and m.neighbor(s, i) < 0 for s, i in faces)
+    assert all(m.sflags[s, i] == DIRICHLET and oracle.neighbor(m, s, i) < 0 for s, i in faces)
 
 
 def test_locate_and_root_ancestor():

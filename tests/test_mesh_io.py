@@ -51,3 +51,13 @@ def test_reader_reports_line_numbers():
 def test_reader_rejects_bad_header():
     with pytest.raises(MeshError):
         reads_mesh("not a mesh file\n")
+
+
+def test_reader_rejects_inverted_simplex_naming_its_line():
+    lines = dumps_mesh(generators.unit_square(1)).splitlines()
+    k = lines.index("simplices 2") + 2
+    sid, v0, v1, v2, *flags = lines[k].split()
+    # swapping two vertices (and their faces' flags) reverses the orientation
+    lines[k] = " ".join([sid, v0, v2, v1, flags[0], flags[2], flags[1]])
+    with pytest.raises(MeshError, match=f"line {k + 1}: simplex {sid} has non-positive volume"):
+        reads_mesh("\n".join(lines))

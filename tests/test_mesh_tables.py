@@ -1,9 +1,12 @@
-"""The mesh's element and face tables against per-simplex references.
+"""The mesh's refinement and its element and face tables against
+per-simplex references.
 
 After random marking sequences on 2D and 3D generator meshes, every column of
 `Mesh.tables()` must equal, bitwise, what the per-simplex routines compute:
-`ElementGeometry.of`, `Mesh.neighbor`, `Mesh.face_normal` and the oracle
-copies of the former size helpers in `pointwise_oracle.py`.
+`ElementGeometry.of`, `Mesh.face_normal` and the oracle's `neighbor` and
+copies of the former size helpers in `pointwise_oracle.py`; and every mesh
+array `refine_marked` writes must equal, bitwise, what the oracle's
+one-simplex-at-a-time bisection writes.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -62,7 +65,7 @@ def _check_tables(mesh):
     for s in tab.ids:
         for i in range(d + 1):
             fl = int(mesh.sflags[s, i])
-            if fl != DIRICHLET and (fl == NEUMANN or mesh.neighbor(int(s), i) >= 0):
+            if fl != DIRICHLET and (fl == NEUMANN or oracle.neighbor(mesh, int(s), i) >= 0):
                 expected.add(_face_keys(mesh, s, i))
     seen = [_face_keys(mesh, tab.ids[o], i) for o, i in zip(tab.owner, tab.local)]
     assert len(seen) == len(set(seen)) == len(expected)
@@ -74,7 +77,7 @@ def _check_tables(mesh):
         fverts = [int(v) for k, v in enumerate(mesh.sverts[s]) if k != i]
         assert tab.flag[j] == mesh.sflags[s, i]
         np.testing.assert_array_equal(tab.fverts[j], fverts)
-        t = mesh.neighbor(s, i)
+        t = oracle.neighbor(mesh, s, i)
         if tab.flag[j] == NEUMANN:
             assert tab.neighbor[j] == -1 and t == -1
         else:
@@ -110,3 +113,42 @@ def test_tables_match_references_2d(name, marking):
 @given(name=st.sampled_from(["unit_cube", "sphere_in_box"]), marking=MARKINGS)
 def test_tables_match_references_3d(name, marking):
     _refine_and_check(name, marking)
+
+
+# a round marks up to four picks, or every live simplex (None)
+REFINEMENTS = st.lists(st.one_of(st.none(), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                                     max_size=4)),
+                       min_size=1, max_size=4)
+
+
+def _assert_bitwise(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _refine_like_oracle(name, rounds):
+    mesh = MESHES[name]()
+    if mesh.dim == 3:
+        for s in mesh.live_simplices():
+            assert tuple(mesh._sorder[s]) == oracle.initial_order(mesh, int(s))
+            assert mesh._stag[s] == 0
+    twin = mesh.copy()
+    for picks in rounds:
+        live = mesh.live_simplices()
+        marks = live if picks is None else sorted({int(live[p % len(live)]) for p in picks})
+        rep = mesh.refine_marked(marks)
+        bisections, passes = oracle.refine_marked(twin, marks)
+        for col in ("coords", "vclass", "vparents", "sverts", "sflags", "salive", "sparent",
+                    "schildren"):
+            _assert_bitwise(getattr(mesh, col), getattr(twin, col))
+        for col in ("_sorder", "_stag"):
+            _assert_bitwise(getattr(mesh, col)[:mesh.n_slots], getattr(twin, col)[:twin.n_slots])
+        _assert_bitwise(rep.bisections, np.array(bisections, dtype=np.int64).reshape(-1, 4))
+        assert rep.passes == passes
+    mesh.check_conformity()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(list(MESHES)), rounds=REFINEMENTS)
+def test_refinement_matches_oracle(name, rounds):
+    _refine_like_oracle(name, rounds)

@@ -39,6 +39,21 @@ def test_tracer_installs_and_restores_every_site():
     assert all(getattr(owner, attr) is orig for (owner, attr), orig in zip(sites, before))
 
 
+def test_refine_hook_tallies_bisections_and_passes():
+    mesh = generators.unit_square(1)
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        rep = mesh.refine_marked([0])
+    finally:
+        tracer.unpatch()
+    summary = tracer.summary(0.0, 1.0)
+    # triangle 0 splits the shared diagonal; closure bisects triangle 1 in a
+    # second pass, reusing the midpoint
+    assert summary["mesh.bisections"] == len(rep.bisections) == 2
+    assert summary["mesh.closure_passes"] == rep.passes == 2
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_instrumented_callbacks_are_counted(name):
     mod = _tracer_module()
