@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import generators, mesh_io, problems
-from .mesh import NEUMANN
+from .mesh import NEUMANN, MeshError
 
 
 class ConfigError(Exception):
@@ -187,7 +187,10 @@ def build_mesh(cfg: RunConfig, problem=None):
     elif cfg.mesh == "annulus":
         mesh = generators.annulus(n_r=cfg.mesh_n, n_t=max(3, 4 * cfg.mesh_n))
     elif cfg.mesh == "sphere_in_box":
-        mesh = generators.sphere_in_box(n=max(3, cfg.mesh_n))
+        try:
+            mesh = generators.sphere_in_box(n=max(3, cfg.mesh_n))
+        except MeshError as exc:
+            raise ConfigError(f"mesh_n: {exc}") from exc
     else:
         mesh = getattr(generators, cfg.mesh)(cfg.mesh_n)
     # generator meshes flag every boundary face DIRICHLET, where Robin data is never read

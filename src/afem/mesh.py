@@ -14,7 +14,6 @@ parent edges) survives for transfer operators and point location.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,16 @@ MAX_CLOSURE_PASSES = 100
 
 
 class MeshError(Exception):
-    """Raised for structural mesh failures (nonconformity, inversion, bad input)."""
+    """Raised for structural mesh failures (nonconformity, inversion, bad input).
+
+    A failure of one row names it: `vertex` or `simplex` is its index, and the
+    message is "vertex <index> <reason>" or "simplex <index> <reason>".
+    """
+
+    def __init__(self, reason: str, vertex: int = None, simplex: int = None):
+        self.reason, self.vertex, self.simplex = reason, vertex, simplex
+        row = "vertex" if vertex is not None else "simplex" if simplex is not None else None
+        super().__init__(f"{row} {getattr(self, row)} {reason}" if row else reason)
 
 
 @dataclass
@@ -44,33 +52,29 @@ class RefinementReport:
     passes: int
 
 
-def shape_of_points(pts: np.ndarray) -> float:
-    """Shape measure of the simplex with vertex coordinates pts ((d+1, d) array).
+def signed_volumes(pts: np.ndarray) -> np.ndarray:
+    """Signed volume of each simplex with vertex coordinates pts (..., d+1, d)."""
+    e = pts[..., 1:, :] - pts[..., :1, :]
+    if pts.shape[-1] == 2:
+        return 0.5 * (e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0])
+    return np.linalg.det(e) / 6.0
+
+
+def shapes(pts: np.ndarray) -> np.ndarray:
+    """Shape measure of each simplex with vertex coordinates pts (..., d+1, d).
 
     Scale invariant; 0 for degenerate simplices, negative for inverted ones.
     The unit right triangle scores sqrt(3)/4, the equilateral triangle 1/2.
     """
-    pts = np.asarray(pts, dtype=float)
-    d = pts.shape[1]
-    vol = signed_volume_of_points(pts)
-    ss = 0.0
-    for i, j in zip(*np.triu_indices(d + 1, 1)):
-        e = pts[j] - pts[i]
-        ss += float(e @ e)
-    if ss == 0.0 or vol == 0.0:
-        return 0.0
+    d = pts.shape[-1]
+    vol = signed_volumes(pts)
+    i, j = np.triu_indices(d + 1, 1)
+    e = pts[..., j, :] - pts[..., i, :]
+    ss = np.vecdot(e, e).sum(axis=-1)
     c = 2.0 ** (2.0 * (1.0 - 1.0 / d)) * 3.0 ** ((d - 1) / 2.0)
-    return c * math.copysign(abs(vol) ** (2.0 / d), vol) / ss
-
-
-def signed_volume_of_points(pts: np.ndarray) -> float:
-    d = pts.shape[1]
-    if d == 2:
-        a = pts[1] - pts[0]
-        b = pts[2] - pts[0]
-        return 0.5 * float(a[0] * b[1] - a[1] * b[0])
-    m = np.stack([pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0]])
-    return float(np.linalg.det(m)) / 6.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = c * np.copysign(np.abs(vol) ** (2.0 / d), vol) / ss
+    return np.where((ss == 0.0) | (vol == 0.0), 0.0, q)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -99,6 +103,14 @@ def _across(verts: np.ndarray, d: int) -> np.ndarray:
     return across.reshape(-1, d + 1)
 
 
+def _reject(bad: np.ndarray, row: str, reason: str, ids=None):
+    """Raise a MeshError naming the vertex or simplex (row) of the first entry
+    where bad holds: its index k, or ids[k]."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MeshError(reason, **{row: k if ids is None else int(ids[k])})
+
+
 class MeshTables:
     """Element geometry and face incidence of one mesh state, as arrays (the
     element and edge arrays of Funken, Praetorius & Wissgott, CMAM 11, 2011).
@@ -113,7 +125,7 @@ class MeshTables:
     its vertex ids in the owner's order, `normal` the unit normal out of the
     owner, `measure` its length or area and `hf` its inscribed diameter.  The
     arithmetic is that of `ElementGeometry.of`, `Mesh.face_normal` and
-    `signed_volume_of_points`, so each value is bitwise theirs.
+    `signed_volumes`, so each value is bitwise theirs.
     """
 
     def __init__(self, mesh: "Mesh"):
@@ -122,8 +134,7 @@ class MeshTables:
         self.ids = mesh.live_simplices()
         self.verts = verts = mesh.sverts[self.ids]
         pts = self.coords[verts]
-        edges = pts[:, 1:] - pts[:, :1]
-        jac = edges.transpose(0, 2, 1)
+        jac = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
         self.det = np.linalg.det(jac)
         self.grads = linear_element(d).grad_ref() @ np.linalg.inv(jac)
 
@@ -133,16 +144,14 @@ class MeshTables:
         if d == 2:
             measure = _norm(t)
             normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / measure[..., None]
-            vol = 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
         else:
             c = np.cross(t, fpts[..., 2, :] - fpts[..., 0, :])
             area2 = _norm(c)
             measure = 0.5 * area2
             normal = c / area2[..., None]
-            vol = np.linalg.det(edges) / 6.0
         inward = np.vecdot(normal, fpts.mean(axis=-2) - pts) < 0
         normal = np.where(inward[..., None], -normal, normal)
-        self.h = 2.0 * d * np.abs(vol) / measure.sum(axis=1)
+        self.h = 2.0 * d * np.abs(signed_volumes(pts)) / measure.sum(axis=1)
 
         flags = mesh.sflags[self.ids]
         across = _across(verts, d)
@@ -183,158 +192,141 @@ def _affine(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 class Mesh:
-    """Conforming simplex mesh of dimension 2 or 3 with bisection refinement."""
+    """Conforming simplex mesh of dimension 2 or 3 with bisection refinement,
+    built by `Mesh.from_arrays`; `Mesh(dim)` is the empty mesh."""
 
     def __init__(self, dim: int):
         if dim not in (2, 3):
             raise MeshError(f"unsupported dimension {dim}")
         self.dim = dim
-        self._nv = 0
-        self._ns = 0
-        cap = 16
-        self._coords = np.zeros((cap, dim), dtype=float)
-        self._vclass = np.zeros(cap, dtype=np.int8)
-        self._vparents = np.full((cap, 2), -1, dtype=np.int64)
-        self._sverts = np.zeros((cap, dim + 1), dtype=np.int64)
-        self._sflags = np.zeros((cap, dim + 1), dtype=np.int8)
-        self._salive = np.zeros(cap, dtype=bool)
-        self._sparent = np.full(cap, -1, dtype=np.int64)
-        self._schildren = np.full((cap, 2), -1, dtype=np.int64)
-        # 3D bisection bookkeeping: vertex ids in bisection order plus a type tag
-        self._sorder = np.full((cap, 4), -1, dtype=np.int64)
-        self._stag = np.zeros(cap, dtype=np.int8)
+        self._nv = self._ns = 0
+        for name, (_, dtype, shape) in self._columns(dim).items():
+            setattr(self, name, self._grow(np.empty((0,) + shape, dtype), 16))
         self._tables = None
 
     # ------------------------------------------------------------------ storage
 
     @staticmethod
+    def _columns(dim: int) -> dict:
+        """Every column of a dim-dimensional mesh: name -> (row count, dtype,
+        row shape), vertex columns counting "_nv" rows, simplex columns "_ns"."""
+        return {"_coords": ("_nv", float, (dim,)),
+                "_vclass": ("_nv", np.int8, ()),
+                "_vparents": ("_nv", np.int64, (2,)),
+                "_sverts": ("_ns", np.int64, (dim + 1,)),
+                "_sflags": ("_ns", np.int8, (dim + 1,)),
+                "_salive": ("_ns", bool, ()),
+                "_sparent": ("_ns", np.int64, ()),
+                "_schildren": ("_ns", np.int64, (2,)),
+                # 3D bisection bookkeeping: vertex ids in bisection order plus a type tag
+                "_sorder": ("_ns", np.int64, (4,)),
+                "_stag": ("_ns", np.int8, ())}
+
+    @staticmethod
     def _grow(arr: np.ndarray, need: int) -> np.ndarray:
-        cap = len(arr)
-        if need <= cap:
+        # spare rows hold -1 in id columns, 0 elsewhere
+        if need <= len(arr):
             return arr
-        new_cap = max(need, 2 * cap)
-        shape = (new_cap,) + arr.shape[1:]
-        out = np.zeros(shape, dtype=arr.dtype)
-        if arr.dtype == np.int64:
-            out.fill(-1)
-        out[:cap] = arr
+        out = np.full((max(need, 2 * len(arr)),) + arr.shape[1:],
+                      -1 if arr.dtype == np.int64 else 0, dtype=arr.dtype)
+        out[:len(arr)] = arr
         return out
 
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords[:self._nv]
-
-    @property
-    def vclass(self) -> np.ndarray:
-        return self._vclass[:self._nv]
-
-    @property
-    def vparents(self) -> np.ndarray:
-        return self._vparents[:self._nv]
-
-    @property
-    def sverts(self) -> np.ndarray:
-        return self._sverts[:self._ns]
-
-    @property
-    def sflags(self) -> np.ndarray:
-        return self._sflags[:self._ns]
-
-    @property
-    def salive(self) -> np.ndarray:
-        return self._salive[:self._ns]
-
-    @property
-    def sparent(self) -> np.ndarray:
-        return self._sparent[:self._ns]
-
-    @property
-    def schildren(self) -> np.ndarray:
-        return self._schildren[:self._ns]
+    # the filled rows of each public column
+    coords = property(lambda self: self._coords[:self._nv])
+    vclass = property(lambda self: self._vclass[:self._nv])
+    vparents = property(lambda self: self._vparents[:self._nv])
+    sverts = property(lambda self: self._sverts[:self._ns])
+    sflags = property(lambda self: self._sflags[:self._ns])
+    salive = property(lambda self: self._salive[:self._ns])
+    sparent = property(lambda self: self._sparent[:self._ns])
+    schildren = property(lambda self: self._schildren[:self._ns])
 
     # ------------------------------------------------------------------ build
 
     def _append(self, count: str, **columns) -> np.ndarray:
-        """Append rows to the vertex (count "_nv") or simplex ("_ns") columns
-        and return their ids.  The first column holds one value per new row;
-        the others broadcast against it."""
+        """Append rows to every vertex (count "_nv") or simplex ("_ns") column
+        and return their ids.  The first declared column (`_coords`, `_sverts`)
+        holds one value per new row; the others broadcast against it."""
+        names = [name for name, (c, _, _) in self._columns(self.dim).items() if c == count]
         start = getattr(self, count)
-        stop = start + len(next(iter(columns.values())))
-        for name, rows in columns.items():
+        stop = start + len(columns[names[0]])
+        for name in names:
             arr = self._grow(getattr(self, name), stop)
-            arr[start:stop] = rows
+            arr[start:stop] = columns[name]
             setattr(self, name, arr)
         setattr(self, count, stop)
         self._tables = None
         return np.arange(start, stop)
 
-    def add_vertex(self, x, bclass: int = INTERIOR, parents=(-1, -1)) -> int:
-        return int(self._append("_nv", _coords=[x], _vclass=bclass, _vparents=parents)[0])
+    @classmethod
+    def from_arrays(cls, coords, sverts, sflags=None, boundary=None) -> "Mesh":
+        """The mesh of the vertices coords (n, d), d = 2 or 3, and the simplices
+        sverts (m, d+1) of vertex ids, with face flags sflags (m, d+1), face i
+        opposite vertex i (default: all interior).
 
-    def add_simplex(self, verts, flags=None) -> int:
-        verts = tuple(int(v) for v in verts)
-        if len(verts) != self.dim + 1:
-            raise MeshError(f"simplex needs {self.dim + 1} vertices, got {len(verts)}")
-        if len(set(verts)) != len(verts):
-            raise MeshError(f"repeated vertex in simplex {verts}")
-        if any(v < 0 or v >= self._nv for v in verts):
-            raise MeshError(f"simplex {verts} references a missing vertex")
-        if flags is None:
-            flags = (INTERIOR,) * (self.dim + 1)
-        return int(self._append("_ns", _sverts=[verts], _sflags=flags, _salive=True,
-                                _sparent=-1, _schildren=-1, _sorder=-1, _stag=0)[0])
-
-    def finalize(self, boundary=None):
-        """Close construction: orient simplices, flag boundary faces, derive vertex classes.
-
-        boundary: None keeps the flags handed to add_simplex; an int flags every
-        face not shared by two simplices with that class; a callable is evaluated
-        at the face centroid and must return a class code.
+        A simplex of negative volume gets its last two vertices and their
+        faces' flags swapped.  boundary: None keeps sflags; a class code flags
+        every face not shared by two simplices with that class; a callable is
+        called with each such face's centroid (d,) and returns its class.  With
+        a boundary, shared faces are flagged interior.  Vertex classes follow
+        from the face flags.  A non-finite coordinate, a vertex no simplex
+        uses, a missing or repeated vertex in a simplex, an unknown face class,
+        a degenerate simplex or a nonconforming mesh raise a MeshError that
+        names the vertex or simplex row at fault.
         """
-        for s in range(self._ns):
-            vol = self.signed_volume(s)
-            if vol < 0:
-                row = self._sverts[s].copy()
-                row[-1], row[-2] = row[-2], row[-1]
-                self._sverts[s] = row
-                fl = self._sflags[s].copy()
-                fl[-1], fl[-2] = fl[-2], fl[-1]
-                self._sflags[s] = fl
-            elif vol == 0:
-                raise MeshError(f"simplex {s} is degenerate")
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] not in (2, 3):
+            raise MeshError(f"coords must have shape (n, 2) or (n, 3), not {coords.shape}")
+        n, d = coords.shape
+        sverts = np.array(sverts, dtype=np.int64)
+        flags = np.zeros(sverts.shape, np.int8) if sflags is None else np.array(sflags)
+        if not len(sverts) or sverts.shape[1:] != (d + 1,) or flags.shape != sverts.shape:
+            raise MeshError(f"a mesh needs at least one simplex: sverts and sflags of shape "
+                            f"(m, {d + 1}), m > 0, not {sverts.shape} and {flags.shape}")
+        _reject(~np.isfinite(coords).all(axis=1), "vertex", "has a non-finite coordinate")
+        _reject(((sverts < 0) | (sverts >= n)).any(axis=1), "simplex",
+                "references a missing vertex")
+        ordered = np.sort(sverts, axis=1)
+        _reject((ordered[:, 1:] == ordered[:, :-1]).any(axis=1), "simplex", "repeats a vertex")
+        used = np.zeros(n, dtype=bool)
+        used[sverts] = True
+        _reject(~used, "vertex", "belongs to no simplex")
+        vol = signed_volumes(coords[sverts])
+        _reject(vol == 0, "simplex", "is degenerate")
+        swap = np.r_[:d - 1, d, d - 1]
+        sverts[vol < 0] = sverts[vol < 0][:, swap]
+        flags[vol < 0] = flags[vol < 0][:, swap]
+
         if boundary is not None:
-            across = _across(self.sverts, self.dim)
-            self.sflags[across >= 0] = INTERIOR
-            for s, i in zip(*np.nonzero(across < 0)):
-                if callable(boundary):
-                    fverts = self._sverts[s, LOCAL_FACES[self.dim][i]]
-                    c = boundary(self.coords[fverts].mean(axis=0))
-                else:
-                    c = boundary
-                self._sflags[s, i] = c
-        self._derive_vertex_classes()
-        if self.dim == 3:
+            across = _across(sverts, d)
+            flags[across >= 0] = INTERIOR
+            s, i = np.nonzero(across < 0)
+            if callable(boundary):
+                centroids = coords[sverts[s[:, None], LOCAL_FACES[d][i]]].mean(axis=1)
+                boundary = [boundary(c) for c in centroids]
+            flags[s, i] = boundary
+        _reject(~np.isin(flags, (INTERIOR, DIRICHLET, NEUMANN)).all(axis=1), "simplex",
+                "has an unknown face class")
+        vclass = np.zeros(n, np.int8)
+        fverts = sverts[:, LOCAL_FACES[d]]
+        vclass[fverts[flags == NEUMANN]] = NEUMANN
+        # dirichlet wins where both kinds of face meet at a vertex
+        vclass[fverts[flags == DIRICHLET]] = DIRICHLET
+
+        mesh = cls(d)
+        mesh._append("_nv", _coords=coords, _vclass=vclass, _vparents=-1)
+        order = -1
+        if d == 3:
             # a new tetrahedron's order is (a, the other two ascending, b) for
             # its longest edge (a, b), a < b, and its tag 0
-            fresh = np.flatnonzero(self._sorder[:self._ns, 0] < 0)
-            verts = self._sverts[fresh]
-            a, b = self._longest_edges(verts)
-            keep = (verts != a[:, None]) & (verts != b[:, None])
-            rest = np.sort(verts[keep].reshape(-1, 2), axis=1)
-            self._sorder[fresh] = np.column_stack([a, rest, b])
-            self._stag[fresh] = 0
-        self._tables = None
-        self.check_conformity()
-        return self
-
-    def _derive_vertex_classes(self):
-        live = self.live_simplices()
-        fverts = self.sverts[live][:, LOCAL_FACES[self.dim]]
-        flags = self.sflags[live]
-        self.vclass[:] = INTERIOR
-        self.vclass[fverts[(flags != INTERIOR) & (flags != DIRICHLET)]] = NEUMANN
-        # dirichlet wins where both kinds of face meet at a vertex
-        self.vclass[fverts[flags == DIRICHLET]] = DIRICHLET
+            a, b = mesh._longest_edges(sverts)
+            rest = sverts[(sverts != a[:, None]) & (sverts != b[:, None])].reshape(-1, 2)
+            order = np.column_stack([a, np.sort(rest, axis=1), b])
+        mesh._append("_ns", _sverts=sverts, _sflags=flags, _salive=True, _sparent=-1,
+                     _schildren=-1, _sorder=order, _stag=0)
+        mesh.check_conformity()
+        return mesh
 
     def _longest_edges(self, verts: np.ndarray):
         """Vertex ids (a, b), a < b, of the longest edge of each row of verts,
@@ -364,20 +356,14 @@ class Mesh:
     def live_simplices(self) -> np.ndarray:
         return np.flatnonzero(self.salive)
 
-    def signed_volume(self, sid: int) -> float:
-        return signed_volume_of_points(self._coords[self._sverts[sid]])
-
-    def shape_measure(self, sid: int) -> float:
-        return shape_of_points(self._coords[self._sverts[sid]])
-
     def min_shape(self) -> float:
-        return min(self.shape_measure(int(s)) for s in self.live_simplices())
+        return float(shapes(self.coords[self.sverts[self.live_simplices()]]).min())
 
     def bbox(self):
         return self.coords.min(axis=0), self.coords.max(axis=0)
 
     def tables(self) -> MeshTables:
-        """The tables of the current state; a new simplex or finalize drops them."""
+        """The tables of the current state; new simplices drop them."""
         if self._tables is None:
             self._tables = MeshTables(self)
         return self._tables
@@ -528,17 +514,18 @@ class Mesh:
         a boundary flag, volumes positive.
         """
         live = self.live_simplices()
-        for s in live:
-            if self.signed_volume(int(s)) <= 0:
-                raise MeshError(f"simplex {s} has non-positive volume")
-        across = _across(self.sverts[live], self.dim)
+        verts = self.sverts[live]
+        _reject(signed_volumes(self.coords[verts]) <= 0, "simplex", "has non-positive volume",
+                live)
+        across = _across(verts, self.dim)
         # a face with a neighbour must be flagged interior, one without must not
-        for r, i in zip(*np.nonzero((across >= 0) == (self.sflags[live] != INTERIOR))):
-            s = int(live[r])
-            if across[r, i] >= 0:
-                raise MeshError(f"interior face {i} of simplex {s} carries a boundary flag")
-            raise MeshError(f"boundary face {i} of simplex {s} is unflagged "
-                            "(hanging node or missing boundary data)")
+        r, i = np.nonzero((across >= 0) == (self.sflags[live] != INTERIOR))
+        if r.size:
+            s, i = int(live[r[0]]), int(i[0])
+            if across[r[0], i] >= 0:
+                raise MeshError(f"has a boundary flag on interior face {i}", simplex=s)
+            raise MeshError(f"has boundary face {i} unflagged "
+                            "(hanging node or missing boundary data)", simplex=s)
 
     def face_normal(self, sid: int, i: int):
         """Unit outward normal and measure of face i (the face opposite local vertex i)."""
@@ -562,16 +549,7 @@ class Mesh:
 
     def copy(self) -> "Mesh":
         m = Mesh(self.dim)
-        m._nv = self._nv
-        m._ns = self._ns
-        m._coords = self._coords[:self._nv].copy()
-        m._vclass = self._vclass[:self._nv].copy()
-        m._vparents = self._vparents[:self._nv].copy()
-        m._sverts = self._sverts[:self._ns].copy()
-        m._sflags = self._sflags[:self._ns].copy()
-        m._salive = self._salive[:self._ns].copy()
-        m._sparent = self._sparent[:self._ns].copy()
-        m._schildren = self._schildren[:self._ns].copy()
-        m._sorder = self._sorder[:self._ns].copy()
-        m._stag = self._stag[:self._ns].copy()
+        m._nv, m._ns = self._nv, self._ns
+        for name, (count, _, _) in self._columns(self.dim).items():
+            setattr(m, name, getattr(self, name)[:getattr(self, count)].copy())
         return m

@@ -9,18 +9,22 @@ Format (one record per line, blank lines and # comments ignored):
     simplices <m>
     <id> <v0> ... <vd> <f0> ... <fd>  (m lines)
 
-bclass/face codes: 0 interior, 1 dirichlet, 2 neumann.  The reader rejects
-duplicate ids, dangling vertex references, bad class codes, inverted or
-degenerate simplices, inconsistent vertex classes, and nonconforming meshes,
-always naming the offending line.  The writer emits live simplices only,
-densely renumbered.
+bclass/face codes: 0 interior, 1 dirichlet, 2 neumann.  The reader checks
+each line's tokens, then builds the mesh with one `Mesh.from_arrays` call.  It
+rejects duplicate ids, dangling vertex references, repeated vertices in a
+simplex, vertices no simplex uses, bad class codes, inverted or degenerate
+simplices, inconsistent vertex classes, and nonconforming meshes, naming the
+offending line wherever one row is at fault.  The writer emits live
+simplices only, densely renumbered.
 """
 
 from __future__ import annotations
 
 import io
 
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError
+import numpy as np
+
+from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError, _reject
 
 MAGIC = "AFEM-MESH"
 VERSION = 1
@@ -36,18 +40,17 @@ def write_mesh(mesh: Mesh, path_or_file) -> None:
 
 
 def _write(mesh: Mesh, f) -> None:
-    f.write(f"{MAGIC} {VERSION}\n")
-    f.write(f"dim {mesh.dim}\n")
-    f.write(f"vertices {mesh.n_vertices}\n")
-    for v in range(mesh.n_vertices):
-        xs = " ".join(repr(float(c)) for c in mesh.coords[v])
-        f.write(f"{v} {xs} {int(mesh.vclass[v])}\n")
+    d = mesh.dim
+    f.write(f"{MAGIC} {VERSION}\ndim {d}\nvertices {mesh.n_vertices}\n")
+    # coordinates as the repr of Python floats, the shortest round-trip form
+    line = "{} " + "{!r} " * d + "{}\n"
+    f.write("".join(line.format(v, *x, c) for v, (x, c) in
+                    enumerate(zip(mesh.coords.tolist(), mesh.vclass.tolist()))))
     live = mesh.live_simplices()
     f.write(f"simplices {len(live)}\n")
-    for k, s in enumerate(live):
-        vs = " ".join(str(int(v)) for v in mesh.sverts[s])
-        fs = " ".join(str(int(fl)) for fl in mesh.sflags[s])
-        f.write(f"{k} {vs} {fs}\n")
+    rows = np.column_stack([np.arange(len(live)), mesh.sverts[live], mesh.sflags[live]])
+    line = " ".join(["{}"] * (2 * d + 3)) + "\n"
+    f.write("".join(line.format(*r) for r in rows.tolist()))
 
 
 def read_mesh(path_or_file) -> Mesh:
@@ -142,41 +145,35 @@ def _parse(lines) -> Mesh:
             _fail(lineno, f"duplicate simplex id {sid}")
         verts = [_int(lineno, p, "vertex reference") for p in parts[1:dim + 2]]
         flags = [_int(lineno, p, "face flag") for p in parts[dim + 2:]]
-        for v in verts:
-            if v not in raw_vertices:
-                _fail(lineno, f"simplex {sid} references missing vertex {v}")
-        for fl in flags:
-            if fl not in _CLASSES:
-                _fail(lineno, f"unknown face class {fl}")
         raw_simplices[sid] = (verts, flags, lineno)
 
     if cur.k != len(cur.rows):
         extra_lineno, extra = cur.rows[cur.k]
         _fail(extra_lineno, f"trailing content {extra!r}")
 
-    mesh = Mesh(dim)
-    vmap = {}
-    stated = {}
-    for vid in sorted(raw_vertices):
-        x, bc, _ = raw_vertices[vid]
-        vmap[vid] = mesh.add_vertex(x, bclass=bc)
-        stated[vmap[vid]] = bc
-    for sid in sorted(raw_simplices):
-        verts, flags, ln = raw_simplices[sid]
-        try:
-            mesh.add_simplex([vmap[v] for v in verts], flags)
-        except MeshError as e:
-            _fail(ln, str(e))
-        if mesh.signed_volume(mesh.n_slots - 1) <= 0:
-            _fail(ln, f"simplex {sid} has non-positive volume")
+    # rows in id order; a reference to an id no vertex line declares is -1
+    vids, sids = sorted(raw_vertices), sorted(raw_simplices)
+    vrow = {v: k for k, v in enumerate(vids)}
+    coords = np.array([raw_vertices[v][0] for v in vids], dtype=float).reshape(-1, dim)
+    stated = np.array([raw_vertices[v][1] for v in vids], dtype=np.int8)
+    sverts = np.array([[vrow.get(v, -1) for v in raw_simplices[s][0]] for s in sids],
+                      dtype=np.int64).reshape(-1, dim + 1)
+    sflags = np.array([raw_simplices[s][1] for s in sids], dtype=np.int64).reshape(-1, dim + 1)
     try:
-        mesh.finalize(boundary=None)
+        mesh = Mesh.from_arrays(coords, sverts, sflags)
+        # from_arrays turns an inverted simplex around; a file must state it positive
+        _reject((mesh.sverts != sverts).any(axis=1), "simplex", "has non-positive volume")
+        k = int(np.argmax(mesh.vclass != stated))
+        if mesh.vclass[k] != stated[k]:
+            raise MeshError(f"states class {stated[k]} but its faces imply {mesh.vclass[k]}",
+                            vertex=k)
     except MeshError as e:
+        # name the line, and the file's id, of the row at fault
+        if e.vertex is not None:
+            _fail(raw_vertices[vids[e.vertex]][2], f"vertex {vids[e.vertex]} {e.reason}")
+        if e.simplex is not None:
+            _fail(raw_simplices[sids[e.simplex]][2], f"simplex {sids[e.simplex]} {e.reason}")
         raise MeshError(f"mesh fails validation: {e}") from e
-    for v in range(mesh.n_vertices):
-        if int(mesh.vclass[v]) != stated[v]:
-            raise MeshError(
-                f"vertex {v} states class {stated[v]} but its faces imply {int(mesh.vclass[v])}")
     return mesh
 
 

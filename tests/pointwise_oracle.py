@@ -44,10 +44,22 @@ mesh used to keep are built from the live simplices on entry and kept by the
 oracle alone.  `neighbor` finds the simplex across a face by a search of the
 live simplices, apart from the mesh's face tables.  They are the reference
 for the array passes of `Mesh.refine_marked` in `test_mesh_tables.py`.
+
+The mesh construction that `Mesh.from_arrays` replaced is kept last: the
+loop generators `unit_square`, `l_shape`, `unit_cube`, `sphere_in_box` and
+`annulus`, one vertex and one simplex at a time through `add_vertex` and
+`add_simplex` (both write one row to every column of `Mesh._columns`, as
+`_push_simplex` does), then `_drop_isolated` and `finalize`, whose 3D order
+comes from `initial_order`.  With them are the per-simplex volume and shape
+measures (`signed_volume_of_points`, `shape_of_points` and their per-id
+forms) and the per-row text writer `dumps_rows`.  They are the reference for
+the generators in `test_mesh.py`, for `signed_volumes`/`shapes` and for
+`mesh_io`'s block writer in `test_mesh_io.py`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -55,7 +67,8 @@ import scipy.sparse as sp
 
 from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
                            linear_element)
-from afem.mesh import DIRICHLET, INTERIOR, MAX_CLOSURE_PASSES, NEUMANN, Mesh, MeshError
+from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEUMANN, Mesh,
+                       MeshError, _across)
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.problem import ProblemDefinition, SolutionField
 
@@ -345,7 +358,7 @@ def coarse_ancestor(mesh, sid: int, coarse_live) -> int:
 def inscribed_diameter(mesh, sid: int) -> float:
     """Diameter of the inscribed sphere: 2 d |s| / (sum of face measures)."""
     d = mesh.dim
-    vol = abs(mesh.signed_volume(sid))
+    vol = abs(signed_volume(mesh, sid))
     face_sum = sum(mesh.face_normal(sid, i)[1] for i in range(d + 1))
     return 2.0 * d * vol / face_sum
 
@@ -570,7 +583,7 @@ def interpolate(mesh, fn, n_components: int = 1) -> SolutionField:
 
 def domain_average(mesh, n_components: int = 1):
     """psi for the mean-error functional: constant 1/|domain| per component."""
-    vol = sum(abs(mesh.signed_volume(int(s))) for s in mesh.live_simplices())
+    vol = sum(abs(signed_volume(mesh, int(s))) for s in mesh.live_simplices())
     w = 1.0 / vol
 
     def psi(x):
@@ -1037,18 +1050,8 @@ def _child_flags(mesh: Mesh, parent: int, child_verts, a: int, b: int, z: int):
 
 
 def _push_simplex(mesh: Mesh, rings, verts, flags, parent, order, tag) -> int:
-    sid = mesh.n_slots
-    for name in ("_sverts", "_sflags", "_salive", "_sparent", "_schildren", "_sorder", "_stag"):
-        setattr(mesh, name, Mesh._grow(getattr(mesh, name), sid + 1))
-    mesh._sverts[sid] = verts
-    mesh._sflags[sid] = flags
-    mesh._salive[sid] = True
-    mesh._sparent[sid] = parent
-    mesh._schildren[sid] = (-1, -1)
-    mesh._sorder[sid] = order
-    mesh._stag[sid] = tag
-    mesh._ns += 1
-    mesh._tables = None
+    sid = _push(mesh, "_ns", _sverts=verts, _sflags=flags, _salive=True, _sparent=parent,
+                _schildren=(-1, -1), _sorder=order, _stag=tag)
     for v in verts:
         rings[v].add(sid)
     return sid
@@ -1060,7 +1063,7 @@ def _bisect_one(mesh: Mesh, rings, sid: int, edge_map: dict, bisections: list):
     z = edge_map.get(key)
     if z is None:
         mid = 0.5 * (mesh.coords[a] + mesh.coords[b])
-        z = mesh.add_vertex(mid, bclass=_midpoint_class(mesh, rings, a, b), parents=key)
+        z = add_vertex(mesh, mid, bclass=_midpoint_class(mesh, rings, a, b), parents=key)
         rings.append(set())
         edge_map[key] = z
     pverts = [int(v) for v in mesh.sverts[sid]]
@@ -1084,3 +1087,219 @@ def _bisect_one(mesh: Mesh, rings, sid: int, edge_map: dict, bisections: list):
     for v in pverts:
         rings[v].discard(sid)
     bisections.append((sid, c0, c1, z))
+
+
+# ------------------------------------------------------------------ construction
+
+
+def _push(mesh: Mesh, count: str, **row) -> int:
+    """Write one row to every vertex (count "_nv") or simplex ("_ns") column."""
+    k = getattr(mesh, count)
+    for name, (c, _, _) in Mesh._columns(mesh.dim).items():
+        if c == count:
+            arr = Mesh._grow(getattr(mesh, name), k + 1)
+            arr[k] = row[name]
+            setattr(mesh, name, arr)
+    setattr(mesh, count, k + 1)
+    mesh._tables = None
+    return k
+
+
+def add_vertex(mesh: Mesh, x, bclass: int = INTERIOR, parents=(-1, -1)) -> int:
+    return _push(mesh, "_nv", _coords=x, _vclass=bclass, _vparents=parents)
+
+
+def add_simplex(mesh: Mesh, verts, flags=None) -> int:
+    verts = tuple(int(v) for v in verts)
+    if len(verts) != mesh.dim + 1:
+        raise MeshError(f"simplex needs {mesh.dim + 1} vertices, got {len(verts)}")
+    if len(set(verts)) != len(verts):
+        raise MeshError(f"repeated vertex in simplex {verts}")
+    if any(v < 0 or v >= mesh.n_vertices for v in verts):
+        raise MeshError(f"simplex {verts} references a missing vertex")
+    if flags is None:
+        flags = (INTERIOR,) * (mesh.dim + 1)
+    return _push(mesh, "_ns", _sverts=verts, _sflags=flags, _salive=True, _sparent=-1,
+                 _schildren=(-1, -1), _sorder=(-1,) * 4, _stag=0)
+
+
+def finalize(mesh: Mesh, boundary=None) -> Mesh:
+    """Orient the simplices, flag the boundary faces, derive the vertex
+    classes and set the 3D bisection order, one simplex at a time."""
+    for s in range(mesh.n_slots):
+        vol = signed_volume(mesh, s)
+        if vol < 0:
+            for col in (mesh.sverts, mesh.sflags):
+                col[s, [-2, -1]] = col[s, [-1, -2]]
+        elif vol == 0:
+            raise MeshError(f"simplex {s} is degenerate")
+    if boundary is not None:
+        across = _across(mesh.sverts, mesh.dim)
+        mesh.sflags[across >= 0] = INTERIOR
+        for s, i in zip(*np.nonzero(across < 0)):
+            if callable(boundary):
+                fverts = mesh.sverts[s, LOCAL_FACES[mesh.dim][i]]
+                mesh.sflags[s, i] = boundary(mesh.coords[fverts].mean(axis=0))
+            else:
+                mesh.sflags[s, i] = boundary
+    mesh.vclass[:] = INTERIOR
+    for s in mesh.live_simplices():
+        for i in range(mesh.dim + 1):
+            fl = mesh.sflags[s, i]
+            for v in np.delete(mesh.sverts[s], i):
+                if fl == DIRICHLET or (fl != INTERIOR and mesh.vclass[v] == INTERIOR):
+                    mesh.vclass[v] = DIRICHLET if fl == DIRICHLET else NEUMANN
+    if mesh.dim == 3:
+        for s in range(mesh.n_slots):
+            mesh._sorder[s] = initial_order(mesh, s)
+            mesh._stag[s] = 0
+    mesh.check_conformity()
+    return mesh
+
+
+def _drop_isolated(mesh: Mesh):
+    # grid builders allocate the full vertex lattice; a cut-out domain leaves
+    # vertices no simplex holds
+    used = np.unique(mesh.sverts)
+    for name in ("_coords", "_vclass", "_vparents"):
+        setattr(mesh, name, getattr(mesh, name)[used])
+    mesh._nv = len(used)
+    mesh.sverts[:] = np.searchsorted(used, mesh.sverts)
+
+
+def unit_square(n: int = 1, boundary=DIRICHLET) -> Mesh:
+    return _grid2(n, n, lambda i, j: True, lambda i, j: (i / n, j / n), boundary)
+
+
+def l_shape(n: int = 1, boundary=DIRICHLET) -> Mesh:
+    def keep(i, j):
+        return not (i >= n and j <= n - 1)
+
+    return _grid2(2 * n, 2 * n, keep, lambda i, j: (i / n - 1.0, j / n - 1.0), boundary)
+
+
+def _grid2(nx, ny, keep, corner, boundary) -> Mesh:
+    mesh = Mesh(2)
+    vid = {}
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            vid[(i, j)] = add_vertex(mesh, corner(i, j))
+    for j in range(ny):
+        for i in range(nx):
+            if not keep(i, j):
+                continue
+            v00, v10 = vid[(i, j)], vid[(i + 1, j)]
+            v01, v11 = vid[(i, j + 1)], vid[(i + 1, j + 1)]
+            add_simplex(mesh, (v00, v10, v11))
+            add_simplex(mesh, (v00, v11, v01))
+    _drop_isolated(mesh)
+    return finalize(mesh, boundary=boundary)
+
+
+def unit_cube(n: int = 1, boundary=DIRICHLET) -> Mesh:
+    return _grid3(n, lambda i, j, k: True, lambda i, j, k: (i / n, j / n, k / n), boundary)
+
+
+def _grid3(n, keep, corner, boundary) -> Mesh:
+    mesh = Mesh(3)
+    vid = {}
+    for k in range(n + 1):
+        for j in range(n + 1):
+            for i in range(n + 1):
+                vid[(i, j, k)] = add_vertex(mesh, corner(i, j, k))
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                if not keep(i, j, k):
+                    continue
+                base = np.array([i, j, k])
+                for p in perms:
+                    path = [base.copy()]
+                    for axis in p:
+                        nxt = path[-1].copy()
+                        nxt[axis] += 1
+                        path.append(nxt)
+                    add_simplex(mesh, tuple(vid[tuple(q)] for q in path))
+    _drop_isolated(mesh)
+    return finalize(mesh, boundary=boundary)
+
+
+def annulus(n_r: int = 2, n_t: int = 8, r_inner: float = 0.5, r_outer: float = 1.0,
+            boundary=DIRICHLET) -> Mesh:
+    mesh = Mesh(2)
+    vid = {}
+    for i in range(n_r + 1):
+        r = r_inner + (r_outer - r_inner) * i / n_r
+        for j in range(n_t):
+            th = 2.0 * math.pi * j / n_t
+            vid[(i, j)] = add_vertex(mesh, (r * math.cos(th), r * math.sin(th)))
+    for i in range(n_r):
+        for j in range(n_t):
+            jn = (j + 1) % n_t
+            v00, v10 = vid[(i, j)], vid[(i + 1, j)]
+            v01, v11 = vid[(i, jn)], vid[(i + 1, jn)]
+            add_simplex(mesh, (v00, v10, v11))
+            add_simplex(mesh, (v00, v11, v01))
+    return finalize(mesh, boundary=boundary)
+
+
+def sphere_in_box(n: int, radius: float = 0.4, half_width: float = 1.0,
+                  boundary=DIRICHLET) -> Mesh:
+    h = 2.0 * half_width / n
+
+    def keep(i, j, k):
+        center = np.array([(i + 0.5) * h, (j + 0.5) * h, (k + 0.5) * h]) - half_width
+        return float(np.linalg.norm(center)) > radius
+
+    return _grid3(n, keep,
+                  lambda i, j, k: (i * h - half_width, j * h - half_width, k * h - half_width),
+                  boundary)
+
+
+def signed_volume_of_points(pts: np.ndarray) -> float:
+    d = pts.shape[1]
+    if d == 2:
+        a = pts[1] - pts[0]
+        b = pts[2] - pts[0]
+        return 0.5 * float(a[0] * b[1] - a[1] * b[0])
+    m = np.stack([pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0]])
+    return float(np.linalg.det(m)) / 6.0
+
+
+def shape_of_points(pts: np.ndarray) -> float:
+    """Shape measure of the simplex with vertex coordinates pts ((d+1, d) array)."""
+    pts = np.asarray(pts, dtype=float)
+    d = pts.shape[1]
+    vol = signed_volume_of_points(pts)
+    ss = 0.0
+    for i, j in zip(*np.triu_indices(d + 1, 1)):
+        e = pts[j] - pts[i]
+        ss += float(e @ e)
+    if ss == 0.0 or vol == 0.0:
+        return 0.0
+    c = 2.0 ** (2.0 * (1.0 - 1.0 / d)) * 3.0 ** ((d - 1) / 2.0)
+    return c * math.copysign(abs(vol) ** (2.0 / d), vol) / ss
+
+
+def signed_volume(mesh: Mesh, sid: int) -> float:
+    return signed_volume_of_points(mesh.coords[mesh.sverts[sid]])
+
+
+def shape_measure(mesh: Mesh, sid: int) -> float:
+    return shape_of_points(mesh.coords[mesh.sverts[sid]])
+
+
+def dumps_rows(mesh: Mesh) -> str:
+    """The mesh as `mesh_io` text, written one line at a time."""
+    out = ["AFEM-MESH 1\n", f"dim {mesh.dim}\n", f"vertices {mesh.n_vertices}\n"]
+    for v in range(mesh.n_vertices):
+        xs = " ".join(repr(float(c)) for c in mesh.coords[v])
+        out.append(f"{v} {xs} {int(mesh.vclass[v])}\n")
+    live = mesh.live_simplices()
+    out.append(f"simplices {len(live)}\n")
+    for k, s in enumerate(live):
+        vs = " ".join(str(int(v)) for v in mesh.sverts[s])
+        fs = " ".join(str(int(fl)) for fl in mesh.sflags[s])
+        out.append(f"{k} {vs} {fs}\n")
+    return "".join(out)

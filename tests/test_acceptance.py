@@ -17,7 +17,7 @@ from afem import problems as P
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, free_dof_mask, measure_error)
 from afem.indicators import dual_indicator, mark, residual_indicator, solve_dual
-from afem.mesh import Mesh, NEUMANN, DIRICHLET, shape_of_points
+from afem.mesh import Mesh, NEUMANN, DIRICHLET, shapes, signed_volumes
 from afem.multilevel import MultilevelConfig, build_hierarchy, prolongation_from_refinement
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import ProblemDefinition, SolutionField
@@ -334,11 +334,11 @@ def test_criterion_09_mesh_invariants():
             mesh.refine_marked([int(s) for s in take])
             mesh.check_conformity()  # raises on any violation
             worst_shape_frac = min(worst_shape_frac, mesh.min_shape() / initial)
+        vol = np.abs(signed_volumes(mesh.coords[mesh.sverts]))
         for s in range(mesh.n_simplices):
             c0, c1 = (int(c) for c in mesh.schildren[s])
             if c0 >= 0:
-                gap = abs(abs(mesh.signed_volume(s))
-                          - abs(mesh.signed_volume(c0)) - abs(mesh.signed_volume(c1)))
+                gap = abs(vol[s] - vol[c0] - vol[c1])
                 worst_volume_gap = max(worst_volume_gap, gap)
     ok = worst_shape_frac >= 0.2 and worst_volume_gap < 1e-12
     verdict(9, ok,
@@ -352,11 +352,7 @@ def test_criterion_09_mesh_invariants():
 def test_criterion_10_hand_computed_oracles():
     t0 = time.perf_counter()
 
-    tri = Mesh(2)
-    for x in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-        tri.add_vertex(x)
-    tri.add_simplex((0, 1, 2))
-    tri.finalize(boundary=NEUMANN)
+    tri = Mesh.from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], boundary=NEUMANN)
 
     def Ft(t, x, n, u, gu):
         return np.column_stack((gu[:, 0], np.zeros(len(x)))) if t == 0 else np.zeros((len(x), 3))
@@ -369,9 +365,8 @@ def test_criterion_10_hand_computed_oracles():
     oracle = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     stiff_gap = float(np.abs(a - oracle).max())
 
-    right = shape_of_points(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    equi = shape_of_points(np.array([[0.0, 0.0], [1.0, 0.0],
-                                     [0.5, math.sqrt(3.0) / 2.0]]))
+    right, equi = shapes(np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                   [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]]))
     shape_gap = max(abs(right - math.sqrt(3.0) / 4.0), abs(equi - 0.5))
 
     one_level = build_hierarchy(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), [])

@@ -22,11 +22,8 @@ STIFFNESS = np.array([[1.0, -0.5, -0.5],
 
 
 def one_triangle(boundary):
-    m = Mesh(2)
-    for x in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-        m.add_vertex(x)
-    m.add_simplex((0, 1, 2))
-    return m.finalize(boundary=boundary)
+    return Mesh.from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
+                            boundary=boundary)
 
 
 def poisson_unit_load():

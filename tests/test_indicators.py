@@ -32,11 +32,8 @@ def poisson(fval, dirichlet=None):
 
 
 def reference_triangle():
-    m = Mesh(2)
-    for p in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-        m.add_vertex(p)
-    m.add_simplex((0, 1, 2))
-    return m.finalize(boundary=DIRICHLET)
+    return Mesh.from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
+                            boundary=DIRICHLET)
 
 
 def test_single_triangle_oracle():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from afem import generators
-from afem.mesh import DIRICHLET, INTERIOR, Mesh, MeshError, shape_of_points
+from afem.config import ConfigError, RunConfig, build_mesh
+from afem.mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError, shapes, signed_volumes
 
 import pointwise_oracle as oracle
 
@@ -13,11 +14,13 @@ KUHN_SHAPE = 0.22894284851066632  # frozen: standard cube-corner tetrahedron
 
 
 def unit_triangle():
-    m = Mesh(2)
-    for x in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-        m.add_vertex(x)
-    m.add_simplex((0, 1, 2))
-    return m.finalize(boundary=DIRICHLET)
+    return Mesh.from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
+                            boundary=DIRICHLET)
+
+
+def volumes(m, ids=None):
+    ids = m.live_simplices() if ids is None else ids
+    return signed_volumes(m.coords[m.sverts[ids]])
 
 
 # ------------------------------------------------------------- shape measure
@@ -25,23 +28,40 @@ def unit_triangle():
 def test_shape_measure_right_triangle():
     # unit right triangle: area 1/2, edge lengths 1, 1, sqrt(2)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert abs(shape_of_points(pts) - math.sqrt(3.0) / 4.0) < 1e-12
+    assert abs(shapes(pts) - math.sqrt(3.0) / 4.0) < 1e-12
 
 
 def test_shape_measure_equilateral():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    assert abs(shape_of_points(pts) - 0.5) < 1e-12
+    assert abs(shapes(pts) - 0.5) < 1e-12
 
 
 def test_shape_measure_kuhn_tet():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                     [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    assert abs(shape_of_points(pts) - KUHN_SHAPE) < 1e-12
+    assert abs(shapes(pts) - KUHN_SHAPE) < 1e-12
 
 
 def test_shape_measure_degenerate_is_zero():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert shape_of_points(pts) == 0.0
+    assert shapes(pts) == 0.0
+    assert shapes(np.zeros((3, 2))) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_volumes_and_shapes_match_pointwise_oracle(dim, rng):
+    m = generators.l_shape(2) if dim == 2 else generators.unit_cube(1)
+    m.refine_marked(m.live_simplices()[::3])
+    # inverted copies of every simplex too: a swap of two vertices negates both
+    pts = m.coords[m.sverts]
+    pts = np.concatenate([pts, pts[:, [*range(dim - 1), dim, dim - 1]]])
+    pts += 1e-3 * rng.standard_normal(pts.shape)
+    vol, q = signed_volumes(pts), shapes(pts)
+    assert (vol[:m.n_slots] > 0).all() and (vol[m.n_slots:] < 0).all()
+    np.testing.assert_array_equal(vol, [oracle.signed_volume_of_points(p) for p in pts])
+    np.testing.assert_allclose(q, [oracle.shape_of_points(p) for p in pts], rtol=1e-15)
+    assert m.min_shape() == pytest.approx(min(oracle.shape_measure(m, s)
+                                              for s in m.live_simplices()), rel=1e-15)
 
 
 # ------------------------------------------------------------- construction
@@ -52,7 +72,7 @@ def test_generators_sizes_and_conformity():
                   (generators.l_shape(2), 21)]:
         assert m.n_vertices == nv
         m.check_conformity()
-        assert all(m.signed_volume(int(s)) > 0.0 for s in m.live_simplices())
+        assert (volumes(m) > 0.0).all()
 
 
 def test_annulus_and_cavity_generators():
@@ -77,19 +97,97 @@ def test_boundary_classification():
 def test_nonconforming_input_rejected():
     # lower half is one triangle, upper half is split at the diagonal midpoint,
     # so the midpoint hangs on the lower triangle's diagonal edge
-    m = Mesh(2)
-    for x in [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]:
-        m.add_vertex(x)
-    m.add_simplex((0, 1, 2))
-    m.add_simplex((0, 4, 3))
-    m.add_simplex((4, 2, 3))
+    coords = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
 
     def classify(c):
         onb = min(c[0], c[1], 1.0 - c[0], 1.0 - c[1]) < 1e-9
         return DIRICHLET if onb else INTERIOR
 
-    with pytest.raises(MeshError):
-        m.finalize(boundary=classify)
+    with pytest.raises(MeshError, match="simplex 0 has boundary face 1 unflagged") as err:
+        Mesh.from_arrays(coords, [(0, 1, 2), (0, 4, 3), (4, 2, 3)], boundary=classify)
+    assert err.value.simplex == 0
+
+
+# every generator mesh the tests, demos and benchmark workloads build
+def _split(c):
+    return NEUMANN if c[0] > 0.5 else DIRICHLET
+
+
+def _ring(c):
+    return NEUMANN if math.hypot(c[0], c[1]) > 0.75 else DIRICHLET
+
+
+GENERATED = {
+    **{f"unit_square({n})": ("unit_square", (n,), {}) for n in (1, 2, 3, 4, 6, 8, 16)},
+    **{f"l_shape({n})": ("l_shape", (n,), {}) for n in (1, 2, 4)},
+    **{f"unit_cube({n})": ("unit_cube", (n,), {}) for n in (1, 2)},
+    "sphere_in_box(3)": ("sphere_in_box", (3,), {}),
+    "sphere_in_box(5)": ("sphere_in_box", (5,), {}),
+    "sphere_in_box(6)": ("sphere_in_box", (6,), {}),
+    **{f"annulus{a}": ("annulus", a, {}) for a in [(2, 8), (1, 6), (3, 12), (2, 12)]},
+    "unit_square(2, split)": ("unit_square", (2,), {"boundary": _split}),
+    "unit_cube(1, split)": ("unit_cube", (1,), {"boundary": _split}),
+    "sphere_in_box(3, split)": ("sphere_in_box", (3,), {"boundary": _split}),
+    "annulus(2, 12, ring)": ("annulus", (2, 12, 0.5, 1.0), {"boundary": _ring}),
+    "annulus(3, 12, ring)": ("annulus", (3, 12, 0.5, 1.0), {"boundary": _ring}),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generators_match_loop_construction(name):
+    # bitwise, before and after one uniform refinement
+    fn, args, kw = GENERATED[name]
+    m, ref = getattr(generators, fn)(*args, **kw), getattr(oracle, fn)(*args, **kw)
+    for _ in range(2):
+        for col in ("coords", "vclass", "vparents", "sverts", "sflags"):
+            a, b = getattr(m, col), getattr(ref, col)
+            assert a.dtype == b.dtype and np.array_equal(a, b), col
+        for col in ("_sorder", "_stag"):
+            assert np.array_equal(getattr(m, col)[:m.n_slots], getattr(ref, col)[:ref.n_slots])
+        m.uniform_refine()
+        oracle.refine_marked(ref, ref.live_simplices())
+
+
+def test_sphere_in_box_default_and_even_n():
+    m = generators.sphere_in_box()
+    m.check_conformity()
+    assert m.n_simplices == 6 * 3 ** 3 - 6  # the centre cell is removed
+    with pytest.raises(MeshError, match="no cell centre lies inside the sphere"):
+        generators.sphere_in_box(4)
+
+
+def test_sphere_in_box_config_names_mesh_n():
+    with pytest.raises(ConfigError, match="^mesh_n: .*n = 4"):
+        build_mesh(RunConfig(mesh="sphere_in_box"))
+    # mesh_n 1 to 3 all build the generator's default mesh
+    small = build_mesh(RunConfig(mesh="sphere_in_box", mesh_n=1))
+    assert np.array_equal(small.sverts, generators.sphere_in_box().sverts)
+
+
+@pytest.mark.parametrize("coords, sverts, named", [
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2)], "vertex 3 belongs to no simplex"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)], "simplex 0 repeats a vertex"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 1, 3)], "simplex 1 references a missing vertex"),
+    ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], "simplex 0 is degenerate"),
+    ([(0, 0), (1, 0), (0, np.nan)], [(0, 1, 2)], "vertex 2 has a non-finite coordinate"),
+    ([(0, 0), (1, 0), (0, 1)], [], "at least one simplex"),
+])
+def test_from_arrays_rejects_naming_the_row(coords, sverts, named):
+    with pytest.raises(MeshError, match=named):
+        Mesh.from_arrays(coords, np.array(sverts, dtype=np.int64).reshape(-1, 3),
+                         boundary=DIRICHLET)
+
+
+def test_from_arrays_turns_inverted_simplices_around():
+    coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    sverts = np.array([(0, 2, 1), (1, 3, 2)])
+    flags = np.array([(0, 1, 2), (2, 0, 1)])
+    m = Mesh.from_arrays(coords, sverts, flags)
+    # the last two vertices and their faces' flags swap; the input is untouched
+    np.testing.assert_array_equal(m.sverts, [(0, 1, 2), (1, 3, 2)])
+    np.testing.assert_array_equal(m.sflags, [(0, 2, 1), (2, 0, 1)])
+    np.testing.assert_array_equal(sverts, [(0, 2, 1), (1, 3, 2)])
+    np.testing.assert_array_equal(m.vclass, [DIRICHLET, DIRICHLET, NEUMANN, DIRICHLET])
 
 
 # ----------------------------------------------------------------- bisection
@@ -146,8 +244,8 @@ def test_child_volumes_sum_to_parent():
     for s in range(m.n_simplices):
         c0, c1 = (int(c) for c in m.schildren[s])
         if c0 >= 0:
-            vp = abs(m.signed_volume(s))
-            vc = abs(m.signed_volume(c0)) + abs(m.signed_volume(c1))
+            vp, v0, v1 = np.abs(volumes(m, [s, c0, c1]))
+            vc = v0 + v1
             assert abs(vp - vc) < 1e-12 * max(1.0, vp)
 
 
@@ -177,11 +275,11 @@ def test_tet_bisection_similarity_classes():
     # marked bisection cycles through finitely many shapes; three uniform
     # halvings of a Kuhn tetrahedron reproduce the original shape set
     m = generators.unit_cube(1)
-    shapes = set()
+    found = set()
     for _ in range(3):
         m.refine_marked([int(s) for s in m.live_simplices()])
-        shapes |= {round(m.shape_measure(int(s)), 10) for s in m.live_simplices()}
-    assert len(shapes) <= 3
+        found |= set(np.round(shapes(m.coords[m.sverts[m.live_simplices()]]), 10))
+    assert len(found) <= 3
     m.check_conformity()
 
 
@@ -209,11 +307,8 @@ def test_refinement_is_deterministic():
 def test_initial_tet_order_breaks_ties_on_the_smaller_pair():
     # the opposite edges (0, 3) and (1, 2) tie as longest; (0, 3) is the
     # smaller (min id, max id) pair, so it is the first refinement edge
-    m = Mesh(3)
-    for x in [(0.0, 0.0, 0.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 0.0, 0.0)]:
-        m.add_vertex(x)
-    m.add_simplex((0, 1, 2, 3))
-    m.finalize(boundary=DIRICHLET)
+    m = Mesh.from_arrays([(0.0, 0.0, 0.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 0.0, 0.0)],
+                         [(0, 1, 2, 3)], boundary=DIRICHLET)
     assert tuple(m._sorder[0]) == (0, 1, 2, 3) == oracle.initial_order(m, 0)
     assert m._stag[0] == 0
 
@@ -275,15 +370,15 @@ def test_coarse_ancestor_maps_refined_mesh_onto_coarse(dim):
     m.refine_marked([int(s) for s in m.live_simplices()][::3])
     covered = dict.fromkeys(coarse, 0.0)
     live = m.live_simplices()
-    for s, a in zip(live, m.coarse_ancestors(live, coarse)):
+    for s, a, vol in zip(live, m.coarse_ancestors(live, coarse), volumes(m)):
         a = int(a)
         assert a in coarse
         centroid = m.coords[m.sverts[s]].mean(axis=0)
         assert oracle.barycentric(m, a, centroid).min() >= -1e-12
-        covered[a] += m.signed_volume(int(s))
+        covered[a] += vol
     # the descendants of each coarse simplex tile it exactly
     for a in coarse:
-        assert abs(covered[a] - m.signed_volume(a)) < 1e-12
+        assert abs(covered[a] - volumes(m, [a])[0]) < 1e-12
 
 
 def test_coarse_ancestor_of_coarse_simplex_is_itself():
@@ -304,8 +399,21 @@ def test_coarse_ancestor_missing_raises_naming_simplex():
 
 
 def test_copy_is_independent():
-    m = generators.unit_square(2)
-    c = m.copy()
-    c.refine_marked([0])
-    assert m.n_vertices == 9 and c.n_vertices > 9
-    assert np.array_equal(m.coords, generators.unit_square(2).coords)
+    # every column, vparents, _sorder and _stag included, is equal after the
+    # copy, and refining the copy leaves the original as it was
+    for m in (generators.unit_square(2), generators.unit_cube(1)):
+        m.refine_marked([0])
+        c = m.copy()
+        columns = Mesh._columns(m.dim)
+        assert {"_vparents", "_sorder", "_stag"} <= set(columns)
+        before = {}
+        for name, (count, _, _) in columns.items():
+            n = getattr(m, count)
+            a, b = getattr(m, name)[:n], getattr(c, name)[:n]
+            assert getattr(c, count) == n and a.dtype == b.dtype and np.array_equal(a, b), name
+            assert not np.shares_memory(a, b), name
+            before[name] = a.copy()
+        c.refine_marked(c.live_simplices())
+        assert c.n_vertices > m.n_vertices
+        for name, (count, _, _) in columns.items():
+            assert np.array_equal(getattr(m, name)[:getattr(m, count)], before[name]), name

@@ -6,6 +6,8 @@ from afem import generators
 from afem.mesh import MeshError
 from afem.mesh_io import dumps_mesh, read_mesh, reads_mesh, write_mesh
 
+import pointwise_oracle as oracle
+
 
 def test_round_trip_2d(tmp_path):
     m = generators.l_shape(2)
@@ -61,3 +63,84 @@ def test_reader_rejects_inverted_simplex_naming_its_line():
     lines[k] = " ".join([sid, v0, v2, v1, flags[0], flags[2], flags[1]])
     with pytest.raises(MeshError, match=f"line {k + 1}: simplex {sid} has non-positive volume"):
         reads_mesh("\n".join(lines))
+
+
+def _broken(mesh, edit):
+    """The mesh's text with edit(lines) applied, and a reader error for it."""
+    lines = dumps_mesh(mesh).splitlines()
+    edit(lines)
+    with pytest.raises(MeshError) as err:
+        reads_mesh("\n".join(lines))
+    return lines, str(err.value)
+
+
+def _simplex_line(lines, k=0):
+    return lines.index(next(ln for ln in lines if ln.startswith("simplices"))) + 1 + k
+
+
+def test_reader_names_line_of_repeated_vertex():
+    def edit(lines):
+        k = _simplex_line(lines, 1)
+        sid, v0, v1, v2, *flags = lines[k].split()
+        lines[k] = " ".join([sid, v0, v0, v2, *flags])
+
+    lines, msg = _broken(generators.unit_square(1), edit)
+    assert msg == f"line {_simplex_line(lines, 1) + 1}: simplex 1 repeats a vertex"
+
+
+def test_reader_names_line_of_missing_vertex():
+    def edit(lines):
+        k = _simplex_line(lines)
+        sid, v0, *rest = lines[k].split()
+        lines[k] = " ".join([sid, "99", *rest])
+
+    lines, msg = _broken(generators.unit_square(1), edit)
+    assert msg == f"line {_simplex_line(lines) + 1}: simplex 0 references a missing vertex"
+
+
+def test_reader_names_line_of_zero_volume_simplex():
+    # vertex 3 moved onto the bottom edge makes simplex 0, (0, 1, 3), flat
+    m = generators.unit_square(1)
+    assert m.sverts[0].tolist() == [0, 1, 3]
+
+    def edit(lines):
+        lines[lines.index("vertices 4") + 4] = "3 0.5 0.0 1"
+
+    lines, msg = _broken(m, edit)
+    assert msg == f"line {_simplex_line(lines) + 1}: simplex 0 is degenerate"
+
+
+def test_reader_names_line_of_unused_vertex():
+    # a vertex no simplex holds would be a dof no basis function covers: the
+    # Jacobian would be singular and Newton would stall
+    def edit(lines):
+        k = lines.index("vertices 9")
+        lines[k] = "vertices 10"
+        lines.insert(k + 10, "9 0.3 0.3 0")
+
+    lines, msg = _broken(generators.unit_square(2), edit)
+    assert msg == f"line {lines.index('9 0.3 0.3 0') + 1}: vertex 9 belongs to no simplex"
+
+
+def test_reader_names_line_of_nonconforming_flag():
+    # face 1 of simplex 0 is the diagonal the two triangles share
+    def edit(lines):
+        k = _simplex_line(lines)
+        sid, v0, v1, v2, f0, f1, f2 = lines[k].split()
+        lines[k] = " ".join([sid, v0, v1, v2, f0, "1", f2])
+
+    lines, msg = _broken(generators.unit_square(1), edit)
+    assert msg == (f"line {_simplex_line(lines) + 1}: simplex 0 has a boundary flag "
+                   "on interior face 1")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_writer_matches_row_writer(dim, tmp_path):
+    m = generators.l_shape(2) if dim == 2 else generators.unit_cube(2)
+    m.refine_marked(m.live_simplices()[::3])
+    m.refine_marked(m.live_simplices()[::5])
+    assert not m.salive.all()  # dead simplices are left out, the rest renumbered
+    p = tmp_path / "mesh.txt"
+    write_mesh(m, p)
+    assert p.read_bytes() == oracle.dumps_rows(m).encode()
+    assert dumps_mesh(m) == oracle.dumps_rows(m)

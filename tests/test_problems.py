@@ -155,11 +155,8 @@ def test_negative_rho_at_one_point_names_it():
 
 
 def _one_simplex(dim):
-    m = Mesh(dim)
-    for x in np.vstack([np.zeros(dim), np.eye(dim)]):
-        m.add_vertex(x)
-    m.add_simplex(tuple(range(dim + 1)))
-    return m.finalize(boundary=DIRICHLET)
+    return Mesh.from_arrays(np.vstack([np.zeros(dim), np.eye(dim)]), [tuple(range(dim + 1))],
+                            boundary=DIRICHLET)
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
