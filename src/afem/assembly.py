@@ -174,18 +174,20 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     Returns (l2, h1) with h1 the full norm; h1 is NaN when exact_grad is
     missing.  The measurement rule is deliberately finer than the assembly
     rule so observed convergence rates are not quadrature artifacts.  exact
-    and exact_grad are functions of one point, read through `sample`.
+    and exact_grad are functions of one point, sampled once per simplex row
+    in the mesh's life through `Mesh.sample_rows`.
     """
     rule = fine_rule(mesh.dim)
     tab = mesh.tables()
     uloc, gu = tab.gather(u.values)
     nq, (n, nc, d) = len(rule.weights), gu.shape
-    xq = tab.element_points(rule.points).reshape(-1, d)
     w = (rule.weights * np.abs(tab.det)[:, None]).reshape(1, -1)
-    diff = _point_values(rule.barycentric, uloc) - sample(exact, xq, (nc,))
+    diff = (_point_values(rule.barycentric, uloc)
+            - mesh.sample_rows(exact, rule.points, (nc,)).reshape(-1, nc))
     l2sq = _row_sums(w * _dot(diff, diff))[0]
     if exact_grad is None:
         return np.sqrt(l2sq), float("nan")
-    gdiff = np.repeat(gu, nq, axis=0) - sample(exact_grad, xq, (nc, d))
+    gdiff = (np.repeat(gu, nq, axis=0)
+             - mesh.sample_rows(exact_grad, rule.points, (nc, d)).reshape(-1, nc, d))
     h1sq = _row_sums(w * (gdiff * gdiff).reshape(n * nq, -1).sum(axis=1))[0]
     return np.sqrt(l2sq), np.sqrt(l2sq + h1sq)

@@ -115,7 +115,7 @@ def _make_linear_solve(cfg: RunConfig, prolongations: list):
 def _indicate(cfg: RunConfig, problem, u):
     """(field, extras) for the configured indicator choice."""
     if cfg.indicator == "dual":
-        weights = solve_dual(problem, u, lambda x: 1.0)
+        weights = solve_dual(problem, u, 1.0)
         fld, estimate = dual_indicator(problem, u, weights)
         return fld, {"dual_estimate": estimate}
     return residual_indicator(problem, u, p=cfg.p), {}

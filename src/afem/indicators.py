@@ -17,7 +17,8 @@ the flux A.n.  Each is one call over all points of its block: simplices,
 flux faces, and both sides of the interior faces at once.  The indicators
 differ only in how a residual value is weighed at a point and where the
 integral is credited; `_credit` books the face terms for both.  The dual's
-functional density psi is a function of one point, read through `sample`.
+functional density psi is a constant or a function of one point, read
+through `sample`.
 
 Element and face sizes h_s, h_f are inscribed-sphere diameters, read from the
 tables' `h` and `hf` columns.  Interior face terms carry a factor 1/2 so a
@@ -196,7 +197,8 @@ class DualWeights:
 def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     """Vector of <psi, basis_i> integrals, with the assembly quadrature rule
     (so a self-adjoint problem with psi = its own load reproduces the primal
-    system exactly).  psi is a function of one point, read through `sample`."""
+    system exactly).  psi is a constant or a function of one point, read
+    through `sample`."""
     rule = default_rule(mesh.dim)
     tab = mesh.tables()
     bary = rule.barycentric
@@ -212,7 +214,8 @@ def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
 
 def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
                same_space: bool = False) -> DualWeights:
-    """Solve the adjoint of the Jacobian at u for the functional density psi.
+    """Solve the adjoint of the Jacobian at u for the functional density psi,
+    a constant or a function of one point.
 
     The dual lives on one uniform refinement of u's mesh unless same_space is
     set (useful only for orthogonality checks; the resulting indicator is 0).

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import linear_element
+from .problem import sample
 
 INTERIOR = 0
 DIRICHLET = 1
@@ -203,6 +204,7 @@ class Mesh:
         for name, (_, dtype, shape) in self._columns(dim).items():
             setattr(self, name, self._grow(np.empty((0,) + shape, dtype), 16))
         self._tables = None
+        self._samples = {}
 
     # ------------------------------------------------------------------ storage
 
@@ -271,19 +273,22 @@ class Mesh:
         called with each such face's centroid (d,) and returns its class.  With
         a boundary, shared faces are flagged interior.  Vertex classes follow
         from the face flags.  A non-finite coordinate, a vertex no simplex
-        uses, a missing or repeated vertex in a simplex, an unknown face class,
-        a degenerate simplex or a nonconforming mesh raise a MeshError that
-        names the vertex or simplex row at fault.
+        uses, a non-integer vertex id or face flag, a missing or repeated vertex
+        in a simplex, an unknown face class, a degenerate simplex or a
+        nonconforming mesh raise a MeshError naming the vertex or simplex row.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] not in (2, 3):
             raise MeshError(f"coords must have shape (n, 2) or (n, 3), not {coords.shape}")
         n, d = coords.shape
-        sverts = np.array(sverts, dtype=np.int64)
-        flags = np.zeros(sverts.shape, np.int8) if sflags is None else np.array(sflags)
+        sverts = np.asarray(sverts)
+        flags = np.zeros(sverts.shape, np.int8) if sflags is None else np.asarray(sflags)
         if not len(sverts) or sverts.shape[1:] != (d + 1,) or flags.shape != sverts.shape:
             raise MeshError(f"a mesh needs at least one simplex: sverts and sflags of shape "
                             f"(m, {d + 1}), m > 0, not {sverts.shape} and {flags.shape}")
+        _reject(~np.all([np.isfinite(a) & (a == np.round(a)) for a in (sverts, flags)],
+                        axis=(0, 2)), "simplex", "holds a value that is not a whole number")
+        sverts, flags = sverts.astype(np.int64), flags.astype(np.int64)
         _reject(~np.isfinite(coords).all(axis=1), "vertex", "has a non-finite coordinate")
         _reject(((sverts < 0) | (sverts >= n)).any(axis=1), "simplex",
                 "references a missing vertex")
@@ -367,6 +372,24 @@ class Mesh:
         if self._tables is None:
             self._tables = MeshTables(self)
         return self._tables
+
+    def sample_rows(self, v, ref: np.ndarray, shape=()) -> np.ndarray:
+        """Values (n, nq) + shape of the pointwise datum v (read by `sample`)
+        at the reference points ref (nq, d) mapped into every live simplex, in
+        id order.  Rows never move, so each is sampled once per datum: one entry
+        per (ref, shape) keeps the last v, its values and a filled mask by slot."""
+        key = (ref.tobytes(), ref.shape, shape)
+        src, vals, filled = self._samples.get(key, (None, None, None))
+        if vals is None or src is not v:
+            vals, filled = np.empty((0, len(ref)) + shape), np.zeros(0, bool)
+        vals, filled = self._grow(vals, self._ns), self._grow(filled, self._ns)
+        live = self.live_simplices()
+        new = live[~filled[live]]
+        x = _affine(self._coords[self._sverts[new]], ref).reshape(-1, self.dim)
+        vals[new] = sample(v, x, shape).reshape((len(new), len(ref)) + shape)
+        filled[new] = True
+        self._samples[key] = (v, vals, filled)
+        return vals[live]
 
     def coarse_ancestors(self, ids, coarse) -> np.ndarray:
         """The ancestor of each simplex in ids (or the simplex itself) that lies

@@ -20,7 +20,8 @@ the constraint system of `problems.py` is posed in the flat chart.
 
 Data callables stay pointwise: dirichlet data, exact solutions, functional
 densities and coefficients take one point x (d,) and are read through
-`sample`, which calls them once per point.
+`sample`, which calls them once per point.  Exact solutions are sampled once
+per simplex row in the mesh's life, through `Mesh.sample_rows`.
 """
 
 from __future__ import annotations

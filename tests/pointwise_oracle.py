@@ -17,6 +17,12 @@ over a leading point axis now, is reached through the one-point adapter
 that the oracle computes element sizes on its own, and `coarse_ancestor`
 walks the genealogy one simplex at a time.
 
+`sampled_measure_error` is the library's error measurement as it stood
+before `Mesh.sample_rows` kept each simplex row's samples of the exact
+solution: it reads `exact` and `exact_grad` through `sample` at every
+fine-rule point on every call.  It is the reference for the cache in
+`test_sample_rows.py`.
+
 `interpolate`, `domain_average` and `evaluate_functional` are the library's
 former pointwise helpers; only tests use them.  `evaluate_functional` walks
 the mesh on its own and is the independent reference for the dual estimate.
@@ -70,7 +76,8 @@ from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
 from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEUMANN, Mesh,
                        MeshError, _across)
 from afem.ppum import PartitionOfUnity, PpumError
-from afem.problem import ProblemDefinition, SolutionField
+from afem.assembly import _dot, _point_values, _row_sums
+from afem.problem import ProblemDefinition, SolutionField, sample
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
@@ -345,6 +352,26 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     l2 = np.sqrt(l2sq)
     h1 = np.sqrt(l2sq + h1sq) if exact_grad is not None else float("nan")
     return l2, h1
+
+
+def sampled_measure_error(mesh, u: SolutionField, exact, exact_grad=None):
+    """`afem.assembly.measure_error` as it stood before `Mesh.sample_rows`:
+    the same array pass over the element rows of `mesh.tables()`, with exact
+    and exact_grad read through `sample` at every fine-rule point of every
+    live simplex on each call."""
+    rule = fine_rule(mesh.dim)
+    tab = mesh.tables()
+    uloc, gu = tab.gather(u.values)
+    nq, (n, nc, d) = len(rule.weights), gu.shape
+    xq = tab.element_points(rule.points).reshape(-1, d)
+    w = (rule.weights * np.abs(tab.det)[:, None]).reshape(1, -1)
+    diff = _point_values(rule.barycentric, uloc) - sample(exact, xq, (nc,))
+    l2sq = _row_sums(w * _dot(diff, diff))[0]
+    if exact_grad is None:
+        return np.sqrt(l2sq), float("nan")
+    gdiff = np.repeat(gu, nq, axis=0) - sample(exact_grad, xq, (nc, d))
+    h1sq = _row_sums(w * (gdiff * gdiff).reshape(n * nq, -1).sum(axis=1))[0]
+    return np.sqrt(l2sq), np.sqrt(l2sq + h1sq)
 
 
 def coarse_ancestor(mesh, sid: int, coarse_live) -> int:

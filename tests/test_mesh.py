@@ -190,6 +190,40 @@ def test_from_arrays_turns_inverted_simplices_around():
     np.testing.assert_array_equal(m.vclass, [DIRICHLET, DIRICHLET, NEUMANN, DIRICHLET])
 
 
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+WHOLE = "holds a value that is not a whole number"
+
+
+@pytest.mark.parametrize("sverts", [[(0, 1, 2), (0, 2, 3.5)], [(0, 1, 2), (0, 2, np.nan)],
+                                    [(0, 1, 2), (0, 2, np.inf)]])
+def test_from_arrays_rejects_non_integer_vertex_ids(sverts):
+    with pytest.raises(MeshError, match=f"simplex 1 {WHOLE}") as err:
+        Mesh.from_arrays(SQUARE, sverts, boundary=DIRICHLET)
+    assert err.value.simplex == 1
+    # a fraction used to be truncated to a vertex id without a word
+    with pytest.raises(MeshError, match=f"simplex 0 {WHOLE}"):
+        Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [[0, 1.7, 2]], boundary=1)
+
+
+def test_from_arrays_rejects_non_integer_face_flags():
+    sverts = [(0, 1, 2), (0, 2, 3)]
+    with pytest.raises(MeshError, match=f"simplex 1 {WHOLE}") as err:
+        Mesh.from_arrays(SQUARE, sverts, [(1, 0, 1), (1.5, 1, 0)])
+    assert err.value.simplex == 1
+    # the first row holding a fraction is named, in sverts or in sflags
+    with pytest.raises(MeshError, match=f"simplex 0 {WHOLE}"):
+        Mesh.from_arrays(SQUARE, [(0, 1, 2), (0, 2, 3.2)], [(1, 0, 0.5), (1, 1, 0)])
+
+
+def test_from_arrays_takes_whole_valued_floats():
+    ints = Mesh.from_arrays(SQUARE, [(0, 1, 2), (0, 2, 3)], [(1, 0, 1), (1, 1, 0)])
+    floats = Mesh.from_arrays(SQUARE, np.array([(0, 1, 2), (0, 2, 3)], dtype=float),
+                              np.array([(1, 0, 1), (1, 1, 0)], dtype=float))
+    for a, b in zip(_state(ints), _state(floats)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 # ----------------------------------------------------------------- bisection
 
 def test_bisect_single_triangle():
