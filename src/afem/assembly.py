@@ -174,8 +174,9 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     Returns (l2, h1) with h1 the full norm; h1 is NaN when exact_grad is
     missing.  The measurement rule is deliberately finer than the assembly
     rule so observed convergence rates are not quadrature artifacts.  exact
-    and exact_grad are functions of one point, sampled once per simplex row
-    in the mesh's life through `Mesh.sample_rows`.
+    and exact_grad are data read through `sample` (declared `batched`, or
+    functions of one point), sampled once per simplex row in the mesh's life
+    through `Mesh.sample_rows`.
     """
     rule = fine_rule(mesh.dim)
     tab = mesh.tables()

@@ -15,13 +15,13 @@ Every validation failure names the offending field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import generators, mesh_io, problems
 from .mesh import NEUMANN, MeshError
+from .problem import batched
 
 
 class ConfigError(Exception):
@@ -144,7 +144,8 @@ def validate(cfg: RunConfig) -> None:
 # ----------------------------------------------------------- coefficient spec
 
 def parse_coefficient(name: str, spec: str):
-    """Whitelisted coefficient forms; returns a float or a callable of x."""
+    """Whitelisted coefficient forms; returns a float or a `batched` callable
+    of the points x (N, d)."""
     kind, _, rest = spec.partition(":")
     if kind == "const":
         try:
@@ -166,9 +167,10 @@ def parse_coefficient(name: str, spec: str):
         if width <= 0.0:
             raise ConfigError(f"coeff.{name}: gaussian width must be positive")
 
+        @batched
         def gauss(x):
-            r2 = float(np.sum((np.asarray(x) - center) ** 2))
-            return amp * math.exp(-r2 / width)
+            r2 = np.sum((x - center) ** 2, axis=1)
+            return amp * np.exp(-r2 / width)
 
         return gauss
     raise ConfigError(f"coeff.{name}: unknown form {kind!r} "

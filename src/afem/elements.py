@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -26,6 +27,17 @@ class QuadratureRule:
         return np.hstack([lam0, self.points])
 
 
+def _shared(pts, w) -> QuadratureRule:
+    """A rule that every caller shares: its arrays are read-only, so an
+    in-place write fails."""
+    rule = QuadratureRule(np.array(pts, dtype=float), np.array(w, dtype=float))
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
+
+
+# Each rule below is built once per argument tuple and shared.
+
+@cache
 def default_rule(dim: int) -> QuadratureRule:
     """Degree-2 exact rules: 3 edge midpoints in 2D, the 4 symmetric interior
     points in 3D.  This is the element default for residuals and Jacobians.
@@ -45,7 +57,7 @@ def default_rule(dim: int) -> QuadratureRule:
         w = np.full(4, 1.0 / 24.0)
     else:
         raise ValueError(f"no rule for dimension {dim}")
-    return QuadratureRule(pts, w)
+    return _shared(pts, w)
 
 
 def _gauss01(n: int):
@@ -59,6 +71,7 @@ def _jacobi01(n: int, alpha: int):
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
+@cache
 def fine_rule(dim: int, n: int = 4) -> QuadratureRule:
     """Conical-product Gauss rule, exact to degree 2n-1 (default 7).
 
@@ -73,7 +86,7 @@ def fine_rule(dim: int, n: int = 4) -> QuadratureRule:
             for b, wb in zip(u2, w2):
                 pts.append((a, b * (1.0 - a)))
                 ws.append(wa * wb)
-        return QuadratureRule(np.array(pts), np.array(ws))
+        return _shared(pts, ws)
     if dim == 3:
         u1, w1 = _jacobi01(n, 2)
         u2, w2 = _jacobi01(n, 1)
@@ -84,16 +97,17 @@ def fine_rule(dim: int, n: int = 4) -> QuadratureRule:
                 for c, wc in zip(u3, w3):
                     pts.append((a, b * (1.0 - a), c * (1.0 - a) * (1.0 - b)))
                     ws.append(wa * wb * wc)
-        return QuadratureRule(np.array(pts), np.array(ws))
+        return _shared(pts, ws)
     raise ValueError(f"no rule for dimension {dim}")
 
 
+@cache
 def face_rule(dim: int, n: int = 3) -> QuadratureRule:
     """Rule on a reference face (segment in 2D, triangle in 3D); weights sum to
     the reference face volume (1 for the segment, 1/2 for the triangle)."""
     if dim == 2:
         u, w = _gauss01(n)
-        return QuadratureRule(u.reshape(-1, 1), w)
+        return _shared(u.reshape(-1, 1), w)
     if dim == 3:
         return fine_rule(2, n)
     raise ValueError(f"no face rule for dimension {dim}")

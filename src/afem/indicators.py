@@ -17,8 +17,8 @@ the flux A.n.  Each is one call over all points of its block: simplices,
 flux faces, and both sides of the interior faces at once.  The indicators
 differ only in how a residual value is weighed at a point and where the
 integral is credited; `_credit` books the face terms for both.  The dual's
-functional density psi is a constant or a function of one point, read
-through `sample`.
+functional density psi is a constant or a callable read through `sample`
+(declared `batched`, or a function of one point).
 
 Element and face sizes h_s, h_f are inscribed-sphere diameters, read from the
 tables' `h` and `hf` columns.  Interior face terms carry a factor 1/2 so a
@@ -197,8 +197,7 @@ class DualWeights:
 def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     """Vector of <psi, basis_i> integrals, with the assembly quadrature rule
     (so a self-adjoint problem with psi = its own load reproduces the primal
-    system exactly).  psi is a constant or a function of one point, read
-    through `sample`."""
+    system exactly).  psi is a constant or a callable read through `sample`."""
     rule = default_rule(mesh.dim)
     tab = mesh.tables()
     bary = rule.barycentric

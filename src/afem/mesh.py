@@ -273,9 +273,10 @@ class Mesh:
         called with each such face's centroid (d,) and returns its class.  With
         a boundary, shared faces are flagged interior.  Vertex classes follow
         from the face flags.  A non-finite coordinate, a vertex no simplex
-        uses, a non-integer vertex id or face flag, a missing or repeated vertex
-        in a simplex, an unknown face class, a degenerate simplex or a
-        nonconforming mesh raise a MeshError naming the vertex or simplex row.
+        uses, a non-integer vertex id, face flag or boundary class, a missing or
+        repeated vertex in a simplex, an unknown face class, a degenerate
+        simplex or a nonconforming mesh raise a MeshError naming the vertex or
+        simplex row.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] not in (2, 3):
@@ -310,7 +311,11 @@ class Mesh:
             if callable(boundary):
                 centroids = coords[sverts[s[:, None], LOCAL_FACES[d][i]]].mean(axis=1)
                 boundary = [boundary(c) for c in centroids]
-            flags[s, i] = boundary
+            classes = np.broadcast_to(np.asarray(boundary, dtype=float), s.shape)
+            bad = np.zeros(len(sverts), dtype=bool)
+            bad[s[~(np.isfinite(classes) & (classes == np.round(classes)))]] = True
+            _reject(bad, "simplex", "holds a value that is not a whole number")
+            flags[s, i] = classes
         _reject(~np.isin(flags, (INTERIOR, DIRICHLET, NEUMANN)).all(axis=1), "simplex",
                 "has an unknown face class")
         vclass = np.zeros(n, np.int8)
@@ -374,10 +379,11 @@ class Mesh:
         return self._tables
 
     def sample_rows(self, v, ref: np.ndarray, shape=()) -> np.ndarray:
-        """Values (n, nq) + shape of the pointwise datum v (read by `sample`)
-        at the reference points ref (nq, d) mapped into every live simplex, in
-        id order.  Rows never move, so each is sampled once per datum: one entry
-        per (ref, shape) keeps the last v, its values and a filled mask by slot."""
+        """Values (n, nq) + shape of the datum v (read by `sample`) at the
+        reference points ref (nq, d) mapped into every live simplex, in id
+        order.  Rows never move, so each is sampled once per datum: one entry
+        per (ref, shape) keeps the last v, its values and a filled mask by slot.
+        A call with no new rows calls no datum."""
         key = (ref.tobytes(), ref.shape, shape)
         src, vals, filled = self._samples.get(key, (None, None, None))
         if vals is None or src is not v:

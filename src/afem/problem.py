@@ -18,10 +18,15 @@ through the callbacks' closures.  `ProblemDefinition.SFt` derives the
 strong-form pieces the indicators integrate.  Dot products are Euclidean:
 the constraint system of `problems.py` is posed in the flat chart.
 
-Data callables stay pointwise: dirichlet data, exact solutions, functional
-densities and coefficients take one point x (d,) and are read through
-`sample`, which calls them once per point.  Exact solutions are sampled once
-per simplex row in the mesh's life, through `Mesh.sample_rows`.
+Data (dirichlet data, exact solutions, functional densities, coefficients)
+is None, a constant or a callable, read through `sample`.  A callable
+declared with `batched` takes the points x (N, d) and returns (N,) + shape
+values; `sample` calls it once per block and checks the shape.  Any other
+callable is taken to be a function of one point x (d,) and is called once per
+point, which is slower: the library cannot tell the two kinds apart by
+calling them.  Every datum of the built-in problems is declared.  Exact
+solutions are sampled once per simplex row in the mesh's life, through
+`Mesh.sample_rows`.
 """
 
 from __future__ import annotations
@@ -31,15 +36,35 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ProblemError(Exception):
+    pass
+
+
+def batched(fn):
+    """Declare fn a batched datum: fn(x) takes the points x (N, d) and returns
+    their values (N,) + shape.  Returns fn itself."""
+    fn.batched = True
+    return fn
+
+
 def sample(v, x, shape=()):
     """Values (N,) + shape of the data v at the points x (N, d): zero when v
-    is None, a constant broadcast to every point, or a callable of one point,
-    called once per point.  Values broadcast to shape."""
+    is None, a constant broadcast to every point, one call on all the points
+    when v is declared `batched`, whose result must have exactly that shape,
+    or else one call per point, each value broadcast to shape.  No points make
+    no call."""
     n = len(x)
-    if v is None:
+    if v is None or n == 0:
         return np.zeros((n,) + shape)
     if not callable(v):
         return np.broadcast_to(np.asarray(v, dtype=float), (n,) + shape)
+    if getattr(v, "batched", False) is True:
+        out = np.asarray(v(np.asarray(x, dtype=float)), dtype=float)
+        if out.shape != (n,) + shape:
+            name = getattr(v, "__qualname__", None) or repr(v)
+            raise ProblemError(f"batched datum {name} returned shape {out.shape} for "
+                               f"{n} points, expected {(n,) + shape}")
+        return out
     out = np.empty((n,) + shape)
     for i, p in enumerate(x):
         out[i] = v(p)
@@ -71,7 +96,8 @@ class SolutionField:
 class ProblemDefinition:
     """Everything assembly needs: callbacks and boundary data, plus what the
     driver reads when present: an exact solution, a default mesh, a constant
-    initial iterate and the constraint data whose clamp counter it reports."""
+    initial iterate and the constraint data whose clamp counter it reports.
+    dirichlet, exact and exact_grad are data read through `sample`."""
 
     name: str
     n_components: int

@@ -15,10 +15,11 @@ Each problem states the template once, for a whole block of points: Ft
 returns rows [A.ravel(), B] on elements and [0, C] on flux faces, DFt their
 derivative with respect to [grad u .ravel(), u] (see `problem.py`), both as
 numpy expressions over the points.  Exact solutions, dirichlet data and the
-`ConstraintCoefficients` entries stay functions of one point, read through
-`problem.sample`.  The strong-form pieces the indicators use,
-ProblemDefinition.SFt, are derived from Ft.  The constraint system is posed
-in the flat chart: its background metric is the identity.
+`ConstraintCoefficients` entries are constants or `batched` numpy
+expressions too, read through `problem.sample` once per block of points.
+The strong-form pieces the indicators use, ProblemDefinition.SFt, are
+derived from Ft.  The constraint system is posed in the flat chart: its
+background metric is the identity.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from . import generators
-from .problem import ProblemDefinition, sample
+from .problem import ProblemDefinition, ProblemError, batched, sample
 
 
 # --------------------------------------------------------------------- scalar
@@ -61,28 +62,31 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
     harmonic in the interior so all residual content sits at the corner.
     """
     if variant == "square_sine":
+        @batched
         def exact(x):
-            return np.array([math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])])
+            return (np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1]))[:, None]
 
+        @batched
         def exact_grad(x):
-            sx, cx = math.sin(math.pi * x[0]), math.cos(math.pi * x[0])
-            sy, cy = math.sin(math.pi * x[1]), math.cos(math.pi * x[1])
-            return np.array([[math.pi * cx * sy, math.pi * sx * cy]])
+            sx, cx = np.sin(math.pi * x[:, 0]), np.cos(math.pi * x[:, 0])
+            sy, cy = np.sin(math.pi * x[:, 1]), np.cos(math.pi * x[:, 1])
+            return np.stack([math.pi * cx * sy, math.pi * sx * cy], axis=1)[:, None]
 
         def f(x):
             return 2.0 * math.pi ** 2 * np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
 
         mesh_factory = generators.unit_square
     elif variant == "cube_sine":
+        @batched
         def exact(x):
-            return np.array([math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-                             * math.sin(math.pi * x[2])])
+            s = np.sin(math.pi * x)
+            return (s[:, 0] * s[:, 1] * s[:, 2])[:, None]
 
+        @batched
         def exact_grad(x):
-            s = [math.sin(math.pi * xi) for xi in x]
-            cgrad = [math.pi * math.cos(math.pi * x[i]) * s[(i + 1) % 3] * s[(i + 2) % 3]
-                     for i in range(3)]
-            return np.array([cgrad])
+            s, c = np.sin(math.pi * x), np.cos(math.pi * x)
+            return np.stack([math.pi * c[:, i] * s[:, (i + 1) % 3] * s[:, (i + 2) % 3]
+                             for i in range(3)], axis=1)[:, None]
 
         def f(x):
             return 3.0 * math.pi ** 2 * (np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
@@ -91,24 +95,26 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
         mesh_factory = generators.unit_cube
     elif variant == "corner_singularity":
         def _polar(x):
-            r = math.hypot(x[0], x[1])
-            th = math.atan2(x[1], x[0])
-            if th < 0.0:
-                th += 2.0 * math.pi
-            return r, th
+            r = np.hypot(x[:, 0], x[:, 1])
+            th = np.arctan2(x[:, 1], x[:, 0])
+            return r, np.where(th < 0.0, th + 2.0 * math.pi, th)
 
+        @batched
         def exact(x):
             r, th = _polar(x)
-            return np.array([r ** (2.0 / 3.0) * math.sin(2.0 * th / 3.0)])
+            return (r ** (2.0 / 3.0) * np.sin(2.0 * th / 3.0))[:, None]
 
+        @batched
         def exact_grad(x):
             r, th = _polar(x)
-            if r == 0.0:
-                return np.array([[0.0, 0.0]])  # measure-zero; the limit is unbounded
-            dr = (2.0 / 3.0) * r ** (-1.0 / 3.0) * math.sin(2.0 * th / 3.0)
-            dt = (2.0 / 3.0) * r ** (-1.0 / 3.0) * math.cos(2.0 * th / 3.0)
-            ct, st = math.cos(th), math.sin(th)
-            return np.array([[dr * ct - dt * st, dr * st + dt * ct]])
+            # the limit at r = 0 is unbounded; the measure-zero point gets 0
+            rr = np.where(r == 0.0, 1.0, r) ** (-1.0 / 3.0)
+            dr = (2.0 / 3.0) * rr * np.sin(2.0 * th / 3.0)
+            dt = (2.0 / 3.0) * rr * np.cos(2.0 * th / 3.0)
+            ct, st = np.cos(th), np.sin(th)
+            g = np.stack([dr * ct - dt * st, dr * st + dt * ct], axis=1)
+            g[r == 0.0] = 0.0
+            return g[:, None]
 
         def f(x):
             return np.zeros(len(x))
@@ -122,7 +128,7 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
         name=f"poisson_{variant}",
         n_components=1,
         Ft=Ft, DFt=DFt,
-        dirichlet=lambda x: exact(x),
+        dirichlet=exact,
         exact=exact, exact_grad=exact_grad,
         mesh_factory=mesh_factory,
     )
@@ -145,7 +151,7 @@ def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
         name="bratu",
         n_components=1,
         Ft=Ft, DFt=DFt,
-        dirichlet=lambda x: np.array([0.0]),
+        dirichlet=0.0,
         mesh_factory=generators.unit_square,
     )
 
@@ -166,10 +172,6 @@ def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
 # derivatives are partial derivatives.
 
 PHI_FLOOR = 1e-6
-
-
-class ProblemError(Exception):
-    pass
 
 
 class ClampCounter:
@@ -195,11 +197,13 @@ class ClampCounter:
 class ConstraintCoefficients:
     """Problem data for the constraint system.
 
-    Scalar, vector, and matrix entries accept constants or callables of one
-    point x, read through `sample`; trK additionally needs trK_grad when it
-    varies in space (the vector source carries its gradient).  rho must be
-    nonnegative and dirichlet_f positive wherever sampled; both are checked
-    at evaluation time.
+    Scalar, vector, and matrix entries accept constants or callables read
+    through `sample`: declared `batched`, a callable takes the points x (N, d)
+    and returns (N,) + shape values in one call; otherwise it is a function of
+    one point x, called once per point, which is slower.  trK additionally
+    needs trK_grad when it varies in space (the vector source carries its
+    gradient).  rho must be nonnegative and dirichlet_f positive wherever
+    sampled; both are checked at evaluation time, naming the first bad point.
     """
 
     def __init__(self, dim=3, Rhat=0.0, trK=0.0, trK_grad=None, Ahat=None,
@@ -233,12 +237,16 @@ class ConstraintCoefficients:
             raise ProblemError(f"rho sampled negative ({rho[i]}) at {tuple(x[i].tolist())}")
         return {"Rhat": sample(self.Rhat, x), "trK2": trk * trk, "rho": rho}
 
+    @batched
     def dirichlet_vector(self, x):
-        """The dirichlet data (f, F^1..F^d) at one point x."""
-        f = float(sample(self.dirichlet_f, [x])[0])
-        if f <= 0.0:
-            raise ProblemError(f"dirichlet_f must be positive, got {f} at {tuple(x)}")
-        return np.concatenate([[f], sample(self.dirichlet_F, [x], (self.dim,))[0]])
+        """The dirichlet data (f, F^1..F^d), (N, d+1), at the points x (N, d)."""
+        f = sample(self.dirichlet_f, x)
+        bad = np.flatnonzero(f <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise ProblemError(f"dirichlet_f must be positive, got {f[i]} "
+                               f"at {tuple(x[i].tolist())}")
+        return np.column_stack([f, sample(self.dirichlet_F, x, (self.dim,))])
 
 
 def _clamped(phi, clamps):
@@ -353,7 +361,7 @@ def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDef
 
     return ProblemDefinition(
         name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt,
-        dirichlet=lambda x: coeffs.dirichlet_vector(x)[:1],
+        dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, :1]),
         initial_value=np.array([1.0]), constraint_coefficients=coeffs)
 
 
@@ -379,7 +387,7 @@ def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="momentum", n_components=d, Ft=Ft, DFt=DFt,
-        dirichlet=lambda x: sample(coeffs.dirichlet_F, [x], (d,))[0],
+        dirichlet=batched(lambda x: sample(coeffs.dirichlet_F, x, (d,))),
         initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
 
@@ -438,8 +446,7 @@ def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
     """
     coeffs = ConstraintCoefficients(dim=dim, dirichlet_f=1.0)
     prob = hamiltonian_forms(coeffs)
-    prob.exact = lambda x: np.array([1.0])
-    prob.exact_grad = lambda x: np.zeros((1, dim))
+    prob.exact, prob.exact_grad = np.ones(1), np.zeros((1, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
     return prob
 
@@ -458,16 +465,17 @@ def hamiltonian_manufactured() -> ProblemDefinition:
         dirichlet_f=1.0)
 
     def s_of(x):
-        # x is one point (d,) for exact, the points (N, d) for source
-        return np.sin(math.pi * x[..., 0]) * np.sin(math.pi * x[..., 1])
+        return np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
 
+    @batched
     def exact(x):
-        return np.array([1.0 + 0.25 * s_of(x)])
+        return (1.0 + 0.25 * s_of(x))[:, None]
 
+    @batched
     def exact_grad(x):
-        gx = 0.25 * math.pi * math.cos(math.pi * x[0]) * math.sin(math.pi * x[1])
-        gy = 0.25 * math.pi * math.sin(math.pi * x[0]) * math.cos(math.pi * x[1])
-        return np.array([[gx, gy]])
+        s, c = np.sin(math.pi * x), np.cos(math.pi * x)
+        return np.stack([0.25 * math.pi * c[:, 0] * s[:, 1],
+                         0.25 * math.pi * s[:, 0] * c[:, 1]], axis=1)[:, None]
 
     def source(x):
         # -lap(phi*) + P'(phi*) with lap(phi*) = -(pi^2/2) sin sin
@@ -492,35 +500,35 @@ def momentum_manufactured() -> ProblemDefinition:
     pi = math.pi
 
     def g_of(x):
-        return math.sin(pi * x[0]) * math.sin(pi * x[1]) * math.sin(pi * x[2])
+        return np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]) * np.sin(pi * x[:, 2])
 
     def dg(x, a):
-        t = [math.sin(pi * x[i]) for i in range(3)]
-        t[a] = math.cos(pi * x[a])
+        t = [np.sin(pi * x[:, i]) for i in range(3)]
+        t[a] = np.cos(pi * x[:, a])
         return pi * t[0] * t[1] * t[2]
 
     def d2g(x, a, b):
         if a == b:
             return -pi ** 2 * g_of(x)
-        t = [math.sin(pi * x[i]) for i in range(3)]
-        t[a] = math.cos(pi * x[a])
-        t[b] = math.cos(pi * x[b])
+        t = [np.sin(pi * x[:, i]) for i in range(3)]
+        t[a] = np.cos(pi * x[:, a])
+        t[b] = np.cos(pi * x[:, b])
         return pi ** 2 * t[0] * t[1] * t[2]
 
+    @batched
     def jhat(x):
         # div(LW*)^a = lap W*^a + (1/3) d_a div W*
         lap = -3.0 * pi ** 2 * g_of(x)
-        out = np.empty(3)
-        for a in range(3):
-            ddiv = sum(d2g(x, a, b) for b in range(3))
-            out[a] = lap + ddiv / 3.0
+        out = np.stack([lap + sum(d2g(x, a, b) for b in range(3)) / 3.0 for a in range(3)],
+                       axis=1)
         return out / (8.0 * pi)
 
     coeffs = ConstraintCoefficients(dim=3, trK=1.0, jhat=jhat)
     prob = momentum_forms(coeffs)
     prob.name = "momentum_manufactured"
-    prob.exact = lambda x: np.full(3, g_of(x))
-    prob.exact_grad = lambda x: np.tile([dg(x, b) for b in range(3)], (3, 1))
+    prob.exact = batched(lambda x: np.repeat(g_of(x)[:, None], 3, axis=1))
+    prob.exact_grad = batched(lambda x: np.repeat(
+        np.stack([dg(x, b) for b in range(3)], axis=1)[:, None], 3, axis=1))
     prob.mesh_factory = generators.unit_cube
     return prob
 
@@ -529,8 +537,7 @@ def coupled_trivial(dim: int = 3) -> ProblemDefinition:
     """Coupled system with flat trivial data; exact solution (phi, W) = (1, 0)."""
     coeffs = ConstraintCoefficients(dim=dim, dirichlet_f=1.0)
     prob = coupled_forms(coeffs)
-    prob.exact = lambda x: np.concatenate([[1.0], np.zeros(dim)])
-    prob.exact_grad = lambda x: np.zeros((dim + 1, dim))
+    prob.exact, prob.exact_grad = np.eye(1, dim + 1)[0], np.zeros((dim + 1, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
     return prob
 
@@ -540,9 +547,10 @@ def demo_constraint_coefficients(dim: int = 2) -> ConstraintCoefficients:
     Robin far-field data pulling phi toward 1."""
     center = np.full(dim, 0.0)
 
+    @batched
     def rho(x):
-        r2 = float(np.sum((np.asarray(x) - center) ** 2))
-        return 0.05 * math.exp(-r2 / 0.5)
+        r2 = np.sum((x - center) ** 2, axis=1)
+        return 0.05 * np.exp(-r2 / 0.5)
 
     return ConstraintCoefficients(
         dim=dim, trK=0.2, rho=rho, robin_c=1.0, robin_z=1.0, dirichlet_f=1.0)

@@ -13,7 +13,8 @@ take; the loops reach the packed callbacks of `afem.problem` through
 `Ft_old` and `DFt_old`, which pair them with one test function (and one trial
 function) as the callbacks once did themselves; and every callback, batched
 over a leading point axis now, is reached through the one-point adapter
-`at_point`.  `inscribed_diameter` is the library's former version, copied so
+`at_point`, and every datum declared `batched` through `data_at`.
+`inscribed_diameter` is the library's former version, copied so
 that the oracle computes element sizes on its own, and `coarse_ancestor`
 walks the genealogy one simplex at a time.
 
@@ -61,6 +62,14 @@ measures (`signed_volume_of_points`, `shape_of_points` and their per-id
 forms) and the per-row text writer `dumps_rows`.  They are the reference for
 the generators in `test_mesh.py`, for `signed_volumes`/`shapes` and for
 `mesh_io`'s block writer in `test_mesh_io.py`.
+
+Last come the built-in problems' data as functions of one point x (d,), as
+they stood before `afem.problems` and the config's `gaussian:` spec wrote
+them as `batched` numpy expressions over blocks of points: the exact
+solutions and gradients, `momentum_manufactured`'s jhat, the demo rho, the
+gaussian, `ConstraintCoefficients.dirichlet_vector` and the three constraint
+forms' dirichlet data (`forms_dirichlet`).  They are the reference for
+`test_batched_data.py`.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEU
                        MeshError, _across)
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.assembly import _dot, _point_values, _row_sums
-from afem.problem import ProblemDefinition, SolutionField, sample
+from afem.problem import ProblemDefinition, ProblemError, SolutionField, sample
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
@@ -100,6 +109,12 @@ def _z(g, v):
 def at_point(cb, t, x, n, u, gu):
     """The batched callback cb (Ft, DFt or SFt) at the single point x."""
     return cb(t, x[None], None if n is None else n[None], u[None], gu[None])[0]
+
+
+def data_at(v, x):
+    """The datum v at the single point x; a `batched` datum is called on the
+    block of that one point."""
+    return v(x[None])[0] if getattr(v, "batched", False) is True else v(x)
 
 
 def Ft_old(problem, t, x, n, u, gu, v, gv):
@@ -344,10 +359,10 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
         xq = geom.to_physical(rule.points)
         for q in range(len(rule.weights)):
             w = rule.weights[q] * abs(geom.det)
-            diff = bas[q] @ uloc - np.atleast_1d(exact(xq[q]))
+            diff = bas[q] @ uloc - np.atleast_1d(data_at(exact, xq[q]))
             l2sq += w * float(diff @ diff)
             if exact_grad is not None:
-                gdiff = gu - np.atleast_2d(exact_grad(xq[q]))
+                gdiff = gu - np.atleast_2d(data_at(exact_grad, xq[q]))
                 h1sq += w * float((gdiff * gdiff).sum())
     l2 = np.sqrt(l2sq)
     h1 = np.sqrt(l2sq + h1sq) if exact_grad is not None else float("nan")
@@ -507,7 +522,7 @@ def functional_load(mesh, psi, nc: int) -> np.ndarray:
         wq = rule.weights * (abs(geom.volume()) / ref_vol)
         verts = mesh.sverts[s]
         for q in range(len(wq)):
-            pv = np.asarray(psi(xq[q]), dtype=float)
+            pv = np.asarray(data_at(psi, xq[q]), dtype=float)
             for j, vj in enumerate(verts):
                 b[vj * nc:(vj + 1) * nc] += wq[q] * bary[q, j] * pv
     return b
@@ -604,7 +619,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
 def interpolate(mesh, fn, n_components: int = 1) -> SolutionField:
     u = SolutionField.zeros(mesh, n_components)
     for v in range(mesh.n_vertices):
-        u.values[v] = np.atleast_1d(fn(mesh.coords[v]))
+        u.values[v] = np.atleast_1d(data_at(fn, mesh.coords[v]))
     return u
 
 
@@ -633,8 +648,8 @@ def evaluate_functional(mesh, u, psi, n_components: int = None) -> float:
             if isinstance(u, SolutionField):
                 uq = np.tensordot(lam[q], u.values[mesh.sverts[s]], axes=(0, 0))
             else:
-                uq = np.atleast_1d(u(xq[q]))
-            pq = np.atleast_1d(psi(xq[q]))
+                uq = np.atleast_1d(data_at(u, xq[q]))
+            pq = np.atleast_1d(data_at(psi, xq[q]))
             total += w * float(uq @ pq)
     return total
 
@@ -1330,3 +1345,153 @@ def dumps_rows(mesh: Mesh) -> str:
         fs = " ".join(str(int(fl)) for fl in mesh.sflags[s])
         out.append(f"{k} {vs} {fs}\n")
     return "".join(out)
+
+
+# ------------------------------------------------ problem data, one point each
+
+def poisson_data(variant: str):
+    """exact and exact_grad of `benchmark_poisson(variant)`; its dirichlet data
+    was exact itself."""
+    if variant == "square_sine":
+        def exact(x):
+            return np.array([math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])])
+
+        def exact_grad(x):
+            sx, cx = math.sin(math.pi * x[0]), math.cos(math.pi * x[0])
+            sy, cy = math.sin(math.pi * x[1]), math.cos(math.pi * x[1])
+            return np.array([[math.pi * cx * sy, math.pi * sx * cy]])
+
+        return exact, exact_grad
+    if variant == "cube_sine":
+        def exact(x):
+            return np.array([math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
+                             * math.sin(math.pi * x[2])])
+
+        def exact_grad(x):
+            s = [math.sin(math.pi * xi) for xi in x]
+            cgrad = [math.pi * math.cos(math.pi * x[i]) * s[(i + 1) % 3] * s[(i + 2) % 3]
+                     for i in range(3)]
+            return np.array([cgrad])
+
+        return exact, exact_grad
+
+    def _polar(x):
+        r = math.hypot(x[0], x[1])
+        th = math.atan2(x[1], x[0])
+        if th < 0.0:
+            th += 2.0 * math.pi
+        return r, th
+
+    def exact(x):
+        r, th = _polar(x)
+        return np.array([r ** (2.0 / 3.0) * math.sin(2.0 * th / 3.0)])
+
+    def exact_grad(x):
+        r, th = _polar(x)
+        if r == 0.0:
+            return np.array([[0.0, 0.0]])  # measure-zero; the limit is unbounded
+        dr = (2.0 / 3.0) * r ** (-1.0 / 3.0) * math.sin(2.0 * th / 3.0)
+        dt = (2.0 / 3.0) * r ** (-1.0 / 3.0) * math.cos(2.0 * th / 3.0)
+        ct, st = math.cos(th), math.sin(th)
+        return np.array([[dr * ct - dt * st, dr * st + dt * ct]])
+
+    return exact, exact_grad
+
+
+def bratu_dirichlet(x):
+    return np.array([0.0])
+
+
+def trivial_data(dim: int, coupled: bool):
+    """exact and exact_grad of `hamiltonian_trivial` or `coupled_trivial`."""
+    if coupled:
+        return (lambda x: np.concatenate([[1.0], np.zeros(dim)]),
+                lambda x: np.zeros((dim + 1, dim)))
+    return lambda x: np.array([1.0]), lambda x: np.zeros((1, dim))
+
+
+def hamiltonian_manufactured_data():
+    """exact and exact_grad of `hamiltonian_manufactured`."""
+    def exact(x):
+        return np.array([1.0 + 0.25 * (np.sin(math.pi * x[0]) * np.sin(math.pi * x[1]))])
+
+    def exact_grad(x):
+        gx = 0.25 * math.pi * math.cos(math.pi * x[0]) * math.sin(math.pi * x[1])
+        gy = 0.25 * math.pi * math.sin(math.pi * x[0]) * math.cos(math.pi * x[1])
+        return np.array([[gx, gy]])
+
+    return exact, exact_grad
+
+
+def momentum_manufactured_data():
+    """exact, exact_grad and jhat of `momentum_manufactured`."""
+    pi = math.pi
+
+    def g_of(x):
+        return math.sin(pi * x[0]) * math.sin(pi * x[1]) * math.sin(pi * x[2])
+
+    def dg(x, a):
+        t = [math.sin(pi * x[i]) for i in range(3)]
+        t[a] = math.cos(pi * x[a])
+        return pi * t[0] * t[1] * t[2]
+
+    def d2g(x, a, b):
+        if a == b:
+            return -pi ** 2 * g_of(x)
+        t = [math.sin(pi * x[i]) for i in range(3)]
+        t[a] = math.cos(pi * x[a])
+        t[b] = math.cos(pi * x[b])
+        return pi ** 2 * t[0] * t[1] * t[2]
+
+    def jhat(x):
+        # div(LW*)^a = lap W*^a + (1/3) d_a div W*
+        lap = -3.0 * pi ** 2 * g_of(x)
+        out = np.empty(3)
+        for a in range(3):
+            ddiv = sum(d2g(x, a, b) for b in range(3))
+            out[a] = lap + ddiv / 3.0
+        return out / (8.0 * pi)
+
+    return (lambda x: np.full(3, g_of(x)),
+            lambda x: np.tile([dg(x, b) for b in range(3)], (3, 1)), jhat)
+
+
+def gaussian(amp: float, width: float, center):
+    """The config's `gaussian:amp=,width=,center=` coefficient."""
+    center = np.asarray(center, dtype=float)
+
+    def gauss(x):
+        r2 = float(np.sum((np.asarray(x) - center) ** 2))
+        return amp * math.exp(-r2 / width)
+
+    return gauss
+
+
+def demo_rho(dim: int):
+    """rho of `demo_constraint_coefficients(dim)`."""
+    center = np.full(dim, 0.0)
+
+    def rho(x):
+        r2 = float(np.sum((np.asarray(x) - center) ** 2))
+        return 0.05 * math.exp(-r2 / 0.5)
+
+    return rho
+
+
+def dirichlet_vector(coeffs, x):
+    """`ConstraintCoefficients.dirichlet_vector`: (f, F^1..F^d) at one point."""
+    f = float(sample(coeffs.dirichlet_f, [x])[0])
+    if f <= 0.0:
+        raise ProblemError(f"dirichlet_f must be positive, got {f} at {tuple(x)}")
+    return np.concatenate([[f], sample(coeffs.dirichlet_F, [x], (coeffs.dim,))[0]])
+
+
+def forms_dirichlet(problem: ProblemDefinition):
+    """The dirichlet data of a problem built by `hamiltonian_forms`,
+    `momentum_forms` or `coupled_forms`, told apart by its components."""
+    coeffs = problem.constraint_coefficients
+    if problem.n_components == 1:
+        return lambda x: dirichlet_vector(coeffs, x)[:1]
+    if problem.n_components == coeffs.dim:
+        return lambda x: sample(coeffs.dirichlet_F, [x], (coeffs.dim,))[0]
+    return lambda x: dirichlet_vector(coeffs, x)

@@ -72,7 +72,8 @@ coeff.rho = gaussian:amp=0.05,width=0.5,center=0.5 0.5
     assert prob.n_components == 1
     # the gaussian peaks at its center and decays away from it
     rho = prob.constraint_coefficients.rho
-    assert rho(np.array([0.5, 0.5])) > rho(np.array([0.0, 0.0]))
+    peak, off = rho(np.array([[0.5, 0.5], [0.0, 0.0]]))
+    assert peak > off
 
 
 def test_bad_coefficient_spec_rejected():

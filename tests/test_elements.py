@@ -74,6 +74,17 @@ def test_face_rule_gauss_exactness():
         assert abs(val - 1.0 / (p + 1)) < 1e-14
 
 
+@pytest.mark.parametrize("rule, args", [(default_rule, (2,)), (fine_rule, (3,)),
+                                        (fine_rule, (2, 3)), (face_rule, (2,)),
+                                        (face_rule, (3, 2))])
+def test_rules_are_built_once_and_read_only(rule, args):
+    r = rule(*args)
+    assert rule(*args) is r
+    for arr in (r.points, r.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_linear_element_basis_partition():
     for dim in (2, 3):
         el = linear_element(dim)

@@ -181,7 +181,8 @@ def test_dual_estimate_tracks_true_functional_error():
     prob, mesh, u = solved_square_sine()
     w = solve_dual(prob, u, lambda x: np.ones(1))
     _, est = dual_indicator(prob, u, w)
-    true_err = (evaluate_functional(mesh, lambda x: prob.exact(x), lambda x: np.ones(1), 1)
+    true_err = (evaluate_functional(mesh, oracle.poisson_data("square_sine")[0],
+                                    lambda x: np.ones(1), 1)
                 - evaluate_functional(mesh, u, lambda x: np.ones(1), 1))
     assert 0.5 <= est / true_err <= 2.0
 

@@ -224,6 +224,22 @@ def test_from_arrays_takes_whole_valued_floats():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("boundary", [2.7, lambda c: 1.5])
+def test_from_arrays_rejects_fractional_boundary_classes(boundary):
+    # 2.7 used to flag every face NEUMANN and 1.5 every face DIRICHLET
+    with pytest.raises(MeshError, match=f"simplex 0 {WHOLE}"):
+        Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [[0, 1, 2]], boundary=boundary)
+
+
+def test_from_arrays_takes_whole_valued_boundary_classes():
+    ints = Mesh.from_arrays(SQUARE, [(0, 1, 2), (0, 2, 3)], boundary=NEUMANN)
+    for boundary in (2.0, lambda c: 2.0):
+        floats = Mesh.from_arrays(SQUARE, [(0, 1, 2), (0, 2, 3)], boundary=boundary)
+        for a, b in zip(_state(ints), _state(floats)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 # ----------------------------------------------------------------- bisection
 
 def test_bisect_single_triangle():

@@ -18,23 +18,32 @@ from afem.assembly import measure_error
 from afem.config import RunConfig, build_problem
 from afem.elements import fine_rule
 from afem.mesh import _affine
-from afem.problem import SolutionField, sample
+from afem.problem import SolutionField, batched, sample
 from afem.problems import benchmark_poisson
 
 
 class Counting:
-    """A pointwise datum that counts its calls."""
+    """A datum that counts its calls and the points of each, declared
+    `batched` when fn is."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.points = fn, 0, []
+        if getattr(fn, "batched", False) is True:
+            self.batched = True
 
     def __call__(self, x):
         self.calls += 1
+        self.points.append(len(x))
         return self.fn(x)
 
 
 def _wave(x):
     return np.sin(3.0 * x[0]) + x[-1] ** 2
+
+
+@batched
+def _wave_block(x):
+    return np.sin(3.0 * x[:, 0]) + x[:, -1] ** 2
 
 
 MESHES = {"l_shape": lambda: generators.l_shape(1), "unit_cube": lambda: generators.unit_cube(1)}
@@ -47,16 +56,29 @@ def _refine_some(mesh, step=3):
 
 @pytest.mark.parametrize("name", sorted(MESHES))
 def test_each_row_is_sampled_once(name):
+    _sample_three_states(name, declared=False)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_declared_datum_is_called_once_per_block(name):
+    _sample_three_states(name, declared=True)
+
+
+def _sample_three_states(name, declared):
     mesh = MESHES[name]()
     rule = fine_rule(mesh.dim)
     nq = len(rule.weights)
-    f = Counting(_wave)
+    f = Counting(_wave_block if declared else _wave)
     seen = set()
     for _ in range(3):
         live = set(mesh.live_simplices().tolist())
         calls = f.calls
         vals = mesh.sample_rows(f, rule.points)
-        assert f.calls - calls == nq * len(live - seen)
+        # a declared datum is called once on the points of the new rows
+        points = nq * len(live - seen)
+        assert f.calls - calls == (1 if declared else points)
+        if declared:
+            assert f.points[-1] == points
         seen |= live
         assert vals.shape == (len(live), nq)
         xq = mesh.tables().element_points(rule.points).reshape(-1, mesh.dim)
@@ -172,25 +194,39 @@ def _corner2d(out):
 
 
 def test_adaptive_run_samples_each_row_once(tmp_path, monkeypatch):
+    # the built-in exact solution is declared batched: one call per level, on
+    # the fine-rule points of the rows that are new at that level
     problem = build_problem(_corner2d(""))
     exact, exact_grad = Counting(problem.exact), Counting(problem.exact_grad)
+    assert exact.batched and exact_grad.batched
     problem.exact, problem.exact_grad = exact, exact_grad
     monkeypatch.setattr(driver, "build_problem", lambda cfg: problem)
-    rows = set()
+    seen, new = set(), []
 
     def measured(mesh, u, *args):
-        rows.update(mesh.live_simplices().tolist())
+        live = set(mesh.live_simplices().tolist())
+        new.append(len(live - seen))
+        seen.update(live)
         return measure_error(mesh, u, *args)
 
     monkeypatch.setattr(driver, "measure_error", measured)
     report = driver.run_adaptive(_corner2d(tmp_path / "cached"))
     nq = len(fine_rule(2).weights)
     assert len(report.levels) > 2
-    assert exact.calls == exact_grad.calls == nq * len(rows)
-    # sampling every level anew would cost the sum of the level sizes
-    assert exact.calls < nq * sum(lev.n_simplices for lev in report.levels)
+    assert len(new) == len(report.levels) and min(new) > 0
+    assert exact.points == exact_grad.points == [nq * n for n in new]
 
     monkeypatch.setattr(driver, "measure_error", oracle.sampled_measure_error)
     driver.run_adaptive(_corner2d(tmp_path / "oracle"))
     assert ((tmp_path / "cached" / "levels.csv").read_bytes()
             == (tmp_path / "oracle" / "levels.csv").read_bytes())
+
+
+def test_repeat_measurement_calls_no_datum():
+    mesh, problem = generators.l_shape(2), benchmark_poisson("corner_singularity")
+    exact, exact_grad = Counting(problem.exact), Counting(problem.exact_grad)
+    u = SolutionField.zeros(mesh)
+    first = measure_error(mesh, u, exact, exact_grad)
+    assert exact.calls == exact_grad.calls == 1
+    assert measure_error(mesh, u, exact, exact_grad) == first
+    assert exact.calls == exact_grad.calls == 1
