@@ -41,8 +41,12 @@ def apply_dirichlet(problem: ProblemDefinition, u: SolutionField) -> SolutionFie
 
 
 def dirichlet_start(problem: ProblemDefinition, mesh) -> SolutionField:
-    """Zero field lifted by the dirichlet data, the standard initial iterate."""
-    return apply_dirichlet(problem, SolutionField.zeros(mesh, problem.n_components))
+    """The standard initial iterate: the problem's `initial_value` at every
+    vertex (zero when it sets none), lifted by the dirichlet data."""
+    u = SolutionField.zeros(mesh, problem.n_components)
+    if problem.initial_value is not None:
+        u.values[:] = np.asarray(problem.initial_value, dtype=float)
+    return apply_dirichlet(problem, u)
 
 
 def _dofs(verts: np.ndarray, nc: int) -> np.ndarray:

@@ -14,14 +14,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import ppum as ppum_mod
-from .assembly import apply_dirichlet, measure_error
+from .assembly import apply_dirichlet, dirichlet_start, measure_error
 from .config import ConfigError, RunConfig, build_mesh, build_problem
 from .indicators import dual_indicator, mark, residual_indicator, solve_dual
 from .mesh_io import write_mesh
-from .multilevel import MultilevelConfig, build_hierarchy, prolongation_from_refinement
+from .multilevel import build_hierarchy, prolongation_from_refinement
 from .newton import NewtonConfig, newton_solve
 from .problem import SolutionField
 from .vtk import export_vtk
@@ -85,13 +83,6 @@ def _write_outputs(cfg: RunConfig, report: RunReport) -> None:
         f.write(report.to_json())
 
 
-def _initial_field(problem, mesh) -> SolutionField:
-    u = SolutionField.zeros(mesh, problem.n_components)
-    if problem.initial_value is not None:
-        u.values[:] = np.asarray(problem.initial_value, dtype=float)
-    return apply_dirichlet(problem, u)
-
-
 def _clamp_count(problem) -> int:
     coeffs = problem.constraint_coefficients
     return coeffs.clamps.count if coeffs is not None else 0
@@ -104,12 +95,26 @@ def _make_linear_solve(cfg: RunConfig, prolongations: list):
         return None
 
     def ml_solve(a, rhs, tol):
-        hier = build_hierarchy(a, prolongations,
-                               MultilevelConfig(tolerance=max(tol, cfg.linear_tolerance)))
-        x, rep = hier.solve(rhs, tol=max(tol, cfg.linear_tolerance))
+        x, rep = build_hierarchy(a, prolongations).solve(
+            rhs, tol=max(tol, cfg.linear_tolerance))
         return x, rep.iterations
 
     return ml_solve
+
+
+def _level_record(level: int, problem, u, fld, t0: float, nrep=None) -> LevelRecord:
+    """The level's row for u on its mesh: sizes, indicator total, error norms
+    when the problem has an exact solution, and the Newton solve's effort."""
+    l2 = h1 = None
+    if problem.exact is not None:
+        l2, h1 = measure_error(u.mesh, u, problem.exact, problem.exact_grad)
+    return LevelRecord(
+        level=level, n_vertices=u.mesh.n_vertices,
+        n_simplices=len(u.mesh.live_simplices()),
+        eta_total=fld.total(), l2_error=l2, h1_error=h1,
+        newton_iterations=nrep.iterations if nrep else 0,
+        linear_iterations=int(sum(nrep.linear_iterations)) if nrep else 0,
+        wall_time=time.perf_counter() - t0)
 
 
 def _indicate(cfg: RunConfig, problem, u):
@@ -141,7 +146,7 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
     newton_cfg = NewtonConfig(tolerance=cfg.newton_tolerance,
                               max_iterations=cfg.newton_max_iterations)
     prols = []
-    u = _initial_field(problem, mesh)
+    u = dirichlet_start(problem, mesh)
     level = 0
     try:
         while True:
@@ -151,16 +156,7 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
             fld, extras = _indicate(cfg, problem, u)
             for k, v in extras.items():
                 report.extras.setdefault(k, []).append(v)
-            l2 = h1 = None
-            if problem.exact is not None:
-                l2, h1 = measure_error(mesh, u, problem.exact, problem.exact_grad)
-            rec = LevelRecord(
-                level=level, n_vertices=mesh.n_vertices,
-                n_simplices=len(mesh.live_simplices()),
-                eta_total=fld.total(), l2_error=l2, h1_error=h1,
-                newton_iterations=nrep.iterations,
-                linear_iterations=int(sum(nrep.linear_iterations)),
-                wall_time=time.perf_counter() - t0)
+            rec = _level_record(level, problem, u, fld, t0, nrep)
             report.levels.append(rec)
             if cfg.out:
                 os.makedirs(cfg.out, exist_ok=True)
@@ -217,18 +213,9 @@ def run_ppum(cfg: RunConfig) -> RunReport:
                               max_iterations=cfg.newton_max_iterations)
 
     t0 = time.perf_counter()
-    u0, nrep = newton_solve(problem, _initial_field(problem, coarse), newton_cfg)
+    u0, nrep = newton_solve(problem, dirichlet_start(problem, coarse), newton_cfg)
     fld = residual_indicator(problem, u0, p=cfg.p)
-    l2 = h1 = None
-    if problem.exact is not None:
-        l2, h1 = measure_error(coarse, u0, problem.exact, problem.exact_grad)
-    report.levels.append(LevelRecord(
-        level=0, n_vertices=coarse.n_vertices,
-        n_simplices=len(coarse.live_simplices()),
-        eta_total=fld.total(), l2_error=l2, h1_error=h1,
-        newton_iterations=nrep.iterations,
-        linear_iterations=int(sum(nrep.linear_iterations)),
-        wall_time=time.perf_counter() - t0))
+    report.levels.append(_level_record(0, problem, u0, fld, t0, nrep))
 
     dec = ppum_mod.decompose(coarse, fld, cfg.ppum_subdomains, cfg.ppum_layers)
 
@@ -276,15 +263,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
     report.extras["ppum"]["pou_sum_deviation"] = pou.sum_deviation()
 
     bfld = residual_indicator(problem, upp, p=cfg.p)
-    l2 = h1 = None
-    if problem.exact is not None:
-        l2, h1 = measure_error(blend_m, upp, problem.exact, problem.exact_grad)
-    report.levels.append(LevelRecord(
-        level=1, n_vertices=blend_m.n_vertices,
-        n_simplices=len(blend_m.live_simplices()),
-        eta_total=bfld.total(), l2_error=l2, h1_error=h1,
-        newton_iterations=0, linear_iterations=0,
-        wall_time=time.perf_counter() - t1))
+    report.levels.append(_level_record(1, problem, upp, bfld, t1))
     report.status = "blended"
     report.clamp_events = _clamp_count(problem)
 

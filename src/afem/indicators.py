@@ -214,7 +214,8 @@ def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
 def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
                same_space: bool = False) -> DualWeights:
     """Solve the adjoint of the Jacobian at u for the functional density psi,
-    a constant or a function of one point.
+    a constant or a callable read through `sample` (declared `batched`, or a
+    function of one point).
 
     The dual lives on one uniform refinement of u's mesh unless same_space is
     set (useful only for orthogonality checks; the resulting indicator is 0).

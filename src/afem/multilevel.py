@@ -3,10 +3,13 @@ preconditioning, and the two outer Krylov loops.
 
 Coarse operators come from triple products A_coarse = P^T A_fine P with the
 prolongations refinement itself induces (identity rows for surviving vertices,
-half/half rows for edge midpoints).  The V-cycle smooths with Gauss-Seidel,
-forward before coarsening and backward after, so the preconditioner is
-symmetric whenever A is; conjugate gradients runs outside it for symmetric
-systems, a transpose-free QMR loop otherwise.
+half/half rows for edge midpoints).  Across several generations of
+bisection, the prolongation is the power of that one-step matrix at which
+every row reaches coarse vertices only: one sparse product per generation of
+the vertex genealogy `Mesh.vparents`, no loop over vertices.  The V-cycle
+smooths with Gauss-Seidel, forward before coarsening and backward after, so
+the preconditioner is symmetric whenever A is; conjugate gradients runs
+outside it for symmetric systems, a transpose-free QMR loop otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ SYMMETRY_TOLERANCE = 1e-12      # relative gap |A - A^T| under which CG is chose
 @dataclass
 class MultilevelConfig:
     direct_threshold: int = 500
-    tolerance: float = 1e-8
 
 
 class MultilevelHierarchy:
@@ -113,9 +115,9 @@ class MultilevelHierarchy:
         scale = abs(a).max()
         return gap <= SYMMETRY_TOLERANCE * max(scale, 1.0)
 
-    def solve(self, b: np.ndarray, tol: float = None):
-        """V-cycle-preconditioned CG for a symmetric operator, TFQMR otherwise."""
-        tol = self.config.tolerance if tol is None else tol
+    def solve(self, b: np.ndarray, tol: float):
+        """V-cycle-preconditioned CG for a symmetric operator, TFQMR otherwise,
+        to the relative residual tol."""
         if self.is_symmetric():
             return self._pcg(b, tol)
         return self._tfqmr(b, tol)
@@ -256,39 +258,31 @@ def prolongation_from_refinement(n_coarse_vertices: int, mesh,
     """Linear interpolation operator from the first n_coarse_vertices onto all
     of mesh's vertices, expanded through the vertex-parent genealogy.
 
-    Surviving coarse vertices map by identity; a midpoint averages its parents,
-    recursively resolved when a parent is itself newer than the coarse level.
+    The one-step matrix M keeps each coarse vertex (an identity row) and
+    writes each newer vertex as 1/2 at both of its parents.  P = M^k for the
+    first k at which no row reaches a vertex newer than the coarse level, one
+    sparse product per genealogy generation.  The weights are dyadic, so
+    every entry is exact whatever the summation order (up to 53 generations)
+    and equals, bit for bit, the one a vertex-by-vertex recursion sums.
     """
-    nv = mesh.n_vertices
-    if n_coarse_vertices > nv:
+    nv, ncv = mesh.n_vertices, n_coarse_vertices
+    if ncv > nv:
         raise MultilevelError("coarse level has more vertices than the mesh")
-    rows_data = {}
-    indptr = [0]
-    indices = []
-    data = []
-    for v in range(nv):
-        if v < n_coarse_vertices:
-            row = ((v, 1.0),)
-        else:
-            pa, pb = (int(p) for p in mesh.vparents[v])
-            if pa < 0 or pb < 0:
-                raise MultilevelError(f"vertex {v} has no parent edge; cannot prolongate")
-            acc = {}
-            for p in (pa, pb):
-                if p < n_coarse_vertices:
-                    acc[p] = acc.get(p, 0.0) + 0.5
-                else:
-                    for col, wt in rows_data[p]:
-                        acc[col] = acc.get(col, 0.0) + 0.5 * wt
-            row = tuple(sorted(acc.items()))
-        rows_data[v] = row
-        for col, wt in row:
-            indices.append(col)
-            data.append(wt)
-        indptr.append(len(indices))
-    p = sp.csr_matrix((data, indices, indptr), shape=(nv, n_coarse_vertices))
+    parents = mesh.vparents[ncv:]
+    orphans = np.flatnonzero((parents < 0).any(axis=1))
+    if len(orphans):
+        raise MultilevelError(
+            f"vertex {ncv + orphans[0]} has no parent edge; cannot prolongate")
+    step = sp.csr_matrix(
+        (np.concatenate([np.ones(ncv), np.full(2 * (nv - ncv), 0.5)]),
+         np.concatenate([np.arange(ncv), parents.ravel()]),
+         np.concatenate([np.arange(ncv), ncv + 2 * np.arange(nv - ncv + 1)])),
+        shape=(nv, nv))
+    p = step
+    while np.any(p.indices >= ncv):
+        p = step @ p
+    p = sp.csr_matrix((p.data, p.indices, p.indptr), shape=(nv, ncv))
     if n_components > 1:
         p = sp.kron(p, sp.eye(n_components), format="csr")
     p.sort_indices()
     return p
-

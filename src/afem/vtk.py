@@ -4,6 +4,12 @@ Triangles are written as cell type 5, tetrahedra as type 10.  Solution
 fields become one POINT_DATA scalar array per component; an indicator field
 becomes the CELL_DATA array "eta" over live simplices in id order, the
 order of its rows.
+
+Each block (POINTS, CELLS, CELL_TYPES and every data column) is formatted in
+one pass, as `mesh_io` writes its blocks: one format string repeated for
+every row, filled from the `.tolist()` of the whole array.  Floats are
+written with `{!r}`, the repr of a Python float, the shortest form that
+reads back to the same double; 2D points get the z coordinate 0.0.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ VTK_TETRA = 10
 TITLE = "afem output"
 
 
-def _g(v: float) -> str:
-    return repr(float(v))
+def _block(line: str, rows: np.ndarray) -> str:
+    """line repeated once per row of rows, filled with the row's values."""
+    return (line * len(rows)).format(*rows.ravel().tolist())
 
 
 def export_vtk(mesh, fields=None, indicators=None, path=None):
@@ -34,18 +41,6 @@ def export_vtk(mesh, fields=None, indicators=None, path=None):
     d = mesh.dim
     ctype = VTK_TRIANGLE if d == 2 else VTK_TETRA
 
-    lines = ["# vtk DataFile Version 3.0", TITLE, "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {npts} double"]
-    for v in range(npts):
-        x = mesh.coords[v]
-        xs = [_g(x[i]) for i in range(d)] + ["0.0"] * (3 - d)
-        lines.append(" ".join(xs))
-    lines.append(f"CELLS {len(live)} {len(live) * (d + 2)}")
-    for s in live:
-        lines.append(" ".join([str(d + 1)] + [str(int(v)) for v in mesh.sverts[s]]))
-    lines.append(f"CELL_TYPES {len(live)}")
-    lines.extend([str(ctype)] * len(live))
-
     arrays = []
     for name, fld in (fields or {}).items():
         vals = np.asarray(getattr(fld, "values", fld), dtype=float)
@@ -57,19 +52,22 @@ def export_vtk(mesh, fields=None, indicators=None, path=None):
         for c in range(vals.shape[1]):
             label = name if vals.shape[1] == 1 else f"{name}_{c}"
             arrays.append((label, vals[:, c]))
-    if arrays:
-        lines.append(f"POINT_DATA {npts}")
-        for label, col in arrays:
-            lines.append(f"SCALARS {label} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_g(v) for v in col)
 
+    out = [f"# vtk DataFile Version 3.0\n{TITLE}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+           f"POINTS {npts} double\n",
+           _block(" ".join(["{!r}"] * d + ["0.0"] * (3 - d)) + "\n", mesh.coords),
+           f"CELLS {len(live)} {len(live) * (d + 2)}\n",
+           _block(" ".join([str(d + 1)] + ["{}"] * (d + 1)) + "\n", mesh.sverts[live]),
+           f"CELL_TYPES {len(live)}\n", f"{ctype}\n" * len(live)]
+    if arrays:
+        out.append(f"POINT_DATA {npts}\n")
+        for label, col in arrays:
+            out += [f"SCALARS {label} double 1\nLOOKUP_TABLE default\n",
+                    _block("{!r}\n", col)]
     if indicators is not None:
-        lines.append(f"CELL_DATA {len(live)}")
-        lines.append("SCALARS eta double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_g(v) for v in indicators.eta)
+        out += [f"CELL_DATA {len(live)}\nSCALARS eta double 1\nLOOKUP_TABLE default\n",
+                _block("{!r}\n", np.asarray(indicators.eta, dtype=float))]
 
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(out))
     return path

@@ -19,9 +19,6 @@ def rate(coarse_err: float, fine_err: float) -> float:
 def solve_on(problem, mesh, tol: float = 1e-11, u0: SolutionField = None):
     if u0 is None:
         u0 = dirichlet_start(problem, mesh)
-        if problem.initial_value is not None:
-            u0.values[:] = np.asarray(problem.initial_value, dtype=float)
-            u0 = apply_dirichlet(problem, u0)
     u, rep = newton_solve(problem, u0, NewtonConfig(tolerance=tol))
     return u, rep
 

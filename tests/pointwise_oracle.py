@@ -70,6 +70,13 @@ solutions and gradients, `momentum_manufactured`'s jhat, the demo rho, the
 gaussian, `ConstraintCoefficients.dirichlet_vector` and the three constraint
 forms' dirichlet data (`forms_dirichlet`).  They are the reference for
 `test_batched_data.py`.
+
+`prolongation_from_refinement` is the library's former transfer operator: it
+builds each row with a dict, one vertex at a time in id order, from the rows
+of the vertex's parents.  `export_vtk` is the former VTK writer, one line per
+vertex, simplex and value.  They are the reference for the sparse fixed point
+of `afem.multilevel` in `test_multilevel.py` and for the block writer of
+`afem.vtk` in `test_vtk_cli.py`.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
                            linear_element)
 from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEUMANN, Mesh,
                        MeshError, _across)
+from afem.multilevel import MultilevelError
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.assembly import _dot, _point_values, _row_sums
 from afem.problem import ProblemDefinition, ProblemError, SolutionField, sample
@@ -1495,3 +1503,107 @@ def forms_dirichlet(problem: ProblemDefinition):
     if problem.n_components == coeffs.dim:
         return lambda x: sample(coeffs.dirichlet_F, [x], (coeffs.dim,))[0]
     return lambda x: dirichlet_vector(coeffs, x)
+
+
+# ------------------------------------------- field transfer and output, per row
+
+def prolongation_from_refinement(n_coarse_vertices: int, mesh,
+                                 n_components: int = 1) -> sp.csr_matrix:
+    """Linear interpolation operator from the first n_coarse_vertices onto all
+    of mesh's vertices, expanded through the vertex-parent genealogy.
+
+    Surviving coarse vertices map by identity; a midpoint averages its parents,
+    recursively resolved when a parent is itself newer than the coarse level.
+    """
+    nv = mesh.n_vertices
+    if n_coarse_vertices > nv:
+        raise MultilevelError("coarse level has more vertices than the mesh")
+    rows_data = {}
+    indptr = [0]
+    indices = []
+    data = []
+    for v in range(nv):
+        if v < n_coarse_vertices:
+            row = ((v, 1.0),)
+        else:
+            pa, pb = (int(p) for p in mesh.vparents[v])
+            if pa < 0 or pb < 0:
+                raise MultilevelError(f"vertex {v} has no parent edge; cannot prolongate")
+            acc = {}
+            for p in (pa, pb):
+                if p < n_coarse_vertices:
+                    acc[p] = acc.get(p, 0.0) + 0.5
+                else:
+                    for col, wt in rows_data[p]:
+                        acc[col] = acc.get(col, 0.0) + 0.5 * wt
+            row = tuple(sorted(acc.items()))
+        rows_data[v] = row
+        for col, wt in row:
+            indices.append(col)
+            data.append(wt)
+        indptr.append(len(indices))
+    p = sp.csr_matrix((data, indices, indptr), shape=(nv, n_coarse_vertices))
+    if n_components > 1:
+        p = sp.kron(p, sp.eye(n_components), format="csr")
+    p.sort_indices()
+    return p
+
+
+def _g(v: float) -> str:
+    return repr(float(v))
+
+
+def export_vtk(mesh, fields=None, indicators=None, path=None):
+    """Write mesh geometry plus optional point/cell data to a .vtk text file.
+
+    fields: dict of name -> SolutionField, (nv,) array, or (nv, nc) array.
+    indicators: IndicatorField over the mesh's live simplices.
+    """
+    if path is None:
+        raise ValueError("export_vtk needs an output path")
+    live = mesh.live_simplices()
+    if indicators is not None and not np.array_equal(indicators.ids, live):
+        raise ValueError("indicator field does not cover the mesh's live simplices")
+    npts = mesh.n_vertices
+    d = mesh.dim
+    ctype = 5 if d == 2 else 10
+
+    lines = ["# vtk DataFile Version 3.0", "afem output", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {npts} double"]
+    for v in range(npts):
+        x = mesh.coords[v]
+        xs = [_g(x[i]) for i in range(d)] + ["0.0"] * (3 - d)
+        lines.append(" ".join(xs))
+    lines.append(f"CELLS {len(live)} {len(live) * (d + 2)}")
+    for s in live:
+        lines.append(" ".join([str(d + 1)] + [str(int(v)) for v in mesh.sverts[s]]))
+    lines.append(f"CELL_TYPES {len(live)}")
+    lines.extend([str(ctype)] * len(live))
+
+    arrays = []
+    for name, fld in (fields or {}).items():
+        vals = np.asarray(getattr(fld, "values", fld), dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        if vals.shape[0] != npts:
+            raise ValueError(f"field {name!r} has {vals.shape[0]} rows for "
+                             f"{npts} vertices")
+        for c in range(vals.shape[1]):
+            label = name if vals.shape[1] == 1 else f"{name}_{c}"
+            arrays.append((label, vals[:, c]))
+    if arrays:
+        lines.append(f"POINT_DATA {npts}")
+        for label, col in arrays:
+            lines.append(f"SCALARS {label} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(_g(v) for v in col)
+
+    if indicators is not None:
+        lines.append(f"CELL_DATA {len(live)}")
+        lines.append("SCALARS eta double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(_g(v) for v in indicators.eta)
+
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return path

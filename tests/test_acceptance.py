@@ -145,9 +145,10 @@ def test_criterion_05_newton_behavior():
     t0 = time.perf_counter()
     triv = P.hamiltonian_trivial(dim=2)
     mesh = triv.mesh_factory(4)
-    _, rep_triv = newton_solve(triv, dirichlet_start(triv, mesh),
-                               NewtonConfig(tolerance=1e-10))
-    triv_ok = rep_triv.converged and rep_triv.iterations <= 2
+    # from phi = 0: the initial value phi = 1 is already the discrete solution
+    u0 = apply_dirichlet(triv, SolutionField.zeros(mesh, triv.n_components))
+    _, rep_triv = newton_solve(triv, u0, NewtonConfig(tolerance=1e-10))
+    triv_ok = rep_triv.converged and 1 <= rep_triv.iterations <= 2
 
     man = P.hamiltonian_manufactured()
     mesh = man.mesh_factory(8)
@@ -272,7 +273,9 @@ def test_criterion_08_constraint_system():
 
     triv = P.coupled_trivial(dim=2)
     mesh = triv.mesh_factory(4)
-    u, _ = newton_solve(triv, dirichlet_start(triv, mesh), NewtonConfig(tolerance=1e-11))
+    # from (phi, W) = 0: the initial value (1, 0) is already the discrete solution
+    u0 = apply_dirichlet(triv, SolutionField.zeros(mesh, triv.n_components))
+    u, _ = newton_solve(triv, u0, NewtonConfig(tolerance=1e-11))
     triv_gap = max(float(np.abs(u.values[:, 0] - 1.0).max()),
                    float(np.abs(u.values[:, 1:]).max()))
 

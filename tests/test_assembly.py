@@ -133,6 +133,16 @@ def test_interpolate_and_dirichlet_start():
     assert np.all(g.values[~onb] == 0.0)
 
 
+def test_dirichlet_start_begins_at_the_initial_value():
+    prob = problems.coupled_trivial(dim=2)
+    mesh = generators.unit_square(3)
+    u = dirichlet_start(prob, mesh)
+    onb = mesh.vclass == DIRICHLET
+    assert np.any(~onb) and prob.initial_value is not None
+    assert np.all(u.values[~onb] == prob.initial_value)
+    np.testing.assert_array_equal(u.values[onb], prob.dirichlet(mesh.coords[onb]))
+
+
 def test_measure_error_exact_for_linear_fields():
     # piecewise linear space contains u(x) = 3x - y + 1 exactly
     mesh = generators.unit_square(3)

@@ -3,10 +3,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+import pointwise_oracle as oracle
+from afem import generators
 from afem.assembly import assemble_jacobian, assemble_residual
-from afem.multilevel import (MultilevelConfig, build_hierarchy, galerkin_product,
-                             prolongation_from_refinement)
+from afem.multilevel import (MultilevelConfig, MultilevelError, build_hierarchy,
+                             galerkin_product, prolongation_from_refinement)
 from afem.problem import SolutionField
 from afem.problems import benchmark_poisson
 
@@ -77,6 +80,70 @@ def test_prolongation_vector_components():
     for c in range(3):
         assert np.array_equal(d3[c::3][:, c::3], d1)
     assert d3[0::3][:, 1::3].max() == 0.0  # no cross-component coupling
+
+
+MESHES = {
+    "unit_square": lambda: generators.unit_square(2),
+    "l_shape": lambda: generators.l_shape(1),
+    "annulus": lambda: generators.annulus(1, 6),
+    "unit_cube": lambda: generators.unit_cube(1),
+    "sphere_in_box": lambda: generators.sphere_in_box(3),
+}
+
+# a negative pick counts from the newest live simplex, so that refinement can
+# concentrate and the vertex genealogy grow deep
+MARKINGS = st.lists(st.lists(st.integers(-6, 10 ** 6), min_size=1, max_size=4),
+                    min_size=1, max_size=8)
+
+
+def _assert_csr_bitwise(p, q):
+    assert p.shape == q.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), marking=MARKINGS,
+       coeffs=st.lists(st.integers(-8, 8), min_size=4, max_size=4))
+def test_prolongation_matches_oracle_and_reproduces_linears(name, marking, coeffs):
+    # after every round of a random marking sequence, the one-level and the
+    # whole-genealogy prolongation equal the former per-vertex rows bitwise,
+    # and both carry a linear field on the coarser vertices to the same
+    # linear field on all of them
+    mesh = MESHES[name]()
+    nv0 = mesh.n_vertices
+    slope, offset = np.array(coeffs[:mesh.dim]) / 4.0, coeffs[3] / 4.0
+    for picks in marking:
+        live = mesh.live_simplices()
+        old_nv = mesh.n_vertices
+        mesh.refine_marked(sorted({int(live[k if k < 0 else k % len(live)]) for k in picks}))
+        for n_coarse in (old_nv, nv0):
+            for nc in (1, 3):
+                p = prolongation_from_refinement(n_coarse, mesh, nc)
+                _assert_csr_bitwise(p, oracle.prolongation_from_refinement(n_coarse, mesh, nc))
+                # component c of the field is (c + 1) times the linear function
+                lin = np.outer(mesh.coords @ slope + offset, np.arange(1, nc + 1))
+                np.testing.assert_allclose(p @ lin[:n_coarse].ravel(), lin.ravel(),
+                                           rtol=0.0, atol=1e-12)
+
+
+def test_prolongation_rejects_more_coarse_than_mesh_vertices():
+    mesh = generators.unit_square(1)
+    with pytest.raises(MultilevelError, match="more vertices than the mesh"):
+        prolongation_from_refinement(mesh.n_vertices + 1, mesh)
+
+
+def test_prolongation_names_the_first_vertex_without_parents():
+    # the initial mesh's vertices have no parent edge; a coarse count one
+    # below theirs leaves the last of them to be prolongated
+    mesh = generators.unit_square(2)
+    nv0 = mesh.n_vertices
+    mesh.uniform_refine()
+    with pytest.raises(MultilevelError, match=rf"^vertex {nv0 - 1} has no parent edge"):
+        prolongation_from_refinement(nv0 - 1, mesh)
+    with pytest.raises(MultilevelError, match=r"^vertex 0 has no parent edge"):
+        prolongation_from_refinement(0, mesh, 3)
 
 
 def test_galerkin_product_matches_dense():

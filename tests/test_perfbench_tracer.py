@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 import afem.assembly as assembly
+import afem.driver as driver
 import afem.indicators as indicators
+import afem.multilevel as multilevel
 import afem.newton as newton
+import afem.ppum as ppum
+import afem.vtk as vtk
 from afem import generators
 from afem.config import PROBLEMS, RunConfig, build_problem
 from afem.mesh import Mesh
-from afem.problem import SolutionField
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -28,6 +31,9 @@ def test_tracer_installs_and_restores_every_site():
     sites = [(assembly, "face_rule"), (indicators, "face_rule"), (Mesh, "face_normal"),
              (newton, "assemble_jacobian"), (newton, "assemble_residual"),
              (assembly, "measure_error"), (indicators, "residual_indicator")]
+    sites += [(owner, "prolongation_from_refinement")
+              for owner in (driver, ppum, indicators, multilevel)]
+    sites += [(owner, "export_vtk") for owner in (driver, vtk)]
     before = [getattr(owner, attr) for owner, attr in sites]
     tracer = _tracer_module().Tracer()
     try:
@@ -60,10 +66,7 @@ def test_instrumented_callbacks_are_counted(name):
     tracer = mod.Tracer()
     problem = tracer.instrument_problem(build_problem(RunConfig(problem=name, dim=2)))
     mesh = (problem.mesh_factory or generators.unit_square)(2)
-    u = SolutionField.zeros(mesh, problem.n_components)
-    if problem.initial_value is not None:
-        u.values[:] = problem.initial_value
-    u = assembly.apply_dirichlet(problem, u)
+    u = assembly.dirichlet_start(problem, mesh)
 
     def calls(cb):
         return mod._peek(tracer.leaf_calls.get(f"problems.{cb}"))

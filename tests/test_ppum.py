@@ -111,6 +111,18 @@ def test_pou_sums_to_one_and_stays_in_range():
     assert pou.weights.max() <= 1.0 + 1e-15
 
 
+def test_pou_wraps_a_broken_genealogy_as_blend_mesh_error():
+    # a coarse count one below the blend mesh's root vertices leaves the last
+    # root vertex, which has no parent edge, to be interpolated
+    mesh = generators.unit_square(4)
+    w = ppum.taper_weights(mesh, ppum.decompose(mesh, uniform_field(mesh), 4))
+    bm = refined_copy(mesh)
+    nv0 = mesh.n_vertices
+    with pytest.raises(ppum.PpumError,
+                       match=rf"^blend mesh: vertex {nv0 - 1} has no parent edge"):
+        ppum.partition_of_unity(bm, nv0 - 1, w[:nv0 - 1])
+
+
 def test_pou_vanishes_outside_overlap():
     # phi_i must be exactly zero on every simplex whose coarse ancestor lies
     # outside subdomain i's overlap region, or local fields would leak

@@ -182,8 +182,11 @@ def test_every_problem_assembles_on_one_simplex(name):
 def test_hamiltonian_trivial_two_iterations():
     prob = P.hamiltonian_trivial(dim=2)
     mesh = prob.mesh_factory(4)
-    u, rep = newton_solve(prob, dirichlet_start(prob, mesh), NewtonConfig(tolerance=1e-10))
-    assert rep.converged and rep.iterations <= 2
+    # from phi = 0, not from the initial value phi = 1, which is already the
+    # discrete solution and would converge without a Newton step
+    u0 = apply_dirichlet(prob, SolutionField.zeros(mesh, prob.n_components))
+    u, rep = newton_solve(prob, u0, NewtonConfig(tolerance=1e-10))
+    assert rep.converged and 1 <= rep.iterations <= 2
     assert np.abs(u.values - 1.0).max() < 1e-10
     # converged state must evaluate without touching the positivity floor
     prob.constraint_coefficients.clamps.reset()
@@ -250,7 +253,10 @@ def test_momentum_manufactured_rates():
 def test_coupled_trivial_state():
     prob = P.coupled_trivial(dim=2)
     mesh = prob.mesh_factory(4)
-    u, rep = newton_solve(prob, dirichlet_start(prob, mesh), NewtonConfig(tolerance=1e-11))
+    # from (phi, W) = 0: the initial value (1, 0) is already the discrete solution
+    u0 = apply_dirichlet(prob, SolutionField.zeros(mesh, prob.n_components))
+    u, rep = newton_solve(prob, u0, NewtonConfig(tolerance=1e-11))
+    assert rep.iterations >= 1
     assert np.abs(u.values[:, 0] - 1.0).max() < 1e-10
     assert np.abs(u.values[:, 1:]).max() < 1e-10
     prob.constraint_coefficients.clamps.reset()

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import pointwise_oracle as oracle
 from afem import generators
 from afem.cli import main
 from afem.indicators import IndicatorField
@@ -61,6 +62,32 @@ def test_vtk_vector_fields_and_indicators(tmp_path):
     txt = path.read_text()
     assert "SCALARS w_0 double 1" in txt and "SCALARS w_1 double 1" in txt
     assert f"CELL_DATA {len(live)}" in txt and "SCALARS eta double 1" in txt
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_components", [None, 1, 3])
+@pytest.mark.parametrize("with_eta", [False, True])
+def test_vtk_block_writer_matches_per_row_writer(tmp_path, dim, n_components, with_eta):
+    # a locally refined mesh, so that coordinates carry full-length floats,
+    # and values over many magnitudes and both signs
+    mesh = generators.unit_square(2) if dim == 2 else generators.unit_cube(1)
+    for _ in range(3):
+        live = mesh.live_simplices()
+        mesh.refine_marked([int(live[0]), int(live[-1])])
+    rng = np.random.default_rng(dim)
+    fields = None
+    if n_components is not None:
+        vals = rng.standard_normal((mesh.n_vertices, n_components)) * 10.0 ** rng.integers(
+            -300, 300, (mesh.n_vertices, n_components))
+        fields = {"u": vals[:, 0] if n_components == 1 else vals, "one": np.ones(mesh.n_vertices)}
+    ind = None
+    if with_eta:
+        live = mesh.live_simplices()
+        ind = IndicatorField(mesh, live, rng.random(len(live)) / 3.0)
+    new, old = tmp_path / "block.vtk", tmp_path / "rows.vtk"
+    export_vtk(mesh, fields, ind, str(new))
+    oracle.export_vtk(mesh, fields, ind, str(old))
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_vtk_rejects_indicators_of_another_mesh_state(tmp_path):
