@@ -34,6 +34,7 @@ PROBLEMS = ("square_sine", "cube_sine", "corner_singularity", "bratu",
             "momentum_manufactured", "coupled_trivial",
             "hamiltonian", "momentum", "coupled")
 CONSTRAINT_PROBLEMS = ("hamiltonian", "momentum", "coupled")
+DIM_PROBLEMS = CONSTRAINT_PROBLEMS + ("hamiltonian_trivial", "coupled_trivial")  # read dim
 COEFFICIENTS = ("Rhat", "dirichlet_f", "rho", "robin_c", "robin_z", "trK")
 INDICATORS = ("residual", "dual")
 STRATEGIES = ("equidistribution", "maximum", "hybrid")
@@ -143,9 +144,9 @@ def validate(cfg: RunConfig) -> None:
 
 # ----------------------------------------------------------- coefficient spec
 
-def parse_coefficient(name: str, spec: str):
+def parse_coefficient(name: str, spec: str, dim: int):
     """Whitelisted coefficient forms; returns a float or a `batched` callable
-    of the points x (N, d)."""
+    of the points x (N, dim)."""
     kind, _, rest = spec.partition(":")
     if kind == "const":
         try:
@@ -164,8 +165,9 @@ def parse_coefficient(name: str, spec: str):
         except (KeyError, ValueError) as exc:
             raise ConfigError(
                 f"coeff.{name}: gaussian needs amp=,width=,center=") from exc
-        if width <= 0.0:
-            raise ConfigError(f"coeff.{name}: gaussian width must be positive")
+        if width <= 0.0 or len(center) != dim:
+            raise ConfigError(f"coeff.{name}: gaussian needs a positive width and "
+                              f"dim = {dim} center coordinates")
 
         @batched
         def gauss(x):
@@ -195,6 +197,8 @@ def build_mesh(cfg: RunConfig, problem=None):
             raise ConfigError(f"mesh_n: {exc}") from exc
     else:
         mesh = getattr(generators, cfg.mesh)(cfg.mesh_n)
+    if cfg.problem in DIM_PROBLEMS and mesh.dim != cfg.dim:
+        raise ConfigError(f"dim: is {cfg.dim}, but the mesh is {mesh.dim}-dimensional")
     # generator meshes flag every boundary face DIRICHLET, where Robin data is never read
     flux = np.any(mesh.sflags[mesh.live_simplices()] == NEUMANN)
     for key in ("robin_c", "robin_z"):
@@ -220,7 +224,7 @@ def build_problem(cfg: RunConfig):
     if name == "coupled_trivial":
         return problems.coupled_trivial(dim=cfg.dim)
     coeffs = problems.ConstraintCoefficients(
-        dim=cfg.dim, **{name: parse_coefficient(name, spec)
+        dim=cfg.dim, **{name: parse_coefficient(name, spec, cfg.dim)
                         for name, spec in cfg.coefficients.items()})
     if name == "hamiltonian":
         return problems.hamiltonian_forms(coeffs)

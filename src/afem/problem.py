@@ -26,7 +26,8 @@ callable is taken to be a function of one point x (d,) and is called once per
 point, which is slower: the library cannot tell the two kinds apart by
 calling them.  Every datum of the built-in problems is declared.  Exact
 solutions are sampled once per simplex row in the mesh's life, through
-`Mesh.sample_rows`.
+`Mesh.sample_rows`.  Constraint coefficients are functions of the points
+alone: `ConstraintCoefficients.at` samples them again only when those change.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ returns rows [A.ravel(), B] on elements and [0, C] on flux faces, DFt their
 derivative with respect to [grad u .ravel(), u] (see `problem.py`), both as
 numpy expressions over the points.  Exact solutions, dirichlet data and the
 `ConstraintCoefficients` entries are constants or `batched` numpy
-expressions too, read through `problem.sample` once per block of points.
+expressions too, read through `problem.sample` once per block of points (the
+coefficients through `ConstraintCoefficients.at`, until the points change).
 The strong-form pieces the indicators use, ProblemDefinition.SFt, are
 derived from Ft.  The constraint system is posed in the flat chart: its
 background metric is the identity.
@@ -200,10 +201,11 @@ class ConstraintCoefficients:
     Scalar, vector, and matrix entries accept constants or callables read
     through `sample`: declared `batched`, a callable takes the points x (N, d)
     and returns (N,) + shape values in one call; otherwise it is a function of
-    one point x, called once per point, which is slower.  trK additionally
-    needs trK_grad when it varies in space (the vector source carries its
-    gradient).  rho must be nonnegative and dirichlet_f positive wherever
-    sampled; both are checked at evaluation time, naming the first bad point.
+    one point x, called once per point, which is slower.  Either is a function
+    of the points alone, which `at` samples again only when they change.  trK
+    additionally needs trK_grad when it varies in space (the vector source
+    carries its gradient).  rho must be nonnegative and dirichlet_f positive
+    wherever sampled; both are checked on every read, naming the first bad point.
     """
 
     def __init__(self, dim=3, Rhat=0.0, trK=0.0, trK_grad=None, Ahat=None,
@@ -223,30 +225,47 @@ class ConstraintCoefficients:
         self.dirichlet_f = dirichlet_f
         self.dirichlet_F = dirichlet_F
         self.clamps = ClampCounter()
+        self._samples = {}
         if callable(trK) and trK_grad is None:
             raise ProblemError("spatially varying trK needs trK_grad")
+
+    def at(self, name, x, shape=()):
+        """Read-only values (N,) + shape of the coefficient `name` at the points
+        x (N, d).  A callable is sampled again only when it (by identity), the
+        shape or the points (bytewise) differ from its last read; the entry is
+        replaced in one assignment, so threads may share the object."""
+        v = getattr(self, name)
+        if not callable(v):
+            return sample(v, x, shape)
+        key = x.tobytes()
+        src, shp, pts, out = self._samples.get(name, (None, None, None, None))
+        if src is not v or shp != shape or pts != key:
+            out = sample(v, x, shape).view()
+            out.flags.writeable = False
+            self._samples[name] = (v, shape, key, out)
+        return out
 
     def interior_at(self, x):
         """Values (N,) at the points x (N, d) that the scalar-equation terms
         need."""
-        trk = sample(self.trK, x)
-        rho = sample(self.rho, x)
+        trk = self.at("trK", x)
+        rho = self.at("rho", x)
         bad = np.flatnonzero(rho < 0.0)
         if bad.size:
             i = bad[0]
             raise ProblemError(f"rho sampled negative ({rho[i]}) at {tuple(x[i].tolist())}")
-        return {"Rhat": sample(self.Rhat, x), "trK2": trk * trk, "rho": rho}
+        return {"Rhat": self.at("Rhat", x), "trK2": trk * trk, "rho": rho}
 
     @batched
     def dirichlet_vector(self, x):
         """The dirichlet data (f, F^1..F^d), (N, d+1), at the points x (N, d)."""
-        f = sample(self.dirichlet_f, x)
+        f = self.at("dirichlet_f", x)
         bad = np.flatnonzero(f <= 0.0)
         if bad.size:
             i = bad[0]
             raise ProblemError(f"dirichlet_f must be positive, got {f[i]} "
                                f"at {tuple(x[i].tolist())}")
-        return np.column_stack([f, sample(self.dirichlet_F, x, (self.dim,))])
+        return np.column_stack([f, self.at("dirichlet_F", x, (self.dim,))])
 
 
 def _clamped(phi, clamps):
@@ -320,18 +339,18 @@ def _robin(coeffs, x, m, phi=None, w=None):
     d = coeffs.dim
     cols = [np.zeros((len(x), m))]
     if phi is not None:
-        cols.append(sample(coeffs.robin_c, x) * phi - sample(coeffs.robin_z, x))
+        cols.append(coeffs.at("robin_c", x) * phi - coeffs.at("robin_z", x))
     if w is not None:
-        c = sample(coeffs.robin_C, x, (d, d))
-        cols.append((c @ w[:, :, None])[:, :, 0] - sample(coeffs.robin_Z, x, (d,)))
+        c = coeffs.at("robin_C", x, (d, d))
+        cols.append((c @ w[:, :, None])[:, :, 0] - coeffs.at("robin_Z", x, (d,)))
     return np.column_stack(cols)
 
 
 def _momentum_source(coeffs, x, p6):
     """The momentum source (2/3) phi^6 grad trK + 8 pi jhat at the points x."""
     d = coeffs.dim
-    return ((2.0 / 3.0) * p6 * sample(coeffs.trK_grad, x, (d,))
-            + 8.0 * math.pi * sample(coeffs.jhat, x, (d,)))
+    return ((2.0 / 3.0) * p6 * coeffs.at("trK_grad", x, (d,))
+            + 8.0 * math.pi * coeffs.at("jhat", x, (d,)))
 
 
 def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDefinition:
@@ -343,7 +362,7 @@ def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDef
     d = coeffs.dim
 
     def potential(fn, x, u):
-        a = sample(coeffs.Ahat, x, (d, d))
+        a = coeffs.at("Ahat", x, (d, d))
         return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
 
     def Ft(t, x, n, u, gu):
@@ -356,7 +375,7 @@ def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDef
 
     def DFt(t, x, n, u, gu):
         if t == 1:
-            return _scalar_jacobian(len(x), d, 0.0, sample(coeffs.robin_c, x))
+            return _scalar_jacobian(len(x), d, 0.0, coeffs.at("robin_c", x))
         return _scalar_jacobian(len(x), d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
 
     return ProblemDefinition(
@@ -380,14 +399,14 @@ def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     def DFt(t, x, n, u, gu):
         k = np.zeros((len(x), m + d, m + d))
         if t == 1:
-            k[:, m:, m:] = sample(coeffs.robin_C, x, (d, d))
+            k[:, m:, m:] = coeffs.at("robin_C", x, (d, d))
         else:
             k[:, :m, :m] = lw_map
         return k
 
     return ProblemDefinition(
         name="momentum", n_components=d, Ft=Ft, DFt=DFt,
-        dirichlet=batched(lambda x: sample(coeffs.dirichlet_F, x, (d,))),
+        dirichlet=batched(lambda x: coeffs.at("dirichlet_F", x, (d,))),
         initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
 
@@ -406,7 +425,7 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         if t == 1:
             return _robin(coeffs, x, m, phi=u[:, 0], w=u[:, 1:])
         lw = _lw(gu[:, 1:], d)
-        s = sample(coeffs.Ahat, x, (d, d)) + lw
+        s = coeffs.at("Ahat", x, (d, d)) + lw
         pp = hamiltonian_Pprime(u[:, 0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
         p6 = _clamped(u[:, 0], coeffs.clamps)[:, None] ** 6
         return np.column_stack((gu[:, 0], lw.reshape(len(x), -1), pp,
@@ -415,16 +434,16 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     def DFt(t, x, n, u, gu):
         k = np.zeros((len(x), m + nc, m + nc))
         if t == 1:
-            k[:, m, m] = sample(coeffs.robin_c, x)
-            k[:, m + 1:, m + 1:] = sample(coeffs.robin_C, x, (d, d))
+            k[:, m, m] = coeffs.at("robin_c", x)
+            k[:, m + 1:, m + 1:] = coeffs.at("robin_C", x, (d, d))
             return k
-        s = sample(coeffs.Ahat, x, (d, d)) + _lw(gu[:, 1:], d)
+        s = coeffs.at("Ahat", x, (d, d)) + _lw(gu[:, 1:], d)
         p = _clamped(u[:, 0], coeffs.clamps)[:, None]
         k[:, :d, :d] = np.eye(d)
         k[:, d:m, d:m] = lw_map
         # the W -> phi and phi -> W cross blocks
         k[:, m, d:m] = -0.25 * p ** -7 * (s.reshape(len(x), -1) @ lw_map)
-        k[:, m + 1:, m] = 4.0 * p ** 5 * sample(coeffs.trK_grad, x, (d,))
+        k[:, m + 1:, m] = 4.0 * p ** 5 * coeffs.at("trK_grad", x, (d,))
         k[:, m, m] = hamiltonian_Pprime_slope(u[:, 0], coeffs.interior_at(x), _dot2(s, s),
                                               coeffs.clamps)
         _finite(k, "linearized integrand", "x", x)

@@ -243,3 +243,23 @@ def test_cli_robin_data_reaches_flux_faces_of_file_mesh(tmp_path):
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         csv[z] = (out / "levels.csv").read_text()
     assert csv["0"] != csv["5"]
+
+
+def test_cli_gaussian_center_of_wrong_dimension_names_the_coefficient(tmp_path, capsys):
+    cfg = write_cfg(tmp_path,
+                    "problem = hamiltonian\ndim = 3\nmesh = unit_cube\nmesh_n = 1\n"
+                    "max_vertices = 50\n"
+                    "coeff.rho = gaussian:amp=0.1,width=0.2,center=0.5 0.5\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coeff.rho:") and "dim" in err
+
+
+def test_cli_file_mesh_of_other_dimension_names_dim(tmp_path, capsys):
+    cube = write_cfg(tmp_path, "mesh = unit_cube\nmesh_n = 1\n", name="cube.cfg")
+    assert main(["mesh-refine", "--config", cube, "--out", str(tmp_path / "m")]) == 0
+    # dim is left at its default, 2; with a source term the mismatch reaches the Jacobian
+    cfg = write_cfg(tmp_path, "problem = hamiltonian\ncoeff.rho = const:0.1\n"
+                              f"mesh = file:{tmp_path / 'm' / 'mesh.txt'}\nmax_vertices = 200\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: dim:")
