@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import ppum as ppum_mod
 from .assembly import apply_dirichlet, dirichlet_start, measure_error
@@ -44,6 +44,7 @@ class LevelRecord:
     newton_iterations: int = 0
     linear_iterations: int = 0
     wall_time: float = 0.0
+    newton: dict = None     # the Newton history; report.json only
 
     def csv_row(self) -> str:
         def g(v):
@@ -88,15 +89,20 @@ def _clamp_count(problem) -> int:
     return coeffs.clamps.count if coeffs is not None else 0
 
 
-def _make_linear_solve(cfg: RunConfig, prolongations: list):
-    """Newton inner solver: direct sparse factorization, or V-cycle-
-    preconditioned Krylov on the Galerkin hierarchy of the current Jacobian."""
+def _make_linear_solve(cfg: RunConfig, prolongations: list, builds: list):
+    """Newton inner solver: direct sparse factorization (None), or V-cycle-
+    preconditioned Krylov on the Galerkin hierarchy of the Jacobian, rebuilt when
+    a Jacobian differs bitwise from the last; `builds` gets each one's depth."""
     if cfg.linear == "direct":
         return None
+    cache = {}
 
     def ml_solve(a, rhs, tol):
-        x, rep = build_hierarchy(a, prolongations).solve(
-            rhs, tol=max(tol, cfg.linear_tolerance))
+        key = (a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes())
+        if cache.get("key") != key:
+            cache.update(key=key, hierarchy=build_hierarchy(a, prolongations))
+            builds.append(cache["hierarchy"].n_levels)
+        x, rep = cache["hierarchy"].solve(rhs, tol=max(tol, cfg.linear_tolerance))
         return x, rep.iterations
 
     return ml_solve
@@ -114,7 +120,7 @@ def _level_record(level: int, problem, u, fld, t0: float, nrep=None) -> LevelRec
         eta_total=fld.total(), l2_error=l2, h1_error=h1,
         newton_iterations=nrep.iterations if nrep else 0,
         linear_iterations=int(sum(nrep.linear_iterations)) if nrep else 0,
-        wall_time=time.perf_counter() - t0)
+        wall_time=time.perf_counter() - t0, newton=asdict(nrep) if nrep else None)
 
 
 def _indicate(cfg: RunConfig, problem, u):
@@ -151,9 +157,12 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
     try:
         while True:
             t0 = time.perf_counter()
+            builds = []  # the solver, and its hierarchy, go with the Newton solve
             u, nrep = newton_solve(problem, u, newton_cfg,
-                                   _make_linear_solve(cfg, prols))
+                                   _make_linear_solve(cfg, prols, builds))
             fld, extras = _indicate(cfg, problem, u)
+            if cfg.linear == "multilevel":
+                extras["hierarchy_builds"] = len(builds)
             for k, v in extras.items():
                 report.extras.setdefault(k, []).append(v)
             rec = _level_record(level, problem, u, fld, t0, nrep)

@@ -10,6 +10,10 @@ the vertex genealogy `Mesh.vparents`, no loop over vertices.  The V-cycle
 smooths with Gauss-Seidel, forward before coarsening and backward after, so
 the preconditioner is symmetric whenever A is; conjugate gradients runs
 outside it for symmetric systems, a transpose-free QMR loop otherwise.
+
+A hierarchy factors its coarsest operator and each level's two Gauss-Seidel
+triangles once, so a V-cycle costs products and cached triangular solves
+only; the driver builds one hierarchy per distinct Jacobian.
 """
 
 from __future__ import annotations
@@ -42,91 +46,81 @@ class SolveReport:
 MAX_ITERATIONS = 500            # outer Krylov iteration cap
 SYMMETRY_TOLERANCE = 1e-12      # relative gap |A - A^T| under which CG is chosen
 
+# a triangle's LU with neither pivoting nor reordering, so no fill; panel
+# and supernode sizes of 1 keep the work memory each factor retains small
+TRIANGLE_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1,
+                   relax=1, options={"SymmetricMode": True})
 
-@dataclass
-class MultilevelConfig:
-    direct_threshold: int = 500
+
+def _entries(a: sp.csr_matrix, rows: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
+    """The part of a made of the entries (at rows) that keep selects."""
+    counts = np.bincount(rows[keep], minlength=a.shape[0])
+    return sp.csr_matrix((a.data[keep], a.indices[keep],
+                          np.concatenate(([0], np.cumsum(counts)))), shape=a.shape)
 
 
 class MultilevelHierarchy:
     """Finest-first stack of operators with the prolongations between them."""
 
-    def __init__(self, matrices, prolongations, config: MultilevelConfig):
+    def __init__(self, matrices, prolongations):
         self.matrices = matrices          # [A_0 (finest), ..., A_{L-1} (coarsest)]
         self.prolongations = prolongations  # P_k maps level k+1 -> level k
-        self.config = config
-        self._splits = [None] * len(matrices)
-        self._coarse_factor = None
+        self.restrictions = [p.T.tocsr() for p in prolongations]
+        self._sweeps = [None] * len(matrices)
+        try:
+            self._coarse_factor = spla.splu(matrices[-1].tocsc(), permc_spec="NATURAL")
+        except RuntimeError as e:
+            raise MultilevelError(f"coarsest factorization failed: {e}") from e
+        a = matrices[0]
+        self._symmetric = bool(abs(a - a.T).max()
+                               <= SYMMETRY_TOLERANCE * max(abs(a).max(), 1.0))
 
     @property
     def n_levels(self) -> int:
         return len(self.matrices)
 
-    def _split(self, k):
-        # cache the GS triangular parts per level
-        if self._splits[k] is None:
-            a = self.matrices[k]
-            diag = a.diagonal()
-            if np.any(diag == 0.0):
-                raise MultilevelError(f"zero diagonal on level {k}")
-            lower = sp.tril(a, 0, format="csr")
-            upper = sp.triu(a, 0, format="csr")
-            self._splits[k] = (lower, a - lower, upper, a - upper)
-        return self._splits[k]
-
     def sweep(self, k, x, b, direction):
-        """One Gauss-Seidel sweep on level k, "forward" or "backward".  Computed
-        as the exact triangular-solve form of the sequential update, so results
-        are bit-reproducible."""
-        lower, ur, upper, lr = self._split(k)
-        if direction == "forward":
-            return spla.spsolve_triangular(lower, b - ur @ x, lower=True)
-        return spla.spsolve_triangular(upper, b - lr @ x, lower=False)
-
-    def coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        a = self.matrices[-1]
-        n = a.shape[0]
-        if n <= self.config.direct_threshold:
-            try:
-                return np.linalg.solve(a.toarray(), b)
-            except np.linalg.LinAlgError as e:
-                raise MultilevelError(f"coarsest solve failed: {e}") from e
-        if self._coarse_factor is None:
-            try:
-                self._coarse_factor = spla.splu(a.tocsc(), permc_spec="NATURAL")
-            except RuntimeError as e:
-                raise MultilevelError(f"coarsest factorization failed: {e}") from e
-        return self._coarse_factor.solve(b)
+        """One Gauss-Seidel sweep on level k, "forward" or "backward": a product
+        with the strict opposite triangle, then a solve with the triangle's
+        factor, built on the level's first sweep and kept with the hierarchy.
+        Equal to the sequential update up to round-off."""
+        if self._sweeps[k] is None:
+            a = self.matrices[k]
+            if np.any(a.diagonal() == 0.0):
+                raise MultilevelError(f"zero diagonal on level {k}")
+            rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+            self._sweeps[k] = {
+                name: (spla.splu(_entries(a, rows, tri).tocsc(), **TRIANGLE_LU),
+                       _entries(a, rows, ~tri))
+                for name, tri in (("forward", a.indices <= rows),
+                                  ("backward", a.indices >= rows))}
+        factor, strict = self._sweeps[k][direction]
+        return factor.solve(b - strict @ x)
 
     def v_cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         """One V-cycle for A_level x = b from a zero initial guess."""
         if level == self.n_levels - 1:
-            return self.coarse_solve(b)
+            return self._coarse_factor.solve(b)
         a = self.matrices[level]
-        p = self.prolongations[level]
         x = self.sweep(level, np.zeros_like(b), b, "forward")
-        coarse_b = p.T @ (b - a @ x)
-        x = x + p @ self.v_cycle(coarse_b, level + 1)
+        coarse_b = self.restrictions[level] @ (b - a @ x)
+        x = x + self.prolongations[level] @ self.v_cycle(coarse_b, level + 1)
         return self.sweep(level, x, b, "backward")
 
     def is_symmetric(self) -> bool:
-        a = self.matrices[0]
-        gap = abs(a - a.T).max()
-        scale = abs(a).max()
-        return gap <= SYMMETRY_TOLERANCE * max(scale, 1.0)
+        return self._symmetric
 
     def solve(self, b: np.ndarray, tol: float):
         """V-cycle-preconditioned CG for a symmetric operator, TFQMR otherwise,
         to the relative residual tol."""
-        if self.is_symmetric():
-            return self._pcg(b, tol)
-        return self._tfqmr(b, tol)
+        method = "cg" if self._symmetric else "tfqmr"
+        if not np.any(b):
+            return np.zeros_like(b), SolveReport(method, 0, [0.0], True)
+        return (self._pcg if self._symmetric else self._tfqmr)(b, tol)
 
     def _pcg(self, b: np.ndarray, tol: float):
         a = self.matrices[0]
         bnorm = float(np.linalg.norm(b))
-        if bnorm == 0.0:
-            return np.zeros_like(b), SolveReport("cg", 0, [0.0], True)
         x = np.zeros_like(b)
         r = b.copy()
         residuals = [1.0]
@@ -168,8 +162,6 @@ class MultilevelHierarchy:
         """
         a = self.matrices[0]
         bnorm = float(np.linalg.norm(b))
-        if bnorm == 0.0:
-            return np.zeros_like(b), SolveReport("tfqmr", 0, [0.0], True)
 
         def amul(vec):
             return self.v_cycle(a @ vec)
@@ -234,15 +226,14 @@ def galerkin_product(a: sp.csr_matrix, p: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def build_hierarchy(a_fine: sp.csr_matrix, prolongations_coarse_to_fine,
-                    config: MultilevelConfig = None) -> MultilevelHierarchy:
+def build_hierarchy(a_fine: sp.csr_matrix,
+                    prolongations_coarse_to_fine) -> MultilevelHierarchy:
     """Stack Galerkin triple products under the fine operator.
 
     prolongations_coarse_to_fine lists P in mesh-construction order: element j
     maps level-j vertices (coarser) into level-(j+1) vertices.  An empty list
     builds a one-level hierarchy (direct/coarse solves only).
     """
-    config = config or MultilevelConfig()
     if a_fine.shape[0] == 0:
         raise MultilevelError("empty system")
     mats = [a_fine.tocsr()]
@@ -250,7 +241,7 @@ def build_hierarchy(a_fine: sp.csr_matrix, prolongations_coarse_to_fine,
     for p in reversed(list(prolongations_coarse_to_fine)):
         mats.append(galerkin_product(mats[-1], p))
         prols.append(p.tocsr())
-    return MultilevelHierarchy(mats, prols, config)
+    return MultilevelHierarchy(mats, prols)
 
 
 def prolongation_from_refinement(n_coarse_vertices: int, mesh,

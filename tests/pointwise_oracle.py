@@ -77,6 +77,11 @@ of the vertex's parents.  `export_vtk` is the former VTK writer, one line per
 vertex, simplex and value.  They are the reference for the sparse fixed point
 of `afem.multilevel` in `test_multilevel.py` and for the block writer of
 `afem.vtk` in `test_vtk_cli.py`.
+
+`gauss_seidel` is the smoother written as the textbook sequential update, one
+unknown at a time over the matrix rows, each new value used at once.  It is
+the reference for `MultilevelHierarchy.sweep`'s cached triangular factors in
+`test_multilevel.py`.
 """
 
 from __future__ import annotations
@@ -1547,6 +1552,24 @@ def prolongation_from_refinement(n_coarse_vertices: int, mesh,
         p = sp.kron(p, sp.eye(n_components), format="csr")
     p.sort_indices()
     return p
+
+
+def gauss_seidel(a, x, b, direction: str = "forward") -> np.ndarray:
+    """One Gauss-Seidel sweep on a x = b from x, "forward" (first unknown to
+    last) or "backward", each unknown solved from its own row in turn."""
+    a = sp.csr_matrix(a)
+    x = np.array(x, dtype=float)
+    order = range(len(x)) if direction == "forward" else range(len(x) - 1, -1, -1)
+    for i in order:
+        diag, acc = 0.0, b[i]
+        for k in range(a.indptr[i], a.indptr[i + 1]):
+            j = a.indices[k]
+            if j == i:
+                diag += a.data[k]
+            else:
+                acc -= a.data[k] * x[j]
+        x[i] = acc / diag
+    return x
 
 
 def _g(v: float) -> str:

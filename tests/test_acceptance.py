@@ -18,7 +18,7 @@ from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual
                            dirichlet_start, free_dof_mask, measure_error)
 from afem.indicators import dual_indicator, mark, residual_indicator, solve_dual
 from afem.mesh import Mesh, NEUMANN, DIRICHLET, shapes, signed_volumes
-from afem.multilevel import MultilevelConfig, build_hierarchy, prolongation_from_refinement
+from afem.multilevel import build_hierarchy, prolongation_from_refinement
 from afem.newton import NewtonConfig, newton_solve
 from afem.problem import ProblemDefinition, SolutionField
 from afem.problems import benchmark_poisson
@@ -186,14 +186,14 @@ def test_criterion_06_multilevel_near_optimality():
     iters = {}
     for levels in (3, 6):
         a, b, prolongs = poisson_chain(levels)
-        hier = build_hierarchy(a, prolongs, MultilevelConfig(direct_threshold=30))
+        hier = build_hierarchy(a, prolongs)
         _, rep = hier.solve(b, tol=1e-8)
         assert rep.converged and rep.method == "cg"
         iters[levels] = rep.iterations
     count_ok = iters[6] <= 2 * iters[3]
 
     a3, _, pr3 = poisson_chain(3)
-    hier3 = build_hierarchy(a3, pr3, MultilevelConfig(direct_threshold=30))
+    hier3 = build_hierarchy(a3, pr3)
     gap = 0.0
     for k in range(hier3.n_levels - 1):
         p = hier3.prolongations[k]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import afem.driver as driver
 from afem.config import (ConfigError, RunConfig, build_mesh, build_problem,
                          load_config, parse_config, validate)
 from afem.driver import DriverError, run_adaptive, run_ppum
@@ -143,6 +144,76 @@ def test_run_adaptive_multilevel_linear():
                                  max_vertices=400, linear="multilevel"))
     assert rep.levels[-1].h1_error < 0.3
     assert any(r.linear_iterations > 0 for r in rep.levels[1:])
+
+
+def _cube3d(**kw):
+    return RunConfig(problem="cube_sine", mesh_n=2, indicator="dual", strategy="hybrid",
+                     linear="multilevel", max_vertices=50, **kw)
+
+
+def _counting_builds(monkeypatch):
+    """The Jacobians `afem.driver` builds a hierarchy for, in order."""
+    built, build_hierarchy = [], driver.build_hierarchy
+
+    def build(a, prolongations):
+        built.append(a)
+        return build_hierarchy(a, prolongations)
+
+    monkeypatch.setattr(driver, "build_hierarchy", build)
+    return built
+
+
+def test_linear_problem_builds_one_hierarchy_per_level(monkeypatch):
+    # cube_sine is linear: every Newton step of a level meets the same
+    # Jacobian, so the level's hierarchy and its factors serve them all
+    built = _counting_builds(monkeypatch)
+    rep = run_adaptive(_cube3d())
+    assert len(rep.levels) == 4 and len(built) == 4
+    assert rep.extras["hierarchy_builds"] == [1, 1, 1, 1]
+    assert [r.newton_iterations for r in rep.levels] == [1, 2, 3, 4]
+    assert [r.linear_iterations for r in rep.levels] == [1, 2, 4, 7]
+
+
+def test_nonlinear_problem_builds_one_hierarchy_per_newton_step(monkeypatch):
+    # bratu's Jacobian moves with every step, so no step reuses a hierarchy
+    # built for another Jacobian
+    built = _counting_builds(monkeypatch)
+    rep = run_adaptive(RunConfig(problem="bratu", mesh_n=4, max_vertices=100,
+                                 linear="multilevel"))
+    steps = [r.newton_iterations for r in rep.levels]
+    assert len(rep.levels) > 1 and min(steps) >= 2
+    assert rep.extras["hierarchy_builds"] == steps and len(built) == sum(steps)
+    assert all((p != q).nnz for p, q in zip(built, built[1:]) if p.shape == q.shape)
+
+
+def test_multilevel_runs_repeat_byte_for_byte(tmp_path):
+    # the hierarchy cache carries nothing from one level or run to the next
+    csvs = []
+    for name in ("a", "b"):
+        run_adaptive(_cube3d(out=str(tmp_path / name)))
+        csvs.append((tmp_path / name / "levels.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("make_cfg", [
+    _cube3d,
+    lambda out: RunConfig(problem="bratu", mesh_n=4, max_vertices=100, out=out),
+], ids=["multilevel", "direct"])
+def test_report_json_keeps_the_newton_history(tmp_path, make_cfg):
+    cfg = make_cfg(out=str(tmp_path))
+    run_adaptive(cfg)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    rows = (tmp_path / "levels.csv").read_text().splitlines()[1:]
+    assert len(doc["levels"]) == len(rows)
+    for level, row in zip(doc["levels"], rows):
+        hist, steps = level["newton"], level["newton_iterations"]
+        assert hist["converged"]
+        assert len(hist["residuals"]) == steps + 1  # the initial residual first
+        for name in ("step_lengths", "forcing_terms", "linear_iterations"):
+            assert len(hist[name]) == steps
+        assert sum(hist["linear_iterations"]) == int(row.split(",")[-1])
+    builds = doc.get("hierarchy_builds")
+    assert builds == ([1] * len(rows) if cfg.linear == "multilevel" else None)
 
 
 def test_run_adaptive_dual_indicator():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import pointwise_oracle as oracle
 from afem import generators
 from afem.assembly import assemble_jacobian, assemble_residual
-from afem.multilevel import (MultilevelConfig, MultilevelError, build_hierarchy,
+from afem.multilevel import (MultilevelError, build_hierarchy,
                              galerkin_product, prolongation_from_refinement)
 from afem.problem import SolutionField
 from afem.problems import benchmark_poisson
@@ -37,6 +37,72 @@ def test_gauss_seidel_oracle():
     assert np.allclose(out, [1.5, 0.75])
     back = hier.sweep(0, np.zeros(2), np.array([3.0, 3.0]), "backward")
     assert np.allclose(back, [0.75, 1.5])
+
+
+def _dominant(n, density, seed, symmetric):
+    """A random sparse matrix with a diagonal of either sign that outweighs
+    the rest of its row."""
+    rng = np.random.default_rng(seed)
+    off = sp.random(n, n, density=density, random_state=seed, format="csr")
+    off = off - sp.diags(off.diagonal())
+    if symmetric:
+        off = off + off.T
+    else:
+        off = off - 0.5 * sp.random(n, n, density=density, random_state=seed + 1).T
+        off = off - sp.diags(off.diagonal())
+    weight = np.asarray(abs(off).sum(axis=1)).ravel() + rng.uniform(0.5, 2.0, n)
+    return (off + sp.diags(weight * rng.choice([-1.0, 1.0], n))).tocsr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 16),
+       symmetric=st.booleans(), direction=st.sampled_from(["forward", "backward"]))
+def test_sweep_matches_sequential_gauss_seidel(n, density, seed, symmetric, direction):
+    # the cached triangular factors give the sequential update, one unknown
+    # at a time, to round-off, and the second sweep reuses the first's factor
+    a = _dominant(n, density, seed, symmetric)
+    rng = np.random.default_rng(seed + 2)
+    hier = build_hierarchy(a, [])
+    for _ in range(2):
+        x, b = rng.normal(size=n), rng.normal(size=n)
+        want = oracle.gauss_seidel(a, x, b, direction)
+        got = hier.sweep(0, x, b, direction)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sweeps_on_coarse_levels_match_sequential_gauss_seidel():
+    _, a, b, prolongs = poisson_chain(3)
+    hier = build_hierarchy(a, prolongs)
+    rng = np.random.default_rng(0)
+    for k in range(hier.n_levels):
+        n = hier.matrices[k].shape[0]
+        x, rhs = rng.normal(size=n), rng.normal(size=n)
+        for direction in ("forward", "backward"):
+            want = oracle.gauss_seidel(hier.matrices[k], x, rhs, direction)
+            got = hier.sweep(k, x, rhs, direction)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_zero_diagonal_names_its_level():
+    # A_1 = P_0^T A_0 P_0 = diag(0, 1, 1): the fine and coarsest operators are
+    # regular, the middle level cannot be smoothed
+    a0 = sp.diags([1.0, -1.0, 1.0, 1.0], format="csr")
+    p0 = sp.csr_matrix(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]))
+    p1 = sp.csr_matrix(np.array([[1.0, 0], [1.0, 0], [0, 1.0]]))
+    hier = build_hierarchy(a0, [p1, p0])
+    assert np.array_equal(hier.matrices[1].toarray(), np.diag([0.0, 1.0, 1.0]))
+    with pytest.raises(MultilevelError, match=r"^zero diagonal on level 1$"):
+        hier.solve(np.ones(4), tol=1e-10)
+
+
+@pytest.mark.parametrize("a,prolongs", [
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), []),
+    (np.diag([2.0, 2.0]), [sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))]),
+])
+def test_singular_coarsest_operator_is_named(a, prolongs):
+    # the coarsest operator is factored once, as the hierarchy is built
+    with pytest.raises(MultilevelError, match=r"^coarsest factorization failed"):
+        build_hierarchy(sp.csr_matrix(a), prolongs)
 
 
 def test_gauss_seidel_fixed_point():
@@ -157,7 +223,7 @@ def test_galerkin_product_matches_dense():
 def test_hierarchy_galerkin_identity():
     # stored coarse operators are exactly the triple products of their parents
     _, a, _, prolongs = poisson_chain(3)
-    hier = build_hierarchy(a, prolongs, MultilevelConfig(direct_threshold=10))
+    hier = build_hierarchy(a, prolongs)
     assert hier.n_levels == 3
     for k in range(hier.n_levels - 1):
         a_fine = hier.matrices[k]
@@ -169,7 +235,7 @@ def test_hierarchy_galerkin_identity():
 def test_solve_matches_direct():
     for levels in (3, 5):
         _, a, b, prolongs = poisson_chain(levels)
-        hier = build_hierarchy(a, prolongs, MultilevelConfig(direct_threshold=30))
+        hier = build_hierarchy(a, prolongs)
         assert hier.is_symmetric()
         x, rep = hier.solve(b, tol=1e-10)
         ref = spla.spsolve(a.tocsc(), b)
@@ -181,8 +247,8 @@ def test_iteration_count_level_independent():
     # optimal preconditioning: iteration counts may not blow up with depth
     _, a3, b3, pr3 = poisson_chain(3)
     _, a6, b6, pr6 = poisson_chain(6)
-    h3 = build_hierarchy(a3, pr3, MultilevelConfig(direct_threshold=30))
-    h6 = build_hierarchy(a6, pr6, MultilevelConfig(direct_threshold=30))
+    h3 = build_hierarchy(a3, pr3)
+    h6 = build_hierarchy(a6, pr6)
     _, r3 = h3.solve(b3, tol=1e-8)
     _, r6 = h6.solve(b6, tol=1e-8)
     assert r6.iterations <= 2 * max(1, r3.iterations)
@@ -192,7 +258,7 @@ def test_nonsymmetric_falls_back_to_tfqmr():
     _, a, b, prolongs = poisson_chain(4)
     s = sp.random(a.shape[0], a.shape[0], density=0.001, random_state=3) * 0.05
     an = (a + s - s.T).tocsr()
-    hier = build_hierarchy(an, prolongs, MultilevelConfig(direct_threshold=30))
+    hier = build_hierarchy(an, prolongs)
     assert not hier.is_symmetric()
     x, rep = hier.solve(b, tol=1e-10)
     assert rep.method == "tfqmr" and rep.converged
@@ -200,10 +266,10 @@ def test_nonsymmetric_falls_back_to_tfqmr():
 
 
 def test_single_level_is_exact_preconditioner():
-    # one level below the direct threshold: every V-cycle is a direct solve,
-    # so the Krylov wrapper converges immediately
+    # one level: every V-cycle is the coarsest direct solve, so the Krylov
+    # wrapper converges immediately
     _, a, b, _ = poisson_chain(2, n0=2)
-    hier = build_hierarchy(a, [], MultilevelConfig(direct_threshold=10 ** 6))
+    hier = build_hierarchy(a, [])
     assert hier.n_levels == 1
     x, rep = hier.solve(b, tol=1e-12)
     assert rep.converged and rep.iterations <= 2
