@@ -205,8 +205,12 @@ def run_ppum(cfg: RunConfig) -> RunReport:
     runs (thread pool), partition-of-unity blend, error measurement.
 
     Subdomain failures are reported individually; the blend is skipped if any
-    local run failed.
+    local run failed.  It uses the residual indicator and the direct solver
+    and has no indicator target: another setting of these is a ConfigError.
     """
+    for key, used in (("indicator", "residual"), ("linear", "direct"), ("target_eta", 0.0)):
+        if getattr(cfg, key) != used:
+            raise ConfigError(f"{key}: the PPUM run takes only {used!r}, got {getattr(cfg, key)!r}")
     problem = build_problem(cfg)
     coarse = build_mesh(cfg, problem)
     budget = cfg.ppum_budget or cfg.max_vertices

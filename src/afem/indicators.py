@@ -6,7 +6,7 @@ faces.  The dual-weighted indicator solves a linearized adjoint problem for a
 user-chosen error functional and distributes the resulting error
 representation over elements; it needs the dual solved in a richer space than
 the primal (a same-space dual is identically zero by Galerkin orthogonality),
-so by default it works on one uniform refinement of the current mesh.
+so it works on one uniform refinement of the current mesh.
 
 Both integrate the same strong-form pieces, `_residual_terms`, over the
 element and face rows of the mesh's `MeshTables`: the residual SFt(0) on each
@@ -186,12 +186,11 @@ def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
 class DualWeights:
     """Discrete dual solution and the bookkeeping to use it as error weights."""
 
-    phi: SolutionField          # dual solution on the (usually refined) mesh
+    phi: SolutionField          # dual solution on the refined mesh
     fine_mesh: Mesh
     coarse_live: np.ndarray     # live simplex ids of the primal mesh, ascending
     n_coarse_vertices: int
     prolongation: object        # maps primal dofs into the dual mesh space
-    same_space: bool = False
 
 
 def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
@@ -211,14 +210,10 @@ def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     return b
 
 
-def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
-               same_space: bool = False) -> DualWeights:
+def solve_dual(problem: ProblemDefinition, u: SolutionField, psi) -> DualWeights:
     """Solve the adjoint of the Jacobian at u for the functional density psi,
     a constant or a callable read through `sample` (declared `batched`, or a
-    function of one point).
-
-    The dual lives on one uniform refinement of u's mesh unless same_space is
-    set (useful only for orthogonality checks; the resulting indicator is 0).
+    function of one point), on one uniform refinement of u's mesh.
     """
     from .assembly import assemble_jacobian
 
@@ -228,15 +223,10 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
     nc = problem.n_components
     coarse_live = mesh.live_simplices()
     ncv = mesh.n_vertices
-    if same_space:
-        fine = mesh
-        prol = None
-        u_fine = u
-    else:
-        fine = mesh.copy()
-        fine.uniform_refine()
-        prol = prolongation_from_refinement(ncv, fine, nc)
-        u_fine = SolutionField.from_flat(fine, nc, prol @ u.flat)
+    fine = mesh.copy()
+    fine.uniform_refine()
+    prol = prolongation_from_refinement(ncv, fine, nc)
+    u_fine = SolutionField.from_flat(fine, nc, prol @ u.flat)
     a = assemble_jacobian(problem, u_fine)
     b = _functional_load(fine, psi, nc)
     b[~free_dof_mask(problem, fine)] = 0.0
@@ -249,7 +239,7 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi,
         raise IndicatorError("adjoint system is singular; the functional is "
                              "not estimable at this state")
     phi = SolutionField.from_flat(fine, nc, phi_flat)
-    return DualWeights(phi, fine, coarse_live, ncv, prol, same_space)
+    return DualWeights(phi, fine, coarse_live, ncv, prol)
 
 
 def dual_indicator(problem: ProblemDefinition, u: SolutionField,
@@ -264,14 +254,9 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
     mesh = weights.fine_mesh
     nc = problem.n_components
     ncv = weights.n_coarse_vertices
-    if weights.same_space:
-        w_flat = np.zeros(mesh.n_vertices * nc)
-        u_fine = u
-    else:
-        coarse_part = weights.phi.values[:ncv].ravel()
-        w_flat = weights.phi.flat - weights.prolongation @ coarse_part
-        u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
-    w = SolutionField.from_flat(mesh, nc, w_flat)
+    coarse_part = weights.phi.values[:ncv].ravel()
+    w = SolutionField.from_flat(mesh, nc, weights.phi.flat - weights.prolongation @ coarse_part)
+    u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
 
     tab = mesh.tables()
     terms, face_terms = _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3), _dot)

@@ -1,8 +1,11 @@
 """Built-in problem definitions.
 
-Scalar benchmarks (Poisson variants, Bratu) and the coupled nonlinear
-constraint system (conformally scaled Hamiltonian and momentum equations)
-used by the physics demos and the solver test suite.
+Scalar benchmarks (Poisson variants and Bratu, from one scalar builder) and
+the coupled nonlinear constraint system (conformally scaled Hamiltonian and
+momentum equations) used by the physics demos and the solver test suite.
+The constraint system is stated once, in `coupled_forms`: the scalar
+(Hamiltonian) and vector (momentum) problems are its restrictions, with the
+other unknown held at the coupled initial value (W = 0, or phi = 1).
 
 Sign conventions follow the template
 
@@ -34,22 +37,22 @@ from .problem import ProblemDefinition, ProblemError, batched, sample
 
 # --------------------------------------------------------------------- scalar
 
-def _scalar_jacobian(n, d, a_gu, b_u):
-    """dF/dz (n, d+1, d+1) at n points of a scalar problem with flux
-    A = a_gu grad u and a source (or boundary term) of slope b_u in u."""
-    k = np.repeat((a_gu * np.eye(d + 1))[None], n, axis=0)
-    k[:, d, d] = b_u
-    return k
-
-
-def _poisson_callbacks(f):
+def _scalar_callbacks(b, b_u):
+    """Ft, DFt of the scalar problem -lap u + b(x, u) = 0, with natural
+    (zero-flux) data on flux faces; b_u(x, u) is the slope of b in u.  Both
+    take the points x (N, d) and the values u (N, 1)."""
     def Ft(t, x, n, u, gu):
         if t == 0:
-            return np.column_stack((gu[:, 0], -f(x)))
+            return np.column_stack((gu[:, 0], b(x, u)))
         return np.zeros((len(x), x.shape[1] + 1))
 
     def DFt(t, x, n, u, gu):
-        return _scalar_jacobian(len(x), x.shape[1], 1.0 if t == 0 else 0.0, 0.0)
+        d = x.shape[1]
+        k = np.zeros((len(x), d + 1, d + 1))
+        if t == 0:
+            k[:, :d, :d] = np.eye(d)
+            k[:, d, d] = b_u(x, u)
+        return k
 
     return Ft, DFt
 
@@ -124,7 +127,7 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
     else:
         raise ValueError(f"unknown poisson variant {variant!r}")
 
-    Ft, DFt = _poisson_callbacks(f)
+    Ft, DFt = _scalar_callbacks(lambda x, u: -f(x), lambda x, u: 0.0)
     return ProblemDefinition(
         name=f"poisson_{variant}",
         n_components=1,
@@ -138,16 +141,10 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
 def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
     """Bratu problem -lap(u) - lam exp(u) = 0 with homogeneous dirichlet data."""
 
-    def Ft(t, x, n, u, gu):
-        if t == 0:
-            return np.column_stack((gu[:, 0], -lam * np.exp(u[:, 0])))
-        return np.zeros((len(x), x.shape[1] + 1))
+    def b(x, u):
+        return -lam * np.exp(u[:, 0])
 
-    def DFt(t, x, n, u, gu):
-        if t == 0:
-            return _scalar_jacobian(len(x), x.shape[1], 1.0, -lam * np.exp(u[:, 0]))
-        return _scalar_jacobian(len(x), x.shape[1], 0.0, 0.0)
-
+    Ft, DFt = _scalar_callbacks(b, b)
     return ProblemDefinition(
         name="bratu",
         n_components=1,
@@ -176,8 +173,10 @@ PHI_FLOOR = 1e-6
 
 
 class ClampCounter:
-    """Counts evaluations that hit the positivity floor.  Statistics only:
-    clamping changes the evaluation point, never the stored state."""
+    """Counts evaluations that hit the positivity floor: each callback
+    evaluation (one Ft or DFt call) counts a clamped point once, however many
+    of its terms read the clamped value.  Statistics only: clamping changes
+    the evaluation point, never the stored state."""
 
     __slots__ = ("count", "_lock")
 
@@ -333,17 +332,14 @@ def _dot2(a, b):
     return (a * b).reshape(len(a), -1).sum(axis=1)
 
 
-def _robin(coeffs, x, m, phi=None, w=None):
-    """F on flux faces: m zero flux slots, then the Robin terms c phi - z
-    (when phi is given) and C W - Z (when W is) at the points x."""
+def _robin(coeffs, x, m, phi, w):
+    """F on flux faces: m zero flux slots, then the Robin terms c phi - z and
+    C W - Z at the points x."""
     d = coeffs.dim
-    cols = [np.zeros((len(x), m))]
-    if phi is not None:
-        cols.append(coeffs.at("robin_c", x) * phi - coeffs.at("robin_z", x))
-    if w is not None:
-        c = coeffs.at("robin_C", x, (d, d))
-        cols.append((c @ w[:, :, None])[:, :, 0] - coeffs.at("robin_Z", x, (d,)))
-    return np.column_stack(cols)
+    c = coeffs.at("robin_C", x, (d, d))
+    return np.column_stack((np.zeros((len(x), m)),
+                            coeffs.at("robin_c", x) * phi - coeffs.at("robin_z", x),
+                            (c @ w[:, :, None])[:, :, 0] - coeffs.at("robin_Z", x, (d,))))
 
 
 def _momentum_source(coeffs, x, p6):
@@ -351,63 +347,6 @@ def _momentum_source(coeffs, x, p6):
     d = coeffs.dim
     return ((2.0 / 3.0) * p6 * coeffs.at("trK_grad", x, (d,))
             + 8.0 * math.pi * coeffs.at("jhat", x, (d,)))
-
-
-def hamiltonian_forms(coeffs: ConstraintCoefficients, source=None) -> ProblemDefinition:
-    """Scalar problem for the conformal factor with W = 0, so (Ahat + LW)^2
-    is Ahat^2.  source, when given, is a function of the points x (N, d)
-    subtracted from the interior residual (used by the manufactured benchmark
-    below).
-    """
-    d = coeffs.dim
-
-    def potential(fn, x, u):
-        a = coeffs.at("Ahat", x, (d, d))
-        return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
-
-    def Ft(t, x, n, u, gu):
-        if t == 1:
-            return _robin(coeffs, x, d, phi=u[:, 0])
-        pp = potential(hamiltonian_Pprime, x, u)
-        if source is not None:
-            pp = pp - source(x)
-        return np.column_stack((gu[:, 0], pp))
-
-    def DFt(t, x, n, u, gu):
-        if t == 1:
-            return _scalar_jacobian(len(x), d, 0.0, coeffs.at("robin_c", x))
-        return _scalar_jacobian(len(x), d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
-
-    return ProblemDefinition(
-        name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt,
-        dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, :1]),
-        initial_value=np.array([1.0]), constraint_coefficients=coeffs)
-
-
-def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
-    """Linear vector problem for W with the conformal factor frozen at
-    phi = 1, so the phi^6 weight of the trK source is 1."""
-    d = coeffs.dim
-    m = d * d
-    lw_map = _lw_matrix(d)
-
-    def Ft(t, x, n, u, gu):
-        if t == 1:
-            return _robin(coeffs, x, m, w=u)
-        return np.column_stack((_lw(gu, d).reshape(len(x), m), _momentum_source(coeffs, x, 1.0)))
-
-    def DFt(t, x, n, u, gu):
-        k = np.zeros((len(x), m + d, m + d))
-        if t == 1:
-            k[:, m:, m:] = coeffs.at("robin_C", x, (d, d))
-        else:
-            k[:, :m, :m] = lw_map
-        return k
-
-    return ProblemDefinition(
-        name="momentum", n_components=d, Ft=Ft, DFt=DFt,
-        dirichlet=batched(lambda x: coeffs.at("dirichlet_F", x, (d,))),
-        initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
 
 def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
@@ -423,11 +362,11 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
 
     def Ft(t, x, n, u, gu):
         if t == 1:
-            return _robin(coeffs, x, m, phi=u[:, 0], w=u[:, 1:])
+            return _robin(coeffs, x, m, u[:, 0], u[:, 1:])
         lw = _lw(gu[:, 1:], d)
         s = coeffs.at("Ahat", x, (d, d)) + lw
         pp = hamiltonian_Pprime(u[:, 0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
-        p6 = _clamped(u[:, 0], coeffs.clamps)[:, None] ** 6
+        p6 = _clamped(u[:, 0], None)[:, None] ** 6
         return np.column_stack((gu[:, 0], lw.reshape(len(x), -1), pp,
                                 _momentum_source(coeffs, x, p6)))
 
@@ -444,8 +383,7 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         # the W -> phi and phi -> W cross blocks
         k[:, m, d:m] = -0.25 * p ** -7 * (s.reshape(len(x), -1) @ lw_map)
         k[:, m + 1:, m] = 4.0 * p ** 5 * coeffs.at("trK_grad", x, (d,))
-        k[:, m, m] = hamiltonian_Pprime_slope(u[:, 0], coeffs.interior_at(x), _dot2(s, s),
-                                              coeffs.clamps)
+        k[:, m, m] = hamiltonian_Pprime_slope(u[:, 0], coeffs.interior_at(x), _dot2(s, s))
         _finite(k, "linearized integrand", "x", x)
         return k
 
@@ -454,6 +392,52 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         dirichlet=coeffs.dirichlet_vector,
         initial_value=np.concatenate([[1.0], np.zeros(d)]),
         constraint_coefficients=coeffs)
+
+
+def _restriction(coeffs: ConstraintCoefficients, name: str, cols) -> ProblemDefinition:
+    """The coupled system solved for the components `cols` alone, the others
+    held at the coupled initial value (phi = 1, W = 0) with zero gradient.
+
+    Ft and DFt are the matching columns and sub-block of the coupled forms at
+    the embedded state; the dirichlet data and the initial value are the
+    matching components of the coupled ones.
+    """
+    full = coupled_forms(coeffs)
+    d, nc = coeffs.dim, full.n_components
+    cols = np.asarray(cols)
+    z = np.concatenate([(cols[:, None] * d + np.arange(d)).ravel(), nc * d + cols])
+
+    def embed(u, gu):
+        uu = np.tile(full.initial_value, (len(u), 1))
+        uu[:, cols] = u
+        gg = np.zeros((len(u), nc, d))
+        gg[:, cols] = gu
+        return uu, gg
+
+    # contiguous, so that SFt's flux product rounds as on the closed forms
+    def Ft(t, x, n, u, gu):
+        return np.ascontiguousarray(full.Ft(t, x, n, *embed(u, gu))[:, z])
+
+    def DFt(t, x, n, u, gu):
+        return np.ascontiguousarray(full.DFt(t, x, n, *embed(u, gu))[:, z[:, None], z])
+
+    return ProblemDefinition(
+        name=name, n_components=len(cols), Ft=Ft, DFt=DFt,
+        dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, cols]),
+        initial_value=full.initial_value[cols], constraint_coefficients=coeffs)
+
+
+def hamiltonian_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
+    """Scalar problem for the conformal factor: the coupled system with W held
+    at 0, so (Ahat + LW)^2 is Ahat^2."""
+    return _restriction(coeffs, "hamiltonian", [0])
+
+
+def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
+    """Linear vector problem for W: the coupled system with phi held at 1, so
+    the phi^6 weight of the trK source is 1.  With constant trK the system
+    decouples, and this is the coupled W equation exactly."""
+    return _restriction(coeffs, "momentum", range(1, coeffs.dim + 1))
 
 
 def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
@@ -496,12 +480,18 @@ def hamiltonian_manufactured() -> ProblemDefinition:
         return np.stack([0.25 * math.pi * c[:, 0] * s[:, 1],
                          0.25 * math.pi * s[:, 0] * c[:, 1]], axis=1)[:, None]
 
-    def source(x):
-        # -lap(phi*) + P'(phi*) with lap(phi*) = -(pi^2/2) sin sin
-        p = 1.0 + 0.25 * s_of(x)
-        return 0.5 * math.pi ** 2 * s_of(x) + p + p ** 5 - p ** -3
+    prob = hamiltonian_forms(coeffs)
+    forms = prob.Ft
 
-    prob = hamiltonian_forms(coeffs, source=source)
+    def Ft(t, x, n, u, gu):
+        f = forms(t, x, n, u, gu)
+        if t == 0:
+            # -lap(phi*) + P'(phi*) with lap(phi*) = -(pi^2/2) sin sin
+            p = 1.0 + 0.25 * s_of(x)
+            f[:, -1] -= 0.5 * math.pi ** 2 * s_of(x) + p + p ** 5 - p ** -3
+        return f
+
+    prob.Ft = Ft
     prob.name = "hamiltonian_manufactured"
     prob.exact = exact
     prob.exact_grad = exact_grad

@@ -71,6 +71,13 @@ gaussian, `ConstraintCoefficients.dirichlet_vector` and the three constraint
 forms' dirichlet data (`forms_dirichlet`).  They are the reference for
 `test_batched_data.py`.
 
+`hamiltonian_forms` and `momentum_forms` are the scalar and vector
+constraint problems as they stood before `afem.problems` posed them as
+restrictions of the coupled forms: closed-form callbacks with their own
+Robin branches (`_robin`) and Jacobians (`_scalar_jacobian`), the scalar one
+taking the source that `hamiltonian_manufactured_source` gives.  They are
+the reference for the restriction in `test_problems.py`.
+
 `prolongation_from_refinement` is the library's former transfer operator: it
 builds each row with a dict, one vertex at a time in id order, from the rows
 of the vertex's parents.  `export_vtk` is the former VTK writer, one line per
@@ -99,7 +106,9 @@ from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEU
 from afem.multilevel import MultilevelError
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.assembly import _dot, _point_values, _row_sums
-from afem.problem import ProblemDefinition, ProblemError, SolutionField, sample
+from afem.problem import ProblemDefinition, ProblemError, SolutionField, batched, sample
+from afem.problems import (_dot2, _lw, _lw_matrix, _momentum_source, hamiltonian_Pprime,
+                           hamiltonian_Pprime_slope)
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
@@ -552,13 +561,9 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
     mesh = weights.fine_mesh
     nc = problem.n_components
     ncv = weights.n_coarse_vertices
-    if weights.same_space:
-        w_flat = np.zeros(mesh.n_vertices * nc)
-        u_fine = u
-    else:
-        coarse_part = weights.phi.values[:ncv].ravel()
-        w_flat = weights.phi.flat - weights.prolongation @ coarse_part
-        u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
+    coarse_part = weights.phi.values[:ncv].ravel()
+    w_flat = weights.phi.flat - weights.prolongation @ coarse_part
+    u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
     w = SolutionField.from_flat(mesh, nc, w_flat)
 
     el = linear_element(mesh.dim)
@@ -1509,6 +1514,94 @@ def forms_dirichlet(problem: ProblemDefinition):
         return lambda x: sample(coeffs.dirichlet_F, [x], (coeffs.dim,))[0]
     return lambda x: dirichlet_vector(coeffs, x)
 
+
+
+# ------------------------------------- the scalar and vector forms, closed form
+
+def _scalar_jacobian(n, d, a_gu, b_u):
+    """dF/dz (n, d+1, d+1) at n points of a scalar problem with flux
+    A = a_gu grad u and a source (or boundary term) of slope b_u in u."""
+    k = np.repeat((a_gu * np.eye(d + 1))[None], n, axis=0)
+    k[:, d, d] = b_u
+    return k
+
+
+def _robin(coeffs, x, m, phi=None, w=None):
+    """F on flux faces: m zero flux slots, then the Robin terms c phi - z
+    (when phi is given) and C W - Z (when W is) at the points x."""
+    d = coeffs.dim
+    cols = [np.zeros((len(x), m))]
+    if phi is not None:
+        cols.append(coeffs.at("robin_c", x) * phi - coeffs.at("robin_z", x))
+    if w is not None:
+        c = coeffs.at("robin_C", x, (d, d))
+        cols.append((c @ w[:, :, None])[:, :, 0] - coeffs.at("robin_Z", x, (d,)))
+    return np.column_stack(cols)
+
+
+def hamiltonian_forms(coeffs, source=None) -> ProblemDefinition:
+    """Scalar problem for the conformal factor with W = 0, so (Ahat + LW)^2
+    is Ahat^2.  source, when given, is a function of the points x (N, d)
+    subtracted from the interior residual (used by the manufactured benchmark
+    below).
+    """
+    d = coeffs.dim
+
+    def potential(fn, x, u):
+        a = coeffs.at("Ahat", x, (d, d))
+        return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
+
+    def Ft(t, x, n, u, gu):
+        if t == 1:
+            return _robin(coeffs, x, d, phi=u[:, 0])
+        pp = potential(hamiltonian_Pprime, x, u)
+        if source is not None:
+            pp = pp - source(x)
+        return np.column_stack((gu[:, 0], pp))
+
+    def DFt(t, x, n, u, gu):
+        if t == 1:
+            return _scalar_jacobian(len(x), d, 0.0, coeffs.at("robin_c", x))
+        return _scalar_jacobian(len(x), d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
+
+    return ProblemDefinition(
+        name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt,
+        dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, :1]),
+        initial_value=np.array([1.0]), constraint_coefficients=coeffs)
+
+
+def momentum_forms(coeffs) -> ProblemDefinition:
+    """Linear vector problem for W with the conformal factor frozen at
+    phi = 1, so the phi^6 weight of the trK source is 1."""
+    d = coeffs.dim
+    m = d * d
+    lw_map = _lw_matrix(d)
+
+    def Ft(t, x, n, u, gu):
+        if t == 1:
+            return _robin(coeffs, x, m, w=u)
+        return np.column_stack((_lw(gu, d).reshape(len(x), m), _momentum_source(coeffs, x, 1.0)))
+
+    def DFt(t, x, n, u, gu):
+        k = np.zeros((len(x), m + d, m + d))
+        if t == 1:
+            k[:, m:, m:] = coeffs.at("robin_C", x, (d, d))
+        else:
+            k[:, :m, :m] = lw_map
+        return k
+
+    return ProblemDefinition(
+        name="momentum", n_components=d, Ft=Ft, DFt=DFt,
+        dirichlet=batched(lambda x: coeffs.at("dirichlet_F", x, (d,))),
+        initial_value=np.zeros(d), constraint_coefficients=coeffs)
+
+
+def hamiltonian_manufactured_source(x):
+    """The source `hamiltonian_manufactured` subtracts, at the points x (N, 2):
+    -lap(phi*) + P'(phi*) with lap(phi*) = -(pi^2/2) sin sin."""
+    s = np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
+    p = 1.0 + 0.25 * s
+    return 0.5 * math.pi ** 2 * s + p + p ** 5 - p ** -3
 
 # ------------------------------------------- field transfer and output, per row
 

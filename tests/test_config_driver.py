@@ -7,6 +7,7 @@ import pytest
 import afem.driver as driver
 from afem.config import (ConfigError, RunConfig, build_mesh, build_problem,
                          load_config, parse_config, validate)
+from afem.cli import main
 from afem.driver import DriverError, run_adaptive, run_ppum
 
 
@@ -247,6 +248,21 @@ def test_run_ppum_blends_and_writes(tmp_path):
     for i in range(4):
         assert (out / f"sub{i}" / "mesh.txt").exists()
     assert (out / "blend.vtk").exists()
+
+
+@pytest.mark.parametrize("key,value", [("indicator", "dual"), ("linear", "multilevel"),
+                                       ("target_eta", 1e9)])
+def test_run_ppum_names_a_setting_it_ignores(key, value, tmp_path, capsys):
+    # the PPUM run always takes the residual indicator and the direct solver
+    # and never stops on an indicator target
+    cfg = RunConfig(problem="square_sine", ppum_subdomains=2, max_vertices=100)
+    setattr(cfg, key, value)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        run_ppum(cfg)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"problem = square_sine\nppum_subdomains = 2\n{key} = {value}\n")
+    assert main(["ppum", "--config", str(path)]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
 
 
 def test_run_ppum_thread_count_invisible_in_output(tmp_path):

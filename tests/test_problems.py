@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pointwise_oracle as oracle
 from afem import generators
@@ -15,7 +16,7 @@ from afem.elements import linear_element
 from afem.indicators import residual_indicator
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
 from afem.newton import NewtonConfig, newton_solve
-from afem.problem import SolutionField
+from afem.problem import SolutionField, batched, sample
 
 from conftest import rate
 from test_walk_oracle import CASES
@@ -102,6 +103,114 @@ def test_dft_is_the_derivative_of_ft(name, rng):
         for q in range(npts):
             scale = max(1.0, float(np.abs(k[q]).max()))
             assert float(np.abs(fd[q] - k[q]).max()) <= 1e-7 * scale, (t, fd[q] - k[q])
+
+
+# ------------------------------------- restrictions of the coupled forms
+
+def _coefficients(rng, dim, varying):
+    """Constraint data drawn from rng: constants, or `batched` affine
+    functions of the points when varying, rising from the constant so that rho
+    stays nonnegative and dirichlet_f positive.  trK_grad need not be trK's
+    gradient: both sides of a comparison read the same data."""
+    def datum(c, shape=()):
+        if not varying:
+            return c
+        slope = 0.2 * rng.random(shape)
+        return batched(lambda x: c + x[:, :1].reshape((-1,) + (1,) * len(shape)) * slope)
+
+    a = rng.standard_normal((dim, dim))
+    a = 0.2 * (a + a.T)
+    a -= np.trace(a) / dim * np.eye(dim)
+    return P.ConstraintCoefficients(
+        dim=dim, Rhat=datum(rng.standard_normal()), trK=datum(0.5 + rng.random()),
+        trK_grad=datum(0.3 * rng.standard_normal(dim), (dim,)), Ahat=datum(a, (dim, dim)),
+        rho=datum(rng.random()), jhat=datum(rng.standard_normal(dim), (dim,)),
+        robin_c=datum(rng.random()), robin_z=datum(rng.standard_normal()),
+        robin_C=datum(np.eye(dim) + 0.1 * a, (dim, dim)),
+        robin_Z=datum(rng.standard_normal(dim), (dim,)),
+        dirichlet_f=datum(1.0 + rng.random()),
+        dirichlet_F=datum(rng.standard_normal(dim), (dim,)))
+
+
+def _closed_form(name, coeffs):
+    """The problem `name` and the oracle's closed-form callbacks of it."""
+    if name == "hamiltonian_manufactured":
+        prob = P.hamiltonian_manufactured()
+        return prob, oracle.hamiltonian_forms(prob.constraint_coefficients,
+                                              oracle.hamiltonian_manufactured_source)
+    forms, closed = {"hamiltonian": (P.hamiltonian_forms, oracle.hamiltonian_forms),
+                     "momentum": (P.momentum_forms, oracle.momentum_forms)}[name]
+    return forms(coeffs), closed(coeffs)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["hamiltonian", "momentum", "hamiltonian_manufactured"]),
+       dim=st.sampled_from([2, 3]), varying=st.booleans(), npts=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_restricted_forms_match_closed_forms_bitwise(name, dim, varying, npts, seed):
+    # the scalar and vector problems, posed as the coupled system with the
+    # other unknown held, against their former closed forms: every callback,
+    # the strong-form pieces, the data and the clamps counted, bit for bit
+    rng = np.random.default_rng(seed)
+    dim = 2 if name == "hamiltonian_manufactured" else dim
+    prob, ref = _closed_form(name, _coefficients(rng, dim, varying))
+    nc = prob.n_components
+    x = rng.random((npts, dim))
+    n = rng.standard_normal((npts, dim))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    # phi reaches below the positivity floor at some points
+    u = rng.uniform(-0.5, 2.0, (npts, nc))
+    gu = rng.standard_normal((npts, nc, dim))
+    clamps = prob.constraint_coefficients.clamps
+    got = []
+    for p in (prob, ref):
+        clamps.reset()
+        got.append([_bits(cb(t, x, n, u, gu)) for cb in (p.Ft, p.DFt) for t in (0, 1)]
+                   + [_bits(p.SFt(t, x, n, u, gu)) for t in (0, 1, 2)]
+                   + [_bits(sample(p.dirichlet, x, (nc,))), _bits(p.initial_value),
+                      clamps.count])
+    assert got[0] == got[1]
+
+
+def _below_floor(k, npts=5, dim=2):
+    """Coupled state at npts points with phi below the positivity floor at
+    the first k of them and W = 0."""
+    u = np.zeros((npts, dim + 1))
+    u[:, 0] = 1.0
+    u[:k, 0] = np.linspace(-1.0, 0.5 * P.PHI_FLOOR, k)
+    return np.linspace(0.1, 0.9, npts * dim).reshape(npts, dim), u, np.zeros((npts, dim + 1, dim))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_one_callback_counts_a_clamped_point_once(k):
+    coeffs = P.ConstraintCoefficients(dim=2, rho=0.5, trK=1.0)
+    coupled, scalar = P.coupled_forms(coeffs), P.hamiltonian_forms(coeffs)
+    x, u, gu = _below_floor(k)
+    for cb, scb in ((coupled.Ft, scalar.Ft), (coupled.DFt, scalar.DFt)):
+        coeffs.clamps.reset()
+        cb(0, x, None, u, gu)
+        assert coeffs.clamps.count == k
+        # the scalar problem is the coupled one at W = 0: the same count
+        coeffs.clamps.reset()
+        scb(0, x, None, u[:, :1], gu[:, :1])
+        assert coeffs.clamps.count == k
+
+
+def test_momentum_samples_the_scalar_data():
+    # the vector problem evaluates the coupled forms at phi = 1, so bad
+    # scalar data is named there too
+    mesh = generators.unit_square(2)
+    u = SolutionField.zeros(mesh, 2)
+    with pytest.raises(P.ProblemError, match="rho sampled negative"):
+        assemble_residual(P.momentum_forms(P.ConstraintCoefficients(dim=2, rho=-1.0)), u)
+    with pytest.raises(P.ProblemError, match="dirichlet_f must be positive"):
+        dirichlet_start(P.momentum_forms(P.ConstraintCoefficients(dim=2, dirichlet_f=0.0)),
+                        mesh)
 
 
 # ------------------------------------------------- batched evaluation edges
