@@ -52,14 +52,10 @@ class RunConfig:
     indicator: str = "residual"
     strategy: str = "hybrid"
     theta: float = 0.0               # 0 means the strategy's default
-    p: float = 2.0
     newton_tolerance: float = 1e-10
     newton_max_iterations: int = 25
     linear: str = "direct"
-    linear_tolerance: float = 1e-10
     ppum_subdomains: int = 1
-    ppum_layers: int = 2
-    ppum_budget: int = 0             # 0 means max_vertices
     out: str = ""
     threads: int = 1
     coefficients: dict = field(default_factory=dict)
@@ -124,14 +120,10 @@ def validate(cfg: RunConfig) -> None:
     need(cfg.indicator in INDICATORS, "indicator", f"must be one of {INDICATORS}")
     need(cfg.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}")
     need(0.0 <= cfg.theta <= 1.0, "theta", "must lie in [0, 1] (0 = default)")
-    need(cfg.p >= 1.0, "p", "must be at least 1")
     need(cfg.newton_tolerance > 0.0, "newton_tolerance", "must be positive")
     need(cfg.newton_max_iterations >= 1, "newton_max_iterations", "must be at least 1")
     need(cfg.linear in LINEAR, "linear", f"must be one of {LINEAR}")
-    need(cfg.linear_tolerance > 0.0, "linear_tolerance", "must be positive")
     need(cfg.ppum_subdomains >= 1, "ppum_subdomains", "must be at least 1")
-    need(cfg.ppum_layers >= 1, "ppum_layers", "must be at least 1")
-    need(cfg.ppum_budget >= 0, "ppum_budget", "must be nonnegative (0 = max_vertices)")
     need(cfg.threads >= 1, "threads", "must be at least 1")
     for name, spec in cfg.coefficients.items():
         key = f"coeff.{name}"

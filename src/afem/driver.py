@@ -89,6 +89,9 @@ def _clamp_count(problem) -> int:
     return coeffs.clamps.count if coeffs is not None else 0
 
 
+LINEAR_TOLERANCE_FLOOR = 1e-10  # tightest relative residual asked of a multilevel solve
+
+
 def _make_linear_solve(cfg: RunConfig, prolongations: list, builds: list):
     """Newton inner solver: direct sparse factorization (None), or V-cycle-
     preconditioned Krylov on the Galerkin hierarchy of the Jacobian, rebuilt when
@@ -102,7 +105,7 @@ def _make_linear_solve(cfg: RunConfig, prolongations: list, builds: list):
         if cache.get("key") != key:
             cache.update(key=key, hierarchy=build_hierarchy(a, prolongations))
             builds.append(cache["hierarchy"].n_levels)
-        x, rep = cache["hierarchy"].solve(rhs, tol=max(tol, cfg.linear_tolerance))
+        x, rep = cache["hierarchy"].solve(rhs, tol=max(tol, LINEAR_TOLERANCE_FLOOR))
         return x, rep.iterations
 
     return ml_solve
@@ -123,13 +126,22 @@ def _level_record(level: int, problem, u, fld, t0: float, nrep=None) -> LevelRec
         wall_time=time.perf_counter() - t0, newton=asdict(nrep) if nrep else None)
 
 
+def _initial_mesh(cfg: RunConfig, problem):
+    """The configured mesh; a vertex cap below its size is a ConfigError."""
+    mesh = build_mesh(cfg, problem)
+    if cfg.max_vertices < mesh.n_vertices:
+        raise ConfigError(f"max_vertices: {cfg.max_vertices} is smaller than the "
+                          f"initial mesh ({mesh.n_vertices} vertices)")
+    return mesh
+
+
 def _indicate(cfg: RunConfig, problem, u):
     """(field, extras) for the configured indicator choice."""
     if cfg.indicator == "dual":
         weights = solve_dual(problem, u, 1.0)
         fld, estimate = dual_indicator(problem, u, weights)
         return fld, {"dual_estimate": estimate}
-    return residual_indicator(problem, u, p=cfg.p), {}
+    return residual_indicator(problem, u), {}
 
 
 def run_adaptive(cfg: RunConfig) -> RunReport:
@@ -140,11 +152,7 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
     before any error is re-raised with its level context.
     """
     problem = build_problem(cfg)
-    mesh = build_mesh(cfg, problem)
-    if cfg.max_vertices < mesh.n_vertices:
-        raise ConfigError(
-            f"max_vertices: {cfg.max_vertices} is smaller than the initial "
-            f"mesh ({mesh.n_vertices} vertices)")
+    mesh = _initial_mesh(cfg, problem)
     if problem.constraint_coefficients is not None:
         problem.constraint_coefficients.clamps.reset()
 
@@ -212,12 +220,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
         if getattr(cfg, key) != used:
             raise ConfigError(f"{key}: the PPUM run takes only {used!r}, got {getattr(cfg, key)!r}")
     problem = build_problem(cfg)
-    coarse = build_mesh(cfg, problem)
-    budget = cfg.ppum_budget or cfg.max_vertices
-    if budget < coarse.n_vertices:
-        raise ConfigError(
-            f"ppum_budget: {budget} is smaller than the initial mesh "
-            f"({coarse.n_vertices} vertices)")
+    coarse = _initial_mesh(cfg, problem)
     if problem.constraint_coefficients is not None:
         problem.constraint_coefficients.clamps.reset()
 
@@ -227,17 +230,17 @@ def run_ppum(cfg: RunConfig) -> RunReport:
 
     t0 = time.perf_counter()
     u0, nrep = newton_solve(problem, dirichlet_start(problem, coarse), newton_cfg)
-    fld = residual_indicator(problem, u0, p=cfg.p)
+    fld = residual_indicator(problem, u0)
     report.levels.append(_level_record(0, problem, u0, fld, t0, nrep))
 
-    dec = ppum_mod.decompose(coarse, fld, cfg.ppum_subdomains, cfg.ppum_layers)
+    dec = ppum_mod.decompose(coarse, fld, cfg.ppum_subdomains)
 
     wall = [0.0] * dec.n_subdomains
 
     def one(i):
         t = time.perf_counter()
         try:
-            return ppum_mod.local_solve(problem, coarse, u0, dec, i, budget,
+            return ppum_mod.local_solve(problem, coarse, u0, dec, i, cfg.max_vertices,
                                         cfg.strategy, cfg.theta_or_none, newton_cfg)
         finally:
             wall[i] = time.perf_counter() - t
@@ -257,7 +260,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
             "subdomains": dec.n_subdomains,
             "overlap_layers": dec.layers,
             "max_cover": dec.max_cover,
-            "budget": budget,
+            "budget": cfg.max_vertices,
             "local_vertices": [f.mesh.n_vertices if f is not None else None
                                for f in locals_out],
             "local_wall_s": wall,
@@ -275,7 +278,7 @@ def run_ppum(cfg: RunConfig) -> RunReport:
     upp = ppum_mod.blend(dec, pou, locals_out)
     report.extras["ppum"]["pou_sum_deviation"] = pou.sum_deviation()
 
-    bfld = residual_indicator(problem, upp, p=cfg.p)
+    bfld = residual_indicator(problem, upp)
     report.levels.append(_level_record(1, problem, upp, bfld, t1))
     report.status = "blended"
     report.clamp_events = _clamp_count(problem)

@@ -25,6 +25,7 @@ import io
 import numpy as np
 
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError, _reject
+from .vtk import _block
 
 MAGIC = "AFEM-MESH"
 VERSION = 1
@@ -42,15 +43,14 @@ def write_mesh(mesh: Mesh, path_or_file) -> None:
 def _write(mesh: Mesh, f) -> None:
     d = mesh.dim
     f.write(f"{MAGIC} {VERSION}\ndim {d}\nvertices {mesh.n_vertices}\n")
-    # coordinates as the repr of Python floats, the shortest round-trip form
-    line = "{} " + "{!r} " * d + "{}\n"
-    f.write("".join(line.format(v, *x, c) for v, (x, c) in
-                    enumerate(zip(mesh.coords.tolist(), mesh.vclass.tolist()))))
+    # coordinates as the repr of Python floats, the shortest round-trip form;
+    # an object block keeps the ids and classes Python ints
+    f.write(_block("{} " + "{!r} " * d + "{}\n", np.column_stack(
+        [a.astype(object) for a in (np.arange(mesh.n_vertices), mesh.coords, mesh.vclass)])))
     live = mesh.live_simplices()
     f.write(f"simplices {len(live)}\n")
-    rows = np.column_stack([np.arange(len(live)), mesh.sverts[live], mesh.sflags[live]])
-    line = " ".join(["{}"] * (2 * d + 3)) + "\n"
-    f.write("".join(line.format(*r) for r in rows.tolist()))
+    f.write(_block(" ".join(["{}"] * (2 * d + 3)) + "\n", np.column_stack(
+        [np.arange(len(live)), mesh.sverts[live], mesh.sflags[live]])))
 
 
 def read_mesh(path_or_file) -> Mesh:

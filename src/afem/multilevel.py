@@ -1,5 +1,5 @@
-"""Multilevel linear algebra: Galerkin-coarsened hierarchies, V-cycle
-preconditioning, and the two outer Krylov loops.
+"""Multilevel linear algebra: Galerkin-coarsened hierarchies and the V-cycle
+that preconditions scipy's Krylov solvers.
 
 Coarse operators come from triple products A_coarse = P^T A_fine P with the
 prolongations refinement itself induces (identity rows for surviving vertices,
@@ -8,8 +8,9 @@ bisection, the prolongation is the power of that one-step matrix at which
 every row reaches coarse vertices only: one sparse product per generation of
 the vertex genealogy `Mesh.vparents`, no loop over vertices.  The V-cycle
 smooths with Gauss-Seidel, forward before coarsening and backward after, so
-the preconditioner is symmetric whenever A is; conjugate gradients runs
-outside it for symmetric systems, a transpose-free QMR loop otherwise.
+the preconditioner is symmetric whenever A is.  `solve` hands one V-cycle,
+as a `LinearOperator`, to scipy's conjugate gradients for symmetric systems
+and to its BiCGSTAB (van der Vorst, SISC 13, 1992) otherwise.
 
 A hierarchy factors its coarsest operator and each level's two Gauss-Seidel
 triangles once, so a V-cycle costs products and cached triangular solves
@@ -26,24 +27,17 @@ import scipy.sparse.linalg as spla
 
 
 class MultilevelError(Exception):
-    """Linear solve failure; carries the best iterate seen and the history."""
-
-    def __init__(self, msg, x=None, iterations=0, residuals=None):
-        super().__init__(msg)
-        self.x = x
-        self.iterations = iterations
-        self.residuals = residuals or []
+    """Hierarchy set-up or linear solve failure."""
 
 
 @dataclass
 class SolveReport:
     method: str
-    iterations: int
-    residuals: list
+    iterations: int     # V-cycle applications
     converged: bool
 
 
-MAX_ITERATIONS = 500            # outer Krylov iteration cap
+MAX_ITERATIONS = 500            # Krylov iteration cap
 SYMMETRY_TOLERANCE = 1e-12      # relative gap |A - A^T| under which CG is chosen
 
 # a triangle's LU with neither pivoting nor reordering, so no fill; panel
@@ -111,113 +105,27 @@ class MultilevelHierarchy:
         return self._symmetric
 
     def solve(self, b: np.ndarray, tol: float):
-        """V-cycle-preconditioned CG for a symmetric operator, TFQMR otherwise,
-        to the relative residual tol."""
-        method = "cg" if self._symmetric else "tfqmr"
+        """scipy's CG for a symmetric operator, BiCGSTAB otherwise, with one
+        V-cycle as the preconditioner, to the relative residual tol.  The
+        report's iterations count V-cycle applications."""
+        method, krylov = (("cg", spla.cg) if self._symmetric
+                          else ("bicgstab", spla.bicgstab))
         if not np.any(b):
-            return np.zeros_like(b), SolveReport(method, 0, [0.0], True)
-        return (self._pcg if self._symmetric else self._tfqmr)(b, tol)
+            return np.zeros_like(b), SolveReport(method, 0, True)
+        cycles = 0
 
-    def _pcg(self, b: np.ndarray, tol: float):
+        def precondition(r):
+            nonlocal cycles
+            cycles += 1
+            return self.v_cycle(r)
+
         a = self.matrices[0]
-        bnorm = float(np.linalg.norm(b))
-        x = np.zeros_like(b)
-        r = b.copy()
-        residuals = [1.0]
-        z = self.v_cycle(r)
-        p = z.copy()
-        rz = float(r @ z)
-        best = (1.0, x.copy(), 0)
-        for it in range(1, MAX_ITERATIONS + 1):
-            q = a @ p
-            pq = float(p @ q)
-            if pq <= 0.0:
-                raise MultilevelError(
-                    f"cg breakdown: direction with curvature {pq:.3e} (matrix not SPD?)",
-                    x=best[1], iterations=it, residuals=residuals)
-            alpha = rz / pq
-            x = x + alpha * p
-            r = r - alpha * q
-            rel = float(np.linalg.norm(r)) / bnorm
-            residuals.append(rel)
-            if rel < best[0]:
-                best = (rel, x.copy(), it)
-            if rel <= tol:
-                return x, SolveReport("cg", it, residuals, True)
-            z = self.v_cycle(r)
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        raise MultilevelError(
-            f"cg did not reach {tol:.1e} within {MAX_ITERATIONS} iterations "
-            f"(best {best[0]:.3e} at iteration {best[2]})",
-            x=best[1], iterations=MAX_ITERATIONS, residuals=residuals)
-
-    def _tfqmr(self, b: np.ndarray, tol: float):
-        """Transpose-free QMR on the left V-cycle preconditioned system.
-
-        The quasi-minimized quantity lives in the preconditioned space, so the
-        stopping test uses the true unpreconditioned residual instead (one
-        extra product per half-step, immaterial at the sizes this code runs).
-        """
-        a = self.matrices[0]
-        bnorm = float(np.linalg.norm(b))
-
-        def amul(vec):
-            return self.v_cycle(a @ vec)
-
-        x = np.zeros_like(b)
-        r = self.v_cycle(b)
-        u = r.copy()
-        w = r.copy()
-        rstar = r.copy()
-        v = amul(u)
-        d = np.zeros_like(b)
-        tau = float(np.linalg.norm(r))
-        theta = 0.0
-        eta = 0.0
-        rho = float(rstar @ r)
-        alpha = 0.0
-        residuals = [1.0]
-        best = (1.0, x.copy(), 0)
-        for m in range(MAX_ITERATIONS):
-            if m % 2 == 0:
-                sigma = float(rstar @ v)
-                if sigma == 0.0 or rho == 0.0:
-                    raise MultilevelError(
-                        "tfqmr breakdown (vanishing inner product)",
-                        x=best[1], iterations=m, residuals=residuals)
-                alpha = rho / sigma
-                u_next = u - alpha * v
-            au = amul(u)
-            w = w - alpha * au
-            d = u + (theta * theta * eta / alpha) * d
-            theta = float(np.linalg.norm(w)) / tau
-            c = 1.0 / np.sqrt(1.0 + theta * theta)
-            tau = tau * theta * c
-            eta = c * c * alpha
-            x = x + eta * d
-            rel = float(np.linalg.norm(b - a @ x)) / bnorm
-            residuals.append(rel)
-            if rel < best[0]:
-                best = (rel, x.copy(), m + 1)
-            if rel <= tol:
-                return x, SolveReport("tfqmr", m + 1, residuals, True)
-            if m % 2 == 1:
-                rho_next = float(rstar @ w)
-                if rho == 0.0:
-                    raise MultilevelError(
-                        "tfqmr breakdown (rho collapsed)",
-                        x=best[1], iterations=m, residuals=residuals)
-                beta = rho_next / rho
-                rho = rho_next
-                u_next = w + beta * u
-                v = amul(u_next) + beta * (au + beta * v)
-            u = u_next
-        raise MultilevelError(
-            f"tfqmr did not reach {tol:.1e} within {MAX_ITERATIONS} iterations "
-            f"(best {best[0]:.3e} at iteration {best[2]})",
-            x=best[1], iterations=MAX_ITERATIONS, residuals=residuals)
+        x, info = krylov(a, b, rtol=tol, atol=0.0, maxiter=MAX_ITERATIONS,
+                         M=spla.LinearOperator(a.shape, matvec=precondition, dtype=a.dtype))
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise MultilevelError(f"{method} did not reach the relative residual "
+                                  f"{tol:.1e} (scipy info {info})")
+        return x, SolveReport(method, cycles, True)
 
 
 def galerkin_product(a: sp.csr_matrix, p: sp.csr_matrix) -> sp.csr_matrix:

@@ -299,9 +299,10 @@ def hamiltonian_Pprime(phi, at, lw_plus_a_sq, clamps=None):
     return out
 
 
-def hamiltonian_Pprime_slope(phi, at, lw_plus_a_sq, clamps=None):
-    """d/dphi of hamiltonian_Pprime at fixed coefficients and LW."""
-    p = _clamped(phi, clamps)
+def hamiltonian_Pprime_slope(phi, at, lw_plus_a_sq):
+    """d/dphi of hamiltonian_Pprime at fixed coefficients and LW; phi is
+    clamped as there, but not counted."""
+    p = _clamped(phi, None)
     out = (0.125 * at["Rhat"] + (5.0 / 12.0) * at["trK2"] * p ** 4
            + 0.875 * lw_plus_a_sq * p ** -8
            + 6.0 * math.pi * at["rho"] * p ** -4)

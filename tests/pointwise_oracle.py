@@ -107,8 +107,8 @@ from afem.multilevel import MultilevelError
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.assembly import _dot, _point_values, _row_sums
 from afem.problem import ProblemDefinition, ProblemError, SolutionField, batched, sample
-from afem.problems import (_dot2, _lw, _lw_matrix, _momentum_source, hamiltonian_Pprime,
-                           hamiltonian_Pprime_slope)
+from afem.problems import (PHI_FLOOR, _dot2, _lw, _lw_matrix, _momentum_source,
+                           hamiltonian_Pprime, hamiltonian_Pprime_slope)
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
@@ -1548,8 +1548,10 @@ def hamiltonian_forms(coeffs, source=None) -> ProblemDefinition:
     d = coeffs.dim
 
     def potential(fn, x, u):
+        # each callback counts its clamped points once, as the coupled forms do
+        coeffs.clamps.bump(np.count_nonzero(u[:, 0] < PHI_FLOOR))
         a = coeffs.at("Ahat", x, (d, d))
-        return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a), coeffs.clamps)
+        return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a))
 
     def Ft(t, x, n, u, gu):
         if t == 1:

@@ -7,8 +7,12 @@ import pytest
 import afem.driver as driver
 from afem.config import (ConfigError, RunConfig, build_mesh, build_problem,
                          load_config, parse_config, validate)
+from afem import generators
 from afem.cli import main
 from afem.driver import DriverError, run_adaptive, run_ppum
+from afem.multilevel import build_hierarchy
+from afem.problem import batched
+from afem.problems import ConstraintCoefficients, coupled_forms
 
 
 # ------------------------------------------------------------------- config
@@ -35,6 +39,12 @@ theta = 0.5
     ("linear = qr", "linear"),
     ("ppum_subdomains = 0", "ppum_subdomains"),
     ("zzz = 1", "zzz"),
+    # settings the run loops fix: p = 2, a 1e-10 floor on the multilevel
+    # tolerance, two overlap layers, and max_vertices as the PPUM budget
+    ("p = 3", "p"),
+    ("linear_tolerance = 1e-8", "linear_tolerance"),
+    ("ppum_layers = 3", "ppum_layers"),
+    ("ppum_budget = 100", "ppum_budget"),
 ])
 def test_errors_name_the_field(text, fieldname):
     with pytest.raises(ConfigError) as err:
@@ -130,6 +140,17 @@ def test_run_adaptive_rejects_impossible_cap():
         run_adaptive(RunConfig(problem="square_sine", mesh_n=4, max_vertices=10))
 
 
+@pytest.mark.parametrize("command,run", [("solve", run_adaptive), ("ppum", run_ppum)])
+def test_cap_below_the_initial_mesh_names_max_vertices(command, run, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^max_vertices: 10 is smaller than the "
+                                          r"initial mesh \(25 vertices\)$"):
+        run(RunConfig(problem="square_sine", mesh_n=4, max_vertices=10))
+    path = tmp_path / "run.cfg"
+    path.write_text("problem = square_sine\nmesh_n = 4\nmax_vertices = 10\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error: max_vertices: 10 is smaller" in capsys.readouterr().err
+
+
 def test_csv_reproducible_byte_for_byte(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -185,6 +206,27 @@ def test_nonlinear_problem_builds_one_hierarchy_per_newton_step(monkeypatch):
     assert len(rep.levels) > 1 and min(steps) >= 2
     assert rep.extras["hierarchy_builds"] == steps and len(built) == sum(steps)
     assert all((p != q).nnz for p, q in zip(built, built[1:]) if p.shape == q.shape)
+
+
+def test_nonsymmetric_jacobian_runs_multilevel(monkeypatch):
+    # a varying trK adds a phi -> W block, 4 phi^5 grad trK, with no
+    # transposed W -> phi block, so every Jacobian goes to BiCGSTAB
+    def problem(cfg):
+        return coupled_forms(ConstraintCoefficients(
+            dim=2, Rhat=1.0, rho=0.1, trK=batched(lambda x: 0.5 + 0.3 * x[:, 0]),
+            trK_grad=batched(lambda x: np.broadcast_to([0.3, 0.0], x.shape))))
+
+    monkeypatch.setattr(driver, "build_problem", problem)
+    monkeypatch.setattr(driver, "build_mesh", lambda cfg, problem=None: generators.unit_square(4))
+    built = _counting_builds(monkeypatch)
+    reps = {linear: run_adaptive(RunConfig(problem="coupled", dim=2, max_vertices=100,
+                                           linear=linear))
+            for linear in ("direct", "multilevel")}
+    assert built and not any(build_hierarchy(a, []).is_symmetric() for a in built)
+    direct, ml = ([r.eta_total for r in reps[k].levels] for k in ("direct", "multilevel"))
+    assert len(direct) == len(ml) > 2
+    np.testing.assert_allclose(ml, direct, rtol=1e-10)
+    assert all(r.linear_iterations > 0 for r in reps["multilevel"].levels)
 
 
 def test_multilevel_runs_repeat_byte_for_byte(tmp_path):

@@ -1,4 +1,4 @@
-"""Multilevel hierarchy: smoother, transfer operators, preconditioned Krylov."""
+"""Multilevel hierarchy: smoother, transfer operators, V-cycle-preconditioned Krylov."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -256,13 +256,42 @@ def test_iteration_count_level_independent():
 
 def test_nonsymmetric_falls_back_to_tfqmr():
     _, a, b, prolongs = poisson_chain(4)
-    s = sp.random(a.shape[0], a.shape[0], density=0.001, random_state=3) * 0.05
-    an = (a + s - s.T).tocsr()
+    an = _nonsymmetric(a)
     hier = build_hierarchy(an, prolongs)
     assert not hier.is_symmetric()
     x, rep = hier.solve(b, tol=1e-10)
-    assert rep.method == "tfqmr" and rep.converged
+    assert rep.method == "bicgstab" and rep.converged
     assert np.abs(x - spla.spsolve(an.tocsc(), b)).max() < 1e-6
+
+
+def _nonsymmetric(a):
+    s = sp.random(a.shape[0], a.shape[0], density=0.001, random_state=3) * 0.05
+    return (a + s - s.T).tocsr()
+
+
+@pytest.mark.parametrize("method", ["cg", "bicgstab"])
+def test_iterations_count_v_cycles(method):
+    _, a, b, prolongs = poisson_chain(4)
+    hier = build_hierarchy(a if method == "cg" else _nonsymmetric(a), prolongs)
+    levels, v_cycle = [], hier.v_cycle
+    hier.v_cycle = lambda r, level=0: levels.append(level) or v_cycle(r, level)
+    _, rep = hier.solve(b, tol=1e-10)
+    assert rep.method == method
+    assert rep.iterations == levels.count(0) > 0
+
+
+@pytest.mark.parametrize("method", ["cg", "bicgstab"])
+def test_unreachable_tolerance_is_a_named_error(method):
+    # a zero residual is out of reach: CG runs into its iteration cap (its
+    # recurrence breaks down to NaN on the way), BiCGSTAB into a breakdown.
+    # A tiny positive tol such as 1e-30 is not enough: both methods test the
+    # recursively updated residual, which keeps falling below the true one
+    _, a, b, prolongs = poisson_chain(3)
+    hier = build_hierarchy(a if method == "cg" else _nonsymmetric(a), prolongs)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            MultilevelError, match=rf"^{method} did not reach the relative residual "
+                                   r"0\.0e\+00 \(scipy info -?\d+\)$"):
+        hier.solve(b, tol=0.0)
 
 
 def test_single_level_is_exact_preconditioner():
