@@ -4,16 +4,21 @@ Assembly, error measurement and both indicators integrate over the element
 and face rows of the mesh's `MeshTables` (`Mesh.tables()`, built once per
 mesh state): the live simplices in id order, then each flux face and each
 interior face once; Dirichlet faces carry no integral.  Residual and Jacobian
-run one block for the simplices (t = 0) and one for the flux faces (t = 1);
-an empty block is skipped.  A block maps its rule onto every row, evaluates
-the problem's batched `Ft` or `DFt` once at all its points, pairs the values
-with every test (and trial) function through the local basis matrix, and
-scatters them into the global vector or matrix in row-then-point order, so
-each entry sums its terms in the order a loop over the rows would.  Dofs are
-interleaved per vertex: the dof of component c at vertex v is
-v * n_components + c.  Dirichlet vertices get identity rows and columns in
-Jacobians and zeroed residual entries; solution fields are expected to carry
-the dirichlet values themselves.
+run one block for the simplices (t = 0) and one for the flux faces (t = 1),
+when there are any, each with one `Ft` or `DFt` call at all its points.  An
+`AssemblyPlan`, kept in the tables for each component count until refinement
+drops them, holds what depends on the mesh alone: each block's points,
+weights, basis values and dof ids, and the Jacobian's CSR pattern with the
+slot of each local entry; the basis matrix is built per call.  A residual
+adds its terms in row, point, dof order, as a loop over the rows would.  A
+Jacobian adds each simplex's entries, summed over its points, then each
+flux-face point's entries between the face's own vertices, in the order
+scipy's COO to CSR conversion sums duplicates (rows bucketed stably, each row
+sorted by `std::sort`), replayed once per plan.  Dofs are interleaved per
+vertex: the dof of component c at vertex v is v * n_components + c.
+Dirichlet vertices get identity rows and columns in Jacobians and zeroed
+residual entries; solution fields are expected to carry the dirichlet values
+themselves.
 """
 
 from __future__ import annotations
@@ -85,90 +90,110 @@ def _basis_matrix(bas: np.ndarray, grads: np.ndarray, nc: int) -> np.ndarray:
                            np.broadcast_to(value, (n, nq, nb * nc, nc))), axis=3)
 
 
-def _blocks(tab, values: np.ndarray):
-    """The assembly quadrature of the field `values`, one block of points
-    after another: every simplex (t = 0), then every flux face (t = 1), when
-    there is one.  A block is (t, rows, weights (n, nq), basis values, args):
-    rows are element rows, basis values (nq, nb) on simplices and (n, nq, nb)
-    on faces, where the basis of the vertex opposite the face vanishes, and
-    args = (x, n, u, gu) the callback arguments, one row per point."""
-    dim = tab.coords.shape[1]
-    uloc, gu = tab.gather(values)
-    rule = linear_element(dim).rule
-    blocks = [(0, np.arange(len(tab.ids)), None, tab.element_points(rule.points),
-               rule.weights * np.abs(tab.det)[:, None], rule.barycentric)]
-    flux = np.flatnonzero(tab.flag == NEUMANN)
-    if flux.size:
-        frule = face_rule(dim, 3)
-        fbas = np.zeros((dim + 1, len(frule.weights), dim + 1))
-        for i, face in enumerate(LOCAL_FACES[dim]):
-            fbas[i][:, face] = frule.barycentric
-        fxq, fwq = tab.face_quadrature(frule)
-        blocks.append((1, tab.owner[flux], tab.normal[flux], fxq[flux], fwq[flux],
-                       fbas[tab.local[flux]]))
-    for t, rows, n, xq, wq, bas in blocks:
-        nq = wq.shape[1]
-        normals = None if n is None else np.repeat(n, nq, axis=0)
-        yield t, rows, wq, bas, (xq.reshape(-1, dim), normals, _point_values(bas, uloc[rows]),
-                                 np.repeat(gu[rows], nq, axis=0))
+class AssemblyPlan:
+    """The blocks and scatter of nc-component assembly on one mesh state (see
+    the module docstring), built by `assembly_plan` on first use."""
+
+    def __init__(self, tab, nc: int, free: np.ndarray):
+        dim, ndof = tab.coords.shape[1], len(free)
+        rule = linear_element(dim).rule
+        blocks = [(0, np.arange(len(tab.ids)), None, tab.element_points(rule.points),
+                   rule.weights * np.abs(tab.det)[:, None], rule.barycentric)]
+        flux = np.flatnonzero(tab.flag == NEUMANN)
+        if flux.size:
+            frule = face_rule(dim, 3)
+            fbas = np.zeros((dim + 1, len(frule.weights), dim + 1))
+            for i, face in enumerate(LOCAL_FACES[dim]):
+                fbas[i][:, face] = frule.barycentric
+            fxq, fwq = tab.face_quadrature(frule)
+            blocks.append((1, tab.owner[flux], tab.normal[flux], fxq[flux], fwq[flux],
+                           fbas[tab.local[flux]]))
+        self.blocks, rdofs, keys = [], [], []
+        for t, rows, n, xq, wq, bas in blocks:
+            (nr, nq), ids = wq.shape, _dofs(tab.verts[rows], nc)
+            k, lead = ids.shape[1], (nr,) + (1,) * t
+            pairs = np.broadcast_to(ids.reshape(lead + (k, 1)) * ndof + ids.reshape(lead + (1, k)),
+                                    (nr,) + (nq,) * t + (k, k))
+            keep = None
+            if t:  # a face's own vertices: the basis of the opposite one vanishes
+                on = np.repeat(bas[:, 0] != 0.0, nc, axis=1)
+                keep = np.broadcast_to((on[:, :, None] & on[:, None, :])[:, None], pairs.shape)
+            self.blocks.append((t, rows, tab.grads[rows], xq.reshape(-1, dim),
+                                None if n is None else np.repeat(n, nq, axis=0), wq, bas, keep))
+            rdofs.append(np.broadcast_to(ids[:, None], (nr, nq, k)).ravel())
+            keys.append(pairs.ravel() if keep is None else pairs[keep])
+        self.rdofs, keys = np.concatenate(rdofs), np.concatenate(keys)
+        # scipy's COO to CSR order: rows bucketed stably, then sort_indices
+        bucket = np.argsort(keys // ndof, kind="stable")
+        row, col = np.divmod(keys[bucket], ndof)
+        indptr = np.searchsorted(row, np.arange(ndof + 1))
+        replay = sp.csr_matrix((bucket.astype(float), col, indptr), shape=(ndof, ndof))
+        replay.sort_indices()
+        self.order = replay.data.astype(np.intp)
+        keys = keys[self.order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        self.slot = np.cumsum(first) - 1
+        row, self.indices = np.divmod(keys[first], ndof)
+        self.indptr = np.searchsorted(row, np.arange(ndof + 1))
+        self.fixed = ~free[row] | ~free[self.indices]
+        self.diag = self.fixed & (row == self.indices)
+
+    def point_args(self, tab, values: np.ndarray):
+        """Each block with its callback arguments (x, n, u, gu) at the field
+        `values`, one row per point."""
+        uloc, gu = tab.gather(values)
+        for block in self.blocks:
+            _, rows, _, x, normals, wq, bas, _ = block
+            yield block, (x, normals, _point_values(bas, uloc[rows]),
+                          np.repeat(gu[rows], wq.shape[1], axis=0))
+
+
+def assembly_plan(mesh, nc: int) -> AssemblyPlan:
+    """The assembly plan of the mesh's current state for nc components."""
+    tab = mesh.tables()
+    if nc not in tab.plans:
+        tab.plans[nc] = AssemblyPlan(tab, nc, np.repeat(mesh.vclass != DIRICHLET, nc))
+    return tab.plans[nc]
 
 
 def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarray:
     """The residual vector of u, summed as w Phi F: its entry for the test
     function basis i times e_c is the flux part A[c] . grads[i] plus the
     source part B[c] bas[i]."""
-    mesh = u.mesh
-    nc = problem.n_components
-    tab = mesh.tables()
-    r = np.zeros(mesh.n_vertices * nc)
-    for t, rows, wq, bas, args in _blocks(tab, u.values):
-        (nr, nq), grads = wq.shape, tab.grads[rows]
+    mesh, nc = u.mesh, problem.n_components
+    plan = assembly_plan(mesh, nc)
+    terms = []
+    for (t, _, grads, _, _, wq, bas, _), args in plan.point_args(mesh.tables(), u.values):
+        (nr, nq), (nb, d) = wq.shape, grads.shape[1:]
         f = problem.Ft(t, *args).reshape(nr, nq, -1)
-        nb, d = grads.shape[1:]
         m = f.shape[2] - nc
         flux = (f[..., :m].reshape(nr, nq * nc, d) @ grads.transpose(0, 2, 1))
         flux = flux.reshape(nr, nq, nc, nb).transpose(0, 1, 3, 2)
-        point = wq[..., None, None] * (flux + bas[..., :, None] * f[..., None, m:])
-        dofs = np.broadcast_to(_dofs(tab.verts[rows], nc)[:, None], (nr, nq, nb * nc))
-        np.add.at(r, dofs, point.reshape(nr, nq, nb * nc))
+        terms.append((wq[..., None, None] * (flux + bas[..., :, None] * f[..., None, m:])).ravel())
+    r = np.bincount(plan.rdofs, weights=np.concatenate(terms), minlength=mesh.n_vertices * nc)
     r[~free_dof_mask(problem, mesh)] = 0.0
     return r
 
 
 def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_matrix:
     """The Jacobian of the residual at u, summed as w Phi K Phi^T; rows are
-    test, columns trial functions.  A simplex enters summed over its points,
-    a flux face point by point with its nonzero entries only."""
-    mesh = u.mesh
-    nc = problem.n_components
-    tab = mesh.tables()
-    rows, cols, vals = [], [], []
-    for t, el, wq, bas, args in _blocks(tab, u.values):
-        nr, nq = wq.shape
+    test, columns trial functions.  Entries that sum to zero are not stored."""
+    mesh, nc = u.mesh, problem.n_components
+    plan = assembly_plan(mesh, nc)
+    entries = []
+    for (t, _, grads, _, _, wq, bas, keep), args in plan.point_args(mesh.tables(), u.values):
         kq = problem.DFt(t, *args)
-        kq = kq.reshape((nr, nq) + kq.shape[1:])
-        phi = _basis_matrix(bas, tab.grads[el], nc)
+        kq = kq.reshape(wq.shape + kq.shape[1:])
+        phi = _basis_matrix(bas, grads, nc)
         local = wq[..., None, None] * (phi @ (kq @ np.swapaxes(phi, 2, 3)))
-        ids = _dofs(tab.verts[el], nc)
-        if t == 0:
-            local = local.sum(axis=1)
-            r, c = ids[:, :, None], ids[:, None, :]
-        else:
-            r, c = ids[:, None, :, None], ids[:, None, None, :]
-        r, c = np.broadcast_to(r, local.shape), np.broadcast_to(c, local.shape)
-        keep = (local != 0.0) | (t == 0)
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(local[keep])
-
+        entries.append(local.sum(axis=1).ravel() if keep is None else local[keep])
+    data = np.bincount(plan.slot, weights=np.concatenate(entries)[plan.order])
+    data[plan.fixed] = 0.0
+    data[plan.diag] = 1.0
+    # eliminate_zeros edits the pattern in place, so it gets copies
     ndof = mesh.n_vertices * nc
-    a = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ndof, ndof)).tocsr()
-    free = free_dof_mask(problem, mesh).astype(float)
-    df = sp.diags(free)
-    dd = sp.diags(1.0 - free)
-    a = (df @ a @ df + dd).tocsr()
-    a.sort_indices()
+    a = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=(ndof, ndof))
+    a.eliminate_zeros()
     return a
 
 

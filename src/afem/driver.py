@@ -45,6 +45,7 @@ class LevelRecord:
     linear_iterations: int = 0
     wall_time: float = 0.0
     newton: dict = None     # the Newton history; report.json only
+    refinement: dict = None  # the refinement that ends the level; report.json only
 
     def csv_row(self) -> str:
         def g(v):
@@ -191,7 +192,8 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
                 report.status = "no_marks"
                 break
             old_nv = mesh.n_vertices
-            mesh.refine_marked(marks)
+            ref = mesh.refine_marked(marks)
+            rec.refinement = {"bisections": len(ref.bisections), "closure_passes": ref.passes}
             pr = prolongation_from_refinement(old_nv, mesh, problem.n_components)
             prols.append(pr)
             u = apply_dirichlet(problem, SolutionField.from_flat(

@@ -29,6 +29,8 @@ NEUMANN = 2
 LOCAL_FACES = {d: np.array([[k for k in range(d + 1) if k != i] for i in range(d + 1)])
           for d in (2, 3)}
 MAX_CLOSURE_PASSES = 100
+# index pairs (i, j), i < j, of k items: the edges of a k-vertex simplex
+_PAIRS = {k: np.triu_indices(k, 1) for k in (2, 3, 4)}
 
 
 class MeshError(Exception):
@@ -69,7 +71,7 @@ def shapes(pts: np.ndarray) -> np.ndarray:
     """
     d = pts.shape[-1]
     vol = signed_volumes(pts)
-    i, j = np.triu_indices(d + 1, 1)
+    i, j = _PAIRS[d + 1]
     e = pts[..., j, :] - pts[..., i, :]
     ss = np.vecdot(e, e).sum(axis=-1)
     c = 2.0 ** (2.0 * (1.0 - 1.0 / d)) * 3.0 ** ((d - 1) / 2.0)
@@ -86,7 +88,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def _edge_ends(verts: np.ndarray):
     """Vertex ids (lo, hi), lo < hi, of every edge of each row of verts (n, k),
     as two (n, k (k-1) / 2) arrays."""
-    i, j = np.triu_indices(verts.shape[1], 1)
+    i, j = _PAIRS[verts.shape[1]]
     return np.minimum(verts[:, i], verts[:, j]), np.maximum(verts[:, i], verts[:, j])
 
 
@@ -168,6 +170,7 @@ class MeshTables:
             perimeter = (_norm(p[:, 1] - p[:, 0]) + _norm(p[:, 2] - p[:, 1])
                          + _norm(p[:, 0] - p[:, 2]))
             self.hf = 4.0 * self.measure / perimeter
+        self.plans = {}   # assembly plans by component count (`afem.assembly`)
 
     def gather(self, values: np.ndarray):
         """A vertex field's values (n, d+1, nc) at each simplex's vertices and

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import afem.assembly as assembly
 from afem import generators, problems
-from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
-                           dirichlet_start, free_dof_mask, measure_error)
+from afem.assembly import (AssemblyPlan, apply_dirichlet, assemble_jacobian, assemble_residual,
+                           assembly_plan, dirichlet_start, free_dof_mask, measure_error)
 from afem.elements import face_rule, linear_element
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
+from afem.newton import newton_solve
 from afem.problem import ProblemDefinition, SolutionField
 
 from pointwise_oracle import evaluate_functional, interpolate
@@ -203,3 +205,44 @@ def test_vector_component_interleaving():
     v, c = 5, 1
     assert u.flat[v * 2 + c] == u.values[v, c]
     assert u.values[v, 1] == pytest.approx(10.0 * mesh.coords[v, 1])
+
+
+@pytest.fixture
+def built_plans(monkeypatch):
+    """Every assembly plan built while the test runs."""
+    built = []
+
+    class Counted(AssemblyPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(assembly, "AssemblyPlan", Counted)
+    return built
+
+
+def test_newton_solve_builds_one_plan_and_refinement_drops_it(built_plans):
+    prob = problems.benchmark_bratu()
+    mesh = generators.unit_square(4)
+    _, rep = newton_solve(prob, dirichlet_start(prob, mesh))
+    assert rep.converged and rep.iterations >= 2
+    assert len(built_plans) == 1 and mesh.tables().plans == {1: built_plans[0]}
+    mesh.refine_marked([int(mesh.live_simplices()[0])])
+    assert mesh.tables().plans == {}
+    assemble_residual(prob, dirichlet_start(prob, mesh))
+    assert len(built_plans) == 2 and mesh.tables().plans == {1: built_plans[1]}
+
+
+def test_each_component_count_gets_its_own_plan(built_plans):
+    mesh = generators.unit_square(3)
+    scalar = problems.benchmark_poisson("square_sine")
+    vector = problems.coupled_forms(problems.ConstraintCoefficients(dim=2, Rhat=0.3, rho=0.4))
+    fields = {p.n_components: dirichlet_start(p, mesh) for p in (scalar, vector)}
+    first = assemble_jacobian(scalar, fields[1])
+    assemble_jacobian(vector, fields[3])
+    assert sorted(mesh.tables().plans) == [1, 3] and len(built_plans) == 2
+    assert assembly_plan(mesh, 1) is built_plans[0] and assembly_plan(mesh, 3) is built_plans[1]
+    again = assemble_jacobian(scalar, fields[1])
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(again, attr), getattr(first, attr))
+    assert len(built_plans) == 2

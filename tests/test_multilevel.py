@@ -1,4 +1,6 @@
 """Multilevel hierarchy: smoother, transfer operators, V-cycle-preconditioned Krylov."""
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pointwise_oracle as oracle
 from afem import generators
 from afem.assembly import assemble_jacobian, assemble_residual
-from afem.multilevel import (MultilevelError, build_hierarchy,
+from afem.multilevel import (MAX_ITERATIONS, MultilevelError, build_hierarchy,
                              galerkin_product, prolongation_from_refinement)
 from afem.problem import SolutionField
 from afem.problems import benchmark_poisson
@@ -280,18 +282,36 @@ def test_iterations_count_v_cycles(method):
     assert rep.iterations == levels.count(0) > 0
 
 
+UNREACHED = (r"did not reach the relative residual {}: \|b - Ax\| = \S+ > tol \|b\| = \S+ "
+             r"after \d+ V-cycles \(scipy info -?\d+\)$")
+
+
 @pytest.mark.parametrize("method", ["cg", "bicgstab"])
 def test_unreachable_tolerance_is_a_named_error(method):
     # a zero residual is out of reach: CG runs into its iteration cap (its
-    # recurrence breaks down to NaN on the way), BiCGSTAB into a breakdown.
-    # A tiny positive tol such as 1e-30 is not enough: both methods test the
-    # recursively updated residual, which keeps falling below the true one
+    # recurrence breaks down to NaN on the way), BiCGSTAB into breakdowns
     _, a, b, prolongs = poisson_chain(3)
     hier = build_hierarchy(a if method == "cg" else _nonsymmetric(a), prolongs)
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-            MultilevelError, match=rf"^{method} did not reach the relative residual "
-                                   r"0\.0e\+00 \(scipy info -?\d+\)$"):
+            MultilevelError, match=f"^{method} " + UNREACHED.format(r"0\.0e\+00")):
         hier.solve(b, tol=0.0)
+
+
+@pytest.mark.parametrize("method", ["cg", "bicgstab"])
+def test_convergence_is_judged_on_the_true_residual(method):
+    # scipy tests its recursively updated residual, which keeps falling below
+    # the true one: at tol 1e-30 it reports success where |b - Ax| / |b| stays
+    # near 3e-16.  The solve goes on from x until its V-cycle budget is spent
+    _, a, b, prolongs = poisson_chain(3)
+    a = a if method == "cg" else _nonsymmetric(a)
+    hier = build_hierarchy(a, prolongs)
+    x, rep = hier.solve(b, tol=1e-12)
+    assert rep.method == method
+    assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            MultilevelError, match=f"^{method} " + UNREACHED.format(r"1\.0e-30")) as err:
+        hier.solve(b, tol=1e-30)
+    assert int(re.search(r"after (\d+) V-cycles", str(err.value)).group(1)) >= MAX_ITERATIONS
 
 
 def test_single_level_is_exact_preconditioner():

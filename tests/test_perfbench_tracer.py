@@ -2,6 +2,7 @@
 problem callbacks; a rename in `src/afem` or a change of the callback
 signatures must fail here rather than in a traced benchmark run."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,27 @@ def test_refine_hook_tallies_bisections_and_passes():
     # second pass, reusing the midpoint
     assert summary["mesh.bisections"] == len(rep.bisections) == 2
     assert summary["mesh.closure_passes"] == rep.passes == 2
+
+
+def test_report_refinements_match_traced_counts(tmp_path, monkeypatch):
+    # the corner2d workload: each level but the last ends in a refinement,
+    # and report.json carries its counts; the residual indicator refines nothing
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    import workloads
+
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        driver.run_adaptive(workloads.run_config("corner2d", str(tmp_path), {}))
+    finally:
+        tracer.unpatch()
+    levels = json.loads((tmp_path / "report.json").read_text())["levels"]
+    refinements = [level["refinement"] for level in levels]
+    assert refinements[-1] is None and None not in refinements[:-1]
+    summary = tracer.summary(0.0, 1.0)
+    for key, traced in (("bisections", "mesh.bisections"),
+                        ("closure_passes", "mesh.closure_passes")):
+        assert sum(r[key] for r in refinements[:-1]) == summary[traced] > 0
 
 
 @pytest.mark.parametrize("name", PROBLEMS)

@@ -5,9 +5,10 @@ reaches the batched callbacks one point at a time.  The library evaluates
 every block of points in one call over the element and face rows of
 `Mesh.tables()` and sums each entry in the order of those loops, so on meshes
 without flux faces the results must be bitwise equal.  On the annulus with a
-flux-flagged outer circle the Robin terms are compared to 1e-12 relative;
-there each constraint form runs with its Robin and source data set.  The
-curated cases are repeated on random marking sequences.
+flux-flagged outer circle, and on the unit cube with three flux-flagged
+faces, the Robin terms are compared to 1e-12 relative; there each constraint
+form runs with its Robin and source data set.  The curated cases are
+repeated on random marking sequences.
 """
 import math
 
@@ -35,6 +36,10 @@ def _annulus(forms, **data):
             generators.annulus(1, 6, boundary=_outer_flux))
 
 
+def _far_faces_flux(c):
+    return NEUMANN if c.max() > 1.0 - 1e-12 else DIRICHLET
+
+
 CASES = {
     "square_sine": lambda: (benchmark_poisson("square_sine"), generators.unit_square(2)),
     "cube_sine": lambda: (benchmark_poisson("cube_sine"), generators.unit_cube(1)),
@@ -53,7 +58,16 @@ CASES = {
         jhat=lambda x: np.array([0.01 * x[1], -0.02]),
         robin_C=np.array([[0.7, 0.1], [0.1, 0.5]]),
         robin_Z=lambda x: np.array([0.2, -0.1 * x[0]])),
+    # the faces x, y or z = 1 flux-flagged, so (1, 1, 1) and their shared
+    # edges stay free
+    "coupled_cube_robin": lambda: (
+        coupled_forms(ConstraintCoefficients(
+            dim=3, Rhat=0.3, trK=0.2, rho=0.4, robin_c=0.7, robin_z=lambda x: 0.5 + 0.1 * x[1],
+            robin_C=np.array([[0.7, 0.1, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 0.6]]),
+            robin_Z=lambda x: np.array([0.2, -0.1 * x[0], 0.05]))),
+        generators.unit_cube(1, boundary=_far_faces_flux)),
 }
+FLUX_CASES = ("_annulus", "_robin")   # name endings of the cases with flux faces
 
 
 def _state(name):
@@ -123,7 +137,7 @@ def _indicators_match(problem, u, exact, eta_exact, ps=(1.0, 2.0)):
 def test_assembly_matches_pointwise_oracle(name):
     problem, mesh, u = _state(name)
     exact = not _flux(mesh)
-    assert exact == (not name.endswith("_annulus"))
+    assert exact == (not name.endswith(FLUX_CASES))
     _assembly_matches(problem, u, exact)
 
 
