@@ -135,28 +135,3 @@ def linear_element(dim: int) -> ElementDef:
     if dim not in (2, 3):
         raise ValueError(f"no element for dimension {dim}")
     return ElementDef(dim, default_rule(dim))
-
-
-@dataclass
-class ElementGeometry:
-    """Affine map of one simplex: x = p0 + J xi."""
-
-    pts: np.ndarray
-    jac: np.ndarray
-    det: float
-    inv_t: np.ndarray  # J^{-T}, pushes reference gradients forward
-
-    @classmethod
-    def of(cls, pts: np.ndarray) -> "ElementGeometry":
-        pts = np.asarray(pts, dtype=float)
-        jac = (pts[1:] - pts[0]).T
-        det = float(np.linalg.det(jac))
-        inv_t = np.linalg.inv(jac).T
-        return cls(pts, jac, det, inv_t)
-
-    def to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        return self.pts[0] + np.atleast_2d(ref_points) @ self.jac.T
-
-    def volume(self) -> float:
-        d = self.pts.shape[1]
-        return self.det / (2.0 if d == 2 else 6.0)

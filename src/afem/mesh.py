@@ -127,8 +127,8 @@ class MeshTables:
     of the owner's vertex opposite the face, `flag` its class, `fverts` (m, d)
     its vertex ids in the owner's order, `normal` the unit normal out of the
     owner, `measure` its length or area and `hf` its inscribed diameter.  The
-    arithmetic is that of `ElementGeometry.of`, `Mesh.face_normal` and
-    `signed_volumes`, so each value is bitwise theirs.
+    arithmetic is that of `Mesh.face_normal`, `signed_volumes` and the test
+    oracle's `ElementGeometry.of`, so each value is bitwise theirs.
     """
 
     def __init__(self, mesh: "Mesh"):

@@ -37,7 +37,7 @@ class SolveReport:
     converged: bool
 
 
-MAX_ITERATIONS = 500            # Krylov iteration cap
+MAX_ITERATIONS = 500            # V-cycles one solve may spend
 SYMMETRY_TOLERANCE = 1e-12      # relative gap |A - A^T| under which CG is chosen
 
 # a triangle's LU with neither pivoting nor reordering, so no fill; panel
@@ -108,10 +108,11 @@ class MultilevelHierarchy:
         """scipy's CG for a symmetric operator, BiCGSTAB otherwise, with one
         V-cycle as the preconditioner, until the true residual |b - A x| is at
         most tol |b|: where scipy stops short of that, the solve goes on from
-        its x while fewer than MAX_ITERATIONS V-cycles are spent.  The report's
-        iterations count V-cycles."""
-        method, krylov = (("cg", spla.cg) if self._symmetric
-                          else ("bicgstab", spla.bicgstab))
+        its x while fewer than MAX_ITERATIONS V-cycles are spent.  A BiCGSTAB
+        iteration applies the V-cycle twice, so its last one may spend one
+        V-cycle past the cap.  The report's iterations count V-cycles."""
+        method, krylov, per_iteration = (("cg", spla.cg, 1) if self._symmetric
+                                         else ("bicgstab", spla.bicgstab, 2))
         if not np.any(b):
             return np.zeros_like(b), SolveReport(method, 0, True)
         cycles = 0
@@ -125,7 +126,8 @@ class MultilevelHierarchy:
         m = spla.LinearOperator(a.shape, matvec=precondition, dtype=a.dtype)
         while True:
             spent = cycles
-            x, info = krylov(a, b, x0=x, rtol=tol, atol=0.0, maxiter=MAX_ITERATIONS - cycles, M=m)
+            maxiter = -(-(MAX_ITERATIONS - cycles) // per_iteration)
+            x, info = krylov(a, b, x0=x, rtol=tol, atol=0.0, maxiter=maxiter, M=m)
             res = np.linalg.norm(b - a @ x)
             if res <= target:
                 return x, SolveReport(method, cycles, True)

@@ -3,7 +3,9 @@
 The pipeline splits a coarse mesh into error-balanced subdomains, runs a
 completely independent adaptive solve per subdomain (refinement restricted to
 that subdomain's overlap region), and blends the local solutions with a
-Lipschitz partition of unity on a union-refinement mesh.
+Lipschitz partition of unity on a union-refinement mesh.  The adaptive loop,
+`adaptive_rounds`, is the one `driver.run_adaptive` runs on the whole mesh;
+a subdomain run adds a mark filter and a vertex budget.
 
 The decomposition is kept as arrays over the element rows of the coarse
 mesh's `MeshTables`: an owner per row and, per subdomain, each row's overlap
@@ -22,7 +24,7 @@ one subdomain in one batched genealogy descent (`Mesh.locate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -183,45 +185,76 @@ def partition_of_unity(blend_mesh: Mesh, n_coarse_vertices: int,
     return PartitionOfUnity(blend_mesh, w / total[:, None])
 
 
-# ----------------------------------------------------------------- local runs
+# ------------------------------------------------------------ adaptive rounds
 
-MAX_LOCAL_ROUNDS = 100   # refinement rounds of one subdomain run
+@dataclass
+class RoundRecord:
+    """One round: its field's mesh size and indicator total, the Newton history
+    that produced the field (None for the starting field) and the refinement
+    that ends the round (None on the last)."""
+
+    n_vertices: int
+    n_simplices: int
+    eta_total: float
+    newton: dict = None
+    refinement: dict = None
+
+    @classmethod
+    def of(cls, u: SolutionField, fld: IndicatorField, nrep=None):
+        return cls(u.mesh.n_vertices, len(u.mesh.live_simplices()), fld.total(),
+                   asdict(nrep) if nrep else None)
 
 
-def local_solve(problem, coarse: Mesh, u_coarse: SolutionField,
-                dec: Decomposition, i: int, budget: int,
-                strategy: str = "hybrid", theta: float = None,
-                newton_config: NewtonConfig = None):
-    """Independent adaptive run for subdomain i on a private copy of the full
-    mesh.  Marking is restricted to simplices whose coarse ancestor lies in
-    the subdomain's overlap region; the loop stops at the vertex budget or
-    when nothing in the region is marked.  Returns the global field.
-    """
-    inside = dec.ring[i] <= dec.layers
-    mesh = coarse.copy()
-    u = SolutionField(mesh, u_coarse.n_components, u_coarse.values.copy())
-    nc = u.n_components
+def adaptive_rounds(problem, u: SolutionField, nrep, newton_config: NewtonConfig, indicate,
+                    strategy: str, theta: float, budget: int, target_eta: float = 0.0,
+                    keep=None, linear_solver=None, on_round=None, record=RoundRecord):
+    """Adaptive rounds from the solved field u (nrep: its Newton report, or
+    None), refining u's mesh.  Each round indicates u, hands
+    `record.of(u, field, nrep)` to `on_round(rec, u, field)` and stops at a
+    positive target_eta, at the vertex budget or when nothing in `keep(field)`
+    (default: all) is marked; else it refines, sets rec.refinement,
+    prolongates u, lifts the Dirichlet data and Newton-solves with
+    `linear_solver(prolongations so far)`, direct when None.  Returns
+    (u, "target_met" | "vertex_cap" | "no_marks")."""
+    mesh, nc, prols = u.mesh, u.n_components, []
+    while True:
+        fld = indicate(u)
+        rec = record.of(u, fld, nrep)
+        if on_round is not None:
+            on_round(rec, u, fld)
+        if target_eta > 0.0 and rec.eta_total <= target_eta:
+            return u, "target_met"
+        if mesh.n_vertices >= budget:
+            return u, "vertex_cap"
+        marks = mark(fld if keep is None else keep(fld), strategy, theta)
+        if not marks:
+            return u, "no_marks"
+        old_nv = mesh.n_vertices
+        ref = mesh.refine_marked(marks)
+        rec.refinement = {"bisections": len(ref.bisections), "closure_passes": ref.passes}
+        prols.append(prolongation_from_refinement(old_nv, mesh, nc))
+        u = apply_dirichlet(problem, SolutionField.from_flat(mesh, nc, prols[-1] @ u.flat))
+        u, nrep = newton_solve(problem, u, newton_config,
+                               linear_solver(prols) if linear_solver else None)
 
+
+def local_solve(problem, coarse: Mesh, u_coarse: SolutionField, dec: Decomposition, i: int,
+                budget: int, strategy: str = "hybrid", theta: float = None,
+                newton_config: NewtonConfig = None, on_round=None):
+    """Subdomain i's `adaptive_rounds` on a private copy of the coarse mesh and
+    field, marking only where the coarse ancestor lies in its overlap region,
+    up to the vertex budget; on_round as there.  Returns the global field."""
+    def keep(fld):
+        kept = np.isin(fld.mesh.coarse_ancestors(fld.ids, dec.ids), dec.overlap(i))
+        return IndicatorField(fld.mesh, fld.ids[kept], fld.eta[kept], fld.p)
+
+    u = SolutionField(coarse.copy(), u_coarse.n_components, u_coarse.values.copy())
     try:
-        for _ in range(MAX_LOCAL_ROUNDS):
-            if mesh.n_vertices >= budget:
-                break
-            field = residual_indicator(problem, u)
-            ancestors = mesh.coarse_ancestors(field.ids, dec.ids)
-            keep = inside[np.searchsorted(dec.ids, ancestors)]
-            marks = mark(IndicatorField(mesh, field.ids[keep], field.eta[keep], field.p),
-                         strategy, theta)
-            if not marks:
-                break
-            old_nv = mesh.n_vertices
-            mesh.refine_marked(marks)
-            pr = prolongation_from_refinement(old_nv, mesh, nc)
-            u = apply_dirichlet(problem, SolutionField.from_flat(
-                mesh, nc, pr @ u.flat))
-            u, _ = newton_solve(problem, u, newton_config)
+        return adaptive_rounds(problem, u, None, newton_config,
+                               lambda v: residual_indicator(problem, v), strategy, theta,
+                               budget, keep=keep, on_round=on_round)[0]
     except Exception as exc:
         raise PpumError(f"subdomain {i}: {exc}") from exc
-    return u
 
 
 # ---------------------------------------------------------------- blend stage

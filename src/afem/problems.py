@@ -550,17 +550,3 @@ def coupled_trivial(dim: int = 3) -> ProblemDefinition:
     prob.exact, prob.exact_grad = np.eye(1, dim + 1)[0], np.zeros((dim + 1, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
     return prob
-
-
-def demo_constraint_coefficients(dim: int = 2) -> ConstraintCoefficients:
-    """Desk-scale excised-region data: constant trace, Gaussian energy density,
-    Robin far-field data pulling phi toward 1."""
-    center = np.full(dim, 0.0)
-
-    @batched
-    def rho(x):
-        r2 = np.sum((x - center) ** 2, axis=1)
-        return 0.05 * np.exp(-r2 / 0.5)
-
-    return ConstraintCoefficients(
-        dim=dim, trK=0.2, rho=rho, robin_c=1.0, robin_z=1.0, dirichlet_f=1.0)

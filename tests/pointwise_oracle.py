@@ -85,6 +85,11 @@ vertex, simplex and value.  They are the reference for the sparse fixed point
 of `afem.multilevel` in `test_multilevel.py` and for the block writer of
 `afem.vtk` in `test_vtk_cli.py`.
 
+`ElementGeometry` is the affine map of one simplex, which the per-point
+loops read; it is also the per-simplex reference for the `det` and `grads`
+columns of `Mesh.tables()`.  `demo_constraint_coefficients` is the desk-scale
+constraint data, batched, that the constraint-form tests share.
+
 `gauss_seidel` is the smoother written as the textbook sequential update, one
 unknown at a time over the matrix rows, each new value used at once.  It is
 the reference for `MultilevelHierarchy.sweep`'s cached triangular factors in
@@ -99,19 +104,43 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse as sp
 
-from afem.elements import (ElementGeometry, default_rule, face_rule, fine_rule,
-                           linear_element)
+from afem.elements import default_rule, face_rule, fine_rule, linear_element
 from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEUMANN, Mesh,
                        MeshError, _across)
 from afem.multilevel import MultilevelError
 from afem.ppum import PartitionOfUnity, PpumError
 from afem.assembly import _dot, _point_values, _row_sums
 from afem.problem import ProblemDefinition, ProblemError, SolutionField, batched, sample
-from afem.problems import (PHI_FLOOR, _dot2, _lw, _lw_matrix, _momentum_source,
-                           hamiltonian_Pprime, hamiltonian_Pprime_slope)
+from afem.problems import (PHI_FLOOR, ConstraintCoefficients, _dot2, _lw, _lw_matrix,
+                           _momentum_source, hamiltonian_Pprime, hamiltonian_Pprime_slope)
 
 _INTERIOR_T = 0
 _BOUNDARY_T = 1
+
+
+@dataclass
+class ElementGeometry:
+    """Affine map of one simplex: x = p0 + J xi."""
+
+    pts: np.ndarray
+    jac: np.ndarray
+    det: float
+    inv_t: np.ndarray  # J^{-T}, pushes reference gradients forward
+
+    @classmethod
+    def of(cls, pts: np.ndarray) -> "ElementGeometry":
+        pts = np.asarray(pts, dtype=float)
+        jac = (pts[1:] - pts[0]).T
+        det = float(np.linalg.det(jac))
+        inv_t = np.linalg.inv(jac).T
+        return cls(pts, jac, det, inv_t)
+
+    def to_physical(self, ref_points: np.ndarray) -> np.ndarray:
+        return self.pts[0] + np.atleast_2d(ref_points) @ self.jac.T
+
+    def volume(self) -> float:
+        d = self.pts.shape[1]
+        return self.det / (2.0 if d == 2 else 6.0)
 
 
 @dataclass
@@ -1483,6 +1512,20 @@ def gaussian(amp: float, width: float, center):
         return amp * math.exp(-r2 / width)
 
     return gauss
+
+
+def demo_constraint_coefficients(dim: int = 2) -> ConstraintCoefficients:
+    """Desk-scale excised-region data: constant trace, Gaussian energy density,
+    Robin far-field data pulling phi toward 1."""
+    center = np.full(dim, 0.0)
+
+    @batched
+    def rho(x):
+        r2 = np.sum((x - center) ** 2, axis=1)
+        return 0.05 * np.exp(-r2 / 0.5)
+
+    return ConstraintCoefficients(
+        dim=dim, trK=0.2, rho=rho, robin_c=1.0, robin_z=1.0, dirichlet_f=1.0)
 
 
 def demo_rho(dim: int):

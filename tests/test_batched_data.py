@@ -18,8 +18,7 @@ import pointwise_oracle as oracle
 from afem import generators
 from afem.config import CONSTRAINT_PROBLEMS, PROBLEMS, RunConfig, build_problem
 from afem.problem import ProblemError, batched, sample
-from afem.problems import (ConstraintCoefficients, coupled_forms, demo_constraint_coefficients,
-                           hamiltonian_forms, momentum_forms)
+from afem.problems import ConstraintCoefficients, coupled_forms, hamiltonian_forms, momentum_forms
 from test_sample_rows import Counting
 
 COEFFICIENT_FIELDS = ("Rhat", "trK", "trK_grad", "Ahat", "rho", "jhat", "robin_c", "robin_z",
@@ -110,7 +109,7 @@ def _built(name, dim):
 
 
 def _demo(forms, dim):
-    return forms(demo_constraint_coefficients(dim))
+    return forms(oracle.demo_constraint_coefficients(dim))
 
 
 def _data(problem):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import afem.driver as driver
+import afem.newton as newton
 from afem.config import (ConfigError, RunConfig, build_mesh, build_problem,
                          load_config, parse_config, validate)
 from afem import generators
 from afem.cli import main
 from afem.driver import DriverError, run_adaptive, run_ppum
 from afem.multilevel import build_hierarchy
+from afem.newton import NewtonError
 from afem.problem import batched
 from afem.problems import ConstraintCoefficients, coupled_forms
 
@@ -339,3 +341,72 @@ def test_run_ppum_reports_local_wall_times(tmp_path):
                      [1, 131, 230, 1.0659639465203536, 0.00961329584737991,
                       0.2786659845876246, 0, 0]])
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_run_ppum_reports_each_subdomain_round(tmp_path):
+    # every round of a subdomain run but the last refines, so its vertex count
+    # rises strictly; the first round is the coarse field, solved before it
+    rep = run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                             out=str(tmp_path)))
+    doc = json.loads((tmp_path / "report.json").read_text())["ppum"]
+    assert doc["rounds"] == rep.extras["ppum"]["rounds"]
+    assert len(doc["rounds"]) == 4
+    for rounds, local in zip(doc["rounds"], doc["local_vertices"]):
+        assert len(rounds) > 1
+        assert set(rounds[0]) == {"n_vertices", "n_simplices", "eta_total", "newton",
+                                  "refinement"}
+        nvs = [r["n_vertices"] for r in rounds]
+        assert all(a < b for a, b in zip(nvs, nvs[1:])) and nvs[-1] == local
+        assert nvs[0] == rep.levels[0].n_vertices
+        assert rounds[0]["newton"] is None
+        assert all(r["newton"]["converged"] for r in rounds[1:])
+        assert rounds[-1]["refinement"] is None
+        assert all(r["refinement"]["bisections"] > 0 for r in rounds[:-1])
+
+
+# ------------------------------------------------------------ failure paths
+
+def _newton_fails_on_call(monkeypatch, n):
+    """The n-th Newton solve from now on raises NewtonError; `newton_solve`
+    looks `newton_iterate` up at call time, wherever its caller lives."""
+    calls, iterate = [], newton.newton_iterate
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise NewtonError(f"provoked on call {n}")
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "newton_iterate", failing)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_newton_failure_names_its_level_and_keeps_finished_rows(k, tmp_path, monkeypatch):
+    # one Newton solve per level: the (k+1)-th solve is level k's
+    _newton_fails_on_call(monkeypatch, k + 1)
+    with pytest.raises(DriverError, match=rf"^level {k}: provoked on call {k + 1}$"):
+        run_adaptive(RunConfig(problem="square_sine", mesh_n=4, max_vertices=500,
+                               out=str(tmp_path)))
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["status"] == f"failed at level {k}: provoked on call {k + 1}"
+    header, *rows = (tmp_path / "levels.csv").read_text().splitlines()
+    assert [int(r.split(",")[0]) for r in rows] == list(range(k))
+    assert len(doc["levels"]) == k
+
+
+def test_failed_subdomain_is_named_and_skips_the_blend(tmp_path, monkeypatch):
+    # one thread: the coarse solve is call 1, subdomain 0's first round call 2
+    _newton_fails_on_call(monkeypatch, 2)
+    rep = run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                             out=str(tmp_path)))
+    assert rep.status == "subdomain_failed: 0"
+    assert list(rep.extras["subdomain_errors"]) == [0]
+    assert rep.extras["subdomain_errors"][0].startswith("subdomain 0: ")
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["status"] == "subdomain_failed: 0"
+    assert doc["subdomain_errors"]["0"].startswith("subdomain 0: provoked on call 2")
+    local = doc["ppum"]["local_vertices"]
+    assert local[0] is None and None not in local[1:]
+    assert not (tmp_path / "blend.vtk").exists()
+    header, *rows = (tmp_path / "levels.csv").read_text().splitlines()
+    assert len(rows) == 1 and rows[0].startswith("0,25,32,")

@@ -3,7 +3,7 @@ per-simplex references.
 
 After random marking sequences on 2D and 3D generator meshes, every column of
 `Mesh.tables()` must equal, bitwise, what the per-simplex routines compute:
-`ElementGeometry.of`, `Mesh.face_normal` and the oracle's `neighbor` and
+`Mesh.face_normal`, and the oracle's `ElementGeometry.of`, `neighbor` and
 copies of the former size helpers in `pointwise_oracle.py`; and every mesh
 array `refine_marked` writes must equal, bitwise, what the oracle's
 one-simplex-at-a-time bisection writes.
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pointwise_oracle as oracle
 from afem import generators
-from afem.elements import ElementGeometry, fine_rule, linear_element
+from afem.elements import fine_rule, linear_element
 from afem.mesh import DIRICHLET, NEUMANN
 
 
@@ -52,7 +52,7 @@ def _check_tables(mesh):
     values = np.sin(np.arange(2 * mesh.n_vertices, dtype=float)).reshape(-1, 2)
     uloc, gu = tab.gather(values)
     for k, s in enumerate(tab.ids):
-        geom = ElementGeometry.of(mesh.coords[mesh.sverts[s]])
+        geom = oracle.ElementGeometry.of(mesh.coords[mesh.sverts[s]])
         grads = grad_ref @ geom.inv_t.T
         assert tab.det[k] == geom.det
         np.testing.assert_array_equal(tab.grads[k], grads)

@@ -314,6 +314,19 @@ def test_convergence_is_judged_on_the_true_residual(method):
     assert int(re.search(r"after (\d+) V-cycles", str(err.value)).group(1)) >= MAX_ITERATIONS
 
 
+def test_bicgstab_spends_the_v_cycle_budget_not_twice_it():
+    # each BiCGSTAB iteration applies the V-cycle twice, so scipy gets half
+    # the remaining budget in iterations, rounded up
+    _, a, b, prolongs = poisson_chain(3)
+    s = sp.random(a.shape[0], a.shape[0], density=0.05, random_state=3) * 50
+    hier = build_hierarchy((a + s - s.T).tocsr(), prolongs)
+    assert not hier.is_symmetric()
+    with pytest.raises(MultilevelError, match="^bicgstab " + UNREACHED.format(r"1\.0e-10")) as err:
+        hier.solve(b, tol=1e-10)
+    cycles = int(re.search(r"after (\d+) V-cycles", str(err.value)).group(1))
+    assert MAX_ITERATIONS <= cycles <= MAX_ITERATIONS + 1
+
+
 def test_single_level_is_exact_preconditioner():
     # one level: every V-cycle is the coarsest direct solve, so the Krylov
     # wrapper converges immediately

@@ -82,6 +82,26 @@ def test_report_refinements_match_traced_counts(tmp_path, monkeypatch):
         assert sum(r[key] for r in refinements[:-1]) == summary[traced] > 0
 
 
+def test_subdomain_rounds_match_traced_newton_iterations(tmp_path, monkeypatch):
+    # the ppum4 workload: the coarse solve plus one Newton solve per subdomain
+    # round after the first are all the Newton solves the run makes
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    import workloads
+
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        driver.run_ppum(workloads.run_config("ppum4", str(tmp_path), {}))
+    finally:
+        tracer.unpatch()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    local = sum(len(r["newton"]["step_lengths"])
+                for rounds in doc["ppum"]["rounds"] for r in rounds[1:])
+    traced = tracer.summary(0.0, 1.0)["newton.iterations"]
+    assert traced == doc["levels"][0]["newton_iterations"] + local
+    assert local > 0
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_instrumented_callbacks_are_counted(name):
     mod = _tracer_module()

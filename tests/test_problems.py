@@ -428,10 +428,10 @@ def test_coupled_solution_matches_decoupled_scalar():
     # constant trK and zero momentum source: W = 0 is exact, so the coupled
     # phi must agree with the scalar solve to solver precision
     mesh = generators.unit_square(6)
-    hprob = P.hamiltonian_forms(P.demo_constraint_coefficients(dim=2))
+    hprob = P.hamiltonian_forms(oracle.demo_constraint_coefficients(dim=2))
     h0 = apply_dirichlet(hprob, SolutionField(mesh, 1, np.ones((mesh.n_vertices, 1))))
     uh, _ = newton_solve(hprob, h0, NewtonConfig(tolerance=1e-13))
-    cprob = P.coupled_forms(P.demo_constraint_coefficients(dim=2))
+    cprob = P.coupled_forms(oracle.demo_constraint_coefficients(dim=2))
     c0 = SolutionField.zeros(mesh, 3)
     c0.values[:, 0] = 1.0
     uc, _ = newton_solve(cprob, apply_dirichlet(cprob, c0), NewtonConfig(tolerance=1e-13))
