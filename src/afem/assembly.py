@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import face_rule, fine_rule, linear_element
+from .elements import default_rule, face_rule, fine_rule
 from .mesh import DIRICHLET, LOCAL_FACES, NEUMANN
 from .problem import ProblemDefinition, SolutionField, sample
 
@@ -96,7 +96,7 @@ class AssemblyPlan:
 
     def __init__(self, tab, nc: int, free: np.ndarray):
         dim, ndof = tab.coords.shape[1], len(free)
-        rule = linear_element(dim).rule
+        rule = default_rule(dim)
         blocks = [(0, np.arange(len(tab.ids)), None, tab.element_points(rule.points),
                    rule.weights * np.abs(tab.det)[:, None], rule.barycentric)]
         flux = np.flatnonzero(tab.flag == NEUMANN)

@@ -3,9 +3,10 @@
 Both entry points take a RunConfig and produce a RunReport plus, when an
 output directory is set, a fixed-schema CSV convergence table, per-level VTK
 files, and a JSON report.  The CSV contains no timestamps or machine state,
-so identical configurations produce byte-identical tables.  One adaptive
-loop, `ppum.adaptive_rounds`, serves `run_adaptive` and every subdomain run
-of `run_ppum`; each entry point hooks its own records and output into it.
+so identical configurations produce byte-identical tables.  Both run in
+`_run`, where any failure ends with the status `failed at level k`, partial
+outputs and a DriverError.  One adaptive loop, `ppum.adaptive_rounds`, serves
+`run_adaptive` and every subdomain run of `run_ppum`.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class RunReport:
         return json.dumps(doc, indent=2, sort_keys=True, default=str)
 
 
-def _finish(cfg: RunConfig, problem, report: RunReport) -> RunReport:
+def _finish(cfg: RunConfig, problem, report: RunReport):
     """Set the run's clamp count, then write the CSV table and the JSON report
     to the output directory, if one is set."""
     coeffs = problem.constraint_coefficients
@@ -84,7 +85,6 @@ def _finish(cfg: RunConfig, problem, report: RunReport) -> RunReport:
         for name, text in (("levels.csv", report.to_csv()), ("report.json", report.to_json())):
             with open(os.path.join(cfg.out, name), "w") as f:
                 f.write(text)
-    return report
 
 
 LINEAR_TOLERANCE_FLOOR = 1e-10  # tightest relative residual asked of a multilevel solve
@@ -124,20 +124,34 @@ def _level_record(rec: LevelRecord, level: int, problem, u, t0: float) -> LevelR
     return rec
 
 
-def _start(cfg: RunConfig):
-    """The run's problem (clamp count reset), initial mesh (a vertex cap below
-    its size is a ConfigError), Newton settings and empty report; makes cfg.out."""
+def _run(cfg: RunConfig, body) -> RunReport:
+    """Set the run up (ConfigErrors come first), then body(problem, mesh,
+    newton_cfg, report) records the levels and returns the status.  A failure
+    sets the status `failed at level k`, k the levels recorded, writes the
+    partial outputs and raises DriverError("level k: ...")."""
     problem = build_problem(cfg)
     mesh = build_mesh(cfg, problem)
     if cfg.max_vertices < mesh.n_vertices:
         raise ConfigError(f"max_vertices: {cfg.max_vertices} is smaller than the "
                           f"initial mesh ({mesh.n_vertices} vertices)")
+    if cfg.ppum_subdomains > (n := len(mesh.live_simplices())):
+        raise ConfigError(f"ppum_subdomains: {cfg.ppum_subdomains} is larger than the "
+                          f"initial mesh ({n} simplices)")
     if problem.constraint_coefficients is not None:
         problem.constraint_coefficients.clamps.reset()
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-    return problem, mesh, NewtonConfig(tolerance=cfg.newton_tolerance,
-                                       max_iterations=cfg.newton_max_iterations), RunReport()
+    report = RunReport()
+    try:
+        report.status = body(problem, mesh, NewtonConfig(
+            tolerance=cfg.newton_tolerance, max_iterations=cfg.newton_max_iterations), report)
+    except Exception as exc:
+        level = len(report.levels)
+        report.status = f"failed at level {level}: {exc}"
+        raise DriverError(f"level {level}: {exc}") from exc
+    finally:
+        _finish(cfg, problem, report)
+    return report
 
 
 def run_adaptive(cfg: RunConfig) -> RunReport:
@@ -145,44 +159,37 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
     until the vertex cap, the indicator target or a round without marks.
 
     Each level records mesh size, total indicator, error norms when an exact
-    solution is attached, and solver effort.  Partial outputs are written
-    before any error is re-raised with the level it was producing, the
-    number of levels recorded.
+    solution is attached, and solver effort.
     """
-    problem, mesh, newton_cfg, report = _start(cfg)
+    def body(problem, mesh, newton_cfg, report):
+        def indicate(u):
+            if cfg.indicator == "residual":
+                return residual_indicator(problem, u)
+            fld, estimate = dual_indicator(problem, u, solve_dual(problem, u, 1.0))
+            report.extras.setdefault("dual_estimate", []).append(estimate)
+            return fld
 
-    def indicate(u):
-        if cfg.indicator == "residual":
-            return residual_indicator(problem, u)
-        fld, estimate = dual_indicator(problem, u, solve_dual(problem, u, 1.0))
-        report.extras.setdefault("dual_estimate", []).append(estimate)
-        return fld
+        def on_round(rec, u, fld):
+            report.levels.append(_level_record(rec, len(report.levels), problem, u, t0[0]))
+            if cfg.out:
+                export_vtk(u.mesh, {"u": u}, fld,
+                           os.path.join(cfg.out, f"level{rec.level:02d}.vtk"))
+            t0[0] = time.perf_counter()  # the next level starts at its marking
 
-    def on_round(rec, u, fld):
-        report.levels.append(_level_record(rec, len(report.levels), problem, u, t0[0]))
-        if cfg.out:
-            export_vtk(u.mesh, {"u": u}, fld, os.path.join(cfg.out, f"level{rec.level:02d}.vtk"))
-        t0[0] = time.perf_counter()  # the next level starts at its marking
-
-    t0 = [time.perf_counter()]
-    try:
+        t0 = [time.perf_counter()]
         u, nrep = newton_solve(problem, dirichlet_start(problem, mesh), newton_cfg,
                                _make_linear_solve(cfg, [], report.extras))
-        _, report.status = ppum_mod.adaptive_rounds(
+        return ppum_mod.adaptive_rounds(
             problem, u, nrep, newton_cfg, indicate, cfg.strategy, cfg.theta_or_none,
             cfg.max_vertices, cfg.target_eta, on_round=on_round, record=LevelRecord,
-            linear_solver=lambda prols: _make_linear_solve(cfg, prols, report.extras))
-    except Exception as exc:
-        level = len(report.levels)
-        report.status = f"failed at level {level}: {exc}"
-        _finish(cfg, problem, report)
-        raise DriverError(f"level {level}: {exc}") from exc
-    return _finish(cfg, problem, report)
+            linear_solver=lambda prols: _make_linear_solve(cfg, prols, report.extras))[1]
+
+    return _run(cfg, body)
 
 
 def run_ppum(cfg: RunConfig) -> RunReport:
-    """Coarse solve, error-weighted decomposition, independent subdomain
-    runs (thread pool), partition-of-unity blend, error measurement.
+    """Coarse solve and error-weighted decomposition (level 0), subdomain
+    runs (thread pool), partition-of-unity blend and error measurement (level 1).
 
     Subdomain failures are reported individually; the blend is skipped if any
     local run failed.  It uses the residual indicator and the direct solver
@@ -191,64 +198,64 @@ def run_ppum(cfg: RunConfig) -> RunReport:
     for key, used in (("indicator", "residual"), ("linear", "direct"), ("target_eta", 0.0)):
         if getattr(cfg, key) != used:
             raise ConfigError(f"{key}: the PPUM run takes only {used!r}, got {getattr(cfg, key)!r}")
-    problem, coarse, newton_cfg, report = _start(cfg)
-    t0 = time.perf_counter()
-    u0, nrep = newton_solve(problem, dirichlet_start(problem, coarse), newton_cfg)
-    fld = residual_indicator(problem, u0)
-    report.levels.append(_level_record(LevelRecord.of(u0, fld, nrep), 0, problem, u0, t0))
 
-    dec = ppum_mod.decompose(coarse, fld, cfg.ppum_subdomains)
+    def body(problem, coarse, newton_cfg, report):
+        t0 = time.perf_counter()
+        u0, nrep = newton_solve(problem, dirichlet_start(problem, coarse), newton_cfg)
+        fld = residual_indicator(problem, u0)
+        dec = ppum_mod.decompose(coarse, fld, cfg.ppum_subdomains)
+        report.levels.append(_level_record(LevelRecord.of(u0, fld, nrep), 0, problem, u0, t0))
 
-    wall = [0.0] * dec.n_subdomains
-    rounds = [[] for _ in range(dec.n_subdomains)]
+        wall = [0.0] * dec.n_subdomains
+        rounds = [[] for _ in range(dec.n_subdomains)]
 
-    def one(i):
-        t = time.perf_counter()
-        try:
-            return ppum_mod.local_solve(problem, coarse, u0, dec, i, cfg.max_vertices,
-                                        cfg.strategy, cfg.theta_or_none, newton_cfg,
-                                        on_round=lambda rec, u, fld: rounds[i].append(rec))
-        finally:
-            wall[i] = time.perf_counter() - t
-
-    t1 = time.perf_counter()
-    locals_out, errors = [None] * dec.n_subdomains, {}
-    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        futures = {i: ex.submit(one, i) for i in range(dec.n_subdomains)}
-        for i, fut in futures.items():
+        def one(i):
+            t = time.perf_counter()
             try:
-                locals_out[i] = fut.result()
-            except Exception as exc:
-                errors[i] = str(exc)
+                return ppum_mod.local_solve(problem, coarse, u0, dec, i, cfg.max_vertices,
+                                            cfg.strategy, cfg.theta_or_none, newton_cfg,
+                                            on_round=lambda rec, u, fld: rounds[i].append(rec))
+            finally:
+                wall[i] = time.perf_counter() - t
 
-    report.extras["ppum"] = {
-        "subdomains": dec.n_subdomains,
-        "overlap_layers": dec.layers,
-        "max_cover": dec.max_cover,
-        "budget": cfg.max_vertices,
-        "local_vertices": [f.mesh.n_vertices if f is not None else None for f in locals_out],
-        "local_wall_s": wall,
-        "rounds": [[vars(r) for r in rs] for rs in rounds],
-    }
-    if errors:
-        report.extras["subdomain_errors"] = errors
-        report.status = "subdomain_failed: " + ", ".join(map(str, sorted(errors)))
-        return _finish(cfg, problem, report)
+        t1 = time.perf_counter()
+        locals_out, errors = [None] * dec.n_subdomains, {}
+        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+            futures = {i: ex.submit(one, i) for i in range(dec.n_subdomains)}
+            for i, fut in futures.items():
+                try:
+                    locals_out[i] = fut.result()
+                except Exception as exc:
+                    errors[i] = str(exc)
 
-    blend_m = ppum_mod.build_blend_mesh(coarse, dec, [f.mesh for f in locals_out])
-    pou = ppum_mod.partition_of_unity(
-        blend_m, coarse.n_vertices, ppum_mod.taper_weights(coarse, dec))
-    upp = ppum_mod.blend(dec, pou, locals_out)
-    report.extras["ppum"]["pou_sum_deviation"] = pou.sum_deviation()
+        report.extras["ppum"] = {
+            "subdomains": dec.n_subdomains,
+            "overlap_layers": dec.layers,
+            "max_cover": dec.max_cover,
+            "budget": cfg.max_vertices,
+            "local_vertices": [None if f is None else f.mesh.n_vertices for f in locals_out],
+            "local_wall_s": wall,
+            "rounds": [[vars(r) for r in rs] for rs in rounds],
+        }
+        if errors:
+            report.extras["subdomain_errors"] = errors
+            return "subdomain_failed: " + ", ".join(map(str, sorted(errors)))
 
-    bfld = residual_indicator(problem, upp)
-    report.levels.append(_level_record(LevelRecord.of(upp, bfld), 1, problem, upp, t1))
-    report.status = "blended"
-    if cfg.out:
-        export_vtk(blend_m, {"u": upp}, bfld, os.path.join(cfg.out, "blend.vtk"))
-        for i, fldi in enumerate(locals_out):
-            sub = os.path.join(cfg.out, f"sub{i}")
-            os.makedirs(sub, exist_ok=True)
-            write_mesh(fldi.mesh, os.path.join(sub, "mesh.txt"))
-            export_vtk(fldi.mesh, {"u": fldi}, None, os.path.join(sub, "solution.vtk"))
-    return _finish(cfg, problem, report)
+        blend_m = ppum_mod.build_blend_mesh(coarse, dec, [f.mesh for f in locals_out])
+        pou = ppum_mod.partition_of_unity(
+            blend_m, coarse.n_vertices, ppum_mod.taper_weights(coarse, dec))
+        upp = ppum_mod.blend(pou, locals_out)
+        report.extras["ppum"]["pou_sum_deviation"] = pou.sum_deviation()
+
+        bfld = residual_indicator(problem, upp)
+        report.levels.append(_level_record(LevelRecord.of(upp, bfld), 1, problem, upp, t1))
+        if cfg.out:
+            export_vtk(blend_m, {"u": upp}, bfld, os.path.join(cfg.out, "blend.vtk"))
+            for i, fldi in enumerate(locals_out):
+                sub = os.path.join(cfg.out, f"sub{i}")
+                os.makedirs(sub, exist_ok=True)
+                write_mesh(fldi.mesh, os.path.join(sub, "mesh.txt"))
+                export_vtk(fldi.mesh, {"u": fldi}, None, os.path.join(sub, "solution.vtk"))
+        return "blended"
+
+    return _run(cfg, body)

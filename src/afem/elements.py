@@ -1,4 +1,4 @@
-"""Reference elements and quadrature rules on simplices.
+"""Quadrature rules on simplices and the reference basis gradients.
 
 Points live in reference coordinates (vertices at the origin and the unit
 axis points); barycentric coordinates are (1 - sum, xi_1, ..., xi_d).  Weights
@@ -33,6 +33,13 @@ def _shared(pts, w) -> QuadratureRule:
     rule = QuadratureRule(np.array(pts, dtype=float), np.array(w, dtype=float))
     rule.points.flags.writeable = rule.weights.flags.writeable = False
     return rule
+
+
+# (d+1, d) reference gradients of the linear nodal basis, whose values at a
+# rule's points are its barycentric coordinates; read-only, like the rules.
+REF_GRADS = {d: np.vstack([np.full((1, d), -1.0), np.eye(d)]) for d in (2, 3)}
+for _g in REF_GRADS.values():
+    _g.flags.writeable = False
 
 
 # Each rule below is built once per argument tuple and shared.
@@ -111,27 +118,3 @@ def face_rule(dim: int, n: int = 3) -> QuadratureRule:
     if dim == 3:
         return fine_rule(2, n)
     raise ValueError(f"no face rule for dimension {dim}")
-
-
-@dataclass(frozen=True)
-class ElementDef:
-    """Linear nodal simplex element: its rule, whose barycentric coordinates
-    are the basis values at the rule points, and the basis gradients in
-    reference coordinates."""
-
-    dim: int
-    rule: QuadratureRule
-
-    def grad_ref(self) -> np.ndarray:
-        """(d+1, dim) constant reference gradients of the linear basis."""
-        g = np.zeros((self.dim + 1, self.dim))
-        g[0, :] = -1.0
-        g[1:, :] = np.eye(self.dim)
-        return g
-
-
-def linear_element(dim: int) -> ElementDef:
-    """The default element: linear nodal basis with the degree-2 rule."""
-    if dim not in (2, 3):
-        raise ValueError(f"no element for dimension {dim}")
-    return ElementDef(dim, default_rule(dim))

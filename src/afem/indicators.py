@@ -186,10 +186,7 @@ def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
 class DualWeights:
     """Discrete dual solution and the bookkeeping to use it as error weights."""
 
-    phi: SolutionField          # dual solution on the refined mesh
-    fine_mesh: Mesh
-    coarse_live: np.ndarray     # live simplex ids of the primal mesh, ascending
-    n_coarse_vertices: int
+    phi: SolutionField          # dual solution on the refined mesh, phi.mesh
     prolongation: object        # maps primal dofs into the dual mesh space
 
 
@@ -221,11 +218,9 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi) -> DualWeights
         raise IndicatorError("dual solve needs the linearization callback DFt")
     mesh = u.mesh
     nc = problem.n_components
-    coarse_live = mesh.live_simplices()
-    ncv = mesh.n_vertices
     fine = mesh.copy()
     fine.uniform_refine()
-    prol = prolongation_from_refinement(ncv, fine, nc)
+    prol = prolongation_from_refinement(mesh.n_vertices, fine, nc)
     u_fine = SolutionField.from_flat(fine, nc, prol @ u.flat)
     a = assemble_jacobian(problem, u_fine)
     b = _functional_load(fine, psi, nc)
@@ -239,28 +234,27 @@ def solve_dual(problem: ProblemDefinition, u: SolutionField, psi) -> DualWeights
         raise IndicatorError("adjoint system is singular; the functional is "
                              "not estimable at this state")
     phi = SolutionField.from_flat(fine, nc, phi_flat)
-    return DualWeights(phi, fine, coarse_live, ncv, prol)
+    return DualWeights(phi, prol)
 
 
 def dual_indicator(problem: ProblemDefinition, u: SolutionField,
                    weights: DualWeights):
-    """Error-representation indicator.
+    """Error-representation indicator; weights is what `solve_dual` returned for u.
 
     Evaluates <residual(u), w> with w = phi - (nodal interpolant of phi on u's
     space), elementwise over the dual mesh, and aggregates each contribution
     to the primal ancestor element (interior-face terms split half/half).
     Returns (IndicatorField on u's mesh, signed estimate of <error, psi>).
     """
-    mesh = weights.fine_mesh
+    mesh = weights.phi.mesh
     nc = problem.n_components
-    ncv = weights.n_coarse_vertices
-    coarse_part = weights.phi.values[:ncv].ravel()
+    coarse_part = weights.phi.values[:u.mesh.n_vertices].ravel()
     w = SolutionField.from_flat(mesh, nc, weights.phi.flat - weights.prolongation @ coarse_part)
     u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
 
     tab = mesh.tables()
     terms, face_terms = _residual_terms(problem, u_fine, w, fine_rule(mesh.dim, 3), _dot)
-    coarse = weights.coarse_live
+    coarse = u.mesh.live_simplices()
     pos = np.zeros(len(mesh.sparent), dtype=np.int64)
     pos[coarse] = np.arange(len(coarse))
     rows = pos[mesh.coarse_ancestors(tab.ids, coarse)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import linear_element
+from .elements import REF_GRADS
 from .problem import sample
 
 INTERIOR = 0
@@ -128,7 +128,8 @@ class MeshTables:
     its vertex ids in the owner's order, `normal` the unit normal out of the
     owner, `measure` its length or area and `hf` its inscribed diameter.  The
     arithmetic is that of `Mesh.face_normal`, `signed_volumes` and the test
-    oracle's `ElementGeometry.of`, so each value is bitwise theirs.
+    oracle's `ElementGeometry.of`, whose inverse map takes the same
+    `elements.REF_GRADS` to `grads`, so each value is bitwise theirs.
     """
 
     def __init__(self, mesh: "Mesh"):
@@ -139,7 +140,7 @@ class MeshTables:
         pts = self.coords[verts]
         jac = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
         self.det = np.linalg.det(jac)
-        self.grads = linear_element(d).grad_ref() @ np.linalg.inv(jac)
+        self.grads = REF_GRADS[d] @ np.linalg.inv(jac)
 
         # the d+1 faces of every simplex, face i opposite vertex i
         fpts = pts[:, LOCAL_FACES[d]]

@@ -296,7 +296,7 @@ def build_blend_mesh(coarse: Mesh, dec: Decomposition, local_meshes) -> Mesh:
             twin[new] = inherit
 
 
-def blend(dec: Decomposition, pou: PartitionOfUnity, local_fields) -> SolutionField:
+def blend(pou: PartitionOfUnity, local_fields) -> SolutionField:
     """Weighted combination u(v) = sum_i phi_i(v) u_i(v) at blend-mesh
     vertices, summed over subdomains in ascending order.  Each u_i is read at
     the vertices where phi_i is nonzero, located in one batched genealogy

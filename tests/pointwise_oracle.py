@@ -104,7 +104,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse as sp
 
-from afem.elements import default_rule, face_rule, fine_rule, linear_element
+from afem.elements import REF_GRADS, default_rule, face_rule, fine_rule
 from afem.mesh import (DIRICHLET, INTERIOR, LOCAL_FACES, MAX_CLOSURE_PASSES, NEUMANN, Mesh,
                        MeshError, _across)
 from afem.multilevel import MultilevelError
@@ -214,24 +214,23 @@ def free_dof_mask(problem: ProblemDefinition, mesh) -> np.ndarray:
     return np.repeat(free_v, problem.n_components)
 
 
-def _element_data(mesh, sid, element):
+def _element_data(mesh, sid):
     geom = ElementGeometry.of(mesh.coords[mesh.sverts[sid]])
-    grads = element.grad_ref() @ geom.inv_t.T
+    grads = REF_GRADS[mesh.dim] @ geom.inv_t.T
     return geom, grads
 
 
 def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarray:
     mesh = u.mesh
     nc = problem.n_components
-    el = linear_element(mesh.dim)
-    rule = el.rule
+    rule = default_rule(mesh.dim)
     bas = rule.barycentric
     bary = rule.barycentric
     r = np.zeros(mesh.n_vertices * nc)
 
     for s in mesh.live_simplices():
         s = int(s)
-        geom, grads = _element_data(mesh, s, el)
+        geom, grads = _element_data(mesh, s)
         verts = mesh.sverts[s]
         uloc = u.values[verts]
         gu = uloc.T @ grads  # (nc, d), constant on the element
@@ -276,12 +275,11 @@ def _face_frame(mesh, bf, n_points: int = 3):
 def _boundary_residual(problem, u, r):
     mesh = u.mesh
     nc = problem.n_components
-    el = linear_element(mesh.dim)
     for bf in _boundary_faces(mesh):
         if bf.bclass != NEUMANN:
             continue
         s = bf.simplex
-        geom, grads = _element_data(mesh, s, el)
+        geom, grads = _element_data(mesh, s)
         verts = mesh.sverts[s]
         uloc = u.values[verts]
         gu = uloc.T @ grads
@@ -302,15 +300,14 @@ def _boundary_residual(problem, u, r):
 def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_matrix:
     mesh = u.mesh
     nc = problem.n_components
-    el = linear_element(mesh.dim)
-    rule = el.rule
+    rule = default_rule(mesh.dim)
     bas = rule.barycentric
     bary = rule.barycentric
     rows, cols, vals = [], [], []
 
     for s in mesh.live_simplices():
         s = int(s)
-        geom, grads = _element_data(mesh, s, el)
+        geom, grads = _element_data(mesh, s)
         verts = [int(v) for v in mesh.sverts[s]]
         uloc = u.values[verts]
         gu = uloc.T @ grads
@@ -356,12 +353,11 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
 def _boundary_jacobian(problem, u, rows, cols, vals):
     mesh = u.mesh
     nc = problem.n_components
-    el = linear_element(mesh.dim)
     for bf in _boundary_faces(mesh):
         if bf.bclass != NEUMANN:
             continue
         s = bf.simplex
-        geom, grads = _element_data(mesh, s, el)
+        geom, grads = _element_data(mesh, s)
         verts = [int(v) for v in mesh.sverts[s]]
         uloc = u.values[verts]
         gu = uloc.T @ grads
@@ -395,7 +391,6 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     missing.  The measurement rule is deliberately finer than the assembly
     rule so observed convergence rates are not quadrature artifacts.
     """
-    el = linear_element(mesh.dim)
     rule = fine_rule(mesh.dim)
     bas = rule.barycentric
     l2sq = 0.0
@@ -403,7 +398,7 @@ def measure_error(mesh, u: SolutionField, exact, exact_grad=None):
     for s in mesh.live_simplices():
         s = int(s)
         geom = ElementGeometry.of(mesh.coords[mesh.sverts[s]])
-        grads = el.grad_ref() @ geom.inv_t.T
+        grads = REF_GRADS[mesh.dim] @ geom.inv_t.T
         verts = mesh.sverts[s]
         uloc = u.values[verts]
         gu = uloc.T @ grads
@@ -498,13 +493,12 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
     and neumann-face residuals with weight h_f."""
 
     mesh = u.mesh
-    el = linear_element(mesh.dim)
     rule = default_rule(mesh.dim)
     acc = {}
     side_cache = {}
     for s in mesh.live_simplices():
         s = int(s)
-        geom, grads = _element_data(mesh, s, el)
+        geom, grads = _element_data(mesh, s)
         uloc = u.values[mesh.sverts[s]]
         gu = uloc.T @ grads
         side_cache[s] = (uloc, gu, grads)
@@ -564,11 +558,10 @@ def functional_load(mesh, psi, nc: int) -> np.ndarray:
     rule = default_rule(mesh.dim)
     b = np.zeros(mesh.n_vertices * nc)
     ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
-    el = linear_element(mesh.dim)
     bary = rule.barycentric
     for s in mesh.live_simplices():
         s = int(s)
-        geom, _ = _element_data(mesh, s, el)
+        geom, _ = _element_data(mesh, s)
         xq = geom.to_physical(rule.points)
         wq = rule.weights * (abs(geom.volume()) / ref_vol)
         verts = mesh.sverts[s]
@@ -587,24 +580,23 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
     to the primal ancestor element (interior-face terms split half/half).
     Returns (IndicatorField on u's mesh, signed estimate of <error, psi>).
     """
-    mesh = weights.fine_mesh
+    mesh = weights.phi.mesh
     nc = problem.n_components
-    ncv = weights.n_coarse_vertices
+    ncv = u.mesh.n_vertices
     coarse_part = weights.phi.values[:ncv].ravel()
     w_flat = weights.phi.flat - weights.prolongation @ coarse_part
     u_fine = SolutionField.from_flat(mesh, nc, weights.prolongation @ u.flat)
     w = SolutionField.from_flat(mesh, nc, w_flat)
 
-    el = linear_element(mesh.dim)
     rule = fine_rule(mesh.dim, 3)
     ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0
     bary = rule.barycentric
-    contrib = {int(s): 0.0 for s in weights.coarse_live}
+    contrib = {int(s): 0.0 for s in u.mesh.live_simplices()}
     coarse_live = set(contrib)
     side_cache = {}
     for s in mesh.live_simplices():
         s = int(s)
-        geom, grads = _element_data(mesh, s, el)
+        geom, grads = _element_data(mesh, s)
         uloc = u_fine.values[mesh.sverts[s]]
         gu = uloc.T @ grads
         side_cache[s] = (uloc, gu, grads)

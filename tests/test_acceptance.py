@@ -241,7 +241,7 @@ def test_criterion_07_ppum_quality():
         bmesh = ppum.build_blend_mesh(coarse, dec, [f.mesh for f in locs])
         pou = ppum.partition_of_unity(bmesh, coarse.n_vertices,
                                       ppum.taper_weights(coarse, dec))
-        return bmesh, pou, ppum.blend(dec, pou, locs)
+        return bmesh, pou, ppum.blend(pou, locs)
 
     bmesh, pou, u1 = pipeline(1)
     _, _, u4 = pipeline(4)

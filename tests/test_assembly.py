@@ -8,7 +8,7 @@ import afem.assembly as assembly
 from afem import generators, problems
 from afem.assembly import (AssemblyPlan, apply_dirichlet, assemble_jacobian, assemble_residual,
                            assembly_plan, dirichlet_start, free_dof_mask, measure_error)
-from afem.elements import face_rule, linear_element
+from afem.elements import default_rule, face_rule
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
 from afem.newton import newton_solve
 from afem.problem import ProblemDefinition, SolutionField
@@ -95,7 +95,7 @@ def test_one_callback_call_per_quadrature_point(name):
     tab = mesh.tables()
     flux = tab.flag == NEUMANN
     assert flux.any() == name.endswith("_annulus")
-    blocks = [(0, tab.element_points(linear_element(mesh.dim).rule.points))]
+    blocks = [(0, tab.element_points(default_rule(mesh.dim).points))]
     if flux.any():
         blocks.append((1, tab.face_quadrature(face_rule(mesh.dim, 3))[0][flux]))
     u = SolutionField.zeros(mesh, problem.n_components)

@@ -11,7 +11,7 @@ import afem.driver as driver
 from afem import generators
 from afem.assembly import assemble_jacobian, assemble_residual, dirichlet_start
 from afem.config import RunConfig
-from afem.elements import face_rule, linear_element
+from afem.elements import default_rule, face_rule
 from afem.indicators import residual_indicator
 from afem.mesh import DIRICHLET, NEUMANN
 from afem.newton import NewtonConfig, newton_solve
@@ -96,7 +96,7 @@ def _values(out):
 def _blocks(mesh):
     """The element and flux-face points assembly evaluates, in its order."""
     tab = mesh.tables()
-    elem = tab.element_points(linear_element(mesh.dim).rule.points).reshape(-1, mesh.dim)
+    elem = tab.element_points(default_rule(mesh.dim).points).reshape(-1, mesh.dim)
     flux = tab.face_quadrature(face_rule(mesh.dim, 3))[0][tab.flag == NEUMANN]
     return elem, flux.reshape(-1, mesh.dim)
 

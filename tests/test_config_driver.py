@@ -1,11 +1,15 @@
 """Run configuration parsing and the adaptive driver."""
+import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
 import afem.driver as driver
+import afem.indicators as indicators
 import afem.newton as newton
+import afem.ppum as ppum
 from afem.config import (ConfigError, RunConfig, build_mesh, build_problem,
                          load_config, parse_config, validate)
 from afem import generators
@@ -151,6 +155,19 @@ def test_cap_below_the_initial_mesh_names_max_vertices(command, run, tmp_path, c
     path.write_text("problem = square_sine\nmesh_n = 4\nmax_vertices = 10\n")
     assert main([command, "--config", str(path)]) == 2
     assert "config error: max_vertices: 10 is smaller" in capsys.readouterr().err
+
+
+def test_more_subdomains_than_initial_simplices_names_ppum_subdomains(tmp_path, capsys):
+    # square_sine at mesh_n = 4 has 32 simplices; the run refuses before writing
+    with pytest.raises(ConfigError, match=r"^ppum_subdomains: 40 is larger than the "
+                                          r"initial mesh \(32 simplices\)$"):
+        run_ppum(RunConfig(problem="square_sine", mesh_n=4, ppum_subdomains=40,
+                           out=str(tmp_path / "api")))
+    assert not (tmp_path / "api").exists()
+    path = tmp_path / "run.cfg"
+    path.write_text("problem = square_sine\nmesh_n = 4\nppum_subdomains = 40\n")
+    assert main(["ppum", "--config", str(path)]) == 2
+    assert "config error: ppum_subdomains: 40 is larger" in capsys.readouterr().err
 
 
 def test_csv_reproducible_byte_for_byte(tmp_path):
@@ -410,3 +427,66 @@ def test_failed_subdomain_is_named_and_skips_the_blend(tmp_path, monkeypatch):
     assert not (tmp_path / "blend.vtk").exists()
     header, *rows = (tmp_path / "levels.csv").read_text().splitlines()
     assert len(rows) == 1 and rows[0].startswith("0,25,32,")
+
+
+def _assert_failed_at(out, k, message):
+    """report.json names the failure at level k, and levels.csv holds its k rows."""
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["status"] == f"failed at level {k}: {message}"
+    header, *rows = (out / "levels.csv").read_text().splitlines()
+    assert header == driver.CSV_HEADER
+    assert [int(r.split(",")[0]) for r in rows] == list(range(k))
+
+
+def test_ppum_coarse_newton_failure_is_level_0(tmp_path, monkeypatch):
+    _newton_fails_on_call(monkeypatch, 1)
+    with pytest.raises(DriverError, match=r"^level 0: provoked on call 1$"):
+        run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                           out=str(tmp_path)))
+    _assert_failed_at(tmp_path, 0, "provoked on call 1")
+
+
+def test_ppum_blend_failure_is_level_1_and_keeps_the_coarse_row(tmp_path, monkeypatch):
+    def failing(*args):
+        raise ppum.PpumError("provoked blend failure")
+
+    monkeypatch.setattr(ppum, "blend", failing)
+    with pytest.raises(DriverError, match=r"^level 1: provoked blend failure$"):
+        run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                           out=str(tmp_path)))
+    _assert_failed_at(tmp_path, 1, "provoked blend failure")
+    assert not (tmp_path / "blend.vtk").exists()
+
+
+def _newton_stalls(monkeypatch):
+    """square_sine with its Jacobian negated: every Newton step points uphill,
+    so a damped step of length lam leaves the residual (1 + lam) r."""
+    problem = build_problem(RunConfig(problem="square_sine"))
+    dft = problem.DFt
+    stalled = dataclasses.replace(problem, DFt=lambda *args: -dft(*args))
+    monkeypatch.setattr(driver, "build_problem", lambda cfg: stalled)
+
+
+@pytest.mark.parametrize("run,cfg", [
+    (run_adaptive, dict(mesh_n=4, max_vertices=500)),
+    (run_ppum, dict(ppum_subdomains=4, max_vertices=110)),
+])
+def test_newton_stall_is_named_at_level_0(run, cfg, tmp_path, monkeypatch):
+    _newton_stalls(monkeypatch)
+    with pytest.raises(DriverError, match=r"^level 0: no damping step reduced the "
+                                          r"residual .* after \d+ halvings$") as info:
+        run(RunConfig(problem="square_sine", out=str(tmp_path), **cfg))
+    assert isinstance(info.value.__cause__, NewtonError)
+    _assert_failed_at(tmp_path, 0, str(info.value.__cause__))
+
+
+def test_singular_adjoint_is_named_at_level_0(tmp_path, monkeypatch):
+    # only the adjoint solve reads `spla` through afem.indicators; the primal
+    # direct solves keep scipy's spsolve
+    nan_solve = types.SimpleNamespace(spsolve=lambda a, b: np.full(len(b), np.nan))
+    monkeypatch.setattr(indicators, "spla", nan_solve)
+    with pytest.raises(DriverError, match=r"^level 0: adjoint system is singular") as info:
+        run_adaptive(RunConfig(problem="square_sine", mesh_n=4, max_vertices=500,
+                               indicator="dual", out=str(tmp_path)))
+    assert isinstance(info.value.__cause__, indicators.IndicatorError)
+    _assert_failed_at(tmp_path, 0, str(info.value.__cause__))

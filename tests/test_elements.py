@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import pointwise_oracle as oracle
-from afem.elements import (QuadratureRule, default_rule, face_rule, fine_rule,
-                           linear_element)
+from afem.elements import REF_GRADS, QuadratureRule, default_rule, face_rule, fine_rule
 
 REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
 
@@ -88,13 +87,14 @@ def test_rules_are_built_once_and_read_only(rule, args):
 
 def test_linear_element_basis_partition():
     for dim in (2, 3):
-        el = linear_element(dim)
         pts = np.vstack([np.zeros(dim), np.eye(dim)])
-        vals = el.rule.barycentric
+        vals = default_rule(dim).barycentric
         assert np.allclose(vals.sum(axis=1), 1.0)
         nodal = QuadratureRule(pts, np.ones(dim + 1)).barycentric
         assert np.allclose(nodal, np.eye(dim + 1))  # basis i is 1 at vertex i
-        assert el.grad_ref().sum(axis=0) == pytest.approx(np.zeros(dim).tolist())
+        assert REF_GRADS[dim].sum(axis=0) == pytest.approx(np.zeros(dim).tolist())
+        with pytest.raises(ValueError, match="read-only"):
+            REF_GRADS[dim][0, 0] = 0.0
 
 
 def test_geometry_affine_map():
@@ -104,12 +104,10 @@ def test_geometry_affine_map():
     assert np.allclose(geo.to_physical(np.array([[0.0, 0.0]])), [[1.0, 1.0]])
     assert np.allclose(geo.to_physical(np.array([[1.0, 0.0]])), [[3.0, 1.0]])
     # physical gradient of basis 1 (x-direction vertex): 1/2 in x
-    g = linear_element(2).grad_ref() @ geo.inv_t.T
+    g = REF_GRADS[2] @ geo.inv_t.T
     assert np.allclose(g[1], [0.5, 0.0])
 
 
 def test_bad_dimension_rejected():
-    with pytest.raises(ValueError):
-        linear_element(4)
     with pytest.raises(ValueError):
         default_rule(1)

@@ -183,7 +183,7 @@ def test_self_adjoint_dual_equals_primal():
     prob, mesh, u = solved_square_sine()
     f = lambda x: np.array([2.0 * np.pi ** 2 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1])])
     w = solve_dual(prob, u, f)
-    primal, _ = newton_solve(prob, dirichlet_start(prob, w.fine_mesh),
+    primal, _ = newton_solve(prob, dirichlet_start(prob, w.phi.mesh),
                              NewtonConfig(tolerance=1e-12))
     assert np.abs(w.phi.values - primal.values).max() < 1e-8
 
@@ -192,7 +192,7 @@ def test_nonnegative_weight_gives_positive_dual():
     prob, mesh, u = solved_square_sine()
     psi = lambda x: np.array([1.0 if (abs(x[0] - 0.5) < 0.25 and abs(x[1] - 0.5) < 0.25) else 0.0])
     w = solve_dual(prob, u, psi)
-    interior = np.flatnonzero(w.fine_mesh.vclass == INTERIOR)
+    interior = np.flatnonzero(w.phi.mesh.vclass == INTERIOR)
     assert w.phi.values[interior, 0].min() > 0.0
 
 

@@ -204,7 +204,7 @@ def test_blend_lives_on_union_mesh():
     u0, _ = newton_solve(prob, dirichlet_start(prob, coarse))
     dec, locs, bmesh, pou = ppum_pipeline(prob, coarse, u0, 2, coarse.n_vertices + 60)
     assert pou.sum_deviation() <= 1e-12
-    u = ppum.blend(dec, pou, locs)
+    u = ppum.blend(pou, locs)
     assert u.mesh.n_vertices == bmesh.n_vertices
 
 
@@ -220,8 +220,8 @@ def test_blend_of_identical_fields_is_exact():
     bmesh = ppum.build_blend_mesh(coarse, dec, [loc.mesh, twin.mesh])
     pou = ppum.partition_of_unity(bmesh, coarse.n_vertices,
                                   ppum.taper_weights(coarse, dec))
-    a = ppum.blend(dec, pou, [loc, twin])
-    b = ppum.blend(dec, pou, [loc, loc])
+    a = ppum.blend(pou, [loc, twin])
+    b = ppum.blend(pou, [loc, loc])
     assert np.array_equal(a.values, b.values)
 
 
@@ -237,7 +237,7 @@ def test_blend_point_outside_local_mesh_names_vertex_and_subdomain():
     meshes[1].coords[:, 0] += 2.0
     v = np.flatnonzero(pou.weights[:, 1])[0]
     with pytest.raises(ppum.PpumError, match=rf"blend vertex {v} on subdomain 1\b"):
-        ppum.blend(dec, pou, fields)
+        ppum.blend(pou, fields)
     with pytest.raises(ppum.PpumError, match=rf"blend vertex {v} on subdomain 1\b"):
         oracle.blend(dec, pou, fields)
 
@@ -265,7 +265,7 @@ def test_blended_error_competitive_with_global():
     coarse = prob.mesh_factory(4)
     u0, _ = newton_solve(prob, dirichlet_start(prob, coarse))
     dec, locs, bmesh, pou = ppum_pipeline(prob, coarse, u0, 4, gm.n_vertices)
-    u = ppum.blend(dec, pou, locs)
+    u = ppum.blend(pou, locs)
     _, h1_ppum = measure_error(bmesh, u, prob.exact, prob.exact_grad)
     assert h1_ppum <= 2.0 * h1_global
 
@@ -286,7 +286,7 @@ def test_thread_pool_bit_identical():
     bm_p = ppum.build_blend_mesh(coarse, dec, [f.mesh for f in pooled])
     pou_s = ppum.partition_of_unity(bm_s, coarse.n_vertices, ppum.taper_weights(coarse, dec))
     pou_p = ppum.partition_of_unity(bm_p, coarse.n_vertices, ppum.taper_weights(coarse, dec))
-    u_s = ppum.blend(dec, pou_s, serial)
-    u_p = ppum.blend(dec, pou_p, pooled)
+    u_s = ppum.blend(pou_s, serial)
+    u_p = ppum.blend(pou_p, pooled)
     assert np.array_equal(u_s.mesh.coords, u_p.mesh.coords)
     assert np.array_equal(u_s.values, u_p.values)

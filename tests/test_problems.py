@@ -12,7 +12,7 @@ from afem import problems as P
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, free_dof_mask, measure_error)
 from afem.config import PROBLEMS, RunConfig, build_problem
-from afem.elements import linear_element
+from afem.elements import default_rule
 from afem.indicators import residual_indicator
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
 from afem.newton import NewtonConfig, newton_solve
@@ -221,16 +221,16 @@ def _pointwise_clamps(problem, u):
     mesh = u.mesh
     clamps = problem.constraint_coefficients.clamps
     clamps.reset()
-    el = linear_element(mesh.dim)
+    rule = default_rule(mesh.dim)
     for s in mesh.live_simplices():
-        geom, grads = oracle._element_data(mesh, int(s), el)
+        geom, grads = oracle._element_data(mesh, int(s))
         uloc = u.values[mesh.sverts[s]]
-        for x, b in zip(geom.to_physical(el.rule.points), el.rule.barycentric):
+        for x, b in zip(geom.to_physical(rule.points), rule.barycentric):
             for cb in (problem.Ft, problem.DFt):
                 oracle.at_point(cb, 0, x, None, b @ uloc, uloc.T @ grads)
     for bf in oracle._boundary_faces(mesh):
         if bf.bclass == NEUMANN:
-            _, grads = oracle._element_data(mesh, bf.simplex, el)
+            _, grads = oracle._element_data(mesh, bf.simplex)
             uloc = u.values[mesh.sverts[bf.simplex]]
             xq, _, bas = oracle._face_frame(mesh, bf)
             for x, b in zip(xq, bas):
@@ -254,7 +254,7 @@ def test_batched_clamp_count_matches_pointwise():
 
 def test_negative_rho_at_one_point_names_it():
     mesh = generators.unit_square(2)
-    bad = mesh.tables().element_points(linear_element(2).rule.points)[3, 1]
+    bad = mesh.tables().element_points(default_rule(2).points)[3, 1]
     coeffs = P.ConstraintCoefficients(
         dim=2, rho=lambda x: -1.0 if np.array_equal(x, bad) else 0.1)
     prob = P.hamiltonian_forms(coeffs)

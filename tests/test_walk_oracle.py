@@ -124,7 +124,7 @@ def _indicators_match(problem, u, exact, eta_exact, ps=(1.0, 2.0)):
 
     psi = oracle.domain_average(mesh, problem.n_components)
     weights = solve_dual(problem, u, psi)
-    fine = weights.fine_mesh
+    fine = weights.phi.mesh
     _same(_functional_load(fine, psi, problem.n_components),
           oracle.functional_load(fine, psi, problem.n_components), True)
     (new, est), (ref, ref_est) = (dual_indicator(problem, u, weights),
