@@ -179,7 +179,12 @@ def build_mesh(cfg: RunConfig, problem=None):
             raise ConfigError("mesh: 'auto' needs a problem with a default mesh")
         mesh = problem.mesh_factory(cfg.mesh_n)
     elif cfg.mesh.startswith("file:"):
-        mesh = mesh_io.read_mesh(cfg.mesh[len("file:"):])
+        path = cfg.mesh[len("file:"):]
+        try:
+            mesh = mesh_io.read_mesh(path)
+        except (OSError, UnicodeDecodeError, MeshError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"mesh: file {path!r}: {reason}") from exc
     elif cfg.mesh == "annulus":
         mesh = generators.annulus(n_r=cfg.mesh_n, n_t=max(3, 4 * cfg.mesh_n))
     elif cfg.mesh == "sphere_in_box":

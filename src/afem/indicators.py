@@ -257,7 +257,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
     coarse = u.mesh.live_simplices()
     pos = np.zeros(len(mesh.sparent), dtype=np.int64)
     pos[coarse] = np.arange(len(coarse))
-    rows = pos[mesh.coarse_ancestors(tab.ids, coarse)]
+    rows = pos[mesh.coarse_ancestors(tab.ids, u.mesh.n_slots)]
     contrib = np.zeros(len(coarse))
     np.add.at(contrib, rows, terms)
     _credit(contrib, rows, tab, face_terms)

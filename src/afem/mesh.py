@@ -9,7 +9,10 @@ array form of newest-vertex bisection of Funken, Praetorius & Wissgott, CMAM
 as arrays, built with a few numpy operations on first use and kept until the
 mesh's simplices change.  Simplex records are append-only: a bisected parent
 stays as a dead record so refinement genealogy (parent/children links, vertex
-parent edges) survives for transfer operators and point location.
+parent edges) survives for transfer operators and point location.  Nothing
+the records imply is stored: a slot is live while it has no children, the
+vertex classes are derived from the live face flags once per state (with the
+tables), and an earlier state of the mesh is a prefix of its slots.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ LOCAL_FACES = {d: np.array([[k for k in range(d + 1) if k != i] for i in range(d
           for d in (2, 3)}
 MAX_CLOSURE_PASSES = 100
 # index pairs (i, j), i < j, of k items: the edges of a k-vertex simplex
-_PAIRS = {k: np.triu_indices(k, 1) for k in (2, 3, 4)}
+_PAIRS = {k: np.triu_indices(k, 1) for k in (3, 4)}
 
 
 class MeshError(Exception):
@@ -130,6 +133,8 @@ class MeshTables:
     arithmetic is that of `Mesh.face_normal`, `signed_volumes` and the test
     oracle's `ElementGeometry.of`, whose inverse map takes the same
     `elements.REF_GRADS` to `grads`, so each value is bitwise theirs.
+    `vclass` (read-only) is each vertex's class: NEUMANN on the vertices of
+    NEUMANN faces, then DIRICHLET on those of DIRICHLET faces.
     """
 
     def __init__(self, mesh: "Mesh"):
@@ -158,6 +163,11 @@ class MeshTables:
         self.h = 2.0 * d * np.abs(signed_volumes(pts)) / measure.sum(axis=1)
 
         flags = mesh.sflags[self.ids]
+        fverts = verts[:, LOCAL_FACES[d]]
+        self.vclass = np.zeros(mesh.n_vertices, np.int8)
+        self.vclass[fverts[flags == NEUMANN]] = NEUMANN
+        self.vclass[fverts[flags == DIRICHLET]] = DIRICHLET
+        self.vclass.flags.writeable = False
         across = _across(verts, d)
         rows = np.arange(len(verts))[:, None]
         face = np.nonzero((flags == NEUMANN) | ((flags == INTERIOR) & (across > rows)))
@@ -217,11 +227,9 @@ class Mesh:
         """Every column of a dim-dimensional mesh: name -> (row count, dtype,
         row shape), vertex columns counting "_nv" rows, simplex columns "_ns"."""
         return {"_coords": ("_nv", float, (dim,)),
-                "_vclass": ("_nv", np.int8, ()),
                 "_vparents": ("_nv", np.int64, (2,)),
                 "_sverts": ("_ns", np.int64, (dim + 1,)),
                 "_sflags": ("_ns", np.int8, (dim + 1,)),
-                "_salive": ("_ns", bool, ()),
                 "_sparent": ("_ns", np.int64, ()),
                 "_schildren": ("_ns", np.int64, (2,)),
                 # 3D bisection bookkeeping: vertex ids in bisection order plus a type tag
@@ -240,13 +248,14 @@ class Mesh:
 
     # the filled rows of each public column
     coords = property(lambda self: self._coords[:self._nv])
-    vclass = property(lambda self: self._vclass[:self._nv])
     vparents = property(lambda self: self._vparents[:self._nv])
     sverts = property(lambda self: self._sverts[:self._ns])
     sflags = property(lambda self: self._sflags[:self._ns])
-    salive = property(lambda self: self._salive[:self._ns])
     sparent = property(lambda self: self._sparent[:self._ns])
     schildren = property(lambda self: self._schildren[:self._ns])
+    # and what they imply: liveness (no children) and the vertex classes
+    salive = property(lambda self: self._schildren[:self._ns, 0] < 0)
+    vclass = property(lambda self: self.tables().vclass)
 
     # ------------------------------------------------------------------ build
 
@@ -275,12 +284,11 @@ class Mesh:
         faces' flags swapped.  boundary: None keeps sflags; a class code flags
         every face not shared by two simplices with that class; a callable is
         called with each such face's centroid (d,) and returns its class.  With
-        a boundary, shared faces are flagged interior.  Vertex classes follow
-        from the face flags.  A non-finite coordinate, a vertex no simplex
-        uses, a non-integer vertex id, face flag or boundary class, a missing or
-        repeated vertex in a simplex, an unknown face class, a degenerate
-        simplex or a nonconforming mesh raise a MeshError naming the vertex or
-        simplex row.
+        a boundary, shared faces are flagged interior.  A non-finite
+        coordinate, a vertex no simplex uses, a non-integer vertex id, face flag
+        or boundary class, a missing or repeated vertex in a simplex, an unknown
+        face class, a degenerate simplex or a nonconforming mesh raise a
+        MeshError naming the vertex or simplex row.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] not in (2, 3):
@@ -322,14 +330,9 @@ class Mesh:
             flags[s, i] = classes
         _reject(~np.isin(flags, (INTERIOR, DIRICHLET, NEUMANN)).all(axis=1), "simplex",
                 "has an unknown face class")
-        vclass = np.zeros(n, np.int8)
-        fverts = sverts[:, LOCAL_FACES[d]]
-        vclass[fverts[flags == NEUMANN]] = NEUMANN
-        # dirichlet wins where both kinds of face meet at a vertex
-        vclass[fverts[flags == DIRICHLET]] = DIRICHLET
 
         mesh = cls(d)
-        mesh._append("_nv", _coords=coords, _vclass=vclass, _vparents=-1)
+        mesh._append("_nv", _coords=coords, _vparents=-1)
         order = -1
         if d == 3:
             # a new tetrahedron's order is (a, the other two ascending, b) for
@@ -337,8 +340,8 @@ class Mesh:
             a, b = mesh._longest_edges(sverts)
             rest = sverts[(sverts != a[:, None]) & (sverts != b[:, None])].reshape(-1, 2)
             order = np.column_stack([a, np.sort(rest, axis=1), b])
-        mesh._append("_ns", _sverts=sverts, _sflags=flags, _salive=True, _sparent=-1,
-                     _schildren=-1, _sorder=order, _stag=0)
+        mesh._append("_ns", _sverts=sverts, _sflags=flags, _sparent=-1, _schildren=-1,
+                     _sorder=order, _stag=0)
         mesh.check_conformity()
         return mesh
 
@@ -401,16 +404,14 @@ class Mesh:
         self._samples[key] = (v, vals, filled)
         return vals[live]
 
-    def coarse_ancestors(self, ids, coarse) -> np.ndarray:
-        """The ancestor of each simplex in ids (or the simplex itself) that lies
-        in coarse, the live simplex ids of an earlier state of this mesh."""
+    def coarse_ancestors(self, ids, n: int) -> np.ndarray:
+        """The ancestor of each simplex in ids (or the simplex itself) that was
+        live in the earlier state of this mesh with n slots.  Slots are only
+        appended, so that state is the first n, and a child's id is above its
+        parent's: the first ancestor below n is the one."""
         anc = np.array(ids, dtype=np.int64)
-        coarse = np.fromiter(coarse, dtype=np.int64)
-        while (up := ~np.isin(anc, coarse)).any():
+        while (up := anc >= n).any():
             anc[up] = self._sparent[anc[up]]
-            if (anc < 0).any():
-                sid = np.asarray(ids)[np.argmax(anc < 0)]
-                raise MeshError(f"simplex {sid} has no ancestor in the coarse live set")
         return anc
 
     def _barycentric(self, sids: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -431,11 +432,8 @@ class Mesh:
         """
         x = np.asarray(x, dtype=float)
         s = np.array(start, dtype=np.int64)
-        while (dead := np.flatnonzero(~self._salive[s])).size:
+        while (dead := np.flatnonzero(self._schildren[s, 0] >= 0)).size:
             kids = self._schildren[s[dead]]
-            if (kids[:, 0] < 0).any():
-                raise MeshError(f"simplex {s[dead][np.argmax(kids[:, 0] < 0)]} "
-                                "is dead but has no children")
             low = self._barycentric(kids, x[dead, None]).min(axis=-1)
             s[dead] = np.where(low[:, 0] >= low[:, 1], kids[:, 0], kids[:, 1])
         bar = self._barycentric(s, x)
@@ -452,7 +450,7 @@ class Mesh:
         """
         queue = np.unique(np.fromiter(marked, dtype=np.int64))
         bad = (queue < 0) | (queue >= self._ns)
-        bad[~bad] = ~self._salive[queue[~bad]]
+        bad[~bad] = self._schildren[queue[~bad], 0] >= 0
         if bad.any():
             raise MeshError(f"cannot refine simplex {queue[bad][0]}: not a live simplex")
         nv0 = self._nv
@@ -498,7 +496,6 @@ class Mesh:
         z = ids[inv[len(old):]]
         new = np.sort(first[first >= len(old)]) - len(old)
         self._append("_nv", _coords=0.5 * (self._coords[a[new]] + self._coords[b[new]]),
-                     _vclass=self._edge_classes(lo[new], hi[new]),
                      _vparents=np.column_stack([lo[new], hi[new]]))
 
         is_a, is_b = pv == a[:, None], pv == b[:, None]
@@ -515,29 +512,10 @@ class Mesh:
             order = np.stack([a, z, m1, m2, b, z, m1b, m2b], axis=1).reshape(-1, 4)
             tag = np.repeat((t + 1) % 3, 2)
         kids = self._append("_ns", _sverts=verts.reshape(-1, d + 1),
-                            _sflags=flags.reshape(-1, d + 1), _salive=True,
-                            _sparent=np.repeat(queue, 2), _schildren=-1, _sorder=order,
-                            _stag=tag).reshape(-1, 2)
-        self._salive[queue] = False
+                            _sflags=flags.reshape(-1, d + 1), _sparent=np.repeat(queue, 2),
+                            _schildren=-1, _sorder=order, _stag=tag).reshape(-1, 2)
         self._schildren[queue] = kids
         return np.column_stack([queue, kids, z])
-
-    def _edge_classes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Class of the midpoint of each edge (lo, hi) of the live simplices:
-        DIRICHLET if a Dirichlet face of a live simplex holds the edge, else
-        NEUMANN if another flagged face does, else INTERIOR."""
-        live = self.live_simplices()
-        s, i = np.nonzero(self._sflags[live] != INTERIOR)
-        s = live[s]
-        flo, fhi = _edge_ends(self._sverts[s[:, None], LOCAL_FACES[self.dim][i]])
-        # rank 2 for a Dirichlet face, 1 for another flagged face
-        face_rank = np.where(self._sflags[s, i] == DIRICHLET, 2, 1)
-        n = self._nv
-        keys, inv = np.unique(np.concatenate([lo * n + hi, (flo * n + fhi).ravel()]),
-                              return_inverse=True)
-        rank = np.zeros(len(keys), dtype=np.int8)
-        np.maximum.at(rank, inv[len(lo):], np.repeat(face_rank, flo.shape[1]))
-        return np.array([INTERIOR, NEUMANN, DIRICHLET], dtype=np.int8)[rank[inv[:len(lo)]]]
 
     # ------------------------------------------------------------------ integrity
 

@@ -20,8 +20,6 @@ simplices only, densely renumbered.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError, _reject
@@ -60,16 +58,6 @@ def read_mesh(path_or_file) -> Mesh:
         with open(path_or_file) as f:
             lines = f.read().splitlines()
     return _parse(lines)
-
-
-def reads_mesh(text: str) -> Mesh:
-    return _parse(text.splitlines())
-
-
-def dumps_mesh(mesh: Mesh) -> str:
-    buf = io.StringIO()
-    _write(mesh, buf)
-    return buf.getvalue()
 
 
 class _Cursor:

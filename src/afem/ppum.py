@@ -245,7 +245,7 @@ def local_solve(problem, coarse: Mesh, u_coarse: SolutionField, dec: Decompositi
     field, marking only where the coarse ancestor lies in its overlap region,
     up to the vertex budget; on_round as there.  Returns the global field."""
     def keep(fld):
-        kept = np.isin(fld.mesh.coarse_ancestors(fld.ids, dec.ids), dec.overlap(i))
+        kept = np.isin(fld.mesh.coarse_ancestors(fld.ids, coarse.n_slots), dec.overlap(i))
         return IndicatorField(fld.mesh, fld.ids[kept], fld.eta[kept], fld.p)
 
     u = SolutionField(coarse.copy(), u_coarse.n_components, u_coarse.values.copy())
@@ -306,7 +306,7 @@ def blend(pou: PartitionOfUnity, local_fields) -> SolutionField:
     # descents start at the root ancestor of the first live simplex, by id,
     # that holds the vertex
     live = bm.live_simplices()
-    roots = bm.coarse_ancestors(live, np.flatnonzero(bm.sparent < 0))
+    roots = bm.coarse_ancestors(live, np.count_nonzero(bm.sparent < 0))
     verts, first = np.unique(bm.sverts[live], return_index=True)
     start = np.full(bm.n_vertices, -1)
     start[verts] = roots[first // (bm.dim + 1)]

@@ -57,9 +57,12 @@ loop generators `unit_square`, `l_shape`, `unit_cube`, `sphere_in_box` and
 `annulus`, one vertex and one simplex at a time through `add_vertex` and
 `add_simplex` (both write one row to every column of `Mesh._columns`, as
 `_push_simplex` does), then `_drop_isolated` and `finalize`, whose 3D order
-comes from `initial_order`.  With them are the per-simplex volume and shape
-measures (`signed_volume_of_points`, `shape_of_points` and their per-id
-forms) and the per-row text writer `dumps_rows`.  They are the reference for
+comes from `initial_order`.  The vertex classes that `finalize` (one simplex
+at a time) and `_midpoint_class` compute are kept by the oracle alone and
+read through `vclass`, apart from the library's derived `Mesh.vclass`.  With
+them are the per-simplex volume and shape measures (`signed_volume_of_points`,
+`shape_of_points` and their per-id forms) and the per-row text writer
+`dumps_rows`.  They are the reference for
 the generators in `test_mesh.py`, for `signed_volumes`/`shapes` and for
 `mesh_io`'s block writer in `test_mesh_io.py`.
 
@@ -921,10 +924,8 @@ def root_ancestor(mesh: Mesh, sid: int) -> int:
 def locate(mesh: Mesh, x, root: int) -> int:
     """Live descendant of root containing point x, found by genealogy descent."""
     s = int(root)
-    while not mesh.salive[s]:
+    while mesh.schildren[s, 0] >= 0:
         c0, c1 = (int(c) for c in mesh.schildren[s])
-        if c0 < 0:
-            raise MeshError(f"simplex {s} is dead but has no children")
         b0 = barycentric(mesh, c0, x).min()
         b1 = barycentric(mesh, c1, x).min()
         # descend into the child holding x most interiorly; ties take child0
@@ -1075,7 +1076,7 @@ def refine_marked(mesh: Mesh, marked):
     edge_map: dict = {}
     queue = sorted(set(int(s) for s in marked))
     for s in queue:
-        if s < 0 or s >= mesh.n_slots or not mesh.salive[s]:
+        if s < 0 or s >= mesh.n_slots or mesh.schildren[s, 0] >= 0:
             raise MeshError(f"cannot refine simplex {s}: not a live simplex")
     passes = 0
     while queue:
@@ -1085,7 +1086,7 @@ def refine_marked(mesh: Mesh, marked):
                 f"conformity closure exceeded {MAX_CLOSURE_PASSES} passes; "
                 f"simplex {queue[0]} still hangs (inconsistent marking?)")
         for s in queue:
-            if mesh.salive[s]:
+            if mesh.schildren[s, 0] < 0:
                 _bisect_one(mesh, rings, s, edge_map, bisections)
         nxt = set()
         for (va, vb) in edge_map:
@@ -1131,7 +1132,7 @@ def _child_flags(mesh: Mesh, parent: int, child_verts, a: int, b: int, z: int):
 
 
 def _push_simplex(mesh: Mesh, rings, verts, flags, parent, order, tag) -> int:
-    sid = _push(mesh, "_ns", _sverts=verts, _sflags=flags, _salive=True, _sparent=parent,
+    sid = _push(mesh, "_ns", _sverts=verts, _sflags=flags, _sparent=parent,
                 _schildren=(-1, -1), _sorder=order, _stag=tag)
     for v in verts:
         rings[v].add(sid)
@@ -1163,7 +1164,6 @@ def _bisect_one(mesh: Mesh, rings, sid: int, edge_map: dict, bisections: list):
     else:
         c0 = _push_simplex(mesh, rings, verts0, flags0, sid, (-1, -1, -1, -1), 0)
         c1 = _push_simplex(mesh, rings, verts1, flags1, sid, (-1, -1, -1, -1), 0)
-    mesh._salive[sid] = False
     mesh._schildren[sid] = (c0, c1)
     for v in pverts:
         rings[v].discard(sid)
@@ -1186,8 +1186,33 @@ def _push(mesh: Mesh, count: str, **row) -> int:
     return k
 
 
+def vclass(mesh: Mesh) -> np.ndarray:
+    """The oracle's vertex classes of mesh, kept on it as `oracle_vclass`,
+    apart from the library's derived `Mesh.vclass`: those `finalize` and
+    `add_vertex` set or, on a mesh whose vertices they did not all set, the
+    live face flags' classes, one simplex at a time."""
+    classes = getattr(mesh, "oracle_vclass", None)
+    if classes is None or len(classes) != mesh.n_vertices:
+        classes = mesh.oracle_vclass = _face_classes(mesh)
+    return classes
+
+
+def _face_classes(mesh: Mesh) -> np.ndarray:
+    classes = np.zeros(mesh.n_vertices, np.int8)
+    for s in mesh.live_simplices():
+        for i in range(mesh.dim + 1):
+            fl = mesh.sflags[s, i]
+            for v in np.delete(mesh.sverts[s], i):
+                if fl == DIRICHLET or (fl != INTERIOR and classes[v] == INTERIOR):
+                    classes[v] = DIRICHLET if fl == DIRICHLET else NEUMANN
+    return classes
+
+
 def add_vertex(mesh: Mesh, x, bclass: int = INTERIOR, parents=(-1, -1)) -> int:
-    return _push(mesh, "_nv", _coords=x, _vclass=bclass, _vparents=parents)
+    classes = vclass(mesh)
+    v = _push(mesh, "_nv", _coords=x, _vparents=parents)
+    mesh.oracle_vclass = np.append(classes, np.int8(bclass))
+    return v
 
 
 def add_simplex(mesh: Mesh, verts, flags=None) -> int:
@@ -1200,7 +1225,7 @@ def add_simplex(mesh: Mesh, verts, flags=None) -> int:
         raise MeshError(f"simplex {verts} references a missing vertex")
     if flags is None:
         flags = (INTERIOR,) * (mesh.dim + 1)
-    return _push(mesh, "_ns", _sverts=verts, _sflags=flags, _salive=True, _sparent=-1,
+    return _push(mesh, "_ns", _sverts=verts, _sflags=flags, _sparent=-1,
                  _schildren=(-1, -1), _sorder=(-1,) * 4, _stag=0)
 
 
@@ -1223,13 +1248,7 @@ def finalize(mesh: Mesh, boundary=None) -> Mesh:
                 mesh.sflags[s, i] = boundary(mesh.coords[fverts].mean(axis=0))
             else:
                 mesh.sflags[s, i] = boundary
-    mesh.vclass[:] = INTERIOR
-    for s in mesh.live_simplices():
-        for i in range(mesh.dim + 1):
-            fl = mesh.sflags[s, i]
-            for v in np.delete(mesh.sverts[s], i):
-                if fl == DIRICHLET or (fl != INTERIOR and mesh.vclass[v] == INTERIOR):
-                    mesh.vclass[v] = DIRICHLET if fl == DIRICHLET else NEUMANN
+    mesh.oracle_vclass = _face_classes(mesh)
     if mesh.dim == 3:
         for s in range(mesh.n_slots):
             mesh._sorder[s] = initial_order(mesh, s)
@@ -1242,7 +1261,7 @@ def _drop_isolated(mesh: Mesh):
     # grid builders allocate the full vertex lattice; a cut-out domain leaves
     # vertices no simplex holds
     used = np.unique(mesh.sverts)
-    for name in ("_coords", "_vclass", "_vparents"):
+    for name in ("_coords", "_vparents"):
         setattr(mesh, name, getattr(mesh, name)[used])
     mesh._nv = len(used)
     mesh.sverts[:] = np.searchsorted(used, mesh.sverts)
@@ -1374,9 +1393,10 @@ def shape_measure(mesh: Mesh, sid: int) -> float:
 def dumps_rows(mesh: Mesh) -> str:
     """The mesh as `mesh_io` text, written one line at a time."""
     out = ["AFEM-MESH 1\n", f"dim {mesh.dim}\n", f"vertices {mesh.n_vertices}\n"]
+    classes = vclass(mesh)
     for v in range(mesh.n_vertices):
         xs = " ".join(repr(float(c)) for c in mesh.coords[v])
-        out.append(f"{v} {xs} {int(mesh.vclass[v])}\n")
+        out.append(f"{v} {xs} {int(classes[v])}\n")
     live = mesh.live_simplices()
     out.append(f"simplices {len(live)}\n")
     for k, s in enumerate(live):

@@ -120,6 +120,42 @@ def test_build_mesh_modes(tmp_path):
     assert build_mesh(cfg3).n_vertices == 9
 
 
+def _unreadable_mesh(case, tmp_path):
+    """A missing mesh file, or one whose first vertex line (line 4) is
+    malformed, and the reason its ConfigError gives."""
+    if case == "missing":
+        return tmp_path / "nowhere" / "m.txt", "No such file or directory"
+    from afem.mesh_io import write_mesh
+    bad = tmp_path / "bad.txt"
+    write_mesh(generators.unit_square(1), bad)
+    lines = bad.read_text().splitlines()
+    lines[3] = "0 x 0.0 1"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad, "line 4: bad coordinate in '0 x 0.0 1'"
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed"])
+@pytest.mark.parametrize("run", [run_adaptive, run_ppum, build_mesh])
+def test_unreadable_mesh_file_is_a_config_error_naming_mesh(run, case, tmp_path):
+    path, reason = _unreadable_mesh(case, tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        run(RunConfig(mesh=f"file:{path}", out=str(out)))
+    assert str(err.value) == f"mesh: file {str(path)!r}: {reason}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed"])
+@pytest.mark.parametrize("command", ["solve", "ppum", "mesh-info", "mesh-refine"])
+def test_cli_unreadable_mesh_file_exits_2_writing_nothing(command, case, tmp_path, capsys):
+    path, reason = _unreadable_mesh(case, tmp_path)
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{path}\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: mesh: file {str(path)!r}: {reason}\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- driver
 
 def test_run_adaptive_square_sine(tmp_path):

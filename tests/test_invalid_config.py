@@ -1,0 +1,219 @@
+"""Invalid configurations and `afem` CLI arguments, drawn at random.
+
+Each drawn case must end in a `ConfigError` that names the field at fault,
+through the library (`parse_config`, then the run or `build_mesh`) and
+through the CLI (exit code 2, "config error: ..." on stderr), and nothing may
+be written under the output directory.
+"""
+import contextlib
+import io
+import os
+import re
+import tempfile
+from dataclasses import dataclass, fields
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from afem import generators
+from afem.cli import main
+from afem.config import (COEFFICIENTS, CONSTRAINT_PROBLEMS, DIM_PROBLEMS, GENERATORS,
+                         PROBLEMS, ConfigError, RunConfig, build_mesh, build_problem,
+                         parse_config)
+from afem.driver import run_adaptive, run_ppum
+from afem.mesh_io import write_mesh
+
+COMMANDS = ("solve", "ppum", "mesh-info", "mesh-refine")
+RUNS = ("solve", "ppum")
+INT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "int"]
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "float"]
+# the lowest valid value of each integer field; dim must be 2 or 3
+INT_FLOOR = {"mesh_n": 1, "max_vertices": 1, "newton_max_iterations": 1,
+             "ppum_subdomains": 1, "threads": 1}
+CHOICES = {"problem": PROBLEMS, "indicator": ("residual", "dual"),
+           "strategy": ("equidistribution", "maximum", "hybrid"),
+           "linear": ("direct", "multilevel")}
+GENERATOR_DIM = {"unit_square": 2, "l_shape": 2, "annulus": 2, "unit_cube": 3,
+                 "sphere_in_box": 3}
+WORDS = st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True)
+
+
+@dataclass
+class Case:
+    lines: list            # config lines; "{dir}" stands for a scratch directory
+    field: str             # the field the error must name
+    commands: tuple = COMMANDS
+    args: tuple = ()       # extra CLI arguments
+    mesh_text: str = None  # written to {dir}/mesh.txt when given
+
+
+def _unparsable(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def unknown_keys(draw):
+    key = draw(WORDS.filter(lambda k: k not in {f.name for f in fields(RunConfig)}
+                            or k == "coefficients"))
+    return Case([f"{key} = 1"], key)
+
+
+@st.composite
+def unparsable_values(draw):
+    key = draw(st.sampled_from(INT_FIELDS + FLOAT_FIELDS))
+    return Case([f"{key} = {draw(WORDS.filter(_unparsable))}"], key)
+
+
+@st.composite
+def out_of_range(draw):
+    key = draw(st.sampled_from(sorted(INT_FLOOR) + ["dim"] + FLOAT_FIELDS + sorted(CHOICES)
+                               + ["mesh"]))
+    if key in INT_FLOOR:
+        value = draw(st.integers(-10 ** 6, INT_FLOOR[key] - 1))
+    elif key == "dim":
+        value = draw(st.integers(-10, 10).filter(lambda v: v not in (2, 3)))
+    elif key == "target_eta":
+        value = draw(st.one_of(st.floats(max_value=-1e-300), st.just(float("nan"))))
+    elif key == "theta":
+        value = draw(st.one_of(st.floats(max_value=-1e-300),
+                               st.floats(min_value=1.0, exclude_min=True)))
+    elif key == "newton_tolerance":
+        value = draw(st.floats(max_value=0.0))
+    elif key == "mesh":
+        value = draw(WORDS.filter(lambda v: v != "auto" and v not in GENERATORS))
+    else:
+        value = draw(WORDS.filter(lambda v: v not in CHOICES[key]))
+    return Case([f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"],
+                key)
+
+
+@st.composite
+def coefficient_without_physics(draw):
+    problem = draw(st.sampled_from([p for p in PROBLEMS if p not in CONSTRAINT_PROBLEMS]))
+    name = draw(st.sampled_from(COEFFICIENTS))
+    return Case([f"problem = {problem}", f"coeff.{name} = const:1"], f"coeff.{name}")
+
+
+@st.composite
+def robin_on_generator(draw):
+    problem = draw(st.sampled_from(CONSTRAINT_PROBLEMS))
+    mesh = draw(st.sampled_from(sorted(GENERATOR_DIM)))
+    key = draw(st.sampled_from(["robin_c", "robin_z"]))
+    return Case([f"problem = {problem}", f"mesh = {mesh}", "mesh_n = 2",
+                 f"dim = {GENERATOR_DIM[mesh]}", f"coeff.{key} = const:1"], f"coeff.{key}")
+
+
+@st.composite
+def dim_off_the_mesh(draw):
+    problem = draw(st.sampled_from(DIM_PROBLEMS))
+    mesh = draw(st.sampled_from(sorted(GENERATOR_DIM)))
+    return Case([f"problem = {problem}", f"mesh = {mesh}", "mesh_n = 2",
+                 f"dim = {5 - GENERATOR_DIM[mesh]}"], "dim")
+
+
+@st.composite
+def cap_below_the_mesh(draw):
+    n = draw(st.integers(1, 6))
+    cap = draw(st.integers(1, (n + 1) ** 2 - 1))
+    return Case([f"mesh_n = {n}", f"max_vertices = {cap}"], "max_vertices", RUNS)
+
+
+@st.composite
+def subdomains_above_the_mesh(draw):
+    n = draw(st.integers(1, 6))
+    parts = draw(st.integers(2 * n * n + 1, 2 * n * n + 100))
+    return Case([f"mesh_n = {n}", f"ppum_subdomains = {parts}"], "ppum_subdomains", RUNS)
+
+
+def _mesh_lines():
+    buf = io.StringIO()
+    write_mesh(generators.unit_square(1), buf)
+    return buf.getvalue().splitlines()
+
+
+# ways to break the text of unit_square(1): line 4 is vertex 0, line 9 simplex 0
+BREAKS = {
+    "bad coordinate": lambda lines: lines.__setitem__(3, "0 x 0.0 1"),
+    "bad header": lambda lines: lines.__setitem__(0, "AFEM-MESH 2"),
+    "truncated": lambda lines: lines.__delitem__(slice(6, None)),
+    "extra token": lambda lines: lines.__setitem__(3, lines[3] + " 7"),
+    "unknown class": lambda lines: lines.__setitem__(3, lines[3][:-1] + "5"),
+    "wrong class": lambda lines: lines.__setitem__(3, lines[3][:-1] + "0"),
+    "missing vertex": lambda lines: lines.__setitem__(8, "0 0 1 99 1 0 1"),
+    "unflagged boundary face": lambda lines: lines.__setitem__(8, lines[8][:-1] + "0"),
+}
+
+
+@st.composite
+def unreadable_mesh_files(draw):
+    kind = draw(st.sampled_from(["missing", "empty", "binary"] + sorted(BREAKS)))
+    text = None if kind == "missing" else ""
+    if kind == "binary":
+        text = "\udcff"  # written with surrogateescape: one byte that is not UTF-8
+    elif kind in BREAKS:
+        lines = _mesh_lines()
+        BREAKS[kind](lines)
+        text = "\n".join(lines) + "\n"
+    return Case(["mesh = file:{dir}/mesh.txt"], "mesh", mesh_text=text)
+
+
+@st.composite
+def bad_cli_counts(draw):
+    flag, command = draw(st.sampled_from([("--threads", "ppum"), ("--rounds", "mesh-refine")]))
+    value = draw(st.integers(-100, 0))
+    return Case([], flag[2:], (command,), (flag, str(value)))
+
+
+CASES = st.one_of(unknown_keys(), unparsable_values(), out_of_range(),
+                  coefficient_without_physics(), robin_on_generator(), dim_off_the_mesh(),
+                  cap_below_the_mesh(), subdomains_above_the_mesh(),
+                  unreadable_mesh_files(), bad_cli_counts())
+
+
+def _names(message, field):
+    # the field opens the message or a clause ("line 1: mesh_n: ..."), or is quoted
+    return re.search(rf"(^|: |')" + re.escape(field) + r"(: |')", message) is not None
+
+
+def _api(command, text, out):
+    cfg = parse_config(text)
+    cfg.out = out
+    if command == "solve":
+        run_adaptive(cfg)
+    elif command == "ppum":
+        run_ppum(cfg)
+    else:
+        build_mesh(cfg, build_problem(cfg) if cfg.mesh == "auto" else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=CASES, data=st.data())
+def test_invalid_configs_are_config_errors_naming_the_field(case, data):
+    command = data.draw(st.sampled_from(case.commands))
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "\n".join(case.lines).replace("{dir}", tmp) + "\n"
+        if case.mesh_text is not None:
+            with open(os.path.join(tmp, "mesh.txt"), "w", errors="surrogateescape") as f:
+                f.write(case.mesh_text)
+        out = os.path.join(tmp, "out")
+        if not case.args:  # a CLI flag has no library form
+            with pytest.raises(ConfigError) as err:
+                _api(command, text, out)
+            assert _names(str(err.value), case.field), str(err.value)
+            assert not os.path.exists(out)
+
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as f:
+            f.write(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", out, *case.args])
+        assert code == 2, stderr.getvalue()
+        message = stderr.getvalue()
+        assert message.startswith("config error: ") and message.count("\n") == 1, message
+        assert _names(message[len("config error: "):].strip(), case.field), message
+        assert not os.path.exists(out)

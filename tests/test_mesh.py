@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afem import generators
 from afem.config import ConfigError, RunConfig, build_mesh
@@ -139,9 +140,11 @@ def test_generators_match_loop_construction(name):
     fn, args, kw = GENERATED[name]
     m, ref = getattr(generators, fn)(*args, **kw), getattr(oracle, fn)(*args, **kw)
     for _ in range(2):
-        for col in ("coords", "vclass", "vparents", "sverts", "sflags"):
+        for col in ("coords", "vparents", "sverts", "sflags"):
             a, b = getattr(m, col), getattr(ref, col)
             assert a.dtype == b.dtype and np.array_equal(a, b), col
+        a, b = m.vclass, oracle.vclass(ref)
+        assert a.dtype == b.dtype and np.array_equal(a, b), "vclass"
         for col in ("_sorder", "_stag"):
             assert np.array_equal(getattr(m, col)[:m.n_slots], getattr(ref, col)[:ref.n_slots])
         m.uniform_refine()
@@ -333,6 +336,29 @@ def test_tet_bisection_similarity_classes():
     m.check_conformity()
 
 
+# rounded shape classes: 1 on the 2D lattices, at most 3 on the Kuhn cubes
+SHAPE_CLASSES = {"unit_square": (lambda: generators.unit_square(2), 1),
+                 "l_shape": (lambda: generators.l_shape(1), 1),
+                 "unit_cube(1)": (lambda: generators.unit_cube(1), 3),
+                 "unit_cube(2)": (lambda: generators.unit_cube(2), 3)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(list(SHAPE_CLASSES)), seed=st.integers(0, 2 ** 32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_shape_classes_stay_bounded_under_random_marking(name, seed, fractions):
+    build, bound = SHAPE_CLASSES[name]
+    m = build()
+    rng = np.random.default_rng(seed)
+    found = set()
+    for f in fractions:
+        live = m.live_simplices()
+        m.refine_marked(rng.choice(live, size=max(1, round(f * len(live))), replace=False))
+        m.check_conformity()
+        found |= set(np.round(shapes(m.coords[m.sverts[m.live_simplices()]]), 10))
+    assert len(found) <= bound, sorted(found)
+
+
 def test_random_marked_rounds_keep_quality(rng):
     for mesh, rounds in [(generators.unit_square(2), 10),
                          (generators.unit_cube(1), 10)]:
@@ -409,18 +435,18 @@ def test_locate_and_root_ancestor():
     hit, bar = hit[holds], bar[holds]
     assert m.salive[hit].all() and (bar.min(axis=1) >= -1e-9).all()
     assert np.allclose(np.einsum("kj,kjd->kd", bar, m.coords[m.sverts[hit]]), x)
-    np.testing.assert_array_equal(m.coarse_ancestors(hit, roots), roots[holds])
+    np.testing.assert_array_equal(m.coarse_ancestors(hit, len(roots)), roots[holds])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_coarse_ancestor_maps_refined_mesh_onto_coarse(dim):
     m = generators.unit_square(2) if dim == 2 else generators.unit_cube(1)
-    coarse = {int(s) for s in m.live_simplices()}
+    coarse, n = {int(s) for s in m.live_simplices()}, m.n_slots
     m.refine_marked(sorted(coarse)[:2])
     m.refine_marked([int(s) for s in m.live_simplices()][::3])
     covered = dict.fromkeys(coarse, 0.0)
     live = m.live_simplices()
-    for s, a, vol in zip(live, m.coarse_ancestors(live, coarse), volumes(m)):
+    for s, a, vol in zip(live, m.coarse_ancestors(live, n), volumes(m)):
         a = int(a)
         assert a in coarse
         centroid = m.coords[m.sverts[s]].mean(axis=0)
@@ -433,19 +459,26 @@ def test_coarse_ancestor_maps_refined_mesh_onto_coarse(dim):
 
 def test_coarse_ancestor_of_coarse_simplex_is_itself():
     m = generators.unit_square(2)
-    coarse = {int(s) for s in m.live_simplices()}
+    ids, n = m.live_simplices().tolist(), m.n_slots
     m.refine_marked([0])
     assert not m.salive[0]
-    ids = sorted(coarse)
-    assert m.coarse_ancestors(ids, coarse).tolist() == ids
+    assert m.coarse_ancestors(ids, n).tolist() == ids
 
 
-def test_coarse_ancestor_missing_raises_naming_simplex():
-    m = generators.unit_square(1)
-    m.refine_marked([0])
-    child = int(m.schildren[0, 0])
-    with pytest.raises(MeshError, match=f"simplex {child} has no ancestor"):
-        m.coarse_ancestors([1, child], {1})
+def test_liveness_and_vertex_classes_are_derived():
+    # neither is a stored column: a slot is live while it has no children, and
+    # the classes come from the live face flags once per mesh state, read-only
+    assert not {"_salive", "_vclass"} & set(Mesh._columns(2))
+    m = generators.unit_square(2, boundary=lambda c: NEUMANN if c[0] > 0.5 else DIRICHLET)
+    m.refine_marked([0, 5])
+    np.testing.assert_array_equal(m.salive, m.schildren[:, 0] < 0)
+    classes = m.vclass
+    assert m.vclass is classes and len(classes) == m.n_vertices
+    assert set(classes.tolist()) == {INTERIOR, DIRICHLET, NEUMANN}
+    with pytest.raises(ValueError):
+        classes[0] = INTERIOR
+    m.refine_marked(m.live_simplices()[:1])
+    assert m.vclass is not classes and len(m.vclass) == m.n_vertices
 
 
 def test_copy_is_independent():

@@ -1,12 +1,24 @@
 """Text serialization round trips."""
+import io
+
 import numpy as np
 import pytest
 
 from afem import generators
 from afem.mesh import MeshError
-from afem.mesh_io import dumps_mesh, read_mesh, reads_mesh, write_mesh
+from afem.mesh_io import read_mesh, write_mesh
 
 import pointwise_oracle as oracle
+
+
+def _text(mesh):
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    return buf.getvalue()
+
+
+def _read(text):
+    return read_mesh(io.StringIO(text))
 
 
 def test_round_trip_2d(tmp_path):
@@ -28,7 +40,7 @@ def test_round_trip_3d_preserves_refinement_state(tmp_path):
     # the serialized mesh must bisect exactly like the original afterwards
     m = generators.unit_cube(1)
     m.refine_marked([0])
-    r = reads_mesh(dumps_mesh(m))
+    r = _read(_text(m))
     m.refine_marked([int(m.live_simplices()[0])])
     r.refine_marked([int(r.live_simplices()[0])])
     assert m.n_vertices == r.n_vertices
@@ -37,40 +49,40 @@ def test_round_trip_3d_preserves_refinement_state(tmp_path):
 
 def test_dumps_reads_identity():
     m = generators.annulus(2, 8)
-    text = dumps_mesh(m)
-    assert text == dumps_mesh(reads_mesh(text))
+    text = _text(m)
+    assert text == _text(_read(text))
 
 
 def test_reader_reports_line_numbers():
     m = generators.unit_square(1)
-    lines = dumps_mesh(m).splitlines()
+    lines = _text(m).splitlines()
     lines[2] = lines[2] + " extra_token"
     with pytest.raises(MeshError) as err:
-        reads_mesh("\n".join(lines))
+        _read("\n".join(lines))
     assert "line 3" in str(err.value)
 
 
 def test_reader_rejects_bad_header():
     with pytest.raises(MeshError):
-        reads_mesh("not a mesh file\n")
+        _read("not a mesh file\n")
 
 
 def test_reader_rejects_inverted_simplex_naming_its_line():
-    lines = dumps_mesh(generators.unit_square(1)).splitlines()
+    lines = _text(generators.unit_square(1)).splitlines()
     k = lines.index("simplices 2") + 2
     sid, v0, v1, v2, *flags = lines[k].split()
     # swapping two vertices (and their faces' flags) reverses the orientation
     lines[k] = " ".join([sid, v0, v2, v1, flags[0], flags[2], flags[1]])
     with pytest.raises(MeshError, match=f"line {k + 1}: simplex {sid} has non-positive volume"):
-        reads_mesh("\n".join(lines))
+        _read("\n".join(lines))
 
 
 def _broken(mesh, edit):
     """The mesh's text with edit(lines) applied, and a reader error for it."""
-    lines = dumps_mesh(mesh).splitlines()
+    lines = _text(mesh).splitlines()
     edit(lines)
     with pytest.raises(MeshError) as err:
-        reads_mesh("\n".join(lines))
+        _read("\n".join(lines))
     return lines, str(err.value)
 
 
@@ -143,4 +155,4 @@ def test_block_writer_matches_row_writer(dim, tmp_path):
     p = tmp_path / "mesh.txt"
     write_mesh(m, p)
     assert p.read_bytes() == oracle.dumps_rows(m).encode()
-    assert dumps_mesh(m) == oracle.dumps_rows(m)
+    assert _text(m) == oracle.dumps_rows(m)

@@ -125,6 +125,10 @@ def _assert_bitwise(a, b):
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _marks(live, picks):
+    return live if picks is None else sorted({int(live[p % len(live)]) for p in picks})
+
+
 def _refine_like_oracle(name, rounds):
     mesh = MESHES[name]()
     if mesh.dim == 3:
@@ -133,13 +137,14 @@ def _refine_like_oracle(name, rounds):
             assert mesh._stag[s] == 0
     twin = mesh.copy()
     for picks in rounds:
-        live = mesh.live_simplices()
-        marks = live if picks is None else sorted({int(live[p % len(live)]) for p in picks})
+        marks = _marks(mesh.live_simplices(), picks)
         rep = mesh.refine_marked(marks)
         bisections, passes = oracle.refine_marked(twin, marks)
-        for col in ("coords", "vclass", "vparents", "sverts", "sflags", "salive", "sparent",
-                    "schildren"):
+        for col in ("coords", "vparents", "sverts", "sflags", "salive", "sparent", "schildren"):
             _assert_bitwise(getattr(mesh, col), getattr(twin, col))
+        # the classes the oracle gives each midpoint as it bisects, against
+        # the library's, derived from the live face flags
+        _assert_bitwise(mesh.vclass, oracle.vclass(twin))
         for col in ("_sorder", "_stag"):
             _assert_bitwise(getattr(mesh, col)[:mesh.n_slots], getattr(twin, col)[:twin.n_slots])
         _assert_bitwise(rep.bisections, np.array(bisections, dtype=np.int64).reshape(-1, 4))
@@ -151,3 +156,19 @@ def _refine_like_oracle(name, rounds):
 @given(name=st.sampled_from(list(MESHES)), rounds=REFINEMENTS)
 def test_refinement_matches_oracle(name, rounds):
     _refine_like_oracle(name, rounds)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(list(MESHES)), rounds=REFINEMENTS)
+def test_coarse_ancestors_match_oracle(name, rounds):
+    # every earlier state, as a slot count, against its live set
+    mesh = MESHES[name]()
+    states = []
+    for picks in rounds:
+        live = mesh.live_simplices()
+        states.append((mesh.n_slots, set(live.tolist())))
+        mesh.refine_marked(_marks(live, picks))
+    live = mesh.live_simplices()
+    for n, coarse in states:
+        expect = [oracle.coarse_ancestor(mesh, s, coarse) for s in live]
+        assert mesh.coarse_ancestors(live, n).tolist() == expect

@@ -132,7 +132,7 @@ def test_pou_vanishes_outside_overlap():
     bm = refined_copy(mesh)
     pou = ppum.partition_of_unity(bm, mesh.n_vertices, w)
     live = bm.live_simplices()
-    for s, root in zip(live, bm.coarse_ancestors(live, mesh.live_simplices())):
+    for s, root in zip(live, bm.coarse_ancestors(live, mesh.n_slots)):
         for i in range(dec.n_subdomains):
             if root not in dec.overlap(i):
                 assert np.all(pou.weights[bm.sverts[s], i] == 0.0)
@@ -174,7 +174,7 @@ def test_local_solve_refines_inside_its_region():
     ul = ppum.local_solve(prob, coarse, u0, dec, corner_sub, coarse.n_vertices + 120)
     assert ul.mesh.n_vertices > coarse.n_vertices
     live = ul.mesh.live_simplices()
-    roots = ul.mesh.coarse_ancestors(live, coarse.live_simplices())
+    roots = ul.mesh.coarse_ancestors(live, coarse.n_slots)
     inside = 0
     new_verts = range(coarse.n_vertices, ul.mesh.n_vertices)
     for v in new_verts:

@@ -88,7 +88,7 @@ def test_marking_and_decomposition_match_oracle(name, marking, blend_marking, da
     assert np.max(np.abs(pou.weights - ref_pou.weights)) <= 1e-15
     assert pou.sum_deviation() <= 1e-12
     blive = bm.live_simplices()
-    roots = bm.coarse_ancestors(blive, live)
+    roots = bm.coarse_ancestors(blive, mesh.n_slots)
     for i in range(n_parts):
         outside = blive[~np.isin(roots, dec.overlap(i))]
         assert np.all(pou.weights[bm.sverts[outside], i] == 0.0)
