@@ -35,6 +35,8 @@ PROBLEMS = ("square_sine", "cube_sine", "corner_singularity", "bratu",
             "hamiltonian", "momentum", "coupled")
 CONSTRAINT_PROBLEMS = ("hamiltonian", "momentum", "coupled")
 DIM_PROBLEMS = CONSTRAINT_PROBLEMS + ("hamiltonian_trivial", "coupled_trivial")  # read dim
+FIXED_DIM = {"square_sine": 2, "cube_sine": 3, "corner_singularity": 2,
+             "hamiltonian_manufactured": 2, "momentum_manufactured": 3}
 COEFFICIENTS = ("Rhat", "dirichlet_f", "rho", "robin_c", "robin_z", "trK")
 INDICATORS = ("residual", "dual")
 STRATEGIES = ("equidistribution", "maximum", "hybrid")
@@ -196,6 +198,9 @@ def build_mesh(cfg: RunConfig, problem=None):
         mesh = getattr(generators, cfg.mesh)(cfg.mesh_n)
     if cfg.problem in DIM_PROBLEMS and mesh.dim != cfg.dim:
         raise ConfigError(f"dim: is {cfg.dim}, but the mesh is {mesh.dim}-dimensional")
+    fixed = mesh.dim if problem is None else FIXED_DIM.get(cfg.problem, mesh.dim)
+    if fixed != mesh.dim:
+        raise ConfigError(f"mesh: is {mesh.dim}D, but {cfg.problem} is posed in {fixed}D")
     # generator meshes flag every boundary face DIRICHLET, where Robin data is never read
     flux = np.any(mesh.sflags[mesh.live_simplices()] == NEUMANN)
     for key in ("robin_c", "robin_z"):

@@ -59,10 +59,9 @@ class IndicatorField:
     mesh: Mesh
     ids: np.ndarray
     eta: np.ndarray
-    p: float = 2.0
 
     def total(self) -> float:
-        return float(_row_sums(self.eta[None] ** self.p)[0]) ** (1.0 / self.p)
+        return float(_row_sums(self.eta[None] ** 2)[0]) ** 0.5
 
 
 def _volume_weights(tab, rule):
@@ -128,19 +127,18 @@ def _credit(acc, pos, tab, terms):
               np.column_stack((val, val))[keep])
 
 
-def residual_indicator(problem: ProblemDefinition, u: SolutionField,
-                       p: float = 2.0) -> IndicatorField:
-    """Residual-based indicator; eta_s^p collects the volume residual with
-    weight h_s^p, half the flux-jump terms of interior faces with weight h_f,
+def residual_indicator(problem: ProblemDefinition, u: SolutionField) -> IndicatorField:
+    """Residual-based indicator; eta_s^2 collects the volume residual with
+    weight h_s^2, half the flux-jump terms of interior faces with weight h_f,
     and neumann-face residuals with weight h_f."""
 
     mesh = u.mesh
     tab = mesh.tables()
     terms, face_terms = _residual_terms(problem, u, None, default_rule(mesh.dim),
-                                        lambda r, _: (np.abs(r) ** p).sum(axis=1))
-    acc = tab.h ** p * terms
+                                        lambda r, _: (r * r).sum(axis=1))
+    acc = tab.h ** 2 * terms
     _credit(acc, np.arange(len(acc)), tab, tab.hf * face_terms)
-    return IndicatorField(mesh, tab.ids, acc ** (1.0 / p), p)
+    return IndicatorField(mesh, tab.ids, np.sqrt(acc))
 
 
 _DEFAULT_THETA = {"equidistribution": 1.0, "maximum": 0.5, "hybrid": 0.5}
@@ -149,36 +147,36 @@ _DEFAULT_THETA = {"equidistribution": 1.0, "maximum": 0.5, "hybrid": 0.5}
 def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
     """Choose simplices to refine; returns their ids as an ascending list.
 
-    equidistribution: eta_s^p > theta^p * total^p / N, beyond rounding
+    equidistribution: eta_s^2 > theta^2 * total^2 / N, beyond rounding
     maximum:          eta_s  >= theta * max eta
     hybrid:           largest values (ties: lower id first) until they carry
-                      >= theta of total^p
+                      >= theta of total^2
     """
     if strategy not in _DEFAULT_THETA:
         raise ValueError(f"unknown marking strategy {strategy!r}")
     theta = _DEFAULT_THETA[strategy] if theta is None else theta
     if not (theta > 0.0 and theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    ids, eta, p = field.ids, field.eta, field.p
+    ids, eta = field.ids, field.eta
     if not len(ids):
         return []
     if strategy == "maximum":
         top = eta.max()
         keep = (eta >= theta * top) & (top > 0.0)
     else:
-        mass = eta ** p
-        total_p = _row_sums(mass[None])[0]
+        mass = eta * eta
+        total_sq = _row_sums(mass[None])[0]
         if strategy == "equidistribution":
             # the cut carries the rounding bound of the summed mean, so a
             # field of equal values marks nothing
             n = len(ids)
-            keep = mass > theta ** p * (total_p / n) * (1.0 + (n + 1) * np.finfo(float).eps)
+            keep = mass > theta ** 2 * (total_sq / n) * (1.0 + (n + 1) * np.finfo(float).eps)
         else:
             # the mass marked before each entry, summed in marking order
             order = np.lexsort((ids, -eta))
             before = np.cumsum(np.concatenate(([0.0], mass[order][:-1])))
             keep = np.zeros(len(ids), dtype=bool)
-            keep[order] = (before < theta * total_p) & (total_p > 0.0)
+            keep[order] = (before < theta * total_sq) & (total_sq > 0.0)
     return ids[keep].tolist()
 
 
@@ -266,4 +264,4 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField,
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution; the terms
     # are summed in id order, one after another
     estimate = -float(_row_sums(contrib[None])[0])
-    return IndicatorField(u.mesh, coarse, np.abs(contrib), 2.0), estimate
+    return IndicatorField(u.mesh, coarse, np.abs(contrib)), estimate

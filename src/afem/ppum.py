@@ -94,7 +94,7 @@ def decompose(mesh: Mesh, indicators: IndicatorField, n_parts: int,
     if not np.array_equal(indicators.ids, tab.ids):
         raise PpumError("indicator field does not cover the mesh's live simplices")
 
-    weight = indicators.eta ** indicators.p
+    weight = indicators.eta * indicators.eta
     if weight.sum() <= 0.0:
         weight = np.ones(n)
     bary = tab.coords[tab.verts].mean(axis=1)
@@ -246,7 +246,7 @@ def local_solve(problem, coarse: Mesh, u_coarse: SolutionField, dec: Decompositi
     up to the vertex budget; on_round as there.  Returns the global field."""
     def keep(fld):
         kept = np.isin(fld.mesh.coarse_ancestors(fld.ids, coarse.n_slots), dec.overlap(i))
-        return IndicatorField(fld.mesh, fld.ids[kept], fld.eta[kept], fld.p)
+        return IndicatorField(fld.mesh, fld.ids[kept], fld.eta[kept])
 
     u = SolutionField(coarse.copy(), u_coarse.n_components, u_coarse.values.copy())
     try:

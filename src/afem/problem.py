@@ -1,22 +1,25 @@
 """Problem definitions: the batched template, pointwise data, and fields.
 
 A problem poses -div A(u) + B(u) = 0 in the domain with the flux condition
-A(u).n + C(u) = 0 on flagged boundary faces, through two callbacks evaluated
-at all quadrature points of a block at once, plus dirichlet data:
+A(u).n + C(u) = 0 on flagged boundary faces.  It states each piece once, as a
+callback evaluated at all quadrature points of a block at once:
 
-    Ft(t, x, n, u, gu)    F = [A.ravel(), B], (N, nc (d+1))
+    flux(x, u, gu)        A, (N, nc, d)
+    source(x, u, gu)      B, (N, nc)
+    face_term(x, u)       C, (N, nc); None means zero
     DFt(t, x, n, u, gu)   K = dF/dz, (N, nc (d+1), nc (d+1)), z = [gu.ravel(), u]
 
 The arguments carry a leading point axis: x (N, d) the points, n (N, d) the
 outward unit normals or None, u (N, nc) the component values and gu
-(N, nc, d) their gradients (rows = components).  t selects the term: at t=0
-(elements, n is None) A is the (nc, d) flux and B the source; at t=1 (flagged
-boundary faces) the A slots are zero and B holds C.  The weak residual
+(N, nc, d) their gradients (rows = components).  `ProblemDefinition.Ft`
+packs F = [A.ravel(), B] on elements (t=0) and [0, C] on flagged boundary
+faces (t=1), (N, nc (d+1)); DFt is its derivative.  The weak residual
 against a test function v is F . [gv.ravel(), v], its linearization in
-direction w is [gv.ravel(), v] . K . [gw.ravel(), w].  Problem data enters
-through the callbacks' closures.  `ProblemDefinition.SFt` derives the
-strong-form pieces the indicators integrate.  Dot products are Euclidean:
-the constraint system of `problems.py` is posed in the flat chart.
+direction w is [gv.ravel(), v] . K . [gw.ravel(), w].  `ProblemDefinition.SFt`
+gives the strong-form pieces the indicators integrate, each from only the
+pieces it needs.  Problem data enters through the callbacks' closures.  Dot
+products are Euclidean: `problems.py` poses its constraint system in the
+flat chart.
 
 Data (dirichlet data, exact solutions, functional densities, coefficients)
 is None, a constant or a callable, read through `sample`.  A callable
@@ -95,32 +98,41 @@ class SolutionField:
 
 @dataclass
 class ProblemDefinition:
-    """Everything assembly needs: callbacks and boundary data, plus what the
-    driver reads when present: an exact solution, a default mesh, a constant
-    initial iterate and the constraint data whose clamp counter it reports.
-    dirichlet, exact and exact_grad are data read through `sample`."""
+    """Everything assembly needs: the template's pieces and boundary data, plus
+    what the driver reads when present: an exact solution, a default mesh, a
+    constant initial iterate and the constraint data whose clamp counter it
+    reports.  dirichlet, exact and exact_grad are data read through `sample`."""
 
     name: str
     n_components: int
-    Ft: callable
+    flux: callable
+    source: callable
     DFt: callable
     dirichlet: callable
+    face_term: callable = None
     exact: callable = None
     exact_grad: callable = None
     mesh_factory: callable = None
     initial_value: np.ndarray = None
     constraint_coefficients: object = None
 
+    def _face(self, x, u):
+        return np.zeros(u.shape) if self.face_term is None else self.face_term(x, u)
+
+    def Ft(self, t, x, n, u, gu) -> np.ndarray:
+        """The packed F (N, nc (d+1)): [A.ravel(), B] at t=0 (elements) and
+        [0, C] at t=1 (flagged boundary faces)."""
+        if t == 0:
+            return np.column_stack((self.flux(x, u, gu).reshape(len(x), -1),
+                                    self.source(x, u, gu)))
+        return np.column_stack((np.zeros((len(x), u.shape[1] * x.shape[1])), self._face(x, u)))
+
     def SFt(self, t, x, n, u, gu) -> np.ndarray:
         """Strong-form pieces (N, nc), one value per component and point: the
         source B at t=0, the flux residual C + A.n at t=1 and the flux A.n at
         t=2 (interior faces, whose jumps feed the indicator).  div A vanishes
         elementwise for linear elements."""
-        f = self.Ft(0, x, n, u, gu)
-        m = f.shape[1] - u.shape[1]
         if t == 0:
-            return f[:, m:]
-        flux = (f[:, :m].reshape(gu.shape) @ n[:, :, None])[..., 0]
-        if t == 2:
-            return flux
-        return self.Ft(1, x, n, u, gu)[:, m:] + flux
+            return self.source(x, u, gu)
+        flux = (self.flux(x, u, gu) @ n[:, :, None])[..., 0]
+        return flux if t == 2 else self._face(x, u) + flux

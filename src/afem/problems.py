@@ -14,16 +14,15 @@ Sign conventions follow the template
     u = g                     on dirichlet boundary,
 
 whose weak residual is F(u)(v) = int A:grad v + B.v dx + int_bdry C.v ds.
-Each problem states the template once, for a whole block of points: Ft
-returns rows [A.ravel(), B] on elements and [0, C] on flux faces, DFt their
-derivative with respect to [grad u .ravel(), u] (see `problem.py`), both as
-numpy expressions over the points.  Exact solutions, dirichlet data and the
-`ConstraintCoefficients` entries are constants or `batched` numpy
-expressions too, read through `problem.sample` once per block of points (the
-coefficients through `ConstraintCoefficients.at`, until the points change).
-The strong-form pieces the indicators use, ProblemDefinition.SFt, are
-derived from Ft.  The constraint system is posed in the flat chart: its
-background metric is the identity.
+Each problem states each piece once, for a whole block of points: the flux
+A, the source B and the face term C (none for the scalar benchmarks), plus
+DFt, the derivative of the packed F with respect to [grad u .ravel(), u]
+(see `problem.py`), all as numpy expressions over the points.  Exact
+solutions, dirichlet data and the `ConstraintCoefficients` entries are
+constants or `batched` numpy expressions too, read through `problem.sample`
+once per block of points (the coefficients through
+`ConstraintCoefficients.at`, until the points change).  The constraint system
+is posed in the flat chart: its background metric is the identity.
 """
 
 from __future__ import annotations
@@ -38,14 +37,9 @@ from .problem import ProblemDefinition, ProblemError, batched, sample
 # --------------------------------------------------------------------- scalar
 
 def _scalar_callbacks(b, b_u):
-    """Ft, DFt of the scalar problem -lap u + b(x, u) = 0, with natural
-    (zero-flux) data on flux faces; b_u(x, u) is the slope of b in u.  Both
-    take the points x (N, d) and the values u (N, 1)."""
-    def Ft(t, x, n, u, gu):
-        if t == 0:
-            return np.column_stack((gu[:, 0], b(x, u)))
-        return np.zeros((len(x), x.shape[1] + 1))
-
+    """flux, source and DFt of the scalar problem -lap u + b(x, u) = 0, with
+    natural (zero-flux) data on flux faces; b_u(x, u) is the slope of b in u.
+    Both take the points x (N, d) and the values u (N, 1)."""
     def DFt(t, x, n, u, gu):
         d = x.shape[1]
         k = np.zeros((len(x), d + 1, d + 1))
@@ -54,7 +48,7 @@ def _scalar_callbacks(b, b_u):
             k[:, d, d] = b_u(x, u)
         return k
 
-    return Ft, DFt
+    return {"flux": lambda x, u, gu: gu, "source": lambda x, u, gu: b(x, u)[:, None], "DFt": DFt}
 
 
 def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
@@ -127,11 +121,10 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
     else:
         raise ValueError(f"unknown poisson variant {variant!r}")
 
-    Ft, DFt = _scalar_callbacks(lambda x, u: -f(x), lambda x, u: 0.0)
     return ProblemDefinition(
         name=f"poisson_{variant}",
         n_components=1,
-        Ft=Ft, DFt=DFt,
+        **_scalar_callbacks(lambda x, u: -f(x), lambda x, u: 0.0),
         dirichlet=exact,
         exact=exact, exact_grad=exact_grad,
         mesh_factory=mesh_factory,
@@ -144,11 +137,10 @@ def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
     def b(x, u):
         return -lam * np.exp(u[:, 0])
 
-    Ft, DFt = _scalar_callbacks(b, b)
     return ProblemDefinition(
         name="bratu",
         n_components=1,
-        Ft=Ft, DFt=DFt,
+        **_scalar_callbacks(b, b),
         dirichlet=0.0,
         mesh_factory=generators.unit_square,
     )
@@ -173,10 +165,10 @@ PHI_FLOOR = 1e-6
 
 
 class ClampCounter:
-    """Counts evaluations that hit the positivity floor: each callback
-    evaluation (one Ft or DFt call) counts a clamped point once, however many
-    of its terms read the clamped value.  Statistics only: clamping changes
-    the evaluation point, never the stored state."""
+    """Counts evaluations that hit the positivity floor: each source or DFt
+    call counts a clamped point once, however many of its terms read the
+    clamped value.  Statistics only: clamping changes the evaluation point,
+    never the stored state."""
 
     __slots__ = ("count", "_lock")
 
@@ -333,16 +325,6 @@ def _dot2(a, b):
     return (a * b).reshape(len(a), -1).sum(axis=1)
 
 
-def _robin(coeffs, x, m, phi, w):
-    """F on flux faces: m zero flux slots, then the Robin terms c phi - z and
-    C W - Z at the points x."""
-    d = coeffs.dim
-    c = coeffs.at("robin_C", x, (d, d))
-    return np.column_stack((np.zeros((len(x), m)),
-                            coeffs.at("robin_c", x) * phi - coeffs.at("robin_z", x),
-                            (c @ w[:, :, None])[:, :, 0] - coeffs.at("robin_Z", x, (d,))))
-
-
 def _momentum_source(coeffs, x, p6):
     """The momentum source (2/3) phi^6 grad trK + 8 pi jhat at the points x."""
     d = coeffs.dim
@@ -361,15 +343,20 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     m = nc * d
     lw_map = _lw_matrix(d)
 
-    def Ft(t, x, n, u, gu):
-        if t == 1:
-            return _robin(coeffs, x, m, u[:, 0], u[:, 1:])
-        lw = _lw(gu[:, 1:], d)
-        s = coeffs.at("Ahat", x, (d, d)) + lw
+    def flux(x, u, gu):
+        return np.concatenate((gu[:, :1], _lw(gu[:, 1:], d)), axis=1)
+
+    def source(x, u, gu):
+        s = coeffs.at("Ahat", x, (d, d)) + _lw(gu[:, 1:], d)
         pp = hamiltonian_Pprime(u[:, 0], coeffs.interior_at(x), _dot2(s, s), coeffs.clamps)
         p6 = _clamped(u[:, 0], None)[:, None] ** 6
-        return np.column_stack((gu[:, 0], lw.reshape(len(x), -1), pp,
-                                _momentum_source(coeffs, x, p6)))
+        return np.column_stack((pp, _momentum_source(coeffs, x, p6)))
+
+    def face_term(x, u):
+        # the Robin terms c phi - z and C W - Z
+        c = coeffs.at("robin_C", x, (d, d))
+        return np.column_stack((coeffs.at("robin_c", x) * u[:, 0] - coeffs.at("robin_z", x),
+                                (c @ u[:, 1:, None])[:, :, 0] - coeffs.at("robin_Z", x, (d,))))
 
     def DFt(t, x, n, u, gu):
         k = np.zeros((len(x), m + nc, m + nc))
@@ -389,8 +376,8 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         return k
 
     return ProblemDefinition(
-        name="constraints_coupled", n_components=nc, Ft=Ft, DFt=DFt,
-        dirichlet=coeffs.dirichlet_vector,
+        name="constraints_coupled", n_components=nc, flux=flux, source=source,
+        face_term=face_term, DFt=DFt, dirichlet=coeffs.dirichlet_vector,
         initial_value=np.concatenate([[1.0], np.zeros(d)]),
         constraint_coefficients=coeffs)
 
@@ -399,31 +386,30 @@ def _restriction(coeffs: ConstraintCoefficients, name: str, cols) -> ProblemDefi
     """The coupled system solved for the components `cols` alone, the others
     held at the coupled initial value (phi = 1, W = 0) with zero gradient.
 
-    Ft and DFt are the matching columns and sub-block of the coupled forms at
-    the embedded state; the dirichlet data and the initial value are the
-    matching components of the coupled ones.
+    Each piece is the matching components of the coupled one at the
+    embedded state, and DFt the matching sub-block; the dirichlet data and the
+    initial value are the matching components of the coupled ones.
     """
     full = coupled_forms(coeffs)
     d, nc = coeffs.dim, full.n_components
     cols = np.asarray(cols)
     z = np.concatenate([(cols[:, None] * d + np.arange(d)).ravel(), nc * d + cols])
 
-    def embed(u, gu):
+    def embed(u, gu=0.0):
         uu = np.tile(full.initial_value, (len(u), 1))
         uu[:, cols] = u
         gg = np.zeros((len(u), nc, d))
         gg[:, cols] = gu
         return uu, gg
 
-    # contiguous, so that SFt's flux product rounds as on the closed forms
-    def Ft(t, x, n, u, gu):
-        return np.ascontiguousarray(full.Ft(t, x, n, *embed(u, gu))[:, z])
-
     def DFt(t, x, n, u, gu):
         return np.ascontiguousarray(full.DFt(t, x, n, *embed(u, gu))[:, z[:, None], z])
 
     return ProblemDefinition(
-        name=name, n_components=len(cols), Ft=Ft, DFt=DFt,
+        name=name, n_components=len(cols), DFt=DFt,
+        flux=lambda x, u, gu: full.flux(x, *embed(u, gu))[:, cols],
+        source=lambda x, u, gu: full.source(x, *embed(u, gu))[:, cols],
+        face_term=lambda x, u: full.face_term(x, embed(u)[0])[:, cols],
         dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, cols]),
         initial_value=full.initial_value[cols], constraint_coefficients=coeffs)
 
@@ -482,17 +468,16 @@ def hamiltonian_manufactured() -> ProblemDefinition:
                          0.25 * math.pi * s[:, 0] * c[:, 1]], axis=1)[:, None]
 
     prob = hamiltonian_forms(coeffs)
-    forms = prob.Ft
+    forms = prob.source
 
-    def Ft(t, x, n, u, gu):
-        f = forms(t, x, n, u, gu)
-        if t == 0:
-            # -lap(phi*) + P'(phi*) with lap(phi*) = -(pi^2/2) sin sin
-            p = 1.0 + 0.25 * s_of(x)
-            f[:, -1] -= 0.5 * math.pi ** 2 * s_of(x) + p + p ** 5 - p ** -3
-        return f
+    def source(x, u, gu):
+        # -lap(phi*) + P'(phi*) with lap(phi*) = -(pi^2/2) sin sin
+        b = forms(x, u, gu)
+        p = 1.0 + 0.25 * s_of(x)
+        b[:, 0] -= 0.5 * math.pi ** 2 * s_of(x) + p + p ** 5 - p ** -3
+        return b
 
-    prob.Ft = Ft
+    prob.source = source
     prob.name = "hamiltonian_manufactured"
     prob.exact = exact
     prob.exact_grad = exact_grad

@@ -33,9 +33,11 @@ the mesh on its own and is the independent reference for the dual estimate.
 library's former dict- and set-keyed versions, copied unchanged: the
 indicators above return this `IndicatorField`, whose `eta` maps simplex id to
 value, and they are the reference for the array versions of `afem.indicators`
-and `afem.ppum` in `test_ppum_oracle.py`.  The one change since: `mark`'s
+and `afem.ppum` in `test_ppum_oracle.py`.  The changes since: `mark`'s
 equidistribution cut carries the same rounding margin as the library's, so a
-field of equal values marks nothing in both.
+field of equal values marks nothing in both, and the exponent p, which was
+never anything but 2, is written as 2 here (and in `residual_indicator`) as
+in the library.
 
 `build_blend_mesh` and `blend` are the library's former blend stage, copied
 with the one-point `barycentric`, `root_ancestor` and `locate` the mesh used
@@ -76,10 +78,15 @@ forms' dirichlet data (`forms_dirichlet`).  They are the reference for
 
 `hamiltonian_forms` and `momentum_forms` are the scalar and vector
 constraint problems as they stood before `afem.problems` posed them as
-restrictions of the coupled forms: closed-form callbacks with their own
-Robin branches (`_robin`) and Jacobians (`_scalar_jacobian`), the scalar one
-taking the source that `hamiltonian_manufactured_source` gives.  They are
-the reference for the restriction in `test_problems.py`.
+restrictions of the coupled forms: closed-form flux and source, their own
+Robin face terms (`_robin`) and Jacobians (`_scalar_jacobian`), the scalar
+one taking the source that `hamiltonian_manufactured_source` gives.  They
+are the reference for the restriction in `test_problems.py`.
+`packed_SFt` is `ProblemDefinition.SFt` as it stood when every problem gave
+one packed `Ft`: it reads the source, the flux and the face term back out of
+`Ft(0)` and `Ft(1)`.  With `packed_Ft`, which lays the pieces out in that
+packing on its own, it is the reference for the template's `Ft` and `SFt` in
+`test_problems.py`.
 
 `prolongation_from_refinement` is the library's former transfer operator: it
 builds each row with a dict, one vertex at a time in id order, from the rows
@@ -489,10 +496,9 @@ def _face_quadrature(mesh, sid: int, local: int):
     return xq, wq, fverts, bary
 
 
-def residual_indicator(problem: ProblemDefinition, u: SolutionField,
-                       p: float = 2.0) -> IndicatorField:
-    """Residual-based indicator; eta_s^p collects the volume residual with
-    weight h_s^p, half the flux-jump terms of interior faces with weight h_f,
+def residual_indicator(problem: ProblemDefinition, u: SolutionField) -> IndicatorField:
+    """Residual-based indicator; eta_s^2 collects the volume residual with
+    weight h_s^2, half the flux-jump terms of interior faces with weight h_f,
     and neumann-face residuals with weight h_f."""
 
     mesh = u.mesh
@@ -515,8 +521,8 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
             x = xq[q]
             uq = bary[q] @ uloc
             r0 = np.asarray(at_point(problem.SFt, 0, x, None, uq, gu), dtype=float)
-            term += wq[q] * float(np.sum(np.abs(r0) ** p))
-        acc[s] = inscribed_diameter(mesh, s) ** p * term
+            term += wq[q] * float(np.sum(np.abs(r0) ** 2))
+        acc[s] = inscribed_diameter(mesh, s) ** 2 * term
 
     for s in mesh.live_simplices():
         s = int(s)
@@ -533,7 +539,7 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
                 for q in range(len(wq)):
                     uq = bary[q] @ u.values[fverts]
                     r1 = np.asarray(at_point(problem.SFt, 1, xq[q], n, uq, gu_s), dtype=float)
-                    term += wq[q] * float(np.sum(np.abs(r1) ** p))
+                    term += wq[q] * float(np.sum(np.abs(r1) ** 2))
                 acc[s] += hf * term
                 continue
             t = neighbor(mesh, s, i)
@@ -545,13 +551,13 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField,
                 uq = bary[q] @ u.values[fverts]
                 flux_s = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_s), dtype=float)
                 flux_t = np.asarray(at_point(problem.SFt, 2, xq[q], n, uq, gu_t), dtype=float)
-                term += wq[q] * float(np.sum(np.abs(flux_s - flux_t) ** p))
+                term += wq[q] * float(np.sum(np.abs(flux_s - flux_t) ** 2))
             half = 0.5 * hf * term
             acc[s] += half
             acc[t] += half
 
-    eta = {s: v ** (1.0 / p) for s, v in acc.items()}
-    return IndicatorField(mesh, eta, p)
+    eta = {s: v ** 0.5 for s, v in acc.items()}
+    return IndicatorField(mesh, eta)
 
 
 def functional_load(mesh, psi, nc: int) -> np.ndarray:
@@ -655,7 +661,7 @@ def dual_indicator(problem: ProblemDefinition, u: SolutionField, weights):
     # A(u - u_h) = F(u) - F(u_h) = -F(u_h) at the exact solution
     estimate = -float(sum(contrib.values()))
     eta = {s: abs(v) for s, v in contrib.items()}
-    return IndicatorField(u.mesh, eta, 2.0), estimate
+    return IndicatorField(u.mesh, eta), estimate
 
 
 def interpolate(mesh, fn, n_components: int = 1) -> SolutionField:
@@ -704,11 +710,10 @@ class IndicatorField:
 
     mesh: Mesh
     eta: dict          # live simplex id -> eta_s >= 0
-    p: float = 2.0
     marked: set = dfield(default_factory=set)
 
     def total(self) -> float:
-        return float(sum(v ** self.p for v in self.eta.values()) ** (1.0 / self.p))
+        return float(sum(v ** 2 for v in self.eta.values()) ** 0.5)
 
     def max(self) -> float:
         return max(self.eta.values()) if self.eta else 0.0
@@ -718,21 +723,20 @@ def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
     """Choose simplices to refine; returns a sorted id list and records it on
     the field.
 
-    equidistribution: eta_s^p > theta^p * total^p / N   (strict)
+    equidistribution: eta_s^2 > theta^2 * total^2 / N   (strict)
     maximum:          eta_s  >= theta * max eta
-    hybrid:           largest values until they carry >= theta of total^p
+    hybrid:           largest values until they carry >= theta of total^2
     """
-    p = field.p
     items = sorted(field.eta.items(), key=lambda kv: (-kv[1], kv[0]))
     out = []
     if strategy == "equidistribution":
         theta = 1.0 if theta is None else theta
         n = len(field.eta)
         if n:
-            mean = sum(v ** p for v in field.eta.values()) / n
+            mean = sum(v ** 2 for v in field.eta.values()) / n
             # the rounding bound of the summed mean, so equal values mark nothing
-            cut = theta ** p * mean * (1.0 + (n + 1) * np.finfo(float).eps)
-            out = [s for s, v in items if v ** p > cut]
+            cut = theta ** 2 * mean * (1.0 + (n + 1) * np.finfo(float).eps)
+            out = [s for s, v in items if v ** 2 > cut]
     elif strategy == "maximum":
         theta = 0.5 if theta is None else theta
         top = field.max()
@@ -740,14 +744,14 @@ def mark(field: IndicatorField, strategy: str = "hybrid", theta: float = None):
             out = [s for s, v in items if v >= theta * top]
     elif strategy == "hybrid":
         theta = 0.5 if theta is None else theta
-        total_p = sum(v ** p for v in field.eta.values())
-        if total_p > 0.0:
+        total_sq = sum(v ** 2 for v in field.eta.values())
+        if total_sq > 0.0:
             run = 0.0
             for s, v in items:
-                if run >= theta * total_p:
+                if run >= theta * total_sq:
                     break
                 out.append(s)
-                run += v ** p
+                run += v ** 2
     else:
         raise ValueError(f"unknown marking strategy {strategy!r}")
     if not (theta > 0.0 and theta <= 1.0):
@@ -816,8 +820,7 @@ def decompose(mesh: Mesh, indicators: IndicatorField, n_parts: int,
     if layers < 1:
         raise PpumError("overlap must be at least one simplex layer")
 
-    p = indicators.p
-    weight = {s: indicators.eta.get(s, 0.0) ** p for s in live}
+    weight = {s: indicators.eta.get(s, 0.0) ** 2 for s in live}
     if sum(weight.values()) <= 0.0:
         weight = {s: 1.0 for s in live}
     bary = {s: mesh.coords[mesh.sverts[s]].mean(axis=0) for s in live}
@@ -1581,11 +1584,11 @@ def _scalar_jacobian(n, d, a_gu, b_u):
     return k
 
 
-def _robin(coeffs, x, m, phi=None, w=None):
-    """F on flux faces: m zero flux slots, then the Robin terms c phi - z
-    (when phi is given) and C W - Z (when W is) at the points x."""
+def _robin(coeffs, x, phi=None, w=None):
+    """The face term on flux faces: the Robin terms c phi - z (when phi is
+    given) and C W - Z (when W is) at the points x."""
     d = coeffs.dim
-    cols = [np.zeros((len(x), m))]
+    cols = []
     if phi is not None:
         cols.append(coeffs.at("robin_c", x) * phi - coeffs.at("robin_z", x))
     if w is not None:
@@ -1608,13 +1611,11 @@ def hamiltonian_forms(coeffs, source=None) -> ProblemDefinition:
         a = coeffs.at("Ahat", x, (d, d))
         return fn(u[:, 0], coeffs.interior_at(x), _dot2(a, a))
 
-    def Ft(t, x, n, u, gu):
-        if t == 1:
-            return _robin(coeffs, x, d, phi=u[:, 0])
+    def interior(x, u, gu):
         pp = potential(hamiltonian_Pprime, x, u)
         if source is not None:
             pp = pp - source(x)
-        return np.column_stack((gu[:, 0], pp))
+        return pp[:, None]
 
     def DFt(t, x, n, u, gu):
         if t == 1:
@@ -1622,7 +1623,8 @@ def hamiltonian_forms(coeffs, source=None) -> ProblemDefinition:
         return _scalar_jacobian(len(x), d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
 
     return ProblemDefinition(
-        name="hamiltonian", n_components=1, Ft=Ft, DFt=DFt,
+        name="hamiltonian", n_components=1, flux=lambda x, u, gu: gu, source=interior,
+        face_term=lambda x, u: _robin(coeffs, x, phi=u[:, 0]), DFt=DFt,
         dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, :1]),
         initial_value=np.array([1.0]), constraint_coefficients=coeffs)
 
@@ -1634,11 +1636,6 @@ def momentum_forms(coeffs) -> ProblemDefinition:
     m = d * d
     lw_map = _lw_matrix(d)
 
-    def Ft(t, x, n, u, gu):
-        if t == 1:
-            return _robin(coeffs, x, m, w=u)
-        return np.column_stack((_lw(gu, d).reshape(len(x), m), _momentum_source(coeffs, x, 1.0)))
-
     def DFt(t, x, n, u, gu):
         k = np.zeros((len(x), m + d, m + d))
         if t == 1:
@@ -1648,7 +1645,9 @@ def momentum_forms(coeffs) -> ProblemDefinition:
         return k
 
     return ProblemDefinition(
-        name="momentum", n_components=d, Ft=Ft, DFt=DFt,
+        name="momentum", n_components=d, flux=lambda x, u, gu: _lw(gu, d),
+        source=lambda x, u, gu: _momentum_source(coeffs, x, 1.0),
+        face_term=lambda x, u: _robin(coeffs, x, w=u), DFt=DFt,
         dirichlet=batched(lambda x: coeffs.at("dirichlet_F", x, (d,))),
         initial_value=np.zeros(d), constraint_coefficients=coeffs)
 
@@ -1659,6 +1658,33 @@ def hamiltonian_manufactured_source(x):
     s = np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
     p = 1.0 + 0.25 * s
     return 0.5 * math.pi ** 2 * s + p + p ** 5 - p ** -3
+
+
+def packed_Ft(problem, t, x, n, u, gu):
+    """The packed F of a problem's pieces, laid out here on its own:
+    [A.ravel(), B] at t=0 and [0, C] at t=1, C zero when the face term is
+    None."""
+    npts, nc, d = gu.shape
+    f = np.zeros((npts, nc * (d + 1)))
+    if t == 0:
+        f[:, :nc * d] = problem.flux(x, u, gu).reshape(npts, nc * d)
+        f[:, nc * d:] = problem.source(x, u, gu)
+    elif problem.face_term is not None:
+        f[:, nc * d:] = problem.face_term(x, u)
+    return f
+
+
+def packed_SFt(problem, t, x, n, u, gu):
+    """`ProblemDefinition.SFt` as it stood when a problem gave one packed Ft:
+    the source and the flux read from Ft(0), the face term from Ft(1)."""
+    f = problem.Ft(0, x, n, u, gu)
+    m = f.shape[1] - u.shape[1]
+    if t == 0:
+        return f[:, m:]
+    flux = (f[:, :m].reshape(gu.shape) @ n[:, :, None])[..., 0]
+    if t == 2:
+        return flux
+    return problem.Ft(1, x, n, u, gu)[:, m:] + flux
 
 # ------------------------------------------- field transfer and output, per row
 

@@ -357,13 +357,12 @@ def test_criterion_10_hand_computed_oracles():
 
     tri = Mesh.from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], boundary=NEUMANN)
 
-    def Ft(t, x, n, u, gu):
-        return np.column_stack((gu[:, 0], np.zeros(len(x)))) if t == 0 else np.zeros((len(x), 3))
-
     def DFt(t, x, n, u, gu):
         return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0] * 3), (len(x), 1, 1))
 
-    lap = ProblemDefinition("stiffness", 1, Ft, DFt, dirichlet=lambda x: np.zeros(1))
+    lap = ProblemDefinition("stiffness", 1, flux=lambda x, u, gu: gu,
+                            source=lambda x, u, gu: np.zeros((len(x), 1)), DFt=DFt,
+                            dirichlet=lambda x: np.zeros(1))
     a = assemble_jacobian(lap, SolutionField.zeros(tri)).toarray()
     oracle = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     stiff_gap = float(np.abs(a - oracle).max())

@@ -29,14 +29,12 @@ def one_triangle(boundary):
 
 
 def poisson_unit_load():
-    # F = [A, B] = [grad u, -1] on elements, nothing on flux faces
-    def Ft(t, x, n, u, gu):
-        return np.column_stack((gu[:, 0], -np.ones(len(x)))) if t == 0 else np.zeros((len(x), 3))
-
+    # A = grad u and B = -1 on elements, nothing on flux faces
     def DFt(t, x, n, u, gu):
         return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0] * 3), (len(x), 1, 1))
 
-    return ProblemDefinition(name="unit_load", n_components=1, Ft=Ft, DFt=DFt,
+    return ProblemDefinition(name="unit_load", n_components=1, flux=lambda x, u, gu: gu,
+                             source=lambda x, u, gu: -np.ones((len(x), 1)), DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
 
 
@@ -58,15 +56,12 @@ def test_unit_load_vector():
 def test_robin_boundary_block():
     # flux + u - 1 = 0 on the whole boundary: the jacobian gains a boundary
     # mass matrix (entry sum = perimeter), the residual at u=0 gains -int_bdry v
-    def Ft(t, x, n, u, gu):
-        if t == 0:
-            return np.column_stack((gu[:, 0], np.zeros(len(x))))
-        return np.column_stack((np.zeros((len(x), 2)), u[:, 0] - 1.0))
-
     def DFt(t, x, n, u, gu):
         return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0, 0.0, 1.0]), (len(x), 1, 1))
 
-    prob = ProblemDefinition(name="robin", n_components=1, Ft=Ft, DFt=DFt,
+    prob = ProblemDefinition(name="robin", n_components=1, flux=lambda x, u, gu: gu,
+                             source=lambda x, u, gu: np.zeros((len(x), 1)),
+                             face_term=lambda x, u: u - 1.0, DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
     m = one_triangle(NEUMANN)
     perim = 2.0 + math.sqrt(2.0)

@@ -215,3 +215,57 @@ def test_coupled2d_newton_solve_samples_each_point_once(monkeypatch):
     for name, r in rec.items():
         kind = "elem" if name in INTERIOR else "flux" if name in ROBIN else "dirichlet"
         assert len(r.points) == size[kind], name
+
+
+def test_face_pieces_sample_only_what_they_need():
+    # SFt(2) reads the flux alone, which holds no coefficient; SFt(1) adds the
+    # Robin face term; only SFt(0), the source, reads the interior data and
+    # counts a clamped phi.  Each call gets points of its own, so no cached
+    # sample hides a read.
+    coeffs = ConstraintCoefficients(dim=2, **_data())
+    rec = _record(coeffs, INTERIOR + ROBIN + DIRICHLET_DATA)
+    prob = coupled_forms(coeffs)
+    rng = np.random.default_rng(3)
+    npts = 5
+    u = np.column_stack((np.linspace(-0.5, 1.5, npts), rng.standard_normal((npts, 2))))
+    assert np.count_nonzero(u[:, 0] < 1e-6) == 2
+    gu = rng.standard_normal((npts, 3, 2))
+    n = rng.standard_normal((npts, 2))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    reads = {t: set() for t in (0, 1, 2)}
+    for t in (2, 1, 0):
+        coeffs.clamps.reset()
+        before = {name: len(r.points) for name, r in rec.items()}
+        prob.SFt(t, rng.random((npts, 2)), n, u, gu)
+        for name, r in rec.items():
+            assert len(r.points) - before[name] in (0, npts), name
+            if len(r.points) > before[name]:
+                reads[t].add(name)
+        assert coeffs.clamps.count == (2 if t == 0 else 0), t
+    assert reads == {2: set(), 1: set(ROBIN), 0: set(INTERIOR)}
+
+
+def test_coupled2d_run_samples_no_coefficient_on_interior_faces(tmp_path, monkeypatch):
+    # the benchmark's coupled2d run, seed 0: with the interior-face flux
+    # free of coefficients, the whole run makes at most 2100 one-point
+    # coefficient calls (4374 when every face piece evaluated the full F)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    cfg = workloads.run_config("coupled2d", str(tmp_path), {})
+    problem, mesh = workloads.coupled_problem(0), workloads.coupled_mesh()
+    rec = _record(problem.constraint_coefficients, INTERIOR + ROBIN + DIRICHLET_DATA)
+    sft, inside = problem.SFt, {}
+
+    def counted_sft(t, *args):
+        before = sum(len(r.points) for r in rec.values())
+        out = sft(t, *args)
+        inside[t] = inside.get(t, 0) + sum(len(r.points) for r in rec.values()) - before
+        return out
+
+    problem.SFt = counted_sft
+    monkeypatch.setattr(driver, "build_problem", lambda cfg: problem)
+    monkeypatch.setattr(driver, "build_mesh", lambda cfg, problem=None: mesh)
+    driver.run_adaptive(cfg)
+    assert inside[2] == 0 and inside[1] > 0
+    assert sum(len(r.points) for r in rec.values()) <= 2100

@@ -18,16 +18,12 @@ from pointwise_oracle import domain_average, evaluate_functional, interpolate
 
 
 def poisson(fval, dirichlet=None):
-    def Ft(t, x, n, u, gu):
-        if t == 0:
-            return np.column_stack((gu[:, 0], np.full(len(x), -fval)))
-        return np.zeros((len(x), x.shape[1] + 1))
-
     def DFt(t, x, n, u, gu):
         d = x.shape[1]
         return np.tile(np.diag([1.0 if t == 0 else 0.0] * d + [0.0]), (len(x), 1, 1))
 
-    return ProblemDefinition("poisson", 1, Ft, DFt,
+    return ProblemDefinition("poisson", 1, flux=lambda x, u, gu: gu,
+                             source=lambda x, u, gu: np.full((len(x), 1), -fval), DFt=DFt,
                              dirichlet=dirichlet or (lambda x: np.zeros(1)))
 
 
@@ -41,7 +37,7 @@ def test_single_triangle_oracle():
     # no jump faces, so eta = h_s * ||1||_L2 = h_s / sqrt(2) with the
     # inscribed diameter h_s = 2 - sqrt(2) of the unit right triangle
     m = reference_triangle()
-    ind = residual_indicator(poisson(1.0), SolutionField.zeros(m), p=2.0)
+    ind = residual_indicator(poisson(1.0), SolutionField.zeros(m))
     hs = m.tables().h[0]
     assert abs(hs - (2.0 - math.sqrt(2.0))) < 1e-14
     eta = ind.eta[0]
@@ -96,7 +92,7 @@ def test_effectivity_bounded():
 
 def field(mesh, values):
     """Indicator values on the simplices 0, 1, ... of mesh."""
-    return IndicatorField(mesh, np.arange(len(values)), np.array(values, dtype=float), 2.0)
+    return IndicatorField(mesh, np.arange(len(values)), np.array(values, dtype=float))
 
 
 def test_maximum_strategy():

@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from afem import generators
 from afem.cli import main
-from afem.config import (COEFFICIENTS, CONSTRAINT_PROBLEMS, DIM_PROBLEMS, GENERATORS,
-                         PROBLEMS, ConfigError, RunConfig, build_mesh, build_problem,
-                         parse_config)
+from afem.config import (COEFFICIENTS, CONSTRAINT_PROBLEMS, DIM_PROBLEMS, FIXED_DIM,
+                         GENERATORS, PROBLEMS, ConfigError, RunConfig, build_mesh,
+                         build_problem, parse_config)
 from afem.driver import run_adaptive, run_ppum
 from afem.mesh_io import write_mesh
 
@@ -115,6 +115,18 @@ def dim_off_the_mesh(draw):
                  f"dim = {5 - GENERATOR_DIM[mesh]}"], "dim")
 
 
+def _fixed_dim_off_the_mesh(problem, mesh):
+    return Case([f"problem = {problem}", f"mesh = {mesh}", "mesh_n = 2"], "mesh", RUNS)
+
+
+@st.composite
+def fixed_dim_off_the_mesh(draw):
+    problem = draw(st.sampled_from(sorted(FIXED_DIM)))
+    mesh = draw(st.sampled_from([m for m, d in sorted(GENERATOR_DIM.items())
+                                 if d != FIXED_DIM[problem]]))
+    return _fixed_dim_off_the_mesh(problem, mesh)
+
+
 @st.composite
 def cap_below_the_mesh(draw):
     n = draw(st.integers(1, 6))
@@ -170,7 +182,7 @@ def bad_cli_counts(draw):
 
 CASES = st.one_of(unknown_keys(), unparsable_values(), out_of_range(),
                   coefficient_without_physics(), robin_on_generator(), dim_off_the_mesh(),
-                  cap_below_the_mesh(), subdomains_above_the_mesh(),
+                  fixed_dim_off_the_mesh(), cap_below_the_mesh(), subdomains_above_the_mesh(),
                   unreadable_mesh_files(), bad_cli_counts())
 
 
@@ -193,7 +205,20 @@ def _api(command, text, out):
 @settings(max_examples=80, deadline=None)
 @given(case=CASES, data=st.data())
 def test_invalid_configs_are_config_errors_naming_the_field(case, data):
-    command = data.draw(st.sampled_from(case.commands))
+    _config_error_naming_the_field(case, data.draw(st.sampled_from(case.commands)))
+
+
+@pytest.mark.parametrize("command", RUNS)
+@pytest.mark.parametrize("problem, mesh", [
+    ("cube_sine", "unit_square"), ("square_sine", "unit_cube"),
+    ("corner_singularity", "unit_cube"), ("hamiltonian_manufactured", "unit_cube"),
+    ("momentum_manufactured", "unit_square")])
+def test_fixed_dimension_problem_off_the_mesh(problem, mesh, command):
+    # each of these once ran until an array shape failed: exit 3, partial outputs
+    _config_error_naming_the_field(_fixed_dim_off_the_mesh(problem, mesh), command)
+
+
+def _config_error_naming_the_field(case, command):
     with tempfile.TemporaryDirectory() as tmp:
         text = "\n".join(case.lines).replace("{dir}", tmp) + "\n"
         if case.mesh_text is not None:

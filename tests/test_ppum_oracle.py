@@ -62,9 +62,8 @@ def test_marking_and_decomposition_match_oracle(name, marking, blend_marking, da
     n = len(live)
     palette = data.draw(st.lists(st.integers(0, 160), min_size=1, max_size=6))
     eta = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))) / 16.0
-    p = data.draw(st.sampled_from([1.0, 2.0, 3.0]))
-    field = IndicatorField(mesh, live, eta, p)
-    ref = oracle.IndicatorField(mesh, dict(zip(live.tolist(), eta.tolist())), p)
+    field = IndicatorField(mesh, live, eta)
+    ref = oracle.IndicatorField(mesh, dict(zip(live.tolist(), eta.tolist())))
 
     for strategy in ("equidistribution", "maximum", "hybrid"):
         theta = data.draw(st.sampled_from([None, 0.1, 0.3, 0.5, 0.75, 1.0]))

@@ -11,7 +11,7 @@ from afem import generators
 from afem import problems as P
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, free_dof_mask, measure_error)
-from afem.config import PROBLEMS, RunConfig, build_problem
+from afem.config import CONSTRAINT_PROBLEMS, FIXED_DIM, PROBLEMS, RunConfig, build_problem
 from afem.elements import default_rule
 from afem.indicators import residual_indicator
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
@@ -175,6 +175,35 @@ def test_restricted_forms_match_closed_forms_bitwise(name, dim, varying, npts, s
                    + [_bits(sample(p.dirichlet, x, (nc,))), _bits(p.initial_value),
                       clamps.count])
     assert got[0] == got[1]
+
+
+CONSTRAINT_FORMS = {"hamiltonian": P.hamiltonian_forms, "momentum": P.momentum_forms,
+                    "coupled": P.coupled_forms}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(PROBLEMS), dim=st.sampled_from([2, 3]), varying=st.booleans(),
+       npts=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_template_packs_and_derives_as_the_packed_ft(name, dim, varying, npts, seed):
+    # Ft laid out from the pieces, and SFt bit for bit as it was derived from
+    # a problem's one packed Ft, for every built-in problem at random points,
+    # fields and normals
+    rng = np.random.default_rng(seed)
+    dim = FIXED_DIM.get(name, dim)
+    if name in CONSTRAINT_PROBLEMS:
+        prob = CONSTRAINT_FORMS[name](_coefficients(rng, dim, varying))
+    else:
+        prob = build_problem(RunConfig(problem=name, dim=dim))
+    nc = prob.n_components
+    x = rng.random((npts, dim))
+    n = rng.standard_normal((npts, dim))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    u = rng.uniform(-0.5, 2.0, (npts, nc))
+    gu = rng.standard_normal((npts, nc, dim))
+    for t in (0, 1):
+        assert _bits(prob.Ft(t, x, n, u, gu)) == _bits(oracle.packed_Ft(prob, t, x, n, u, gu))
+    for t in (0, 1, 2):
+        assert _bits(prob.SFt(t, x, n, u, gu)) == _bits(oracle.packed_SFt(prob, t, x, n, u, gu))
 
 
 def _below_floor(k, npts=5, dim=2):
