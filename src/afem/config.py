@@ -10,7 +10,7 @@ rejects them) using a small whitelist of forms:
 
 `coeff.trK` takes const only, and `coeff.robin_c` / `coeff.robin_z` need a
 mesh with flux-flagged (NEUMANN) faces, which only a file: mesh can carry.
-Every validation failure names the offending field.
+Every float must be finite; every validation failure names the offending field.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def validate(cfg: RunConfig) -> None:
     need(cfg.indicator in INDICATORS, "indicator", f"must be one of {INDICATORS}")
     need(cfg.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}")
     need(0.0 <= cfg.theta <= 1.0, "theta", "must lie in [0, 1] (0 = default)")
-    need(cfg.newton_tolerance > 0.0, "newton_tolerance", "must be positive")
+    need(0.0 < cfg.newton_tolerance < np.inf, "newton_tolerance", "must be positive and finite")
     need(cfg.newton_max_iterations >= 1, "newton_max_iterations", "must be at least 1")
     need(cfg.linear in LINEAR, "linear", f"must be one of {LINEAR}")
     need(cfg.ppum_subdomains >= 1, "ppum_subdomains", "must be at least 1")
@@ -144,9 +144,12 @@ def parse_coefficient(name: str, spec: str, dim: int):
     kind, _, rest = spec.partition(":")
     if kind == "const":
         try:
-            return float(rest)
+            value = float(rest)
         except ValueError as exc:
             raise ConfigError(f"coeff.{name}: bad const value {rest!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"coeff.{name}: const value {rest!r} is not finite")
+        return value
     if kind == "gaussian":
         args = {}
         for part in rest.split(","):
@@ -159,9 +162,9 @@ def parse_coefficient(name: str, spec: str, dim: int):
         except (KeyError, ValueError) as exc:
             raise ConfigError(
                 f"coeff.{name}: gaussian needs amp=,width=,center=") from exc
-        if width <= 0.0 or len(center) != dim:
-            raise ConfigError(f"coeff.{name}: gaussian needs a positive width and "
-                              f"dim = {dim} center coordinates")
+        if not (np.isfinite([amp, width, *center]).all() and width > 0.0) or len(center) != dim:
+            raise ConfigError(f"coeff.{name}: gaussian needs finite values, a positive width "
+                              f"and dim = {dim} center coordinates")
 
         @batched
         def gauss(x):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,38 @@ def default_rule(dim: int) -> QuadratureRule:
     return _shared(pts, w)
 
 
-def _gauss01(n: int):
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
+# Gauss nodes and weights on [-1, 1] for the weight (1 - x)^alpha, keyed
+# (alpha, n): Gauss-Legendre for alpha = 0, Gauss-Jacobi for alpha = 1, 2.  Each
+# float is the repr of scipy.special's roots_legendre(n) or roots_jacobi(n, alpha, 0).
+_GAUSS = {
+    (0, 2): ([-0.5773502691896257, 0.5773502691896257], [1.0, 1.0]),
+    (0, 3): ([-0.7745966692414834, 0.0, 0.7745966692414834],
+             [0.5555555555555558, 0.8888888888888883, 0.5555555555555558]),
+    (0, 4): ([-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526],
+             [0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538]),
+    (1, 2): ([-0.6898979485566357, 0.2898979485566358], [1.2721655269759087, 0.7278344730240913]),
+    (1, 3): ([-0.8228240809745921, -0.1810662711185305, 0.5753189235216941],
+             [0.8037276549558384, 0.9169644254383448, 0.2793079196058167]),
+    (1, 4): ([-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389],
+             [0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234]),
+    (2, 2): ([-0.754970354689117, 0.08830368802245062], [1.860379610028064, 0.8062870566386026]),
+    (2, 3): ([-0.8540119518537006, -0.30599246792329643, 0.41000441977699675],
+             [1.2570908885190917, 1.169970154078929, 0.23960562406864572]),
+    (2, 4): ([-0.9029989011060054, -0.5227985248962753, 0.03409459020873491, 0.5917028357935458],
+             [0.8871073248902219, 1.1476703183937156, 0.5490710973833848, 0.08281792599934465]),
+}
 
 
 def _jacobi01(n: int, alpha: int):
     # integrates f(u) (1-u)^alpha on [0,1] exactly for f up to degree 2n-1
-    x, w = roots_jacobi(n, alpha, 0.0)
+    if (alpha, n) not in _GAUSS:
+        raise ValueError(f"no Gauss rule with n = {n} points; the tables hold n = 2, 3, 4")
+    x, w = (np.array(v) for v in _GAUSS[alpha, n])
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+
+
+def _gauss01(n: int):
+    return _jacobi01(n, 0)
 
 
 @cache

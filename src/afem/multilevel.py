@@ -101,9 +101,6 @@ class MultilevelHierarchy:
         x = x + self.prolongations[level] @ self.v_cycle(coarse_b, level + 1)
         return self.sweep(level, x, b, "backward")
 
-    def is_symmetric(self) -> bool:
-        return self._symmetric
-
     def solve(self, b: np.ndarray, tol: float):
         """scipy's CG for a symmetric operator, BiCGSTAB otherwise, with one
         V-cycle as the preconditioner, until the true residual |b - A x| is at

@@ -241,17 +241,17 @@ class ConstraintCoefficients:
         need."""
         trk = self.at("trK", x)
         rho = self.at("rho", x)
-        bad = np.flatnonzero(rho < 0.0)
+        bad = np.flatnonzero(~(rho >= 0.0))  # NaN too
         if bad.size:
             i = bad[0]
-            raise ProblemError(f"rho sampled negative ({rho[i]}) at {tuple(x[i].tolist())}")
+            raise ProblemError(f"rho sampled negative or NaN ({rho[i]}) at {tuple(x[i].tolist())}")
         return {"Rhat": self.at("Rhat", x), "trK2": trk * trk, "rho": rho}
 
     @batched
     def dirichlet_vector(self, x):
         """The dirichlet data (f, F^1..F^d), (N, d+1), at the points x (N, d)."""
         f = self.at("dirichlet_f", x)
-        bad = np.flatnonzero(f <= 0.0)
+        bad = np.flatnonzero(~(f > 0.0))  # NaN too
         if bad.size:
             i = bad[0]
             raise ProblemError(f"dirichlet_f must be positive, got {f[i]} "

@@ -1557,7 +1557,7 @@ def demo_rho(dim: int):
 def dirichlet_vector(coeffs, x):
     """`ConstraintCoefficients.dirichlet_vector`: (f, F^1..F^d) at one point."""
     f = float(sample(coeffs.dirichlet_f, [x])[0])
-    if f <= 0.0:
+    if not f > 0.0:  # NaN too
         raise ProblemError(f"dirichlet_f must be positive, got {f} at {tuple(x)}")
     return np.concatenate([[f], sample(coeffs.dirichlet_F, [x], (coeffs.dim,))[0]])
 

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 import pointwise_oracle as oracle
-from afem.elements import REF_GRADS, QuadratureRule, default_rule, face_rule, fine_rule
+from afem.elements import (_GAUSS, REF_GRADS, QuadratureRule, default_rule, face_rule,
+                           fine_rule)
 
 REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
 
@@ -72,6 +74,27 @@ def test_face_rule_gauss_exactness():
     for p in range(6):  # degree 2n-1 = 5 on the segment
         val = float(r.weights @ (r.points[:, 0] ** p))
         assert abs(val - 1.0 / (p + 1)) < 1e-14
+
+
+@pytest.mark.parametrize("alpha, n", [(a, n) for a in (0, 1, 2) for n in (2, 3, 4)])
+def test_gauss_tables_are_bitwise_scipy(alpha, n):
+    # the literal tables are the repr of what scipy computes
+    x, w = roots_legendre(n) if alpha == 0 else roots_jacobi(n, alpha, 0.0)
+    tx, tw = (np.array(v) for v in _GAUSS[alpha, n])
+    assert tx.tobytes() == x.tobytes() and tw.tobytes() == w.tobytes()
+
+
+def test_gauss_tables_hold_exactly_the_tabulated_rules():
+    assert sorted(_GAUSS) == [(a, n) for a in (0, 1, 2) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("rule, args", [(fine_rule, (2, 5)), (fine_rule, (3, 1)),
+                                        (face_rule, (2, 7))])
+def test_untabulated_gauss_rule_is_a_named_error(rule, args):
+    n = args[1]
+    with pytest.raises(ValueError, match=f"^no Gauss rule with n = {n} points; "
+                                         r"the tables hold n = 2, 3, 4$"):
+        rule(*args)
 
 
 @pytest.mark.parametrize("rule, args", [(default_rule, (2,)), (fine_rule, (3,)),

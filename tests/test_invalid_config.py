@@ -82,7 +82,7 @@ def out_of_range(draw):
         value = draw(st.one_of(st.floats(max_value=-1e-300),
                                st.floats(min_value=1.0, exclude_min=True)))
     elif key == "newton_tolerance":
-        value = draw(st.floats(max_value=0.0))
+        value = draw(st.one_of(st.floats(max_value=0.0), st.just(float("inf"))))
     elif key == "mesh":
         value = draw(WORDS.filter(lambda v: v != "auto" and v not in GENERATORS))
     else:
@@ -96,6 +96,26 @@ def coefficient_without_physics(draw):
     problem = draw(st.sampled_from([p for p in PROBLEMS if p not in CONSTRAINT_PROBLEMS]))
     name = draw(st.sampled_from(COEFFICIENTS))
     return Case([f"problem = {problem}", f"coeff.{name} = const:1"], f"coeff.{name}")
+
+
+NON_FINITE = ("nan", "inf", "-inf", "1e999")
+
+
+@st.composite
+def non_finite_coefficient(draw):
+    # once these ran: NaN data failed at level 0 (exit 3) with partial outputs
+    problem = draw(st.sampled_from(CONSTRAINT_PROBLEMS))
+    name = draw(st.sampled_from(COEFFICIENTS))
+    bad = draw(st.sampled_from(NON_FINITE))
+    if name == "trK" or draw(st.booleans()):
+        spec = f"const:{bad}"
+    else:
+        values = {"amp": "1", "width": "0.5", "center": "0.5 0.5"}
+        slot = draw(st.sampled_from(sorted(values)))
+        values[slot] = bad if slot != "center" else f"0.5 {bad}"
+        spec = "gaussian:" + ",".join(f"{k}={v}" for k, v in values.items())
+    return Case([f"problem = {problem}", "mesh = unit_square", "mesh_n = 2", "dim = 2",
+                 f"coeff.{name} = {spec}"], f"coeff.{name}", RUNS)
 
 
 @st.composite
@@ -181,7 +201,8 @@ def bad_cli_counts(draw):
 
 
 CASES = st.one_of(unknown_keys(), unparsable_values(), out_of_range(),
-                  coefficient_without_physics(), robin_on_generator(), dim_off_the_mesh(),
+                  coefficient_without_physics(), non_finite_coefficient(),
+                  robin_on_generator(), dim_off_the_mesh(),
                   fixed_dim_off_the_mesh(), cap_below_the_mesh(), subdomains_above_the_mesh(),
                   unreadable_mesh_files(), bad_cli_counts())
 
@@ -216,6 +237,20 @@ def test_invalid_configs_are_config_errors_naming_the_field(case, data):
 def test_fixed_dimension_problem_off_the_mesh(problem, mesh, command):
     # each of these once ran until an array shape failed: exit 3, partial outputs
     _config_error_naming_the_field(_fixed_dim_off_the_mesh(problem, mesh), command)
+
+
+@pytest.mark.parametrize("command", RUNS)
+@pytest.mark.parametrize("line, field", [
+    ("coeff.rho = const:nan", "coeff.rho"), ("coeff.Rhat = const:inf", "coeff.Rhat"),
+    ("coeff.trK = const:nan", "coeff.trK"), ("coeff.dirichlet_f = const:nan", "coeff.dirichlet_f"),
+    ("coeff.rho = gaussian:amp=nan,width=0.5,center=0.5 0.5", "coeff.rho"),
+    ("newton_tolerance = inf", "newton_tolerance")])
+def test_non_finite_settings(line, field, command):
+    # each of these once passed validation: the coefficients failed at level 0
+    # (exit 3, partial outputs); an infinite tolerance took no Newton step
+    problem = "square_sine" if field == "newton_tolerance" else "hamiltonian"
+    _config_error_naming_the_field(
+        Case([f"problem = {problem}", "mesh = unit_square", "mesh_n = 2", line], field), command)
 
 
 def _config_error_naming_the_field(case, command):

@@ -242,6 +242,16 @@ def test_momentum_samples_the_scalar_data():
                         mesh)
 
 
+@pytest.mark.parametrize("name, message", [("rho", r"rho sampled negative or NaN \(nan\)"),
+                                           ("dirichlet_f", "dirichlet_f must be positive, got nan")])
+def test_nan_scalar_data_is_named(name, message):
+    # NaN fails every comparison, so the checks test for the valid range
+    mesh = generators.unit_square(2)
+    problem = P.hamiltonian_forms(P.ConstraintCoefficients(dim=2, **{name: float("nan")}))
+    with pytest.raises(P.ProblemError, match=message):
+        assemble_residual(problem, dirichlet_start(problem, mesh))
+
+
 # ------------------------------------------------- batched evaluation edges
 
 def _pointwise_clamps(problem, u):
