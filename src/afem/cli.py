@@ -50,22 +50,13 @@ def _load(args) -> RunConfig:
 
 
 def _mesh_for(cfg: RunConfig):
-    if cfg.mesh == "auto":
-        return build_mesh(cfg, build_problem(cfg))
-    return build_mesh(cfg)
+    # only the default mesh needs the problem
+    return build_mesh(cfg, build_problem(cfg) if cfg.mesh == "auto" else None)
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    from .driver import run_adaptive
-    report = run_adaptive(cfg)
-    sys.stdout.write(report.to_csv())
-    sys.stdout.write(f"status: {report.status}\n")
-    return 0
-
-
-def _cmd_ppum(cfg: RunConfig) -> int:
-    from .driver import run_ppum
-    report = run_ppum(cfg)
+def _cmd_run(cfg: RunConfig, command: str) -> int:
+    from .driver import run_adaptive, run_ppum
+    report = (run_adaptive if command == "solve" else run_ppum)(cfg)
     sys.stdout.write(report.to_csv())
     sys.stdout.write(f"status: {report.status}\n")
     return 0 if not report.status.startswith("subdomain_failed") else 3
@@ -105,10 +96,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command == "solve":
-            return _cmd_solve(cfg)
-        if args.command == "ppum":
-            return _cmd_ppum(cfg)
+        if args.command in ("solve", "ppum"):
+            return _cmd_run(cfg, args.command)
         if args.command == "mesh-info":
             return _cmd_mesh_info(cfg)
         return _cmd_mesh_refine(cfg, args.rounds)

@@ -1,16 +1,18 @@
 """Flat key=value run configuration.
 
 The format is one `key = value` pair per line, `#` comments, no sections.
-Keys map onto RunConfig fields; `coeff.<name>` keys carry coefficient specs
-for the physics problems (hamiltonian, momentum, coupled; any other problem
-rejects them) using a small whitelist of forms:
+Keys map onto RunConfig fields; `problem` names an entry of
+`problems.BUILT_IN`, and `coeff.<name>` keys carry coefficient specs for the
+problems that read them there (any other problem rejects them) using a small
+whitelist of forms:
 
     const:<float>
     gaussian:amp=<float>,width=<float>,center=<float>[ <float>...]
 
-`coeff.trK` takes const only, and `coeff.robin_c` / `coeff.robin_z` need a
-mesh with flux-flagged (NEUMANN) faces, which only a file: mesh can carry.
-Every float must be finite; every validation failure names the offending field.
+A gaussian names each parameter once.  `coeff.trK` takes const only, and
+`coeff.robin_c` / `coeff.robin_z` need a mesh with flux-flagged (NEUMANN)
+faces, which only a file: mesh can carry.  Every float must be finite; every
+validation failure names the offending field.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import generators, mesh_io, problems
+from . import generators, mesh_io
 from .mesh import NEUMANN, MeshError
 from .problem import batched
+from .problems import BUILT_IN
 
 
 class ConfigError(Exception):
@@ -29,14 +32,7 @@ class ConfigError(Exception):
 
 
 GENERATORS = ("unit_square", "unit_cube", "l_shape", "annulus", "sphere_in_box")
-PROBLEMS = ("square_sine", "cube_sine", "corner_singularity", "bratu",
-            "hamiltonian_trivial", "hamiltonian_manufactured",
-            "momentum_manufactured", "coupled_trivial",
-            "hamiltonian", "momentum", "coupled")
-CONSTRAINT_PROBLEMS = ("hamiltonian", "momentum", "coupled")
-DIM_PROBLEMS = CONSTRAINT_PROBLEMS + ("hamiltonian_trivial", "coupled_trivial")  # read dim
-FIXED_DIM = {"square_sine": 2, "cube_sine": 3, "corner_singularity": 2,
-             "hamiltonian_manufactured": 2, "momentum_manufactured": 3}
+PROBLEMS = tuple(BUILT_IN)
 COEFFICIENTS = ("Rhat", "dirichlet_f", "rho", "robin_c", "robin_z", "trK")
 INDICATORS = ("residual", "dual")
 STRATEGIES = ("equidistribution", "maximum", "hybrid")
@@ -48,7 +44,7 @@ class RunConfig:
     problem: str = "square_sine"
     mesh: str = "auto"               # generator name, file:<path>, or the problem's default
     mesh_n: int = 4
-    dim: int = 2                     # used by the physics problems
+    dim: int = 2                     # read only by the problems whose BUILT_IN entry reads it
     max_vertices: int = 2000
     target_eta: float = 0.0          # 0 disables the indicator stopping test
     indicator: str = "residual"
@@ -83,14 +79,8 @@ def parse_config(text: str) -> RunConfig:
             continue
         if key not in ftypes or key == "coefficients":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = ftypes[key]
         try:
-            if kind == "int":
-                setattr(cfg, key, int(val))
-            elif kind == "float":
-                setattr(cfg, key, float(val))
-            else:
-                setattr(cfg, key, val)
+            setattr(cfg, key, {"int": int, "float": float}.get(ftypes[key], str)(val))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     validate(cfg)
@@ -129,8 +119,9 @@ def validate(cfg: RunConfig) -> None:
     need(cfg.threads >= 1, "threads", "must be at least 1")
     for name, spec in cfg.coefficients.items():
         key = f"coeff.{name}"
-        need(cfg.problem in CONSTRAINT_PROBLEMS, key,
-             f"problem {cfg.problem!r} takes no coefficients (only {CONSTRAINT_PROBLEMS} do)")
+        need("coefficients" in BUILT_IN[cfg.problem].reads, key,
+             f"problem {cfg.problem!r} takes no coefficients (only "
+             f"{tuple(p for p, b in BUILT_IN.items() if 'coefficients' in b.reads)} do)")
         need(name in COEFFICIENTS, key, f"unknown coefficient (supported: {list(COEFFICIENTS)})")
         # a varying trK also needs its gradient, which no config key gives
         need(name != "trK" or spec.partition(":")[0] == "const", key, "takes const:<float> only")
@@ -154,7 +145,11 @@ def parse_coefficient(name: str, spec: str, dim: int):
         args = {}
         for part in rest.split(","):
             k, _, v = part.partition("=")
-            args[k.strip()] = v.strip()
+            k = k.strip()
+            if k in args or k not in ("amp", "width", "center"):
+                raise ConfigError(f"coeff.{name}: gaussian "
+                                  f"{'repeats' if k in args else 'has no'} parameter {k!r}")
+            args[k] = v.strip()
         try:
             amp = float(args["amp"])
             width = float(args["width"])
@@ -199,11 +194,10 @@ def build_mesh(cfg: RunConfig, problem=None):
             raise ConfigError(f"mesh_n: {exc}") from exc
     else:
         mesh = getattr(generators, cfg.mesh)(cfg.mesh_n)
-    if cfg.problem in DIM_PROBLEMS and mesh.dim != cfg.dim:
+    if "dim" in BUILT_IN[cfg.problem].reads and mesh.dim != cfg.dim:
         raise ConfigError(f"dim: is {cfg.dim}, but the mesh is {mesh.dim}-dimensional")
-    fixed = mesh.dim if problem is None else FIXED_DIM.get(cfg.problem, mesh.dim)
-    if fixed != mesh.dim:
-        raise ConfigError(f"mesh: is {mesh.dim}D, but {cfg.problem} is posed in {fixed}D")
+    if problem is not None and problem.dim not in (None, mesh.dim):
+        raise ConfigError(f"mesh: is {mesh.dim}D, but {cfg.problem} is posed in {problem.dim}D")
     # generator meshes flag every boundary face DIRICHLET, where Robin data is never read
     flux = np.any(mesh.sflags[mesh.live_simplices()] == NEUMANN)
     for key in ("robin_c", "robin_z"):
@@ -215,24 +209,6 @@ def build_mesh(cfg: RunConfig, problem=None):
 
 def build_problem(cfg: RunConfig):
     """Problem instance for the configured selection, mesh factory attached."""
-    name = cfg.problem
-    if name in ("square_sine", "cube_sine", "corner_singularity"):
-        return problems.benchmark_poisson(name)
-    if name == "bratu":
-        return problems.benchmark_bratu()
-    if name == "hamiltonian_trivial":
-        return problems.hamiltonian_trivial(dim=cfg.dim)
-    if name == "hamiltonian_manufactured":
-        return problems.hamiltonian_manufactured()
-    if name == "momentum_manufactured":
-        return problems.momentum_manufactured()
-    if name == "coupled_trivial":
-        return problems.coupled_trivial(dim=cfg.dim)
-    coeffs = problems.ConstraintCoefficients(
-        dim=cfg.dim, **{name: parse_coefficient(name, spec, cfg.dim)
-                        for name, spec in cfg.coefficients.items()})
-    if name == "hamiltonian":
-        return problems.hamiltonian_forms(coeffs)
-    if name == "momentum":
-        return problems.momentum_forms(coeffs)
-    return problems.coupled_forms(coeffs)
+    return BUILT_IN[cfg.problem].build(
+        cfg.dim, {name: parse_coefficient(name, spec, cfg.dim)
+                  for name, spec in cfg.coefficients.items()})

@@ -101,9 +101,9 @@ class ProblemDefinition:
     """Everything assembly needs: the template's pieces and boundary data, plus
     what the driver reads when present: an exact solution, a default mesh, a
     constant initial iterate and the constraint data whose clamp counter it
-    reports.  dirichlet, exact and exact_grad are data read through `sample`."""
+    reports.  dim is the dimension the problem is posed in, None when it runs
+    in either.  dirichlet, exact and exact_grad are data read through `sample`."""
 
-    name: str
     n_components: int
     flux: callable
     source: callable
@@ -112,6 +112,7 @@ class ProblemDefinition:
     face_term: callable = None
     exact: callable = None
     exact_grad: callable = None
+    dim: int = None
     mesh_factory: callable = None
     initial_value: np.ndarray = None
     constraint_coefficients: object = None

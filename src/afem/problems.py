@@ -22,12 +22,16 @@ solutions, dirichlet data and the `ConstraintCoefficients` entries are
 constants or `batched` numpy expressions too, read through `problem.sample`
 once per block of points (the coefficients through
 `ConstraintCoefficients.at`, until the points change).  The constraint system
-is posed in the flat chart: its background metric is the identity.
+is posed in the flat chart: its background metric is the identity.  Each
+problem states the dimension it is posed in (`ProblemDefinition.dim`), and
+`BUILT_IN` maps the names a run configuration selects from to their makers.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
 import numpy as np
 
 from . import generators
@@ -73,7 +77,7 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
         def f(x):
             return 2.0 * math.pi ** 2 * np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
 
-        mesh_factory = generators.unit_square
+        dim, mesh_factory = 2, generators.unit_square
     elif variant == "cube_sine":
         @batched
         def exact(x):
@@ -90,7 +94,7 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
             return 3.0 * math.pi ** 2 * (np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
                                          * np.sin(math.pi * x[:, 2]))
 
-        mesh_factory = generators.unit_cube
+        dim, mesh_factory = 3, generators.unit_cube
     elif variant == "corner_singularity":
         def _polar(x):
             r = np.hypot(x[:, 0], x[:, 1])
@@ -117,28 +121,27 @@ def benchmark_poisson(variant: str = "square_sine") -> ProblemDefinition:
         def f(x):
             return np.zeros(len(x))
 
-        mesh_factory = generators.l_shape
+        dim, mesh_factory = 2, generators.l_shape
     else:
         raise ValueError(f"unknown poisson variant {variant!r}")
 
     return ProblemDefinition(
-        name=f"poisson_{variant}",
         n_components=1,
         **_scalar_callbacks(lambda x, u: -f(x), lambda x, u: 0.0),
         dirichlet=exact,
         exact=exact, exact_grad=exact_grad,
-        mesh_factory=mesh_factory,
+        dim=dim, mesh_factory=mesh_factory,
     )
 
 
 def benchmark_bratu(lam: float = 1.0) -> ProblemDefinition:
-    """Bratu problem -lap(u) - lam exp(u) = 0 with homogeneous dirichlet data."""
+    """Bratu problem -lap(u) - lam exp(u) = 0 with homogeneous dirichlet data,
+    posed in any dimension (its default mesh is the unit square)."""
 
     def b(x, u):
         return -lam * np.exp(u[:, 0])
 
     return ProblemDefinition(
-        name="bratu",
         n_components=1,
         **_scalar_callbacks(b, b),
         dirichlet=0.0,
@@ -376,13 +379,13 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         return k
 
     return ProblemDefinition(
-        name="constraints_coupled", n_components=nc, flux=flux, source=source,
-        face_term=face_term, DFt=DFt, dirichlet=coeffs.dirichlet_vector,
+        n_components=nc, flux=flux, source=source, face_term=face_term, DFt=DFt,
+        dirichlet=coeffs.dirichlet_vector, dim=d,
         initial_value=np.concatenate([[1.0], np.zeros(d)]),
         constraint_coefficients=coeffs)
 
 
-def _restriction(coeffs: ConstraintCoefficients, name: str, cols) -> ProblemDefinition:
+def _restriction(coeffs: ConstraintCoefficients, cols) -> ProblemDefinition:
     """The coupled system solved for the components `cols` alone, the others
     held at the coupled initial value (phi = 1, W = 0) with zero gradient.
 
@@ -406,7 +409,7 @@ def _restriction(coeffs: ConstraintCoefficients, name: str, cols) -> ProblemDefi
         return np.ascontiguousarray(full.DFt(t, x, n, *embed(u, gu))[:, z[:, None], z])
 
     return ProblemDefinition(
-        name=name, n_components=len(cols), DFt=DFt,
+        n_components=len(cols), DFt=DFt, dim=d,
         flux=lambda x, u, gu: full.flux(x, *embed(u, gu))[:, cols],
         source=lambda x, u, gu: full.source(x, *embed(u, gu))[:, cols],
         face_term=lambda x, u: full.face_term(x, embed(u)[0])[:, cols],
@@ -417,14 +420,14 @@ def _restriction(coeffs: ConstraintCoefficients, name: str, cols) -> ProblemDefi
 def hamiltonian_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     """Scalar problem for the conformal factor: the coupled system with W held
     at 0, so (Ahat + LW)^2 is Ahat^2."""
-    return _restriction(coeffs, "hamiltonian", [0])
+    return _restriction(coeffs, [0])
 
 
 def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     """Linear vector problem for W: the coupled system with phi held at 1, so
     the phi^6 weight of the trK source is 1.  With constant trK the system
     decouples, and this is the coupled W equation exactly."""
-    return _restriction(coeffs, "momentum", range(1, coeffs.dim + 1))
+    return _restriction(coeffs, range(1, coeffs.dim + 1))
 
 
 def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
@@ -478,7 +481,6 @@ def hamiltonian_manufactured() -> ProblemDefinition:
         return b
 
     prob.source = source
-    prob.name = "hamiltonian_manufactured"
     prob.exact = exact
     prob.exact_grad = exact_grad
     prob.mesh_factory = generators.unit_square
@@ -520,7 +522,6 @@ def momentum_manufactured() -> ProblemDefinition:
 
     coeffs = ConstraintCoefficients(dim=3, trK=1.0, jhat=jhat)
     prob = momentum_forms(coeffs)
-    prob.name = "momentum_manufactured"
     prob.exact = batched(lambda x: np.repeat(g_of(x)[:, None], 3, axis=1))
     prob.exact_grad = batched(lambda x: np.repeat(
         np.stack([dg(x, b) for b in range(3)], axis=1)[:, None], 3, axis=1))
@@ -535,3 +536,33 @@ def coupled_trivial(dim: int = 3) -> ProblemDefinition:
     prob.exact, prob.exact_grad = np.eye(1, dim + 1)[0], np.zeros((dim + 1, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
     return prob
+
+
+# ------------------------------------------------------------------ the table
+
+class BuiltIn(NamedTuple):
+    """A problem a config names: build(dim, coeffs) takes the config's dim and
+    its parsed `coeff.*` values by name, and reads lists which of those two
+    fields, "dim" and "coefficients", it reads."""
+
+    build: callable
+    reads: tuple = ()
+
+
+def _constraint(forms):
+    return BuiltIn(lambda dim, coeffs: forms(ConstraintCoefficients(dim=dim, **coeffs)),
+                   ("dim", "coefficients"))
+
+
+BUILT_IN = {
+    **{variant: BuiltIn(lambda dim, coeffs, variant=variant: benchmark_poisson(variant))
+       for variant in ("square_sine", "cube_sine", "corner_singularity")},
+    "bratu": BuiltIn(lambda dim, coeffs: benchmark_bratu()),
+    "hamiltonian_trivial": BuiltIn(lambda dim, coeffs: hamiltonian_trivial(dim), ("dim",)),
+    "hamiltonian_manufactured": BuiltIn(lambda dim, coeffs: hamiltonian_manufactured()),
+    "momentum_manufactured": BuiltIn(lambda dim, coeffs: momentum_manufactured()),
+    "coupled_trivial": BuiltIn(lambda dim, coeffs: coupled_trivial(dim), ("dim",)),
+    "hamiltonian": _constraint(hamiltonian_forms),
+    "momentum": _constraint(momentum_forms),
+    "coupled": _constraint(coupled_forms),
+}

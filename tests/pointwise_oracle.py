@@ -1623,7 +1623,7 @@ def hamiltonian_forms(coeffs, source=None) -> ProblemDefinition:
         return _scalar_jacobian(len(x), d, 1.0, potential(hamiltonian_Pprime_slope, x, u))
 
     return ProblemDefinition(
-        name="hamiltonian", n_components=1, flux=lambda x, u, gu: gu, source=interior,
+        n_components=1, flux=lambda x, u, gu: gu, source=interior,
         face_term=lambda x, u: _robin(coeffs, x, phi=u[:, 0]), DFt=DFt,
         dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, :1]),
         initial_value=np.array([1.0]), constraint_coefficients=coeffs)
@@ -1645,7 +1645,7 @@ def momentum_forms(coeffs) -> ProblemDefinition:
         return k
 
     return ProblemDefinition(
-        name="momentum", n_components=d, flux=lambda x, u, gu: _lw(gu, d),
+        n_components=d, flux=lambda x, u, gu: _lw(gu, d),
         source=lambda x, u, gu: _momentum_source(coeffs, x, 1.0),
         face_term=lambda x, u: _robin(coeffs, x, w=u), DFt=DFt,
         dirichlet=batched(lambda x: coeffs.at("dirichlet_F", x, (d,))),

@@ -360,7 +360,7 @@ def test_criterion_10_hand_computed_oracles():
     def DFt(t, x, n, u, gu):
         return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0] * 3), (len(x), 1, 1))
 
-    lap = ProblemDefinition("stiffness", 1, flux=lambda x, u, gu: gu,
+    lap = ProblemDefinition(1, flux=lambda x, u, gu: gu,
                             source=lambda x, u, gu: np.zeros((len(x), 1)), DFt=DFt,
                             dirichlet=lambda x: np.zeros(1))
     a = assemble_jacobian(lap, SolutionField.zeros(tri)).toarray()

@@ -33,7 +33,7 @@ def poisson_unit_load():
     def DFt(t, x, n, u, gu):
         return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0] * 3), (len(x), 1, 1))
 
-    return ProblemDefinition(name="unit_load", n_components=1, flux=lambda x, u, gu: gu,
+    return ProblemDefinition(n_components=1, flux=lambda x, u, gu: gu,
                              source=lambda x, u, gu: -np.ones((len(x), 1)), DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))
 
@@ -59,7 +59,7 @@ def test_robin_boundary_block():
     def DFt(t, x, n, u, gu):
         return np.tile(np.diag([1.0, 1.0, 0.0] if t == 0 else [0.0, 0.0, 1.0]), (len(x), 1, 1))
 
-    prob = ProblemDefinition(name="robin", n_components=1, flux=lambda x, u, gu: gu,
+    prob = ProblemDefinition(n_components=1, flux=lambda x, u, gu: gu,
                              source=lambda x, u, gu: np.zeros((len(x), 1)),
                              face_term=lambda x, u: u - 1.0, DFt=DFt,
                              dirichlet=lambda x: np.array([0.0]))

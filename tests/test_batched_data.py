@@ -16,9 +16,10 @@ import pytest
 
 import pointwise_oracle as oracle
 from afem import generators
-from afem.config import CONSTRAINT_PROBLEMS, PROBLEMS, RunConfig, build_problem
+from afem.config import RunConfig, build_problem
 from afem.problem import ProblemError, batched, sample
-from afem.problems import ConstraintCoefficients, coupled_forms, hamiltonian_forms, momentum_forms
+from afem.problems import (BUILT_IN, ConstraintCoefficients, coupled_forms, hamiltonian_forms,
+                           momentum_forms)
 from test_sample_rows import Counting
 
 COEFFICIENT_FIELDS = ("Rhat", "trK", "trK_grad", "Ahat", "rho", "jhat", "robin_c", "robin_z",
@@ -103,7 +104,7 @@ def _specs(dim):
 
 def _built(name, dim):
     cfg = RunConfig(problem=name, dim=dim)
-    if name in CONSTRAINT_PROBLEMS:
+    if "coefficients" in BUILT_IN[name].reads:
         cfg.coefficients = _specs(dim)
     return build_problem(cfg)
 
@@ -123,7 +124,7 @@ def _data(problem):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", BUILT_IN)
 def test_builtin_problems_carry_only_declared_data(name, dim):
     # a built-in datum that falls back to one call per point fails here
     problem = _built(name, dim)
@@ -187,7 +188,7 @@ CASES = {
     **{f"{name}_{dim}d": (lambda name=name, dim=dim: (
         _built(name, dim), generators.unit_square(2) if dim == 2 else generators.unit_cube(2),
         _gaussians(dim)))
-       for name in CONSTRAINT_PROBLEMS for dim in (2, 3)},
+       for name, b in BUILT_IN.items() if "coefficients" in b.reads for dim in (2, 3)},
     **{f"demo_{forms.__name__}_{dim}d": (lambda forms=forms, dim=dim: (
         _demo(forms, dim), generators.annulus(2, 12) if dim == 2 else generators.unit_cube(2),
         {"coeff.rho": oracle.demo_rho(dim)}))

@@ -22,7 +22,7 @@ def poisson(fval, dirichlet=None):
         d = x.shape[1]
         return np.tile(np.diag([1.0 if t == 0 else 0.0] * d + [0.0]), (len(x), 1, 1))
 
-    return ProblemDefinition("poisson", 1, flux=lambda x, u, gu: gu,
+    return ProblemDefinition(1, flux=lambda x, u, gu: gu,
                              source=lambda x, u, gu: np.full((len(x), 1), -fval), DFt=DFt,
                              dirichlet=dirichlet or (lambda x: np.zeros(1)))
 

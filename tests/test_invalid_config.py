@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from afem import generators
 from afem.cli import main
-from afem.config import (COEFFICIENTS, CONSTRAINT_PROBLEMS, DIM_PROBLEMS, FIXED_DIM,
-                         GENERATORS, PROBLEMS, ConfigError, RunConfig, build_mesh,
+from afem.config import (COEFFICIENTS, GENERATORS, ConfigError, RunConfig, build_mesh,
                          build_problem, parse_config)
 from afem.driver import run_adaptive, run_ppum
 from afem.mesh_io import write_mesh
+from afem.problems import BUILT_IN
 
 COMMANDS = ("solve", "ppum", "mesh-info", "mesh-refine")
 RUNS = ("solve", "ppum")
@@ -30,12 +30,18 @@ FLOAT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "float"]
 # the lowest valid value of each integer field; dim must be 2 or 3
 INT_FLOOR = {"mesh_n": 1, "max_vertices": 1, "newton_max_iterations": 1,
              "ppum_subdomains": 1, "threads": 1}
-CHOICES = {"problem": PROBLEMS, "indicator": ("residual", "dual"),
+CHOICES = {"problem": tuple(BUILT_IN), "indicator": ("residual", "dual"),
            "strategy": ("equidistribution", "maximum", "hybrid"),
            "linear": ("direct", "multilevel")}
 GENERATOR_DIM = {"unit_square": 2, "l_shape": 2, "annulus": 2, "unit_cube": 3,
                  "sphere_in_box": 3}
 WORDS = st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True)
+# the problems that read the config's coefficients, those that read its dim,
+# and the dimension of each problem posed in only one
+TAKE_COEFFICIENTS = [p for p, b in BUILT_IN.items() if "coefficients" in b.reads]
+READ_DIM = [p for p, b in BUILT_IN.items() if "dim" in b.reads]
+POSED_IN = {p: dim for p, b in BUILT_IN.items()
+            if "dim" not in b.reads and (dim := b.build(2, {}).dim) is not None}
 
 
 @dataclass
@@ -93,24 +99,25 @@ def out_of_range(draw):
 
 @st.composite
 def coefficient_without_physics(draw):
-    problem = draw(st.sampled_from([p for p in PROBLEMS if p not in CONSTRAINT_PROBLEMS]))
+    problem = draw(st.sampled_from([p for p in BUILT_IN if p not in TAKE_COEFFICIENTS]))
     name = draw(st.sampled_from(COEFFICIENTS))
     return Case([f"problem = {problem}", f"coeff.{name} = const:1"], f"coeff.{name}")
 
 
 NON_FINITE = ("nan", "inf", "-inf", "1e999")
+GAUSSIAN = {"amp": "1", "width": "0.5", "center": "0.5 0.5"}
 
 
 @st.composite
 def non_finite_coefficient(draw):
     # once these ran: NaN data failed at level 0 (exit 3) with partial outputs
-    problem = draw(st.sampled_from(CONSTRAINT_PROBLEMS))
+    problem = draw(st.sampled_from(TAKE_COEFFICIENTS))
     name = draw(st.sampled_from(COEFFICIENTS))
     bad = draw(st.sampled_from(NON_FINITE))
     if name == "trK" or draw(st.booleans()):
         spec = f"const:{bad}"
     else:
-        values = {"amp": "1", "width": "0.5", "center": "0.5 0.5"}
+        values = dict(GAUSSIAN)
         slot = draw(st.sampled_from(sorted(values)))
         values[slot] = bad if slot != "center" else f"0.5 {bad}"
         spec = "gaussian:" + ",".join(f"{k}={v}" for k, v in values.items())
@@ -119,8 +126,24 @@ def non_finite_coefficient(draw):
 
 
 @st.composite
+def gaussian_with_stray_parameter(draw):
+    # once parsed: an unknown parameter was dropped, and a repeated one
+    # replaced the first; robin_* would fail on the generator mesh anyway
+    problem = draw(st.sampled_from(TAKE_COEFFICIENTS))
+    name = draw(st.sampled_from(["Rhat", "dirichlet_f", "rho"]))
+    parts = [f"{k}={v}" for k, v in GAUSSIAN.items()]
+    if draw(st.booleans()):
+        stray = draw(WORDS.filter(lambda k: k not in GAUSSIAN)) + "=3"
+    else:
+        stray = draw(st.sampled_from(["amp=7", "width=0.25", "center=0.25 0.75"]))
+    parts.insert(draw(st.integers(0, len(parts))), stray)
+    return Case([f"problem = {problem}", "mesh = unit_square", "mesh_n = 2", "dim = 2",
+                 f"coeff.{name} = gaussian:" + ",".join(parts)], f"coeff.{name}", RUNS)
+
+
+@st.composite
 def robin_on_generator(draw):
-    problem = draw(st.sampled_from(CONSTRAINT_PROBLEMS))
+    problem = draw(st.sampled_from(TAKE_COEFFICIENTS))
     mesh = draw(st.sampled_from(sorted(GENERATOR_DIM)))
     key = draw(st.sampled_from(["robin_c", "robin_z"]))
     return Case([f"problem = {problem}", f"mesh = {mesh}", "mesh_n = 2",
@@ -129,7 +152,7 @@ def robin_on_generator(draw):
 
 @st.composite
 def dim_off_the_mesh(draw):
-    problem = draw(st.sampled_from(DIM_PROBLEMS))
+    problem = draw(st.sampled_from(READ_DIM))
     mesh = draw(st.sampled_from(sorted(GENERATOR_DIM)))
     return Case([f"problem = {problem}", f"mesh = {mesh}", "mesh_n = 2",
                  f"dim = {5 - GENERATOR_DIM[mesh]}"], "dim")
@@ -141,9 +164,9 @@ def _fixed_dim_off_the_mesh(problem, mesh):
 
 @st.composite
 def fixed_dim_off_the_mesh(draw):
-    problem = draw(st.sampled_from(sorted(FIXED_DIM)))
+    problem = draw(st.sampled_from(sorted(POSED_IN)))
     mesh = draw(st.sampled_from([m for m, d in sorted(GENERATOR_DIM.items())
-                                 if d != FIXED_DIM[problem]]))
+                                 if d != POSED_IN[problem]]))
     return _fixed_dim_off_the_mesh(problem, mesh)
 
 
@@ -202,7 +225,7 @@ def bad_cli_counts(draw):
 
 CASES = st.one_of(unknown_keys(), unparsable_values(), out_of_range(),
                   coefficient_without_physics(), non_finite_coefficient(),
-                  robin_on_generator(), dim_off_the_mesh(),
+                  gaussian_with_stray_parameter(), robin_on_generator(), dim_off_the_mesh(),
                   fixed_dim_off_the_mesh(), cap_below_the_mesh(), subdomains_above_the_mesh(),
                   unreadable_mesh_files(), bad_cli_counts())
 

@@ -15,8 +15,9 @@ import afem.newton as newton
 import afem.ppum as ppum
 import afem.vtk as vtk
 from afem import generators
-from afem.config import PROBLEMS, RunConfig, build_problem
+from afem.config import RunConfig, build_problem
 from afem.mesh import Mesh
+from afem.problems import BUILT_IN
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -102,7 +103,7 @@ def test_subdomain_rounds_match_traced_newton_iterations(tmp_path, monkeypatch):
     assert local > 0
 
 
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", BUILT_IN)
 def test_instrumented_callbacks_are_counted(name):
     mod = _tracer_module()
     tracer = mod.Tracer()

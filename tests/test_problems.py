@@ -11,7 +11,7 @@ from afem import generators
 from afem import problems as P
 from afem.assembly import (apply_dirichlet, assemble_jacobian, assemble_residual,
                            dirichlet_start, free_dof_mask, measure_error)
-from afem.config import CONSTRAINT_PROBLEMS, FIXED_DIM, PROBLEMS, RunConfig, build_problem
+from afem.config import RunConfig, build_problem
 from afem.elements import default_rule
 from afem.indicators import residual_indicator
 from afem.mesh import DIRICHLET, NEUMANN, Mesh
@@ -66,7 +66,7 @@ def test_divergence_free_field_has_zero_lw():
 # ------------------------------------------------ packed pointwise template
 
 POINTWISE = {name: (lambda name=name: build_problem(RunConfig(problem=name, dim=2)))
-             for name in PROBLEMS}
+             for name in P.BUILT_IN}
 POINTWISE.update({name: (lambda name=name: CASES[name]()[0])
                   for name in CASES if name.endswith("_annulus")})
 # every block of the coupled K nonzero: varying trK, Ahat, current, Robin data
@@ -84,7 +84,7 @@ def test_dft_is_the_derivative_of_ft(name, rng):
     # points evaluated in one batched call
     problem = POINTWISE[name]()
     nc = problem.n_components
-    dim = problem.mesh_factory(1).dim if problem.mesh_factory else 2
+    dim = problem.dim or 2
     m = nc * dim
     h = 1e-6
     npts = 3
@@ -182,18 +182,18 @@ CONSTRAINT_FORMS = {"hamiltonian": P.hamiltonian_forms, "momentum": P.momentum_f
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(PROBLEMS), dim=st.sampled_from([2, 3]), varying=st.booleans(),
-       npts=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+@given(name=st.sampled_from(list(P.BUILT_IN)), dim=st.sampled_from([2, 3]),
+       varying=st.booleans(), npts=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
 def test_template_packs_and_derives_as_the_packed_ft(name, dim, varying, npts, seed):
     # Ft laid out from the pieces, and SFt bit for bit as it was derived from
     # a problem's one packed Ft, for every built-in problem at random points,
     # fields and normals
     rng = np.random.default_rng(seed)
-    dim = FIXED_DIM.get(name, dim)
-    if name in CONSTRAINT_PROBLEMS:
+    if "coefficients" in P.BUILT_IN[name].reads:
         prob = CONSTRAINT_FORMS[name](_coefficients(rng, dim, varying))
     else:
         prob = build_problem(RunConfig(problem=name, dim=dim))
+    dim = prob.dim or dim
     nc = prob.n_components
     x = rng.random((npts, dim))
     n = rng.standard_normal((npts, dim))
@@ -302,17 +302,41 @@ def test_negative_rho_at_one_point_names_it():
         assemble_residual(prob, u)
 
 
+@pytest.mark.parametrize("name", P.BUILT_IN)
+def test_builtin_problems_state_the_dimension_of_their_data(name):
+    # each dimension an entry accepts: a stated dim must be its default
+    # mesh's and its exact gradient's, sampled at points of that dimension;
+    # a problem posed in either dimension must assemble on both
+    entry = P.BUILT_IN[name]
+    for dim in (2, 3) if "dim" in entry.reads else (2,):
+        problem = entry.build(dim, {})
+        if "dim" in entry.reads:
+            assert problem.dim == dim
+        if problem.dim is None:
+            for mesh in (generators.unit_square(1), generators.unit_cube(1)):
+                r = assemble_residual(problem, dirichlet_start(problem, mesh))
+                assert r.shape == (mesh.n_vertices * problem.n_components,)
+                assert np.isfinite(r).all()
+            continue
+        if problem.mesh_factory is not None:
+            assert problem.mesh_factory(1).dim == problem.dim
+        if problem.exact_grad is not None:
+            grad = problem.exact_grad
+            x = np.full((3, problem.dim), 0.3)
+            assert np.shape(grad(x) if callable(grad) else grad)[-1] == problem.dim
+
+
 def _one_simplex(dim):
     return Mesh.from_arrays(np.vstack([np.zeros(dim), np.eye(dim)]), [tuple(range(dim + 1))],
                             boundary=DIRICHLET)
 
 
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", P.BUILT_IN)
 def test_every_problem_assembles_on_one_simplex(name):
     # a single all-Dirichlet simplex has no face rows: the face blocks of
     # assembly and the residual indicator are empty and skipped
     problem = build_problem(RunConfig(problem=name, dim=2))
-    mesh = _one_simplex(problem.mesh_factory(1).dim if problem.mesh_factory else 2)
+    mesh = _one_simplex(problem.dim or 2)
     assert len(mesh.tables().owner) == 0
     u = dirichlet_start(problem, mesh)
     r = assemble_residual(problem, u)
