@@ -2,7 +2,7 @@
 
 Commands:
     solve        adaptive solve-estimate-refine run from a config file
-    ppum         partition-of-unity parallel run
+    ppum         partition-of-unity run over independent subdomains
     mesh-info    print mesh statistics
     mesh-refine  uniformly refine a mesh and write it back out
 
@@ -31,8 +31,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        if name == "ppum":
-            p.add_argument("--threads", type=int, help="worker thread cap")
         if name == "mesh-refine":
             p.add_argument("--rounds", type=int, default=1,
                            help="uniform refinement rounds")
@@ -43,8 +41,6 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.out:
         cfg.out = args.out
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     validate(cfg)
     return cfg
 

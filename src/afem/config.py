@@ -1,6 +1,7 @@
 """Flat key=value run configuration.
 
-The format is one `key = value` pair per line, `#` comments, no sections.
+The format is one `key = value` pair per line, `#` comments, no sections,
+and each key at most once.
 Keys map onto RunConfig fields; `problem` names an entry of
 `problems.BUILT_IN`, and `coeff.<name>` keys carry coefficient specs for the
 problems that read them there (any other problem rejects them) using a small
@@ -55,7 +56,7 @@ class RunConfig:
     linear: str = "direct"
     ppum_subdomains: int = 1
     out: str = ""
-    threads: int = 1
+    threads: int = 1                 # read by nothing; deleted after ROADMAP item 1(a)
     coefficients: dict = field(default_factory=dict)
 
     @property
@@ -66,6 +67,7 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     ftypes = {f.name: f.type for f in fields(RunConfig)}
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,6 +76,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key}: repeats line {seen[key]}")
+        seen[key] = lineno
         if key.startswith("coeff."):
             cfg.coefficients[key[len("coeff."):]] = val
             continue

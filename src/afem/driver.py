@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ppum as ppum_mod
@@ -189,11 +188,13 @@ def run_adaptive(cfg: RunConfig) -> RunReport:
 
 def run_ppum(cfg: RunConfig) -> RunReport:
     """Coarse solve and error-weighted decomposition (level 0), subdomain
-    runs (thread pool), partition-of-unity blend and error measurement (level 1).
+    runs, partition-of-unity blend and error measurement (level 1).
 
-    Subdomain failures are reported individually; the blend is skipped if any
-    local run failed.  It uses the residual indicator and the direct solver
-    and has no indicator target: another setting of these is a ConfigError.
+    The subdomain runs are independent and run one after another, in order,
+    on the calling thread.  Subdomain failures are reported individually and
+    the later runs still go ahead; the blend is skipped if any local run
+    failed.  It uses the residual indicator and the direct solver and has no
+    indicator target: another setting of these is a ConfigError.
     """
     for key, used in (("indicator", "residual"), ("linear", "direct"), ("target_eta", 0.0)):
         if getattr(cfg, key) != used:
@@ -208,25 +209,17 @@ def run_ppum(cfg: RunConfig) -> RunReport:
 
         wall = [0.0] * dec.n_subdomains
         rounds = [[] for _ in range(dec.n_subdomains)]
-
-        def one(i):
-            t = time.perf_counter()
-            try:
-                return ppum_mod.local_solve(problem, coarse, u0, dec, i, cfg.max_vertices,
-                                            cfg.strategy, cfg.theta_or_none, newton_cfg,
-                                            on_round=lambda rec, u, fld: rounds[i].append(rec))
-            finally:
-                wall[i] = time.perf_counter() - t
-
         t1 = time.perf_counter()
         locals_out, errors = [None] * dec.n_subdomains, {}
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            futures = {i: ex.submit(one, i) for i in range(dec.n_subdomains)}
-            for i, fut in futures.items():
-                try:
-                    locals_out[i] = fut.result()
-                except Exception as exc:
-                    errors[i] = str(exc)
+        for i, rs in enumerate(rounds):
+            t = time.perf_counter()
+            try:
+                locals_out[i] = ppum_mod.local_solve(
+                    problem, coarse, u0, dec, i, cfg.max_vertices, cfg.strategy,
+                    cfg.theta_or_none, newton_cfg, on_round=lambda rec, u, f: rs.append(rec))
+            except Exception as exc:
+                errors[i] = str(exc)
+            wall[i] = time.perf_counter() - t
 
         report.extras["ppum"] = {
             "subdomains": dec.n_subdomains,

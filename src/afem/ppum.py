@@ -1,4 +1,4 @@
-"""Parallel partition-of-unity solver pipeline.
+"""Partition-of-unity solver pipeline.
 
 The pipeline splits a coarse mesh into error-balanced subdomains, runs a
 completely independent adaptive solve per subdomain (refinement restricted to
@@ -14,12 +14,13 @@ matrix.  The taper reads its vertex distances from those ring indices, and the
 partition of unity carries the taper onto the blend mesh with the
 refinement's prolongation.
 
-Subdomain runs share only immutable inputs; each owns a private mesh copy.
-The blend stage is single threaded, so results are bit-identical regardless
-of how the local runs were scheduled, and made of array passes: the blend
-mesh replays each owner's refinement through a map from blend simplices to
-their twins in the local meshes, and `blend` locates all blend vertices of
-one subdomain in one batched genealogy descent (`Mesh.locate`).
+Subdomain runs share only immutable inputs and each owns a private mesh
+copy, so the runs are independent: `driver.run_ppum` runs them one after
+another, and any other schedule gives bit-identical results.  The blend
+stage is made of array passes: the blend mesh replays each owner's
+refinement through a map from blend simplices to their twins in the local
+meshes, and `blend` locates all blend vertices of one subdomain in one
+batched genealogy descent (`Mesh.locate`).
 """
 
 from __future__ import annotations

@@ -173,20 +173,16 @@ class ClampCounter:
     clamped value.  Statistics only: clamping changes the evaluation point,
     never the stored state."""
 
-    __slots__ = ("count", "_lock")
+    __slots__ = ("count",)
 
     def __init__(self):
-        import threading
         self.count = 0
-        self._lock = threading.Lock()
 
     def bump(self, n):
-        with self._lock:
-            self.count += int(n)
+        self.count += int(n)
 
     def reset(self):
-        with self._lock:
-            self.count = 0
+        self.count = 0
 
 
 class ConstraintCoefficients:
@@ -226,8 +222,7 @@ class ConstraintCoefficients:
     def at(self, name, x, shape=()):
         """Read-only values (N,) + shape of the coefficient `name` at the points
         x (N, d).  A callable is sampled again only when it (by identity), the
-        shape or the points (bytewise) differ from its last read; the entry is
-        replaced in one assignment, so threads may share the object."""
+        shape or the points (bytewise) differ from its last read."""
         v = getattr(self, name)
         if not callable(v):
             return sample(v, x, shape)

@@ -183,20 +183,21 @@ def test_batched_datum_keeps_its_own_writeable_flag():
     values[0] = 0.5
 
 
-def test_ppum_threads_share_coefficients_byte_identically(tmp_path, monkeypatch):
-    for threads in (1, 2):
+def test_ppum_coupled_run_repeats_byte_identically(tmp_path, monkeypatch):
+    # the four subdomain runs share one coefficients object and its sample cache
+    for run in ("a", "b"):
         prob, mesh = coupled_forms(ConstraintCoefficients(dim=2, **_data())), _annulus()
         monkeypatch.setattr(driver, "build_problem", lambda cfg: prob)
         monkeypatch.setattr(driver, "build_mesh", lambda cfg, problem=None: mesh)
         cfg = RunConfig(problem="coupled", dim=2, mesh="annulus", ppum_subdomains=4,
-                        threads=threads, max_vertices=50, out=str(tmp_path / f"t{threads}"))
+                        max_vertices=50, out=str(tmp_path / run))
         assert driver.run_ppum(cfg).status == "blended"
-    files = sorted(p.relative_to(tmp_path / "t1") for p in (tmp_path / "t1").rglob("*")
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                    if p.is_file() and p.name != "report.json")
     assert {"levels.csv", "blend.vtk"} <= {str(p) for p in files}
     assert sum(p.parts[0].startswith("sub") for p in files) == 8
     for rel in files:
-        assert (tmp_path / "t1" / rel).read_bytes() == (tmp_path / "t2" / rel).read_bytes(), rel
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
 
 def test_coupled2d_newton_solve_samples_each_point_once(monkeypatch):

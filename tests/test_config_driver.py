@@ -1,6 +1,7 @@
 """Run configuration parsing and the adaptive driver."""
 import dataclasses
 import json
+import threading
 import types
 
 import numpy as np
@@ -338,7 +339,7 @@ def test_run_adaptive_constraint_problem():
 def test_run_ppum_blends_and_writes(tmp_path):
     out = tmp_path / "pp"
     rep = run_ppum(RunConfig(problem="square_sine", mesh_n=4, max_vertices=400,
-                             ppum_subdomains=4, threads=4, out=str(out)))
+                             ppum_subdomains=4, out=str(out)))
     assert rep.status == "blended"
     assert rep.extras["ppum"]["pou_sum_deviation"] <= 1e-12
     assert rep.extras["ppum"]["max_cover"] <= 4
@@ -363,38 +364,41 @@ def test_run_ppum_names_a_setting_it_ignores(key, value, tmp_path, capsys):
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
-def test_run_ppum_thread_count_invisible_in_output(tmp_path):
-    csvs = []
-    for threads, name in ((1, "t1"), (4, "t4")):
-        out = tmp_path / name
-        run_ppum(RunConfig(problem="square_sine", mesh_n=4, max_vertices=400,
-                           ppum_subdomains=4, threads=threads, out=str(out)))
-        csvs.append((out / "levels.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+# the four-subdomain run's levels.csv at budget 110 (25 -> 131 vertices)
+PPUM_110_LEVELS = [
+    [0, 25, 32, 3.180616603881648, 0.07986212344359442, 0.8423540489026474, 1, 0],
+    [1, 131, 230, 1.0659639465203536, 0.00961329584737991, 0.2786659845876246, 0, 0]]
+
+
+def _assert_ppum_110_levels(text):
+    header, *levels = text.splitlines()
+    assert header == ("level,n_vertices,n_simplices,eta_total,l2_error,h1_error,"
+                      "newton_iterations,linear_iterations")
+    got = np.array([[float(v) for v in r.split(",")] for r in levels])
+    np.testing.assert_allclose(got, np.array(PPUM_110_LEVELS), rtol=1e-12)
+
+
+def test_run_ppum_starts_no_thread(tmp_path, monkeypatch):
+    # the subdomain runs go one after another on the calling thread
+    def refuse(self):
+        raise RuntimeError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                             out=str(tmp_path)))
+    assert rep.status == "blended"
+    _assert_ppum_110_levels((tmp_path / "levels.csv").read_text())
 
 
 def test_run_ppum_reports_local_wall_times(tmp_path):
     # one wall time per subdomain run in report.json; levels.csv keeps its
-    # schema and its numbers (the four-subdomain run's, 25 -> 131 vertices)
-    rows = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
-        run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, threads=threads,
-                           max_vertices=110, out=str(out)))
-        wall = json.loads((out / "report.json").read_text())["ppum"]["local_wall_s"]
-        assert len(wall) == 4
-        assert all(isinstance(w, float) and w >= 0.0 for w in wall)
-        rows.append((out / "levels.csv").read_text())
-    assert rows[0] == rows[1]
-    header, *levels = rows[0].splitlines()
-    assert header == ("level,n_vertices,n_simplices,eta_total,l2_error,h1_error,"
-                      "newton_iterations,linear_iterations")
-    got = np.array([[float(v) for v in r.split(",")] for r in levels])
-    want = np.array([[0, 25, 32, 3.180616603881648, 0.07986212344359442,
-                      0.8423540489026474, 1, 0],
-                     [1, 131, 230, 1.0659639465203536, 0.00961329584737991,
-                      0.2786659845876246, 0, 0]])
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    # schema and its numbers
+    run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                       out=str(tmp_path)))
+    wall = json.loads((tmp_path / "report.json").read_text())["ppum"]["local_wall_s"]
+    assert len(wall) == 4
+    assert all(isinstance(w, float) and w >= 0.0 for w in wall)
+    _assert_ppum_110_levels((tmp_path / "levels.csv").read_text())
 
 
 def test_run_ppum_reports_each_subdomain_round(tmp_path):
@@ -449,7 +453,7 @@ def test_newton_failure_names_its_level_and_keeps_finished_rows(k, tmp_path, mon
 
 
 def test_failed_subdomain_is_named_and_skips_the_blend(tmp_path, monkeypatch):
-    # one thread: the coarse solve is call 1, subdomain 0's first round call 2
+    # the coarse solve is call 1, subdomain 0's first round call 2
     _newton_fails_on_call(monkeypatch, 2)
     rep = run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
                              out=str(tmp_path)))
@@ -464,6 +468,27 @@ def test_failed_subdomain_is_named_and_skips_the_blend(tmp_path, monkeypatch):
     assert not (tmp_path / "blend.vtk").exists()
     header, *rows = (tmp_path / "levels.csv").read_text().splitlines()
     assert len(rows) == 1 and rows[0].startswith("0,25,32,")
+
+
+def test_every_failed_subdomain_is_named_and_the_others_run(tmp_path, monkeypatch):
+    solve = ppum.local_solve
+
+    def failing(problem, coarse, u, dec, i, *args, **kwargs):
+        if i in (1, 3):
+            raise ppum.PpumError(f"subdomain {i}: provoked")
+        return solve(problem, coarse, u, dec, i, *args, **kwargs)
+
+    monkeypatch.setattr(ppum, "local_solve", failing)
+    rep = run_ppum(RunConfig(problem="square_sine", ppum_subdomains=4, max_vertices=110,
+                             out=str(tmp_path)))
+    assert rep.status == "subdomain_failed: 1, 3"
+    assert rep.extras["subdomain_errors"] == {1: "subdomain 1: provoked",
+                                              3: "subdomain 3: provoked"}
+    local = rep.extras["ppum"]["local_vertices"]
+    assert local[1] is None and local[3] is None and local[0] > 25 and local[2] > 25
+    assert [len(r) > 1 for r in rep.extras["ppum"]["rounds"]] == [True, False, True, False]
+    assert len(rep.extras["ppum"]["local_wall_s"]) == 4
+    assert not (tmp_path / "blend.vtk").exists()
 
 
 def _assert_failed_at(out, k, message):

@@ -218,16 +218,35 @@ def unreadable_mesh_files(draw):
 
 @st.composite
 def bad_cli_counts(draw):
-    flag, command = draw(st.sampled_from([("--threads", "ppum"), ("--rounds", "mesh-refine")]))
     value = draw(st.integers(-100, 0))
-    return Case([], flag[2:], (command,), (flag, str(value)))
+    return Case([], "rounds", ("mesh-refine",), ("--rounds", str(value)))
+
+
+# keys that parse on their own, each with two values
+REPEATABLE = {"mesh_n": ("2", "7"), "max_vertices": ("100", "200"),
+              "strategy": ("maximum", "hybrid"), "problem": ("square_sine", "bratu"),
+              "coeff.rho": ("const:1", "const:5"),
+              "coeff.Rhat": ("const:0", "gaussian:amp=1,width=0.5,center=0.5 0.5")}
+
+
+def _repeated_key(key, first, again, between):
+    return Case([f"{key} = {first}", *between, f"{key} = {again}"], key)
+
+
+@st.composite
+def repeated_keys(draw):
+    key = draw(st.sampled_from(sorted(REPEATABLE)))
+    between = draw(st.lists(st.sampled_from(["# between", "", "newton_max_iterations = 5"]),
+                            max_size=3, unique=True))
+    return _repeated_key(key, draw(st.sampled_from(REPEATABLE[key])),
+                         draw(st.sampled_from(REPEATABLE[key])), between)
 
 
 CASES = st.one_of(unknown_keys(), unparsable_values(), out_of_range(),
                   coefficient_without_physics(), non_finite_coefficient(),
                   gaussian_with_stray_parameter(), robin_on_generator(), dim_off_the_mesh(),
                   fixed_dim_off_the_mesh(), cap_below_the_mesh(), subdomains_above_the_mesh(),
-                  unreadable_mesh_files(), bad_cli_counts())
+                  unreadable_mesh_files(), bad_cli_counts(), repeated_keys())
 
 
 def _names(message, field):
@@ -274,6 +293,18 @@ def test_non_finite_settings(line, field, command):
     problem = "square_sine" if field == "newton_tolerance" else "hamiltonian"
     _config_error_naming_the_field(
         Case([f"problem = {problem}", "mesh = unit_square", "mesh_n = 2", line], field), command)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key, first, again, between", [
+    ("mesh_n", "2", "7", ["# between", ""]),
+    ("coeff.rho", "const:1", "const:5", ["problem = hamiltonian", "mesh = unit_square"])])
+def test_repeated_key_names_both_lines(key, first, again, between, command):
+    # each of these once parsed, the later value winning without a word
+    case = _repeated_key(key, first, again, between)
+    _config_error_naming_the_field(case, command)
+    with pytest.raises(ConfigError, match=rf"^line 4: {re.escape(key)}: repeats line 1$"):
+        parse_config("\n".join(case.lines))
 
 
 def _config_error_naming_the_field(case, command):

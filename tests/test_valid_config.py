@@ -42,9 +42,7 @@ def valid_runs(draw):
     cfg.theta = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)))
     cfg.ppum_subdomains = draw(st.integers(1, min(4, len(mesh.live_simplices()))))
     ppum = draw(st.booleans())
-    if ppum:
-        cfg.threads = draw(st.integers(1, 2))
-    else:
+    if not ppum:
         cfg.indicator = draw(st.sampled_from(["residual", "dual"]))
         cfg.linear = draw(st.sampled_from(["direct", "multilevel"]))
         cfg.target_eta = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
@@ -80,6 +78,4 @@ def test_valid_configs_end_normally_or_name_the_level(run):
     cfg, ppum = run
     with tempfile.TemporaryDirectory() as tmp:
         first = _outcome(cfg, ppum, os.path.join(tmp, "a"))
-        if ppum:  # the blend is the same at any thread count
-            cfg.threads = 3 - cfg.threads
         assert _outcome(cfg, ppum, os.path.join(tmp, "b")) == first

@@ -143,7 +143,7 @@ def test_cli_mesh_refine(tmp_path):
 def test_cli_ppum(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 4\nmax_vertices = 300\n"
                               "ppum_subdomains = 2\n")
-    rc = main(["ppum", "--config", cfg, "--out", str(tmp_path / "pp"), "--threads", "2"])
+    rc = main(["ppum", "--config", cfg, "--out", str(tmp_path / "pp")])
     assert rc == 0
     assert "status: blended" in capsys.readouterr().out
 
@@ -169,16 +169,19 @@ def test_cli_solver_failure_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
-def test_cli_invalid_thread_count_exit_2(tmp_path):
-    cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 4\n")
-    assert main(["ppum", "--config", cfg, "--threads", "0"]) == 2
+def test_cli_invalid_thread_count_exit_2(tmp_path, capsys):
+    # threads is read by nothing, but a value below 1 is still rejected
+    cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 4\nthreads = 0\n")
+    assert main(["ppum", "--config", cfg]) == 2
+    assert "config error: threads: " in capsys.readouterr().err
 
 
-def test_cli_threads_only_on_ppum(tmp_path):
-    # only the partition-of-unity run has worker threads to cap
+@pytest.mark.parametrize("command", ["solve", "ppum"])
+def test_cli_has_no_threads_flag(command, tmp_path):
+    # the subdomain runs go one after another: there are no threads to cap
     cfg = write_cfg(tmp_path, "problem = square_sine\nmesh_n = 2\nmax_vertices = 9\n")
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--config", cfg, "--threads", "2"])
+        main([command, "--config", cfg, "--threads", "2"])
     assert exc.value.code == 2
 
 
