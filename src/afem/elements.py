@@ -96,38 +96,23 @@ def _jacobi01(n: int, alpha: int):
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
-def _gauss01(n: int):
-    return _jacobi01(n, 0)
-
-
 @cache
 def fine_rule(dim: int, n: int = 4) -> QuadratureRule:
-    """Conical-product Gauss rule, exact to degree 2n-1 (default 7).
-
+    """Conical-product Gauss rule, exact to degree 2n-1 (default 7): the tensor
+    product, last axis fastest, of the Gauss-Jacobi rules for (1 - u)^(dim-1-k)
+    on axes k, at (a, b(1-a)) or (a, b(1-a), c(1-a)(1-b)) with weight wa wb (wc).
     Used for error measurement and goal functionals, where the element default
     would pollute observed convergence rates.
     """
-    if dim == 2:
-        u1, w1 = _jacobi01(n, 1)
-        u2, w2 = _gauss01(n)
-        pts, ws = [], []
-        for a, wa in zip(u1, w1):
-            for b, wb in zip(u2, w2):
-                pts.append((a, b * (1.0 - a)))
-                ws.append(wa * wb)
-        return _shared(pts, ws)
+    if dim not in (2, 3):
+        raise ValueError(f"no rule for dimension {dim}")
+    nodes, weights = zip(*(_jacobi01(n, dim - 1 - k) for k in range(dim)))
+    u, w = (np.meshgrid(*v, indexing="ij") for v in (nodes, weights))
+    pts, ws = [u[0], u[1] * (1.0 - u[0])], w[0] * w[1]
     if dim == 3:
-        u1, w1 = _jacobi01(n, 2)
-        u2, w2 = _jacobi01(n, 1)
-        u3, w3 = _gauss01(n)
-        pts, ws = [], []
-        for a, wa in zip(u1, w1):
-            for b, wb in zip(u2, w2):
-                for c, wc in zip(u3, w3):
-                    pts.append((a, b * (1.0 - a), c * (1.0 - a) * (1.0 - b)))
-                    ws.append(wa * wb * wc)
-        return _shared(pts, ws)
-    raise ValueError(f"no rule for dimension {dim}")
+        pts.append(u[2] * (1.0 - u[0]) * (1.0 - u[1]))
+        ws = ws * w[2]
+    return _shared(np.stack(pts, axis=-1).reshape(-1, dim), ws.ravel())
 
 
 @cache
@@ -135,7 +120,7 @@ def face_rule(dim: int, n: int = 3) -> QuadratureRule:
     """Rule on a reference face (segment in 2D, triangle in 3D); weights sum to
     the reference face volume (1 for the segment, 1/2 for the triangle)."""
     if dim == 2:
-        u, w = _gauss01(n)
+        u, w = _jacobi01(n, 0)
         return _shared(u.reshape(-1, 1), w)
     if dim == 3:
         return fine_rule(2, n)

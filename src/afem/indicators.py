@@ -40,7 +40,7 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .elements import default_rule, fine_rule, face_rule
 from .problem import ProblemDefinition, SolutionField, sample
-from .assembly import _dofs, _dot, _point_values, _row_sums, free_dof_mask
+from .assembly import _dot, _point_values, _row_sums, assembly_plan, free_dof_mask
 from .multilevel import prolongation_from_refinement
 
 _REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
@@ -189,20 +189,15 @@ class DualWeights:
 
 
 def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
-    """Vector of <psi, basis_i> integrals, with the assembly quadrature rule
+    """Vector of <psi, basis_i> integrals at the element block of the mesh's
+    `AssemblyPlan`, summed in row, point, dof order as `assemble_residual` sums
     (so a self-adjoint problem with psi = its own load reproduces the primal
     system exactly).  psi is a constant or a callable read through `sample`."""
-    rule = default_rule(mesh.dim)
-    tab = mesh.tables()
-    bary = rule.barycentric
-    (n, nb), nq = tab.verts.shape, len(bary)
-    pv = sample(psi, tab.element_points(rule.points).reshape(-1, mesh.dim), (nc,))
-    vals = (_volume_weights(tab, rule)[:, :, None, None] * bary[:, :, None]
-            * pv.reshape(n, nq, 1, nc))
-    b = np.zeros(mesh.n_vertices * nc)
-    dofs = np.broadcast_to(_dofs(tab.verts, nc)[:, None], (n, nq, nb * nc))
-    np.add.at(b, dofs, vals.reshape(n, nq, nb * nc))
-    return b
+    plan = assembly_plan(mesh, nc)
+    _, _, _, x, _, wq, bas, _ = plan.blocks[0]
+    vals = (_volume_weights(mesh.tables(), default_rule(mesh.dim))[:, :, None, None]
+            * bas[:, :, None] * sample(psi, x, (nc,)).reshape(wq.shape + (1, nc))).ravel()
+    return np.bincount(plan.rdofs[:vals.size], weights=vals, minlength=mesh.n_vertices * nc)
 
 
 def solve_dual(problem: ProblemDefinition, u: SolutionField, psi) -> DualWeights:

@@ -194,8 +194,9 @@ class ConstraintCoefficients:
     one point x, called once per point, which is slower.  Either is a function
     of the points alone, which `at` samples again only when they change.  trK
     additionally needs trK_grad when it varies in space (the vector source
-    carries its gradient).  rho must be nonnegative and dirichlet_f positive
-    wherever sampled; both are checked on every read, naming the first bad point.
+    carries its gradient).  rho must be nonnegative and dirichlet_f above
+    PHI_FLOOR wherever sampled; both are checked on every read, naming the
+    first bad point.
     """
 
     def __init__(self, dim=3, Rhat=0.0, trK=0.0, trK_grad=None, Ahat=None,
@@ -249,11 +250,12 @@ class ConstraintCoefficients:
     def dirichlet_vector(self, x):
         """The dirichlet data (f, F^1..F^d), (N, d+1), at the points x (N, d)."""
         f = self.at("dirichlet_f", x)
-        bad = np.flatnonzero(~(f > 0.0))  # NaN too
+        bad = np.flatnonzero(~(f > PHI_FLOOR))  # NaN too
         if bad.size:
             i = bad[0]
-            raise ProblemError(f"dirichlet_f must be positive, got {f[i]} "
-                               f"at {tuple(x[i].tolist())}")
+            what = (f"must lie above the phi floor {PHI_FLOOR}" if f[i] > 0.0
+                    else "must be positive")
+            raise ProblemError(f"dirichlet_f {what}, got {f[i]} at {tuple(x[i].tolist())}")
         return np.column_stack([f, self.at("dirichlet_F", x, (self.dim,))])
 
 
@@ -425,18 +427,20 @@ def momentum_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
     return _restriction(coeffs, range(1, coeffs.dim + 1))
 
 
-def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
-    """Flat trivial data: every potential term zero, boundary value 1.
-
-    The exact discrete solution is phi identically 1 (the equation reduces to
-    the Laplace problem with constant boundary data), so Newton converges to
-    round-off in one step from any start.
-    """
-    coeffs = ConstraintCoefficients(dim=dim, dirichlet_f=1.0)
-    prob = hamiltonian_forms(coeffs)
-    prob.exact, prob.exact_grad = np.ones(1), np.zeros((1, dim))
+def _trivial(forms, dim: int) -> ProblemDefinition:
+    """forms on flat trivial data: every potential term zero, boundary value 1.
+    The exact solution is the forms' own initial value, (1) or (1, 0, ...):
+    the equations reduce to Laplace problems with constant boundary data, so
+    Newton converges to round-off in one step from any start."""
+    prob = forms(ConstraintCoefficients(dim=dim, dirichlet_f=1.0))
+    prob.exact, prob.exact_grad = prob.initial_value, np.zeros((prob.n_components, dim))
     prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
     return prob
+
+
+def hamiltonian_trivial(dim: int = 3) -> ProblemDefinition:
+    """The scalar problem on flat trivial data; exact solution phi = 1."""
+    return _trivial(hamiltonian_forms, dim)
 
 
 def hamiltonian_manufactured() -> ProblemDefinition:
@@ -525,12 +529,8 @@ def momentum_manufactured() -> ProblemDefinition:
 
 
 def coupled_trivial(dim: int = 3) -> ProblemDefinition:
-    """Coupled system with flat trivial data; exact solution (phi, W) = (1, 0)."""
-    coeffs = ConstraintCoefficients(dim=dim, dirichlet_f=1.0)
-    prob = coupled_forms(coeffs)
-    prob.exact, prob.exact_grad = np.eye(1, dim + 1)[0], np.zeros((dim + 1, dim))
-    prob.mesh_factory = generators.unit_square if dim == 2 else generators.unit_cube
-    return prob
+    """The coupled system on flat trivial data; exact solution (phi, W) = (1, 0)."""
+    return _trivial(coupled_forms, dim)
 
 
 # ------------------------------------------------------------------ the table

@@ -1557,8 +1557,9 @@ def demo_rho(dim: int):
 def dirichlet_vector(coeffs, x):
     """`ConstraintCoefficients.dirichlet_vector`: (f, F^1..F^d) at one point."""
     f = float(sample(coeffs.dirichlet_f, [x])[0])
-    if not f > 0.0:  # NaN too
-        raise ProblemError(f"dirichlet_f must be positive, got {f} at {tuple(x)}")
+    if not f > PHI_FLOOR:  # NaN too
+        what = f"must lie above the phi floor {PHI_FLOOR}" if f > 0.0 else "must be positive"
+        raise ProblemError(f"dirichlet_f {what}, got {f} at {tuple(x)}")
     return np.concatenate([[f], sample(coeffs.dirichlet_F, [x], (coeffs.dim,))[0]])
 
 

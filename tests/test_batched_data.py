@@ -18,8 +18,8 @@ import pointwise_oracle as oracle
 from afem import generators
 from afem.config import RunConfig, build_problem
 from afem.problem import ProblemError, batched, sample
-from afem.problems import (BUILT_IN, ConstraintCoefficients, coupled_forms, hamiltonian_forms,
-                           momentum_forms)
+from afem.problems import (BUILT_IN, PHI_FLOOR, ConstraintCoefficients, coupled_forms,
+                           hamiltonian_forms, momentum_forms)
 from test_sample_rows import Counting
 
 COEFFICIENT_FIELDS = ("Rhat", "trK", "trK_grad", "Ahat", "rho", "jhat", "robin_c", "robin_z",
@@ -88,6 +88,18 @@ def test_dirichlet_vector_names_the_first_bad_point():
     with pytest.raises(ProblemError, match=re.escape("at (0.7, 0.2)")):
         coeffs.dirichlet_vector(x)
     np.testing.assert_array_equal(coeffs.dirichlet_vector(x[:1]), [[0.4, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("f", [PHI_FLOOR, 1e-7])
+def test_dirichlet_vector_rejects_data_at_or_below_the_phi_floor(f):
+    # boundary data the potential would clamp: the solve could not keep it
+    x = np.array([[0.1, 0.0], [0.7, 0.2]])
+    with pytest.raises(ProblemError, match=re.escape(
+            f"dirichlet_f must lie above the phi floor {PHI_FLOOR}, got {f} at (0.1, 0.0)")):
+        ConstraintCoefficients(dim=2, dirichlet_f=f).dirichlet_vector(x)
+    above = np.nextafter(PHI_FLOOR, 1.0)
+    np.testing.assert_array_equal(
+        ConstraintCoefficients(dim=2, dirichlet_f=above).dirichlet_vector(x)[:, 0], above)
 
 
 # -------------------------------------------------- built-in data vs oracle

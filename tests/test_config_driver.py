@@ -1,6 +1,7 @@
 """Run configuration parsing and the adaptive driver."""
 import dataclasses
 import json
+import re
 import threading
 import types
 
@@ -18,7 +19,7 @@ from afem.cli import main
 from afem.driver import DriverError, run_adaptive, run_ppum
 from afem.multilevel import build_hierarchy
 from afem.newton import NewtonError
-from afem.problem import batched
+from afem.problem import ProblemError, batched
 from afem.problems import ConstraintCoefficients, coupled_forms
 
 
@@ -540,6 +541,23 @@ def test_newton_stall_is_named_at_level_0(run, cfg, tmp_path, monkeypatch):
         run(RunConfig(problem="square_sine", out=str(tmp_path), **cfg))
     assert isinstance(info.value.__cause__, NewtonError)
     _assert_failed_at(tmp_path, 0, str(info.value.__cause__))
+
+
+PHI_FLOOR_RUN = ("problem = hamiltonian\nmesh = unit_square\nmesh_n = 4\nmax_vertices = 80\n"
+                 "coeff.dirichlet_f = const:1e-7\n")
+
+
+def test_phi_floor_boundary_data_is_named_at_level_0(tmp_path):
+    # once this ran to vertex_cap with 3202 clamp events and phi = 1e-7
+    message = "dirichlet_f must lie above the phi floor 1e-06, got 1e-07 at (0.0, 0.0)"
+    with pytest.raises(DriverError, match=rf"^level 0: {re.escape(message)}$") as info:
+        run_adaptive(dataclasses.replace(parse_config(PHI_FLOOR_RUN), out=str(tmp_path / "lib")))
+    assert isinstance(info.value.__cause__, ProblemError)
+    _assert_failed_at(tmp_path / "lib", 0, message)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PHI_FLOOR_RUN)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 3
+    _assert_failed_at(tmp_path / "cli", 0, message)
 
 
 def test_singular_adjoint_is_named_at_level_0(tmp_path, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 import pointwise_oracle as oracle
-from afem.elements import (_GAUSS, REF_GRADS, QuadratureRule, default_rule, face_rule,
-                           fine_rule)
+from afem.elements import (_GAUSS, REF_GRADS, QuadratureRule, _jacobi01, default_rule,
+                           face_rule, fine_rule)
 
 REF_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
 
@@ -53,6 +53,32 @@ def test_fine_rule_degree():
             for powers in np.ndindex(*(deg + 1,) * dim):
                 if sum(powers) <= deg:
                     assert rule_integrates(r, dim, powers) < 1e-12, (n, powers)
+
+
+def loop_fine_rule(dim, n):
+    """The conical-product rule built one node at a time, as `fine_rule` was."""
+    u1, w1 = _jacobi01(n, dim - 1)
+    u2, w2 = _jacobi01(n, dim - 2)
+    pts, ws = [], []
+    for a, wa in zip(u1, w1):
+        for b, wb in zip(u2, w2):
+            if dim == 2:
+                pts.append((a, b * (1.0 - a)))
+                ws.append(wa * wb)
+                continue
+            for c, wc in zip(*_jacobi01(n, 0)):
+                pts.append((a, b * (1.0 - a), c * (1.0 - a) * (1.0 - b)))
+                ws.append(wa * wb * wc)
+    return np.array(pts), np.array(ws)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fine_rule_is_bitwise_the_nested_loop_rule(dim, n):
+    r = fine_rule(dim, n)
+    pts, ws = loop_fine_rule(dim, n)
+    assert r.points.shape == pts.shape and r.weights.shape == ws.shape
+    assert r.points.tobytes() == pts.tobytes() and r.weights.tobytes() == ws.tobytes()
 
 
 def test_fine_rule_positive_interior():
