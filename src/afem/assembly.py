@@ -1,24 +1,25 @@
 """Residual, Jacobian, and error measurement over simplex meshes.
 
-Assembly, error measurement and both indicators integrate over the element
-and face rows of the mesh's `MeshTables` (`Mesh.tables()`, built once per
-mesh state): the live simplices in id order, then each flux face and each
-interior face once; Dirichlet faces carry no integral.  Residual and Jacobian
-run one block for the simplices (t = 0) and one for the flux faces (t = 1),
-when there are any, each with one `Ft` or `DFt` call at all its points.  An
-`AssemblyPlan`, kept in the tables for each component count until refinement
-drops them, holds what depends on the mesh alone: each block's points,
-weights, basis values and dof ids, and the Jacobian's CSR pattern with the
-slot of each local entry; the basis matrix is built per call.  A residual
-adds its terms in row, point, dof order, as a loop over the rows would.  A
-Jacobian adds each simplex's entries, summed over its points, then each
-flux-face point's entries between the face's own vertices, in the order
-scipy's COO to CSR conversion sums duplicates (rows bucketed stably, each row
-sorted by `std::sort`), replayed once per plan.  Dofs are interleaved per
-vertex: the dof of component c at vertex v is v * n_components + c.
-Dirichlet vertices get identity rows and columns in Jacobians and zeroed
-residual entries; solution fields are expected to carry the dirichlet values
-themselves.
+Assembly, error measurement and both indicators integrate over the element and
+face rows of the mesh's `MeshTables` (`Mesh.tables()`, built once per mesh
+state): the live simplices in id order, then each flux face and each interior
+face once; Dirichlet faces carry no integral.  Residual and Jacobian run one
+block for the simplices (t = 0) and one for the flux faces (t = 1), when there
+are any, each with one `Ft` or `DFt` call at all its points: a simplex on its
+d+1 vertices, a flux face on its own d (`MeshTables.fverts`) with its owner's
+basis gradients there.  An `AssemblyPlan`, kept in the tables for each
+component count until refinement drops them, holds what depends on the mesh
+alone: each block's points, weights, basis values (one rule's for all its
+rows) and dof ids, and the Jacobian's CSR pattern with the slot of each local
+entry; the basis matrix is built per call.  A residual adds its terms in row,
+point, dof order, as a loop over the rows would.  A Jacobian adds each
+simplex's entries, summed over its points, then each flux-face point's
+entries, in the order scipy's COO to CSR conversion sums duplicates (rows
+bucketed stably, each row sorted by `std::sort`), replayed once per plan.
+Dofs are interleaved per vertex: the dof of component c at vertex v is
+v * n_components + c.  Dirichlet vertices get identity rows and columns in
+Jacobians and zeroed residual entries; solution fields are expected to carry
+the dirichlet values themselves.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def _dofs(verts: np.ndarray, nc: int) -> np.ndarray:
 
 def _point_values(bas: np.ndarray, loc: np.ndarray) -> np.ndarray:
     """Values (n nq, nc), one row per point, at the rule points of the vertex
-    values loc (n, nb, nc), with basis values bas (nq, nb), or (n, nq, nb) per
-    row.  Each point is its own vector-matrix product, summed as at one point."""
-    return (bas[..., None, :] @ loc[:, None]).reshape(-1, loc.shape[2])
+    values loc (n, nb, nc), with basis values bas (nq, nb).  Each point is its
+    own vector-matrix product, summed as at one point."""
+    return (bas[:, None, :] @ loc[:, None]).reshape(-1, loc.shape[2])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,46 +83,41 @@ def _basis_matrix(bas: np.ndarray, grads: np.ndarray, nc: int) -> np.ndarray:
     """The local basis matrix Phi at each point, (n, nq, nb nc, nc (d+1)):
     row (i, c) is [gv.ravel(), v] of the test function basis i times e_c, with
     grads[k, i] in the gradient slots of component c and bas[..., q, i] in its
-    value slot.  bas is (nq, nb) or (n, nq, nb), grads (n, nb, d)."""
-    (n, nb, d), nq, eye = grads.shape, bas.shape[-2], np.eye(nc)
+    value slot.  bas is (nq, nb), grads (n, nb, d)."""
+    (n, nb, d), nq, eye = grads.shape, len(bas), np.eye(nc)
     grad = np.einsum("rik,ce->ricek", grads, eye).reshape(n, 1, nb * nc, nc * d)
-    value = np.einsum("...qi,ce->...qice", bas, eye).reshape(bas.shape[:-1] + (nb * nc, nc))
+    value = np.einsum("qi,ce->qice", bas, eye).reshape(nq, nb * nc, nc)
     return np.concatenate((np.broadcast_to(grad, (n, nq, nb * nc, nc * d)),
                            np.broadcast_to(value, (n, nq, nb * nc, nc))), axis=3)
 
 
 class AssemblyPlan:
     """The blocks and scatter of nc-component assembly on one mesh state (see
-    the module docstring), built by `assembly_plan` on first use."""
+    the module docstring), built by `assembly_plan` on first use.  A block is
+    (t, owner rows, vertex ids (nr, nb), their basis gradients (nr, nb, d),
+    points and unit normals (nr nq, d) or None, weights (nr, nq), bas (nq, nb))."""
 
     def __init__(self, tab, nc: int, free: np.ndarray):
         dim, ndof = tab.coords.shape[1], len(free)
         rule = default_rule(dim)
-        blocks = [(0, np.arange(len(tab.ids)), None, tab.element_points(rule.points),
-                   rule.weights * np.abs(tab.det)[:, None], rule.barycentric)]
+        self.blocks = [(0, np.arange(len(tab.ids)), tab.verts, tab.grads,
+                        tab.element_points(rule.points).reshape(-1, dim), None,
+                        rule.weights * np.abs(tab.det)[:, None], rule.barycentric)]
         flux = np.flatnonzero(tab.flag == NEUMANN)
         if flux.size:
-            frule = face_rule(dim, 3)
-            fbas = np.zeros((dim + 1, len(frule.weights), dim + 1))
-            for i, face in enumerate(LOCAL_FACES[dim]):
-                fbas[i][:, face] = frule.barycentric
+            frule, owner = face_rule(dim, 3), tab.owner[flux]
             fxq, fwq = tab.face_quadrature(frule)
-            blocks.append((1, tab.owner[flux], tab.normal[flux], fxq[flux], fwq[flux],
-                           fbas[tab.local[flux]]))
-        self.blocks, rdofs, keys = [], [], []
-        for t, rows, n, xq, wq, bas in blocks:
-            (nr, nq), ids = wq.shape, _dofs(tab.verts[rows], nc)
-            k, lead = ids.shape[1], (nr,) + (1,) * t
-            pairs = np.broadcast_to(ids.reshape(lead + (k, 1)) * ndof + ids.reshape(lead + (1, k)),
-                                    (nr,) + (nq,) * t + (k, k))
-            keep = None
-            if t:  # a face's own vertices: the basis of the opposite one vanishes
-                on = np.repeat(bas[:, 0] != 0.0, nc, axis=1)
-                keep = np.broadcast_to((on[:, :, None] & on[:, None, :])[:, None], pairs.shape)
-            self.blocks.append((t, rows, tab.grads[rows], xq.reshape(-1, dim),
-                                None if n is None else np.repeat(n, nq, axis=0), wq, bas, keep))
-            rdofs.append(np.broadcast_to(ids[:, None], (nr, nq, k)).ravel())
-            keys.append(pairs.ravel() if keep is None else pairs[keep])
+            self.blocks.append((1, owner, tab.fverts[flux],
+                                tab.grads[owner[:, None], LOCAL_FACES[dim][tab.local[flux]]],
+                                fxq[flux].reshape(-1, dim),
+                                np.repeat(tab.normal[flux], len(frule.weights), axis=0),
+                                fwq[flux], frule.barycentric))
+        rdofs, keys = [], []
+        for t, _, verts, _, _, _, wq, _ in self.blocks:
+            ids, nq = _dofs(verts, nc), wq.shape[1]
+            rdofs.append(np.repeat(ids, nq, axis=0).ravel())
+            pairs = ids[:, :, None] * ndof + ids[:, None]
+            keys.append(np.repeat(pairs, nq if t else 1, axis=0).ravel())
         self.rdofs, keys = np.concatenate(rdofs), np.concatenate(keys)
         # scipy's COO to CSR order: rows bucketed stably, then sort_indices
         bucket = np.argsort(keys // ndof, kind="stable")
@@ -141,10 +137,10 @@ class AssemblyPlan:
     def point_args(self, tab, values: np.ndarray):
         """Each block with its callback arguments (x, n, u, gu) at the field
         `values`, one row per point."""
-        uloc, gu = tab.gather(values)
+        gu = tab.gather(values)[1]
         for block in self.blocks:
-            _, rows, _, x, normals, wq, bas, _ = block
-            yield block, (x, normals, _point_values(bas, uloc[rows]),
+            _, rows, verts, _, x, normals, wq, bas = block
+            yield block, (x, normals, _point_values(bas, values[verts]),
                           np.repeat(gu[rows], wq.shape[1], axis=0))
 
 
@@ -163,7 +159,7 @@ def assemble_residual(problem: ProblemDefinition, u: SolutionField) -> np.ndarra
     mesh, nc = u.mesh, problem.n_components
     plan = assembly_plan(mesh, nc)
     terms = []
-    for (t, _, grads, _, _, wq, bas, _), args in plan.point_args(mesh.tables(), u.values):
+    for (t, _, _, grads, _, _, wq, bas), args in plan.point_args(mesh.tables(), u.values):
         (nr, nq), (nb, d) = wq.shape, grads.shape[1:]
         f = problem.Ft(t, *args).reshape(nr, nq, -1)
         m = f.shape[2] - nc
@@ -181,12 +177,12 @@ def assemble_jacobian(problem: ProblemDefinition, u: SolutionField) -> sp.csr_ma
     mesh, nc = u.mesh, problem.n_components
     plan = assembly_plan(mesh, nc)
     entries = []
-    for (t, _, grads, _, _, wq, bas, keep), args in plan.point_args(mesh.tables(), u.values):
+    for (t, _, _, grads, _, _, wq, bas), args in plan.point_args(mesh.tables(), u.values):
         kq = problem.DFt(t, *args)
         kq = kq.reshape(wq.shape + kq.shape[1:])
         phi = _basis_matrix(bas, grads, nc)
         local = wq[..., None, None] * (phi @ (kq @ np.swapaxes(phi, 2, 3)))
-        entries.append(local.sum(axis=1).ravel() if keep is None else local[keep])
+        entries.append((local if t else local.sum(axis=1)).ravel())
     data = np.bincount(plan.slot, weights=np.concatenate(entries)[plan.order])
     data[plan.fixed] = 0.0
     data[plan.diag] = 1.0

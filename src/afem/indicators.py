@@ -190,11 +190,12 @@ class DualWeights:
 
 def _functional_load(mesh: Mesh, psi, nc: int) -> np.ndarray:
     """Vector of <psi, basis_i> integrals at the element block of the mesh's
-    `AssemblyPlan`, summed in row, point, dof order as `assemble_residual` sums
-    (so a self-adjoint problem with psi = its own load reproduces the primal
-    system exactly).  psi is a constant or a callable read through `sample`."""
+    `AssemblyPlan`, summed in row, point, dof order as `assemble_residual` sums:
+    with psi a problem's source at u = 0 it is that residual, bitwise in 2D;
+    in 3D the weights |det/6| / (1/6) round apart from the plan's |det| (about
+    1e-15 relative).  psi is a constant or a callable read through `sample`."""
     plan = assembly_plan(mesh, nc)
-    _, _, _, x, _, wq, bas, _ = plan.blocks[0]
+    _, _, _, _, x, _, wq, bas = plan.blocks[0]
     vals = (_volume_weights(mesh.tables(), default_rule(mesh.dim))[:, :, None, None]
             * bas[:, :, None] * sample(psi, x, (nc,)).reshape(wq.shape + (1, nc))).ravel()
     return np.bincount(plan.rdofs[:vals.size], weights=vals, minlength=mesh.n_vertices * nc)

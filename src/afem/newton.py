@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_jacobian, assemble_residual
-from .problem import ProblemDefinition, SolutionField
+from .problem import ProblemDefinition, ProblemError, SolutionField
 
 
 class NewtonError(Exception):
@@ -104,7 +104,9 @@ def newton_iterate(residual_fn, jacobian_fn, x0: np.ndarray,
 
 def newton_solve(problem: ProblemDefinition, u0: SolutionField,
                  config: NewtonConfig = None, linear_solve=None):
-    """Newton iteration on an assembled problem; u0 must carry dirichlet data."""
+    """Newton iteration on an assembled problem; u0 must carry dirichlet data.
+    A converged iterate outside the problem's `floor` raises ProblemError,
+    naming the first vertex at or below it."""
 
     mesh = u0.mesh
     nc = problem.n_components
@@ -117,4 +119,13 @@ def newton_solve(problem: ProblemDefinition, u0: SolutionField,
 
     x, report = newton_iterate(residual_fn, jacobian_fn, u0.flat.copy(),
                                config, linear_solve)
-    return SolutionField.from_flat(mesh, nc, x), report
+    u = SolutionField.from_flat(mesh, nc, x)
+    if problem.floor is not None:
+        col, floor = problem.floor
+        low = np.flatnonzero(~(u.values[:, col] > floor))  # NaN too
+        if low.size:
+            i = low[0]
+            raise ProblemError(f"newton solution at or below the floor {floor} of component "
+                               f"{col}: {u.values[i, col]} at vertex {i} "
+                               f"{tuple(mesh.coords[i].tolist())}")
+    return u, report

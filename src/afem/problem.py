@@ -102,7 +102,9 @@ class ProblemDefinition:
     what the driver reads when present: an exact solution, a default mesh, a
     constant initial iterate and the constraint data whose clamp counter it
     reports.  dim is the dimension the problem is posed in, None when it runs
-    in either.  dirichlet, exact and exact_grad are data read through `sample`."""
+    in either.  dirichlet, exact and exact_grad are data read through `sample`.
+    floor, None or (column, value), states the admissible set: the column's
+    vertex values above value, which `newton.newton_solve` checks."""
 
     n_components: int
     flux: callable
@@ -116,6 +118,7 @@ class ProblemDefinition:
     mesh_factory: callable = None
     initial_value: np.ndarray = None
     constraint_coefficients: object = None
+    floor: tuple = None
 
     def _face(self, x, u):
         return np.zeros(u.shape) if self.face_term is None else self.face_term(x, u)

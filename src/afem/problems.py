@@ -379,7 +379,7 @@ def coupled_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:
         n_components=nc, flux=flux, source=source, face_term=face_term, DFt=DFt,
         dirichlet=coeffs.dirichlet_vector, dim=d,
         initial_value=np.concatenate([[1.0], np.zeros(d)]),
-        constraint_coefficients=coeffs)
+        constraint_coefficients=coeffs, floor=(0, PHI_FLOOR))
 
 
 def _restriction(coeffs: ConstraintCoefficients, cols) -> ProblemDefinition:
@@ -411,7 +411,8 @@ def _restriction(coeffs: ConstraintCoefficients, cols) -> ProblemDefinition:
         source=lambda x, u, gu: full.source(x, *embed(u, gu))[:, cols],
         face_term=lambda x, u: full.face_term(x, embed(u)[0])[:, cols],
         dirichlet=batched(lambda x: coeffs.dirichlet_vector(x)[:, cols]),
-        initial_value=full.initial_value[cols], constraint_coefficients=coeffs)
+        initial_value=full.initial_value[cols], constraint_coefficients=coeffs,
+        floor=(int(np.argmax(cols == 0)), PHI_FLOOR) if 0 in cols else None)
 
 
 def hamiltonian_forms(coeffs: ConstraintCoefficients) -> ProblemDefinition:

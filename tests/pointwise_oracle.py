@@ -561,9 +561,9 @@ def residual_indicator(problem: ProblemDefinition, u: SolutionField) -> Indicato
 
 
 def functional_load(mesh, psi, nc: int) -> np.ndarray:
-    """Vector of <psi, basis_i> integrals, with the assembly quadrature rule
-    (so a self-adjoint problem with psi = its own load reproduces the primal
-    system exactly)."""
+    """Vector of <psi, basis_i> integrals, with the assembly quadrature rule:
+    with psi a problem's source at u = 0 it is that residual, bitwise in 2D;
+    in 3D the weights |det/6| / (1/6) round apart from |det|."""
     rule = default_rule(mesh.dim)
     b = np.zeros(mesh.n_vertices * nc)
     ref_vol = 0.5 if mesh.dim == 2 else 1.0 / 6.0

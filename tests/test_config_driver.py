@@ -560,6 +560,26 @@ def test_phi_floor_boundary_data_is_named_at_level_0(tmp_path):
     _assert_failed_at(tmp_path / "cli", 0, message)
 
 
+PHI_BELOW_FLOOR_RUN = ("problem = hamiltonian\nmesh = unit_square\nmesh_n = 2\n"
+                       "max_vertices = 80\ncoeff.Rhat = const:400\n")
+
+
+def test_solution_below_the_phi_floor_is_named_at_level_0(tmp_path):
+    # once this ran to vertex_cap with 136 clamp events: the level-0 solve
+    # converged with phi = -0.22 at the centre vertex
+    message = ("newton solution at or below the floor 1e-06 of component 0: "
+               "-0.21951219512195097 at vertex 4 (0.5, 0.5)")
+    with pytest.raises(DriverError, match=rf"^level 0: {re.escape(message)}$") as info:
+        run_adaptive(dataclasses.replace(parse_config(PHI_BELOW_FLOOR_RUN),
+                                         out=str(tmp_path / "lib")))
+    assert isinstance(info.value.__cause__, ProblemError)
+    _assert_failed_at(tmp_path / "lib", 0, message)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PHI_BELOW_FLOOR_RUN)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 3
+    _assert_failed_at(tmp_path / "cli", 0, message)
+
+
 def test_singular_adjoint_is_named_at_level_0(tmp_path, monkeypatch):
     # only the adjoint solve reads `spla` through afem.indicators; the primal
     # direct solves keep scipy's spsolve

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from afem.assembly import dirichlet_start, measure_error
+from afem.assembly import assemble_residual, dirichlet_start, free_dof_mask, measure_error
 from afem.generators import unit_cube, unit_square
-from afem.indicators import (IndicatorField, dual_indicator, mark,
+from afem.indicators import (IndicatorField, _functional_load, dual_indicator, mark,
                              residual_indicator, solve_dual)
 from afem.mesh import DIRICHLET, INTERIOR, Mesh
 from afem.newton import NewtonConfig, newton_solve
-from afem.problem import ProblemDefinition, SolutionField
+from afem.problem import ProblemDefinition, SolutionField, batched
 from afem.problems import benchmark_poisson
 
 import pointwise_oracle as oracle
@@ -182,6 +182,24 @@ def test_self_adjoint_dual_equals_primal():
     primal, _ = newton_solve(prob, dirichlet_start(prob, w.phi.mesh),
                              NewtonConfig(tolerance=1e-12))
     assert np.abs(w.phi.values - primal.values).max() < 1e-8
+
+
+@pytest.mark.parametrize("name, n", [("square_sine", 4), ("cube_sine", 2)])
+def test_functional_load_of_the_source_is_the_residual_at_zero(name, n):
+    # the load's weights |det/2| / (1/2) are the plan's |det| bitwise; in 3D
+    # |det/6| / (1/6) rounds apart from |det| in the last bit
+    prob = benchmark_poisson(name)
+    mesh = prob.mesh_factory(n)
+    zero = SolutionField.zeros(mesh)
+    psi = batched(lambda x: prob.source(x, np.zeros((len(x), 1)), np.zeros((len(x), 1, mesh.dim))))
+    load = _functional_load(mesh, psi, 1)
+    load[~free_dof_mask(prob, mesh)] = 0.0
+    r = assemble_residual(prob, zero)
+    assert np.any(r != 0.0)
+    if mesh.dim == 2:
+        np.testing.assert_array_equal(load, r)
+    else:
+        assert np.max(np.abs(load - r)) <= 1e-14 * np.max(np.abs(r))
 
 
 def test_nonnegative_weight_gives_positive_dual():

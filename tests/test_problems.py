@@ -326,6 +326,25 @@ def test_builtin_problems_state_the_dimension_of_their_data(name):
             assert np.shape(grad(x) if callable(grad) else grad)[-1] == problem.dim
 
 
+@pytest.mark.parametrize("name", P.BUILT_IN)
+def test_only_the_phi_column_states_a_floor(name):
+    problem = build_problem(RunConfig(problem=name, dim=2))
+    phi = name.startswith(("hamiltonian", "coupled"))
+    assert problem.floor == ((0, P.PHI_FLOOR) if phi else None)
+
+
+def test_newton_names_the_first_vertex_at_the_floor():
+    # phi = 1 everywhere solves the trivial problem; a floor just above it
+    # rejects the converged iterate at its first vertex
+    prob = P.hamiltonian_trivial(dim=2)
+    mesh = prob.mesh_factory(2)
+    newton_solve(prob, dirichlet_start(prob, mesh))
+    prob.floor = (0, 1.0)
+    with pytest.raises(P.ProblemError, match=re.escape(
+            "newton solution at or below the floor 1.0 of component 0: 1.0 at vertex 0 (0.0, 0.0)")):
+        newton_solve(prob, dirichlet_start(prob, mesh))
+
+
 def _one_simplex(dim):
     return Mesh.from_arrays(np.vstack([np.zeros(dim), np.eye(dim)]), [tuple(range(dim + 1))],
                             boundary=DIRICHLET)
